@@ -30,8 +30,8 @@ from .decoder import decode, guarantee_noisy
 from .errors import (CapExceeded, ConfigError, DimensionOverflow, EmptyCode,
                      PreconditionViolated, RankDeficient, RetryLimitExceeded,
                      SizeOverflow)
-from .finitefield import FiniteField, is_prime
-from .subspaces import distance
+from .finitefield import MAX_Q, FiniteField, is_prime
+from .subspaces import distance, pairwise
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,12 +97,11 @@ def _require(cfg: dict, key: str):
 def _field_for_order(q: int) -> FiniteField:
     if q < 2:
         raise ConfigError(f"field order {q} is not a prime power")
-    p = None
+    if q > MAX_Q:
+        raise ConfigError(f"field order {q} exceeds the supported maximum {MAX_Q}")
+    # smallest prime factor; q itself when no factor is found below sqrt(q)
+    p = next((cand for cand in range(2, math.isqrt(q) + 1) if q % cand == 0), q)
     x = q
-    for cand in range(2, q + 1):
-        if x % cand == 0:
-            p = cand
-            break
     m = 0
     while x % p == 0:
         x //= p
@@ -322,10 +321,8 @@ def cmd_distance(args) -> int:
     code_b = load_code(args.file_b)
     if code_a.ambient_dim != code_b.ambient_dim:
         raise ConfigError("the two codes live in different ambient dimensions")
-    rows = []
-    for i, u in enumerate(code_a):
-        for j, v in enumerate(code_b):
-            rows.append([i, j, float(distance(u, v))])
+    table = pairwise(code_a.stacked, code_b.stacked).tolist()
+    rows = [[i, j, d] for i, row in enumerate(table) for j, d in enumerate(row)]
     _write_csv(args.out, "distance",
                {"file_a": args.file_a, "file_b": args.file_b}, "",
                ["index_a", "index_b", "distance"], rows)

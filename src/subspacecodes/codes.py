@@ -19,8 +19,8 @@ import numpy as np
 from .errors import (AmbientMismatch, CapExceeded, DimensionMismatch, DomainError, LengthMismatch,
                      RetryLimitExceeded, SizeOverflow)
 from .finitefield import LOG_TABLE_MAX_Q, FiniteField, is_prime
-from .subspaces import (TOL_EQUAL, Subspace, complement, distance,
-                        random_subspace)
+from .subspaces import (TOL_EQUAL, StackedBases, Subspace, complement, distance,
+                        pairwise, random_subspace)
 
 DEFAULT_SIZE_CAP = 10 ** 6
 DEFAULT_SEARCH_CAP = 10 ** 4
@@ -69,35 +69,27 @@ class SubspaceCode:
         dims = {w.dim for w in self._codewords}
         return len(dims) == 1
 
-    def distances_to(self, received: Subspace) -> np.ndarray:
-        """Distance from every codeword to ``received``.
+    @property
+    def stacked(self) -> StackedBases:
+        """The codeword bases stacked into one row matrix, built on first use."""
+        if self._stacked is None:
+            self._stacked = StackedBases.of(self._codewords)
+        return self._stacked
 
-        Constant-dimension codes use one stacked matrix product via
-        d(U, V) = dim U + dim V - 2 ||Z_U Z_V^H||_F^2, which agrees with
-        distance() to numerical precision.
-        """
+    def distances_to(self, received: Subspace) -> np.ndarray:
+        """Distance from every codeword to ``received``, through pairwise()."""
         if not self._codewords:
             return np.zeros(0)
-        if received.ambient_dim != self.ambient_dim:
-            raise AmbientMismatch("received subspace has the wrong ambient dimension")
-        if self.is_constant_dimension and received.dim > 0:
-            m = self._codewords[0].dim
-            if self._stacked is None:
-                self._stacked = np.concatenate(
-                    [np.asarray(w.basis, dtype=complex) for w in self._codewords])
-            cross = self._stacked @ received.basis.conj().T
-            overlap = np.abs(cross) ** 2
-            overlap = overlap.reshape(len(self._codewords), m * received.dim).sum(axis=1)
-            return m + received.dim - 2.0 * overlap
-        return np.array([distance(w, received) for w in self._codewords])
+        return pairwise(self.stacked, StackedBases.of([received]))[:, 0]
 
 
 def min_distance_exhaustive(code: SubspaceCode, cap: int = DEFAULT_SEARCH_CAP):
     """Exact minimum pairwise distance and the achieving index pair.
 
-    Visits all M(M-1)/2 unordered pairs with the projection-space distance;
-    the result is cached on the code object.  Raises CapExceeded if the code
-    has more than ``cap`` codewords.
+    Visits all M(M-1)/2 unordered pairs through pairwise(), one block of
+    rows at a time, so no M x M matrix is formed; on ties the first pair in
+    row-major order wins.  The result is cached on the code object.  Raises
+    CapExceeded if the code has more than ``cap`` codewords.
     """
     if code._min_distance is not None:
         return code._min_distance, code._min_pair
@@ -106,15 +98,19 @@ def min_distance_exhaustive(code: SubspaceCode, cap: int = DEFAULT_SEARCH_CAP):
         raise ValueError("minimum distance needs at least two codewords")
     if M > cap:
         raise CapExceeded(f"{M} codewords exceed the exhaustive search cap {cap}")
+    stacked = code.stacked
     best = math.inf
     pair = (0, 1)
-    for i in range(M):
-        for j in range(i + 1, M):
-            d = distance(code[i], code[j])
-            if d < best:
-                best = d
-                pair = (i, j)
-    code._min_distance = float(best)
+    for lo, hi in stacked.blocks(stacked):
+        # rows i = lo..hi-1 against columns j = lo..M-1; keep only j > i
+        d = pairwise(stacked.part(lo, hi), stacked.part(lo, M))
+        d[np.tri(hi - lo, M - lo, dtype=bool)] = math.inf
+        k = int(np.argmin(d))
+        if d.flat[k] < best:
+            best = float(d.flat[k])
+            i, j = divmod(k, M - lo)
+            pair = (lo + i, lo + j)
+    code._min_distance = best
     code._min_pair = pair
     return code._min_distance, pair
 

@@ -9,9 +9,19 @@ the squared projection distance
 where P_U = Z^H Z for an orthonormal basis Z.  It equals twice the squared
 chordal distance, is defined for subspaces of unequal dimension, and is a
 2-relaxed quasimetric on the set of all subspaces of a fixed ambient space.
+
+Distances are computed from the bases alone, through the cross-Gram matrix
+C = Z_U Z_V^H: tr(P_U P_V) = ||C||_F^2, so
+
+    d(U, V) = dim U + dim V - 2 ||Z_U Z_V^H||_F^2,
+
+and no n x n projection is formed.  ``pairwise`` evaluates this identity for
+every pair of two stacked lists of subspaces.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -23,6 +33,8 @@ TOL_ORTH = 1e-10
 TOL_RANK = 1e-9
 # Subspaces closer than this (in d) count as equal.
 TOL_EQUAL = 1e-9
+# Size of the cross-Gram product that pairwise() forms per block of rows.
+_BLOCK_BYTES = 2 ** 21
 
 
 class Subspace:
@@ -47,8 +59,11 @@ class Subspace:
         if m > n:
             raise ValueError(f"{m} orthonormal rows cannot fit in ambient dimension {n}")
         if validate and m > 0:
-            defect = basis @ basis.conj().T - np.eye(m)
-            if np.max(np.abs(defect)) > TOL_ORTH:
+            if not np.all(np.isfinite(basis)):
+                raise ValueError("basis has non-finite entries")
+            defect = np.max(np.abs(basis @ basis.conj().T - np.eye(m)))
+            # written so that a NaN defect fails the test too
+            if not defect <= TOL_ORTH:
                 raise ValueError("rows are not orthonormal; use orthonormalize()")
         basis = basis.copy()
         basis.setflags(write=False)
@@ -145,10 +160,112 @@ def distance(U: Subspace, V: Subspace) -> float:
 
     Symmetric, zero exactly on equal subspaces, defined for any dimensions,
     and equal to 2 * chordal_distance(U, V)**2.
+
+    With U the operand of smaller dimension and C = Z_U Z_V^H, the residual
+    R = Z_U - C Z_V has ||R||_F^2 = dim U - ||C||_F^2, and so does Z_V -
+    C^H Z_U after adding dim V - dim U.  Hence d = 2 ||R||_F^2 + dim V - dim U.
+    The residual is formed before it is squared, so a distance near 0 keeps
+    full relative accuracy, which the Gram identity loses to cancellation.
     """
     _check_same_ambient(U, V)
-    diff = U.projection - V.projection
-    return float(np.real(np.vdot(diff, diff)))
+    zu, zv = U.basis, V.basis
+    if zu.shape[0] > zv.shape[0]:
+        zu, zv = zv, zu
+    # np.dot, not @: on these small matrices it skips the gufunc overhead
+    residual = zu - np.dot(np.dot(zu, zv.conj().T), zv)
+    return float(2.0 * np.vdot(residual, residual).real + (zv.shape[0] - zu.shape[0]))
+
+
+class StackedBases:
+    """The bases of a list of subspaces stacked into one (R, n) row matrix.
+
+    Subspace i owns dims[i] rows starting at row starts[i]; a zero-dimensional
+    subspace owns none.  ``common_dim`` is the dimension all subspaces share,
+    or -1 when they differ.
+    """
+
+    __slots__ = ("rows", "dims", "starts", "common_dim")
+
+    def __init__(self, rows: np.ndarray, dims: np.ndarray, starts: np.ndarray,
+                 common_dim: int):
+        self.rows = rows
+        self.dims = dims
+        self.starts = starts
+        self.common_dim = common_dim
+
+    @classmethod
+    def of(cls, subspaces) -> "StackedBases":
+        bases = [w.basis for w in subspaces]
+        if not bases:
+            raise ValueError("nothing to stack: the list of subspaces is empty")
+        dims = [b.shape[0] for b in bases]
+        starts = [0, *itertools.accumulate(dims[:-1])]
+        common = dims[0] if dims.count(dims[0]) == len(dims) else -1
+        rows = bases[0] if len(bases) == 1 else np.concatenate(bases)
+        return cls(rows, np.array(dims, dtype=np.intp), np.array(starts, dtype=np.intp), common)
+
+    def __len__(self) -> int:
+        return len(self.dims)
+
+    def part(self, lo: int, hi: int) -> "StackedBases":
+        """Subspaces lo..hi-1, sharing this object's rows."""
+        if lo == 0 and hi == len(self):
+            return self
+        first = self.starts[lo]
+        stop = self.starts[hi - 1] + self.dims[hi - 1]
+        return StackedBases(self.rows[first:stop], self.dims[lo:hi],
+                            self.starts[lo:hi] - first, self.common_dim)
+
+    def blocks(self, other: "StackedBases"):
+        """Ranges (lo, hi) covering this list whose cross-Gram product with
+        ``other`` takes at most about _BLOCK_BYTES each."""
+        row_bytes = 16 * max(1, other.rows.shape[0])  # a complex128 product
+        max_dim = self.common_dim if self.common_dim >= 0 else int(self.dims.max())
+        step = max(1, _BLOCK_BYTES // (row_bytes * max(1, max_dim)))
+        M = len(self)
+        return [(lo, min(lo + step, M)) for lo in range(0, M, step)]
+
+
+def _row_segment_sums(x: np.ndarray, stack: StackedBases) -> np.ndarray:
+    """Sums of the rows of x that belong to each subspace of ``stack``; a
+    zero-dimensional subspace sums to 0."""
+    out = np.zeros((len(stack), x.shape[1]))
+    nonempty = stack.dims > 0
+    if nonempty.any():
+        out[nonempty] = np.add.reduceat(x, stack.starts[nonempty], axis=0)
+    return out
+
+
+def pairwise(A: StackedBases, B: StackedBases) -> np.ndarray:
+    """Distance from every subspace of A to every subspace of B, (len A, len B).
+
+    Uses d(U, V) = dim U + dim V - 2 ||Z_U Z_V^H||_F^2: one matrix product
+    per block of A (see StackedBases.blocks), then |.|^2 summed over the rows
+    of each pair.  Valid for any mix of dimensions, 0 and n included.
+    Roundoff can push a near-zero distance below 0; results are clamped at 0.
+    """
+    if A.rows.shape[1] != B.rows.shape[1]:
+        raise AmbientMismatch(
+            f"ambient dimensions differ: {A.rows.shape[1]} vs {B.rows.shape[1]}")
+    b_adj = B.rows.conj().T
+    uniform = A.common_dim > 0 and B.common_dim > 0
+    parts = []
+    for lo, hi in A.blocks(B):
+        block = A.part(lo, hi)
+        cross = block.rows @ b_adj
+        overlap = np.square(cross.real)
+        if np.iscomplexobj(cross):
+            overlap += np.square(cross.imag)
+        if uniform:
+            overlap = overlap.reshape(hi - lo, A.common_dim, len(B), B.common_dim).sum(axis=(1, 3))
+            dims = A.common_dim + B.common_dim
+        else:
+            overlap = _row_segment_sums(_row_segment_sums(overlap, block).T, B).T
+            dims = block.dims[:, None] + B.dims
+        overlap *= -2.0
+        overlap += dims
+        parts.append(np.maximum(overlap, 0.0, out=overlap))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def distance_via_gram(U: Subspace, V: Subspace) -> float:

@@ -13,6 +13,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,33 @@ def test_distance_rejects_mismatched_ambients(tmp_path, capsys):
     assert cli.main(["distance", str(tmp_path / "a_code.json"),
                      str(tmp_path / "b_code.json")]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_distance_rejects_non_finite_code_file(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "a.json", {
+        "code": {"type": "binary", "words": ["000", "011"]}, "out": str(tmp_path / "a_code.json")})
+    assert cli.main(["construct", "--config", cfg]) == EXIT_OK
+    blob = json.loads((tmp_path / "a_code.json").read_text())
+    blob["codewords"][0] = [[math.nan, 0.0]] * 3
+    nan_file = tmp_path / "nan_code.json"
+    nan_file.write_text(json.dumps(blob))  # json writes the NaN literal
+    assert cli.main(["distance", str(nan_file), str(tmp_path / "a_code.json")]) == EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_field_order_checks(tmp_path, capsys):
+    # a prime far above the supported maximum is refused before any factoring
+    huge = _write_cfg(tmp_path, "h.json", {"code": {"type": "cp", "q": 2 ** 31 - 1, "k": 2}})
+    t0 = time.monotonic()
+    assert cli.main(["construct", "--config", huge]) == EXIT_CONFIG
+    assert time.monotonic() - t0 < 1.0
+    assert "exceeds the supported maximum" in capsys.readouterr().err
+    composite = _write_cfg(tmp_path, "c.json", {"code": {"type": "cp", "q": 12, "k": 2}})
+    assert cli.main(["construct", "--config", composite]) == EXIT_CONFIG
+    assert "not a prime power" in capsys.readouterr().err
+    power = _write_cfg(tmp_path, "p.json", {"code": {"type": "cp", "q": 9, "k": 2}})
+    assert cli.main(["construct", "--config", power]) == EXIT_OK
+    assert "M = 81" in capsys.readouterr().out
 
 
 def _declared_script(name):

@@ -1,0 +1,142 @@
+"""Pairwise distance engine tests.
+
+The engine (``pairwise``) and the scalar ``distance`` are checked against the
+projection route d(U, V) = ||P_U - P_V||_F^2, which the package no longer
+uses and which lives here only as the oracle.  Codes mix real and complex
+bases and every dimension from 0 to n; the row-block size is varied so that
+the blocked loops are exercised at every boundary.
+"""
+
+from __future__ import annotations
+
+import itertools
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from subspacecodes import (
+    CPCodeSpec,
+    FiniteField,
+    Subspace,
+    SubspaceCode,
+    cp_construct,
+    distance,
+    min_distance_exhaustive,
+    random_subspace,
+    random_unitary,
+)
+from subspacecodes import subspaces
+from subspacecodes.subspaces import StackedBases, pairwise
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# block sizes: one codeword per block, a few codewords per block, the default
+BLOCK_BYTES = st.sampled_from([1, 512, subspaces._BLOCK_BYTES])
+
+
+def _projection(U: Subspace) -> np.ndarray:
+    return U.basis.conj().T @ U.basis
+
+
+def _oracle(U: Subspace, V: Subspace) -> float:
+    diff = _projection(U) - _projection(V)
+    return float(np.real(np.vdot(diff, diff)))
+
+
+def _oracle_min_distance(code: SubspaceCode) -> float:
+    """Scalar double loop over all unordered pairs, projection route."""
+    proj = [_projection(w) for w in code]
+    best = np.inf
+    for i, j in itertools.combinations(range(len(proj)), 2):
+        diff = proj[i] - proj[j]
+        best = min(best, float(np.real(np.vdot(diff, diff))))
+    return best
+
+
+@st.composite
+def subspace_lists(draw, max_size=6):
+    """(n, seed, dims, complex flag) of a random list of subspaces of C^n or R^n;
+    half of the lists share one dimension, which the engine handles apart."""
+    n = draw(st.integers(1, 7))
+    dims = draw(st.lists(st.integers(0, n), min_size=1, max_size=max_size))
+    if draw(st.booleans()):
+        dims = [dims[0]] * len(dims)
+    return n, draw(st.integers(0, 2 ** 32 - 1)), dims, draw(st.booleans())
+
+
+def _build(n, seed, dims, complex_field) -> list[Subspace]:
+    rng = np.random.default_rng(seed)
+    words = [random_subspace(n, m, rng, complex_field) for m in dims]
+    # the same span on a mixed basis: a pair at distance 0 up to roundoff
+    if words[0].dim > 0:
+        mix = random_unitary(words[0].dim, rng)
+        words.append(Subspace(mix @ words[0].basis))
+    return words
+
+
+@PROPERTY
+@given(a=subspace_lists(), b=subspace_lists(), share=st.booleans(), block_bytes=BLOCK_BYTES)
+# two lists that each share one dimension, a different one
+@example(a=(5, 1, [3, 3], True), b=(5, 2, [1], False), share=False, block_bytes=2 ** 21)
+def test_pairwise_and_distance_match_projection_oracle(a, b, share, block_bytes):
+    n, seed_a, dims_a, cx_a = a
+    _, seed_b, dims_b, cx_b = b
+    dims_b = [min(m, n) for m in dims_b]
+    A = _build(n, seed_a, dims_a, cx_a)
+    B = _build(n, seed_b, dims_b, cx_b)
+    if share:  # pairs at distance 0 across the two lists
+        B += A[:2]
+    want = np.array([[_oracle(u, v) for v in B] for u in A])
+    with mock.patch.object(subspaces, "_BLOCK_BYTES", block_bytes):
+        got = pairwise(StackedBases.of(A), StackedBases.of(B))
+    assert got.shape == (len(A), len(B))
+    assert np.all(got >= 0.0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    scalar = np.array([[distance(u, v) for v in B] for u in A])
+    assert np.all(scalar >= 0.0)
+    np.testing.assert_allclose(scalar, want, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(spec=subspace_lists(max_size=12), block_bytes=BLOCK_BYTES)
+def test_min_distance_matches_scalar_oracle_on_mixed_codes(spec, block_bytes):
+    words = _build(*spec)
+    if len(words) < 2:
+        words.append(Subspace.zero(spec[0], spec[3]))
+    code = SubspaceCode(words)
+    with mock.patch.object(subspaces, "_BLOCK_BYTES", block_bytes):
+        d_min, (i, j) = min_distance_exhaustive(code)
+    assert i < j
+    assert d_min >= 0.0
+    assert d_min == pytest.approx(_oracle_min_distance(code), abs=1e-12)
+    assert _oracle(code[i], code[j]) == pytest.approx(d_min, abs=1e-12)
+
+
+@pytest.mark.parametrize("q,k", [(5, 2), (7, 2), (7, 3), (11, 2), (13, 2), (3, 2)])
+def test_min_distance_matches_scalar_oracle_on_cp_codes(q, k):
+    # (3, 2) holds repeated lines: f and f + c x^2 differ by a constant shift
+    # on both evaluation points, so d_min is 0 up to roundoff
+    code = cp_construct(CPCodeSpec(FiniteField(q), k))
+    d_min, (i, j) = min_distance_exhaustive(code)
+    want = _oracle_min_distance(code)
+    assert d_min == pytest.approx(want, abs=1e-12)
+    assert _oracle(code[i], code[j]) == pytest.approx(d_min, abs=1e-12)
+    if (q, k) == (3, 2):
+        assert d_min == pytest.approx(0.0, abs=1e-12)
+
+
+def test_min_distance_memory_stays_in_blocks():
+    # an M x M complex matrix at M = 3000 would take 144 MB
+    rng = np.random.default_rng(23)
+    code = SubspaceCode([random_subspace(8, 1, rng) for _ in range(3000)])
+    tracemalloc.start()
+    try:
+        d_min, (i, j) = min_distance_exhaustive(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert distance(code[i], code[j]) == pytest.approx(d_min, abs=1e-12)

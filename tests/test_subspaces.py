@@ -118,6 +118,14 @@ def test_distance_identity_of_indiscernibles():
     assert not same_subspace(U, other)
 
 
+def test_validation_rejects_non_finite_bases():
+    for bad in (math.nan, math.inf):
+        basis = np.eye(2, 4)
+        basis[1, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Subspace(basis)
+
+
 def test_gram_route_requires_equal_dimensions():
     rng = np.random.default_rng(8)
     U = random_subspace(6, 2, rng)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionOverflow, PreconditionViolated, RankDeficient)
-from .subspaces import (TOL_RANK, Subspace, complement, direct_sum, distance,
-                        orthonormalize)
+from .subspaces import TOL_RANK, Subspace, complement, direct_sum, orthonormalize
 
 
 @dataclass(frozen=True)
@@ -101,49 +100,34 @@ def apply_operator_channel(U: Subspace, spec: OperatorChannelSpec,
 
 
 def rotate(U: Subspace, budget: float, rng: np.random.Generator) -> Subspace:
-    """Random same-dimension subspace within distance ``budget`` of U.
+    """Random same-dimension subspace at distance exactly ``budget`` from U.
 
-    Perturbs the basis along a fixed Gaussian direction and bisects the step
-    size, aiming for a realized distance in [0.9 budget, budget]; the
-    realized distance never exceeds the budget.  budget = 0 returns U.
+    A Gaussian draw projected onto U-perp and orthonormalized gives r =
+    min(dim U, n - dim U) orthonormal directions W_i outside U.  The first r
+    basis rows turn towards them by one angle theta,
+    Z_i -> cos(theta) Z_i + sin(theta) W_i, so the cross-Gram matrix of the
+    two bases is diag(cos theta, ..., cos theta, 1, ..., 1) and
+    d(U, V) = 2 r sin^2(theta), which sin^2(theta) = budget / 2r makes equal
+    to the budget.  budget = 0 returns U; DimensionOverflow when budget > 2r.
     """
     if budget < 0:
         raise ValueError("rotation budget must be nonnegative")
     if budget == 0 or U.dim == 0:
         return U
-    g = _gaussian(rng, U.basis.shape, U.is_complex)
-
-    def candidate(s: float):
-        V = orthonormalize(U.basis + s * g)
-        return V, distance(U, V)
-
-    best = U  # distance 0, always admissible
-    best_d = 0.0
-    lo, hi = 0.0, 1.0
-    d_hi = 0.0
-    for _ in range(60):  # expand until the band is bracketed
-        V, d_hi = candidate(hi)
-        if d_hi >= 0.9 * budget:
-            break
-        if V.dim == U.dim and d_hi > best_d:
-            best, best_d = V, d_hi
-        lo, hi = hi, 2.0 * hi
-    else:
-        return best  # budget not reachable along this direction
-    if d_hi <= budget and V.dim == U.dim:
-        return V
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        V, d = candidate(mid)
-        if V.dim == U.dim and 0.9 * budget <= d <= budget:
-            return V
-        if d < 0.9 * budget:
-            if V.dim == U.dim and d > best_d:
-                best, best_d = V, d
-            lo = mid
-        else:
-            hi = mid
-    return best
+    r = min(U.dim, U.ambient_dim - U.dim)
+    if budget > 2 * r:
+        raise DimensionOverflow(
+            f"rotation budget {budget!r} exceeds the largest distance {2 * r} from a "
+            f"{U.dim}-dimensional subspace of ambient dimension {U.ambient_dim}")
+    Z = U.basis
+    g = _gaussian(rng, Z.shape, U.is_complex)
+    W = orthonormalize(g - (g @ Z.conj().T) @ Z).basis
+    if W.shape[0] != r:  # Gaussian draws are full rank almost surely
+        raise RuntimeError("rank-deficient rotation draw")
+    sin2 = budget / (2 * r)
+    out = Z.copy()
+    out[:r] = np.sqrt(1.0 - sin2) * Z[:r] + np.sqrt(sin2) * W
+    return Subspace(out, validate=False)
 
 
 def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
@@ -274,6 +258,24 @@ def rq_factorize(A):
     return R, Q
 
 
+def _perturbation_eps(s: np.ndarray, N: np.ndarray, name: str) -> float:
+    """eps = ((1 + sqrt 2) kappa / (1 - ||A+||_2 ||N||_2) * ||N||_F / ||A||_2)^2
+    for a full-row-rank A with singular values s (descending, all nonzero).
+
+    PreconditionViolated, naming the matrix ``name``, when ||A+||_2 ||N||_2 >= 1.
+    """
+    norm_a = float(s[0])
+    pinv_norm = 1.0 / float(s[-1])
+    norm_n_2 = float(np.linalg.norm(N, 2)) if N.size else 0.0
+    if pinv_norm * norm_n_2 >= 1.0:
+        raise PreconditionViolated(
+            f"||{name}+||_2 ||N||_2 = {pinv_norm * norm_n_2:.6g} >= 1")
+    kappa = norm_a * pinv_norm
+    norm_n_f = float(np.linalg.norm(N))
+    return ((1.0 + np.sqrt(2.0)) * kappa / (1.0 - pinv_norm * norm_n_2)
+            * norm_n_f / norm_a) ** 2
+
+
 def perturbation_bound(A, N):
     """Row-space drift bound for a full-row-rank A under perturbation N.
 
@@ -292,16 +294,7 @@ def perturbation_bound(A, N):
     s = np.linalg.svd(A, compute_uv=False)
     if _numerical_rank(s) < l or l > A.shape[1]:
         raise RankDeficient("matrix is not of full row rank")
-    norm_a = float(s[0])
-    pinv_norm = 1.0 / float(s[l - 1])
-    norm_n_2 = float(np.linalg.norm(N, 2)) if N.size else 0.0
-    if pinv_norm * norm_n_2 >= 1.0:
-        raise PreconditionViolated(
-            f"||A+||_2 ||N||_2 = {pinv_norm * norm_n_2:.6g} >= 1")
-    kappa = norm_a * pinv_norm
-    norm_n_f = float(np.linalg.norm(N))
-    eps = ((1.0 + np.sqrt(2.0)) * kappa / (1.0 - pinv_norm * norm_n_2)
-           * norm_n_f / norm_a) ** 2
+    eps = _perturbation_eps(s, N, "A")
     return eps, 2.0 * eps + eps ** 2
 
 
@@ -344,17 +337,7 @@ def general_perturbation_bound(A, N):
         raise RankDeficient("zero matrix has no row space to track")
     rows = _greedy_independent_rows(A, rank)
     A1 = A[rows, :]
-    s1 = np.linalg.svd(A1, compute_uv=False)
-    norm_a1 = float(s1[0])
-    pinv_norm = 1.0 / float(s1[rank - 1])
-    norm_n_2 = float(np.linalg.norm(N, 2)) if N.size else 0.0
-    if pinv_norm * norm_n_2 >= 1.0:
-        raise PreconditionViolated(
-            f"||A1+||_2 ||N||_2 = {pinv_norm * norm_n_2:.6g} >= 1")
-    kappa = norm_a1 * pinv_norm
-    norm_n_f = float(np.linalg.norm(N))
-    eps = ((1.0 + np.sqrt(2.0)) * kappa / (1.0 - pinv_norm * norm_n_2)
-           * norm_n_f / norm_a1) ** 2
+    eps = _perturbation_eps(np.linalg.svd(A1, compute_uv=False), N, "A1")
     delta = 2.0 * eps + eps ** 2
     total = (np.sqrt(r_d) + np.sqrt(delta)) ** 2
     return r_d, delta, float(total)

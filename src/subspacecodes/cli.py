@@ -250,40 +250,31 @@ def cmd_bounds(args) -> int:
     if d_pts < 2 or r_pts < 2 or not 0.0 < d_lo < d_hi <= 2.0:
         raise ConfigError("bad grid configuration")
 
-    rows = []
     deltas = [d_lo + (d_hi - d_lo) * i / (d_pts - 1) for i in range(d_pts)]
+    packing = [d for d in deltas if d <= 1.0]
+    rates = [i / r_pts for i in range(1, r_pts)]
+    # label -> (grid, point): point(x) is the (delta, rate) row at grid value x
+    curves = {
+        "shannon": (packing, lambda d: (d, bounds_mod.shannon_lower(d))),
+        "barg_lower": (packing, lambda d: (d, bounds_mod.barg_lower(m, d, beta))),
+        "barg_upper": (deltas, lambda d: (d, bounds_mod.barg_upper(m, d, beta))),
+        "gv": (rates, lambda r: (bounds_mod.gv_binary_delta(r), r)),
+        "zyablov": (rates, lambda r: (bounds_mod.zyablov_delta(r), r)),
+        "blokh_zyablov": ([0.5 * i / r_pts for i in range(1, r_pts)],
+                          lambda d: (d, bounds_mod.blokh_zyablov_rate(d))),
+    }
+    rows = []
     for label in labels:
-        if label == "shannon":
-            for d in deltas:
-                if d <= 1.0:
-                    rows.append(["shannon", float(d), bounds_mod.shannon_lower(d)])
-        elif label == "barg_lower":
-            for d in deltas:
-                if d <= 1.0:
-                    rows.append(["barg_lower", float(d), bounds_mod.barg_lower(m, d, beta)])
-        elif label == "barg_upper":
-            for d in deltas:
-                rows.append(["barg_upper", float(d), bounds_mod.barg_upper(m, d, beta)])
-        elif label == "cp":
+        if label == "cp":  # one curve per q
             for q in cp_qs:
                 if not is_prime(q):
                     raise ConfigError(f"cp curve needs prime q, got {q}")
                 r_max = math.log(q) / math.sqrt(q)  # rate where the bound hits zero
-                for i in range(1, r_pts + 1):
-                    r = r_max * i / r_pts
-                    rows.append([f"cp_q{q}", cp_simplified_bound(q, r), float(r)])
-        elif label == "gv":
-            for i in range(1, r_pts):
-                r = i / r_pts
-                rows.append(["gv", bounds_mod.gv_binary_delta(r), float(r)])
-        elif label == "zyablov":
-            for i in range(1, r_pts):
-                r = i / r_pts
-                rows.append(["zyablov", bounds_mod.zyablov_delta(r), float(r)])
-        elif label == "blokh_zyablov":
-            for i in range(1, r_pts):
-                d = 0.5 * i / r_pts
-                rows.append(["blokh_zyablov", float(d), bounds_mod.blokh_zyablov_rate(d)])
+                rows += [[f"cp_q{q}", cp_simplified_bound(q, r), r]
+                         for r in (r_max * i / r_pts for i in range(1, r_pts + 1))]
+        else:
+            grid, point = curves[label]
+            rows += [[label, *point(x)] for x in grid]
     _write_csv(cfg.get("out"), "bounds", cfg, cfg.get("seed", ""),
                ["label", "delta", "rate"], rows)
     return EXIT_OK

@@ -9,7 +9,6 @@ caching, and a JSON on-disk format.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -19,8 +18,8 @@ import numpy as np
 from .errors import (AmbientMismatch, CapExceeded, DimensionMismatch, DomainError, LengthMismatch,
                      RetryLimitExceeded, SizeOverflow)
 from .finitefield import LOG_TABLE_MAX_Q, FiniteField, is_prime
-from .subspaces import (TOL_EQUAL, StackedBases, Subspace, complement, distance,
-                        pairwise, random_subspace)
+from .subspaces import (TOL_EQUAL, StackedBases, Subspace, complement, pairwise,
+                        random_subspace)
 
 DEFAULT_SIZE_CAP = 10 ** 6
 DEFAULT_SEARCH_CAP = 10 ** 4
@@ -194,6 +193,11 @@ def cp_construct(spec: CPCodeSpec) -> SubspaceCode:
     lexicographic encoding order, so the construction is fully deterministic;
     the all-zero polynomial comes first and maps to the line of the all-ones
     vector.
+
+    The trace is additive, so tr(chi f(a)) = sum_d tr(chi c_d a^d) mod p over
+    the monomials d of f.  One (q, n) table of tr(chi c a^d) per monomial,
+    indexed by the coefficient c, is broadcast-summed over the coefficient
+    grid (first monomial slowest) to give every codeword's trace exponents.
     """
     field = spec.field
     q = field.q
@@ -205,20 +209,17 @@ def cp_construct(spec: CPCodeSpec) -> SubspaceCode:
         raise SizeOverflow(f"code size {size} exceeds the cap {spec.size_cap}")
     n = q - 1
     pts = np.arange(1, q, dtype=np.int64)
-    powmat = [field.pow_vec(pts, d) for d in mons]
+    chi_c = field.mul_vec(np.arange(q, dtype=np.int64), spec.character_index % q)
+    exponents = np.zeros((1, n), dtype=np.int64)
+    for d in mons:
+        table = field.trace_table[field.mul_vec(chi_c[:, None], field.pow_vec(pts, d)[None, :])]
+        exponents = (exponents[:, None, :] + table[None, :, :]).reshape(-1, n)
+    exponents %= field.p
     roots = field.character_roots
-    trace = field.trace_table
-    chi = np.full(n, spec.character_index % q, dtype=np.int64)
     scale = 1.0 / math.sqrt(n)
-    words = []
-    for coeff in itertools.product(range(q), repeat=len(mons)):
-        acc = np.zeros(n, dtype=np.int64)
-        for c, row in zip(coeff, powmat):
-            if c:
-                acc = field.add_vec(acc, field.mul_vec(np.full(n, c, dtype=np.int64), row))
-        vec = roots[trace[field.mul_vec(chi, acc)]] * scale
-        words.append(Subspace(vec[np.newaxis, :], validate=False))
-    return SubspaceCode(words)
+    # one row at a time, so the complex vectors exist once, in the codewords
+    return SubspaceCode(Subspace((roots[e] * scale)[np.newaxis, :], validate=False)
+                        for e in exponents)
 
 
 def cp_distance_bound(spec: CPCodeSpec) -> float:
@@ -323,7 +324,8 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
     for _ in range(M):
         for _ in range(max_retries):
             cand = random_subspace(n, m, rng, complex_field)
-            if all(distance(cand, w) > TOL_EQUAL for w in words):
+            if not words or np.all(
+                    pairwise(StackedBases.of([cand]), StackedBases.of(words)) > TOL_EQUAL):
                 words.append(cand)
                 break
         else:

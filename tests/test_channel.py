@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspacecodes import (
     MatrixChannelSpec,
@@ -31,7 +33,10 @@ from subspacecodes import (
     same_subspace,
     subspace_sum,
 )
+from subspacecodes.channel import _gaussian
 from subspacecodes.errors import DimensionOverflow, PreconditionViolated, RankDeficient
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
 def _contained_in(inner: Subspace, outer: Subspace, tol=1e-9) -> bool:
@@ -119,6 +124,53 @@ def test_rotation_respects_budget_and_dimension():
             assert d >= 0.5 * budget  # lands well inside the target band
     U = random_subspace(10, 3, rng)
     assert same_subspace(U, rotate(U, 0.0, rng))
+
+
+@st.composite
+def rotation_cases(draw):
+    """(n, m, complex flag, seed, budget) with 0 < budget <= 2 min(m, n - m)."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, n - 1))
+    reach = 2 * min(m, n - m)
+    fraction = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return n, m, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1)), reach * fraction
+
+
+@PROPERTY
+@given(case=rotation_cases())
+def test_rotation_lands_on_the_budget(case):
+    n, m, complex_field, seed, budget = case
+    rng = np.random.default_rng(seed)
+    U = random_subspace(n, m, rng, complex_field)
+    V = rotate(U, budget, rng)
+    assert V.dim == m
+    assert V.is_complex == complex_field
+    Subspace(V.basis, validate=True)  # orthonormal rows, finite entries
+    assert abs(distance(U, V) - budget) <= 1e-12
+
+
+def test_rotation_consumes_one_gaussian_draw():
+    for complex_field in (False, True):
+        U = random_subspace(7, 3, np.random.default_rng(1), complex_field)
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        rotate(U, 0.7, rng)
+        _gaussian(twin, U.basis.shape, complex_field)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_rotation_beyond_reach_is_refused():
+    rng = np.random.default_rng(9)
+    for n, m in ((10, 3), (10, 7), (6, 3), (2, 1)):
+        U = random_subspace(n, m, rng)
+        reach = 2 * min(m, n - m)
+        assert distance(U, rotate(U, reach, rng)) == pytest.approx(reach, abs=1e-12)
+        with pytest.raises(DimensionOverflow):
+            rotate(U, reach * (1 + 1e-9), rng)
+    # the whole space has no direction to turn towards
+    with pytest.raises(DimensionOverflow):
+        rotate(Subspace.full(5), 0.1, rng)
+    assert rotate(Subspace.full(5), 0.0, rng).dim == 5
+    assert rotate(Subspace.zero(5), 0.3, rng).dim == 0
 
 
 def test_noisy_channel_reduces_to_plain_channel():

@@ -167,6 +167,16 @@ def test_simulate_search_cap_is_infeasible_for_large_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_unreachable_rotation_is_infeasible(tmp_path, capsys):
+    # a received line can be moved by at most d = 2
+    cfg = _write_cfg(tmp_path, "s.json", {
+        "code": {"type": "cp", "q": 5, "k": 2},
+        "channel": {"k": 1, "t": 0, "delta": 2.5}, "trials": 2, "seed": 1,
+    })
+    assert cli.main(["simulate", "--config", cfg]) == EXIT_INFEASIBLE
+    assert "rotation budget" in capsys.readouterr().err
+
+
 def test_bounds_default_curves(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     assert cli.main(["bounds", "--out", str(out)]) == EXIT_OK
@@ -195,6 +205,29 @@ def test_bounds_label_selection_and_validation(tmp_path, capsys):
     grid = _write_cfg(tmp_path, "grid.json", {"delta_min": 0.9, "delta_max": 0.1})
     assert cli.main(["bounds", "--config", grid]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_bounds_single_labels_repeat_their_default_rows(tmp_path, capsys):
+    grid = {"m": 2, "beta": 1, "delta_points": 7, "delta_max": 1.6, "rate_points": 6,
+            "cp_q": [7, 11]}
+    out = tmp_path / "all.csv"
+    assert cli.main(["bounds", "--config", _write_cfg(tmp_path, "all.json", grid),
+                     "--out", str(out)]) == EXIT_OK
+    _, _, rows = _parse_csv(out.read_text())
+    # a delta grid past 1 keeps only barg_upper there; rate grids skip 0 and 1
+    assert [r[0] for r in rows] == (
+        ["shannon"] * 4 + ["barg_lower"] * 4 + ["barg_upper"] * 7 + ["cp_q7"] * 6
+        + ["cp_q11"] * 6 + ["gv"] * 5 + ["zyablov"] * 5 + ["blokh_zyablov"] * 5)
+    for label in ("shannon", "barg_lower", "barg_upper", "cp", "gv", "zyablov",
+                  "blokh_zyablov"):
+        one = tmp_path / f"{label}.csv"
+        cfg = _write_cfg(tmp_path, f"{label}.json", {**grid, "labels": [label]})
+        assert cli.main(["bounds", "--config", cfg, "--out", str(one)]) == EXIT_OK
+        _, _, got = _parse_csv(one.read_text())
+        assert got == [r for r in rows if r[0].startswith(label)]
+    bad_q = _write_cfg(tmp_path, "q.json", {"labels": ["gv", "cp"], "cp_q": [7, 9]})
+    assert cli.main(["bounds", "--config", bad_q]) == EXIT_CONFIG
+    assert "cp curve needs prime q, got 9" in capsys.readouterr().err
 
 
 def test_figure3_table(tmp_path, capsys):

@@ -2,13 +2,16 @@
 
 The character-polynomial construction for GF(5), k=2 is rebuilt from scratch
 here (two nested coefficient loops, direct complex exponentials) and the
-package output is required to match it vector for vector.
+package output is required to match it vector for vector.  Over other fields
+the construction is checked bit for bit against a codeword-by-codeword loop
+that evaluates each polynomial in the field before taking its trace.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +35,11 @@ from subspacecodes import (
     load_code,
     min_distance_exhaustive,
     random_ensemble_code,
+    random_subspace,
+    random_unitary,
     save_code,
 )
+from subspacecodes import codes
 from subspacecodes.errors import (
     AmbientMismatch,
     CapExceeded,
@@ -82,6 +88,35 @@ def test_cp_5_2_min_distance_matches_line_oracle():
     assert distance(code.codewords[pair[0]], code.codewords[pair[1]]) == pytest.approx(
         d_min, abs=1e-12
     )
+
+
+def _cp_loop_oracle(spec: CPCodeSpec) -> np.ndarray:
+    """Codeword vectors of the CP code, one polynomial at a time: accumulate
+    f(a) = sum_d c_d a^d in the field, then look up chi(f(a))."""
+    field = spec.field
+    q, n = field.q, spec.n
+    pts = np.arange(1, q, dtype=np.int64)
+    powmat = [field.pow_vec(pts, d) for d in cp_monomial_set(spec)]
+    chi = np.full(n, spec.character_index % q, dtype=np.int64)
+    vecs = []
+    for coeff in itertools.product(range(q), repeat=len(powmat)):
+        acc = np.zeros(n, dtype=np.int64)
+        for c, row in zip(coeff, powmat):
+            if c:
+                acc = field.add_vec(acc, field.mul_vec(np.full(n, c, dtype=np.int64), row))
+        vecs.append(field.character_roots[field.trace_table[field.mul_vec(chi, acc)]]
+                    * (1.0 / math.sqrt(n)))
+    return np.array(vecs)
+
+
+@pytest.mark.parametrize("p,m,k,chi", [
+    (13, 1, 2, 1), (2, 4, 3, 1), (3, 3, 2, 1), (31, 1, 2, 1), (2, 7, 2, 1),
+    (7, 1, 4, 1), (5, 2, 3, 1), (7, 1, 3, 3), (3, 2, 4, 5), (2, 3, 5, 6),
+])
+def test_cp_construct_matches_codeword_loop_bit_for_bit(p, m, k, chi):
+    spec = CPCodeSpec(FiniteField(p, m), k, character_index=chi)
+    got = np.array([w.basis[0] for w in cp_construct(spec)])
+    assert np.array_equal(got, _cp_loop_oracle(spec))
 
 
 def test_cp_first_codeword_is_the_all_ones_line():
@@ -296,6 +331,18 @@ def test_random_ensemble_retry_guard():
     # in a 1-dimensional ambient space every line is the same line
     with pytest.raises(RetryLimitExceeded):
         random_ensemble_code(1, 1, 2, np.random.default_rng(0))
+
+
+def test_random_ensemble_rejects_a_repeated_span_on_another_basis():
+    rng = np.random.default_rng(2)
+    first = random_subspace(6, 2, rng)
+    again = Subspace(random_unitary(2, rng) @ first.basis)
+    other = random_subspace(6, 2, rng)
+    assert 0.0 < distance(first, again) < 1e-12  # equal up to roundoff only
+    draws = iter([first, again, other])
+    with mock.patch.object(codes, "random_subspace", lambda *args: next(draws)):
+        code = random_ensemble_code(6, 2, 2, rng)
+    assert code.codewords == (first, other)
 
 
 def test_dual_code_preserves_distances():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -63,24 +64,26 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _fmt(rows) -> list[str]:
+    """CSV body lines: floats by repr, booleans as 1/0, anything else by str."""
+    def cell(value) -> str:
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+    return [",".join(map(cell, row)) for row in rows]
 
 
-def _write_csv(path: str | None, command: str, cfg: dict, seed, columns, rows) -> None:
+def _write_csv(path: str | None, command: str, cfg: dict, seed, columns, lines) -> None:
+    """Write the header and the already formatted body ``lines``."""
     # the destination is not part of the experiment: two runs of the same
     # config into different files must produce byte-identical contents
     hashed = {k: v for k, v in cfg.items() if k != "out"}
-    lines = [f"# subspace-codes {command} v1",
-             f"# config_sha256={_config_hash(hashed)} seed={seed}",
-             ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    header = [f"# subspace-codes {command} v1",
+              f"# config_sha256={_config_hash(hashed)} seed={seed}",
+              ",".join(columns)]
+    text = "\n".join(itertools.chain(header, lines)) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -222,7 +225,7 @@ def cmd_simulate(args) -> int:
                      float(distance(U, V)), flag])
     rate = successes / trials
     rows.append(["summary", "", "", "", "", "", "", float(rate), "", ""])
-    _write_csv(cfg.get("out"), "simulate", cfg, seed, columns, rows)
+    _write_csv(cfg.get("out"), "simulate", cfg, seed, columns, _fmt(rows))
     if cfg.get("out"):
         print(f"{trials} trials, success rate {rate!r}, wrote {cfg['out']}")
     return EXIT_OK
@@ -276,7 +279,7 @@ def cmd_bounds(args) -> int:
             grid, point = curves[label]
             rows += [[label, *point(x)] for x in grid]
     _write_csv(cfg.get("out"), "bounds", cfg, cfg.get("seed", ""),
-               ["label", "delta", "rate"], rows)
+               ["label", "delta", "rate"], _fmt(rows))
     return EXIT_OK
 
 
@@ -303,7 +306,7 @@ def cmd_figure3(args) -> int:
         chosen_k = cp_max_k_for_delta(p, target)
         ln_size = chosen_k * math.log(p)
         rows.append([e, 2 * p, p, chosen_k, float(ln_size), 2 * (p - 1), "", ""])
-    _write_csv(cfg.get("out"), "figure3", cfg, cfg.get("seed", ""), columns, rows)
+    _write_csv(cfg.get("out"), "figure3", cfg, cfg.get("seed", ""), columns, _fmt(rows))
     return EXIT_OK
 
 
@@ -312,11 +315,17 @@ def cmd_distance(args) -> int:
     code_b = load_code(args.file_b)
     if code_a.ambient_dim != code_b.ambient_dim:
         raise ConfigError("the two codes live in different ambient dimensions")
-    table = pairwise(code_a.stacked, code_b.stacked).tolist()
-    rows = [[i, j, d] for i, row in enumerate(table) for j, d in enumerate(row)]
+    table = pairwise(code_a.stacked, code_b.stacked)
+    rows_a, rows_b = table.shape
+    # built column by column: index_a repeats each index, index_b cycles
+    col_a = itertools.chain.from_iterable(itertools.repeat(f"{i},", rows_b)
+                                          for i in range(rows_a))
+    col_b = [f"{j}," for j in range(rows_b)] * rows_a
+    # repr of Python floats: under NumPy 2, repr of an np.float64 is np.float64(...)
+    col_d = map(repr, table.ravel().tolist())
     _write_csv(args.out, "distance",
                {"file_a": args.file_a, "file_b": args.file_b}, "",
-               ["index_a", "index_b", "distance"], rows)
+               ["index_a", "index_b", "distance"], map("".join, zip(col_a, col_b, col_d)))
     return EXIT_OK
 
 

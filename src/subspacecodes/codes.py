@@ -365,19 +365,34 @@ def code_to_dict(code: SubspaceCode) -> dict:
     """Portable form: {"beta": 1|2, "n": int, "codewords": [[ [re, im], ... ]]}.
 
     Each codeword is its basis flattened row-major into [re, im] pairs; the
-    row count is recovered from the ambient dimension.
+    row count is recovered from the ambient dimension.  The pairs are read
+    off the complex128 memory layout, one view per codeword.
     """
     if len(code) == 0:
         raise ValueError("refusing to serialize an empty code")
     beta = code[0].beta
     if any(w.beta != beta for w in code):
         raise ValueError("mixed real/complex codewords")
-    n = code.ambient_dim
-    words = []
-    for w in code:
-        flat = np.asarray(w.basis, dtype=complex).reshape(-1)
-        words.append([[float(z.real), float(z.imag)] for z in flat])
-    return {"beta": beta, "n": n, "codewords": words}
+    words = [np.ascontiguousarray(w.basis, dtype=complex).view(float).reshape(-1, 2).tolist()
+             for w in code]
+    return {"beta": beta, "n": code.ambient_dim, "codewords": words}
+
+
+def _codeword_basis(pairs, n: int, beta: int) -> np.ndarray:
+    """The (rows, n) basis stored as one codeword's row-major [re, im] pairs."""
+    flat = np.asarray(pairs)
+    if flat.shape == (0,):  # a zero-dimensional codeword
+        flat = flat.reshape(0, 2)
+    if flat.ndim != 2 or flat.shape[1] != 2 or flat.dtype.kind not in "biuf":
+        raise ValueError("a codeword must be a list of [re, im] pairs of numbers")
+    if len(flat) % n != 0:
+        raise ValueError("codeword length is not a multiple of the ambient dimension")
+    flat = np.ascontiguousarray(flat, dtype=float)
+    if beta == 1:
+        if np.any(flat[:, 1] != 0):
+            raise ValueError("real code (beta = 1) with nonzero imaginary parts")
+        return flat[:, 0].reshape(-1, n)
+    return flat.view(complex).reshape(-1, n)
 
 
 def dict_to_code(data: dict) -> SubspaceCode:
@@ -385,24 +400,18 @@ def dict_to_code(data: dict) -> SubspaceCode:
     if beta not in (1, 2):
         raise ValueError(f"beta must be 1 or 2, got {beta}")
     n = int(data["n"])
-    words = []
-    for pairs in data["codewords"]:
-        flat = np.array([complex(re, im) for re, im in pairs])
-        if flat.size % n != 0:
-            raise ValueError("codeword length is not a multiple of the ambient dimension")
-        basis = flat.reshape(-1, n)
-        if beta == 1:
-            if np.max(np.abs(basis.imag), initial=0.0) > 0:
-                raise ValueError("real code (beta = 1) with nonzero imaginary parts")
-            basis = basis.real
-        # orthonormality is re-validated on load
-        words.append(Subspace(basis, validate=True))
-    return SubspaceCode(words)
+    if n < 1:
+        raise ValueError(f"ambient dimension n must be at least 1, got {n}")
+    # orthonormality is re-validated on load
+    return SubspaceCode(Subspace(_codeword_basis(pairs, n, beta), validate=True)
+                        for pairs in data["codewords"])
 
 
 def save_code(code: SubspaceCode, path) -> None:
+    # json.dumps runs the C encoder; json.dump to a file would not
+    text = json.dumps(code_to_dict(code), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(code_to_dict(code), fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 

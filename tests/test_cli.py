@@ -291,6 +291,34 @@ def test_distance_rejects_non_finite_code_file(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tamper,message", [
+    (lambda blob: blob.update(n=0), "at least 1"),
+    (lambda blob: blob["codewords"].__setitem__(0, [[1.0], [0.0]]), "[re, im] pairs"),
+    (lambda blob: blob["codewords"].__setitem__(0, [[[1.0, 0.0]], [[0.0, 0.0]]]),
+     "[re, im] pairs"),
+    (lambda blob: blob["codewords"][0].__setitem__(0, ["x", 0.0]), "[re, im] pairs"),
+    (lambda blob: blob["codewords"][0].__setitem__(0, ["0.5", 0.0]), "[re, im] pairs"),
+    (lambda blob: blob["codewords"][0].__setitem__(0, [None, 0.0]), "[re, im] pairs"),
+    (lambda blob: blob["codewords"].__setitem__(0, [[1.0, 0.0]] * 2), "multiple"),
+    (lambda blob: blob["codewords"][0][0].__setitem__(1, 0.5), "imaginary"),
+    (lambda blob: blob["codewords"][0][0].__setitem__(1, math.nan), "imaginary"),
+], ids=["n_zero", "short_pairs", "nested_pairs", "non_numeric", "numeric_string", "null",
+        "partial_row", "real_with_imaginary", "real_with_nan_imaginary"])
+def test_distance_rejects_malformed_code_file(tamper, message, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "a.json", {
+        "code": {"type": "binary", "words": ["000", "011"]}, "out": str(tmp_path / "a_code.json")})
+    assert cli.main(["construct", "--config", cfg]) == EXIT_OK
+    capsys.readouterr()
+    blob = json.loads((tmp_path / "a_code.json").read_text())
+    tamper(blob)
+    bad = tmp_path / "bad_code.json"
+    bad.write_text(json.dumps(blob))
+    assert cli.main(["distance", str(bad), str(tmp_path / "a_code.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+
+
 def test_field_order_checks(tmp_path, capsys):
     # a prime far above the supported maximum is refused before any factoring
     huge = _write_cfg(tmp_path, "h.json", {"code": {"type": "cp", "q": 2 ** 31 - 1, "k": 2}})

@@ -25,9 +25,9 @@ from .decoder import (DecodeResult, decode, guarantee_chordal,
 from .finitefield import (FieldElement, FieldPolynomial, FiniteField,
                           absolute_trace, additive_character, is_prime,
                           poly_eval, weil_sum)
-from .subspaces import (Subspace, chordal_distance, complement, distance,
-                        distance_via_gram, direct_sum, orthonormalize,
-                        principal_angles, projection_of, random_subspace,
-                        random_unitary, same_subspace, subspace_sum)
+from .subspaces import (Subspace, chordal_distance, complement, direct_sum,
+                        distance, orthonormalize, principal_angles,
+                        projection_of, random_subspace, random_unitary,
+                        same_subspace, subspace_sum)
 
 __version__ = "0.1.0"

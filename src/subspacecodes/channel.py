@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionOverflow, PreconditionViolated, RankDeficient)
-from .subspaces import TOL_RANK, Subspace, complement, direct_sum, orthonormalize
+from .subspaces import (Subspace, _numerical_rank, complement, direct_sum,
+                        orthonormalize)
 
 
 @dataclass(frozen=True)
@@ -220,12 +221,6 @@ def apply_matrix_channel(X, spec: MatrixChannelSpec, rng: np.random.Generator):
 
 # ---------------------------------------------------------------------------
 # RQ factorization and row-space perturbation bounds
-
-
-def _numerical_rank(s: np.ndarray) -> int:
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > TOL_RANK * s[0]))
 
 
 def rq_factorize(A):

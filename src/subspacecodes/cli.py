@@ -26,7 +26,7 @@ from .channel import NoisyChannelSpec, OperatorChannelSpec, apply_noisy_operator
 from .codes import (CPCodeSpec, SubspaceCode, binary_to_lines, code_parameters,
                     cp_construct, cp_max_k_for_delta, cp_simplified_bound,
                     load_code, min_distance_exhaustive, random_ensemble_code,
-                    save_code, DEFAULT_SEARCH_CAP)
+                    save_code, DEFAULT_SEARCH_CAP, DEFAULT_SIZE_CAP)
 from .decoder import decode, guarantee_noisy
 from .errors import (CapExceeded, ConfigError, DimensionOverflow, EmptyCode,
                      PreconditionViolated, RankDeficient, RetryLimitExceeded,
@@ -123,7 +123,7 @@ def build_code_from_config(cfg, seed=None) -> SubspaceCode:
         field = _field_for_order(int(_require(cfg, "q")))
         spec = CPCodeSpec(field=field, k=int(_require(cfg, "k")),
                           character_index=int(cfg.get("character_index", 1)),
-                          size_cap=int(cfg.get("size_cap", 10 ** 6)))
+                          size_cap=int(cfg.get("size_cap", DEFAULT_SIZE_CAP)))
         return cp_construct(spec)
     if kind == "binary":
         return binary_to_lines(_require(cfg, "words"), cfg.get("length"))

@@ -48,13 +48,7 @@ class Subspace:
     __slots__ = ("_basis", "_projection")
 
     def __init__(self, basis, validate: bool = True):
-        basis = np.asarray(basis)
-        if basis.ndim == 1:
-            basis = basis[np.newaxis, :]
-        if basis.ndim != 2:
-            raise ValueError("basis must be a vector or a 2-d matrix")
-        if not np.issubdtype(basis.dtype, np.inexact):
-            basis = basis.astype(float)
+        basis = _as_float_matrix(basis)
         m, n = basis.shape
         if m > n:
             raise ValueError(f"{m} orthonormal rows cannot fit in ambient dimension {n}")
@@ -118,6 +112,7 @@ class Subspace:
 
 
 def _as_float_matrix(raw) -> np.ndarray:
+    """``raw`` as a 2-d inexact array, a vector becoming one row."""
     raw = np.asarray(raw)
     if raw.ndim == 1:
         raw = raw[np.newaxis, :]
@@ -126,6 +121,13 @@ def _as_float_matrix(raw) -> np.ndarray:
     if not np.issubdtype(raw.dtype, np.inexact):
         raw = raw.astype(float)
     return raw
+
+
+def _numerical_rank(s: np.ndarray) -> int:
+    """Number of singular values ``s`` (descending) above TOL_RANK * s[0]."""
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int(np.count_nonzero(s > TOL_RANK * s[0]))
 
 
 def _check_same_ambient(U: Subspace, V: Subspace) -> None:
@@ -145,9 +147,8 @@ def orthonormalize(raw) -> Subspace:
     if rows == 0 or not np.any(raw):
         return Subspace(np.zeros((0, n), dtype=raw.dtype), validate=False)
     _, s, vh = np.linalg.svd(raw, full_matrices=False)
-    rank = int(np.count_nonzero(s > TOL_RANK * s[0]))
     # rows of vh are orthonormal by construction
-    return Subspace(vh[:rank], validate=False)
+    return Subspace(vh[:_numerical_rank(s)], validate=False)
 
 
 def projection_of(U: Subspace) -> np.ndarray:
@@ -266,20 +267,6 @@ def pairwise(A: StackedBases, B: StackedBases) -> np.ndarray:
         overlap += dims
         parts.append(np.maximum(overlap, 0.0, out=overlap))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def distance_via_gram(U: Subspace, V: Subspace) -> float:
-    """Distance through the basis cross-Gram matrix: 2 (m - ||Z T^H||_F^2).
-
-    Valid for equal-dimension subspaces only; agrees with distance() to
-    numerical precision and is cheaper for small m.
-    """
-    _check_same_ambient(U, V)
-    if U.dim != V.dim:
-        raise DimensionMismatch(
-            f"gram route needs equal dimensions, got {U.dim} and {V.dim}")
-    cross = U.basis @ V.basis.conj().T
-    return float(2.0 * (U.dim - np.real(np.vdot(cross, cross))))
 
 
 def chordal_distance(U: Subspace, V: Subspace) -> float:

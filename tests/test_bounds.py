@@ -1,14 +1,21 @@
 """Rate/distance bound calculator tests.
 
 The Zyablov optimizer is checked against a dense brute-force grid built on an
-independent bisection inverse of the binary entropy function.
+independent bisection inverse of the binary entropy function.  The closed-form
+Blokh-Zyablov rate is checked against adaptive quadrature of its defining
+integral.
 """
 
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from subspacecodes import (
     barg_lower,
@@ -38,6 +45,21 @@ def _h_inverse(y: float) -> float:
         else:
             hi = mid
     return (lo + hi) / 2.0
+
+
+def _blokh_zyablov_oracle(delta: float) -> float:
+    """The defining integral by adaptive quadrature over 1 / gv_binary_delta."""
+    upper = 1.0 - _h(delta)
+    if upper <= 0.0:
+        return 0.0
+    with warnings.catch_warnings():
+        # for tiny delta the integrand climbs steeply towards x = upper and
+        # quad warns that it cannot reach the 1e-10 relative tolerance; the
+        # comparisons allow 1e-9
+        warnings.simplefilter("ignore", IntegrationWarning)
+        integral, _ = quad(lambda x: 1.0 / gv_binary_delta(x), 0.0, upper,
+                           epsabs=1e-8, epsrel=1e-10, limit=200)
+    return max(upper - delta * integral, 0.0)
 
 
 def _zyablov_oracle(rate: float, points: int = 20000) -> float:
@@ -171,3 +193,40 @@ def test_concatenation_bound_values_and_edges():
         blokh_zyablov_rate(0.6)
     vals = [blokh_zyablov_rate(d / 20.0) for d in range(1, 10)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_concatenation_bound_matches_quadrature():
+    cli_grid = [0.5 * i / 50 for i in range(1, 50)]
+    for delta in cli_grid + [1e-6, 1e-3, 0.4999]:
+        assert blokh_zyablov_rate(delta) == pytest.approx(_blokh_zyablov_oracle(delta), abs=1e-9)
+
+
+def test_concatenation_bound_reference_values():
+    # the defining integral to 20 digits: tanh-sinh quadrature over a
+    # bisected inverse of the binary entropy
+    assert blokh_zyablov_rate(0.1) == pytest.approx(0.252405594055386692, abs=1e-14)
+    assert blokh_zyablov_rate(0.3) == pytest.approx(0.0198393052180711193, abs=1e-14)
+
+
+def test_concatenation_bound_raises_no_warning():
+    # 1e-6 up to 0.42 on a log grid, then the CLI grid and the top of the domain
+    deltas = [10.0 ** (-6 + i / 8) for i in range(46)]
+    deltas += [0.5 * i / 50 for i in range(1, 50)] + [0.4999, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = [blokh_zyablov_rate(d) for d in deltas]
+    assert all(0.0 <= r < 1.0 for r in rates)
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import subspacecodes.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

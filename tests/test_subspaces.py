@@ -1,7 +1,8 @@
 """Geometry layer tests.
 
 Distances are checked against an independent Gram-Schmidt oracle that never
-touches the package's own orthonormalization or projection code.
+touches the package's own orthonormalization or projection code, and against
+the basis cross-Gram route for equal dimensions.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subspacecodes import (
     Subspace,
@@ -17,7 +20,6 @@ from subspacecodes import (
     complement,
     direct_sum,
     distance,
-    distance_via_gram,
     orthonormalize,
     principal_angles,
     projection_of,
@@ -26,7 +28,7 @@ from subspacecodes import (
     same_subspace,
     subspace_sum,
 )
-from subspacecodes.errors import AmbientMismatch, DimensionMismatch, NontrivialIntersection
+from subspacecodes.errors import AmbientMismatch, NontrivialIntersection
 
 
 def _gram_schmidt(rows, tol=1e-10):
@@ -58,6 +60,14 @@ def _distance_oracle(rows_u, rows_v) -> float:
     return float(np.linalg.norm(d) ** 2)
 
 
+def _gram_route_distance(U: Subspace, V: Subspace) -> float:
+    """Equal-dimension distance through the basis cross-Gram matrix C = Z_U Z_V^H:
+    2 (m - ||C||_F^2)."""
+    assert U.dim == V.dim
+    cross = U.basis @ V.basis.conj().T
+    return float(2.0 * (U.dim - np.real(np.vdot(cross, cross))))
+
+
 def test_distance_matches_oracle_random_real():
     rng = np.random.default_rng(101)
     for _ in range(40):
@@ -81,7 +91,7 @@ def test_distance_matches_oracle_random_complex():
         U = orthonormalize(ru)
         V = orthonormalize(rv)
         assert distance(U, V) == pytest.approx(_distance_oracle(ru, rv), abs=1e-10)
-        assert distance_via_gram(U, V) == pytest.approx(distance(U, V), abs=1e-10)
+        assert _gram_route_distance(U, V) == pytest.approx(distance(U, V), abs=1e-10)
 
 
 def test_hand_example_plane_vs_tilted_plane():
@@ -90,7 +100,7 @@ def test_hand_example_plane_vs_tilted_plane():
     U = Subspace(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     V = Subspace(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]) / np.array([[1.0], [math.sqrt(2.0)]]))
     assert distance(U, V) == pytest.approx(1.0, abs=1e-12)
-    assert distance_via_gram(U, V) == pytest.approx(1.0, abs=1e-12)
+    assert _gram_route_distance(U, V) == pytest.approx(1.0, abs=1e-12)
     th = principal_angles(U, V)
     assert th == pytest.approx([0.0, math.pi / 4], abs=1e-12)
 
@@ -130,9 +140,7 @@ def test_gram_route_requires_equal_dimensions():
     rng = np.random.default_rng(8)
     U = random_subspace(6, 2, rng)
     V = random_subspace(6, 3, rng)
-    with pytest.raises(DimensionMismatch):
-        distance_via_gram(U, V)
-    # projection route has no such restriction
+    # unlike the equal-dimension Gram route, distance takes any dimensions
     assert distance(U, V) >= 1.0 - 1e-12
 
 
@@ -278,6 +286,23 @@ def test_sphere_embedding_identities_small_batch():
         assert centered == pytest.approx(m * (n - m) / n, abs=1e-9)
         half = float(np.linalg.norm(P - 0.5 * np.eye(n)) ** 2)
         assert half == pytest.approx(n / 4.0, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+@example((1, 0), 0, False)
+@example((12, 12), 0, False)
+@example((12, 0), 0, True)
+@example((7, 7), 0, True)
+def test_sphere_embedding_identities_property(shape, seed, complex_field):
+    n, m = shape
+    U = random_subspace(n, m, np.random.default_rng(seed), complex_field)
+    P = projection_of(U)
+    centered = float(np.linalg.norm(P - (m / n) * np.eye(n)) ** 2)
+    assert centered == pytest.approx(m * (n - m) / n, abs=1e-9)
+    half = float(np.linalg.norm(P - 0.5 * np.eye(n)) ** 2)
+    assert half == pytest.approx(n / 4.0, abs=1e-9)
 
 
 def test_squared_operator_norm_bound_of_gram_product():

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionOverflow, PreconditionViolated, RankDeficient)
-from .subspaces import (Subspace, _numerical_rank, complement, direct_sum,
-                        orthonormalize)
+from .subspaces import (Subspace, _gaussian, _numerical_rank, complement,
+                        direct_sum, orthonormalize)
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,6 @@ class NoisyChannelSpec:
             raise ValueError("rotation budget must be nonnegative")
         if self.noise_dim < 0:
             raise ValueError("noise dimension must be nonnegative")
-
-
-def _gaussian(rng: np.random.Generator, shape, complex_field: bool) -> np.ndarray:
-    g = rng.standard_normal(shape)
-    if complex_field:
-        g = g + 1j * rng.standard_normal(shape)
-    return g
 
 
 def erase(U: Subspace, k: int, rng: np.random.Generator) -> Subspace:

@@ -44,18 +44,22 @@ EXIT_NUMERICAL = 4
 # config plumbing
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+def _load_config(args) -> dict:
+    """The --config object, with any of --seed, --trials and --out laid over it."""
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
+    for key in ("seed", "trials", "out"):
+        if (value := getattr(args, key, None)) is not None:
+            cfg[key] = value
     return cfg
 
 
@@ -144,11 +148,7 @@ def build_code_from_config(cfg, seed=None) -> SubspaceCode:
 
 
 def cmd_construct(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out"] = args.out
+    cfg = _load_config(args)
     code = build_code_from_config(_require(cfg, "code"), cfg.get("seed"))
     cap = int(cfg.get("search_cap", DEFAULT_SEARCH_CAP))
     params = code_parameters(code, cap)
@@ -190,13 +190,7 @@ def _channel_from_config(cfg: dict, code: SubspaceCode):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.trials is not None:
-        cfg["trials"] = args.trials
-    if args.out is not None:
-        cfg["out"] = args.out
+    cfg = _load_config(args)
     seed = int(_require(cfg, "seed"))
     trials = int(_require(cfg, "trials"))
     if trials < 1:
@@ -236,9 +230,7 @@ _BOUND_LABELS = ("shannon", "barg_lower", "barg_upper", "cp", "gv", "zyablov",
 
 
 def cmd_bounds(args) -> int:
-    cfg = _load_config(args.config)
-    if args.out is not None:
-        cfg["out"] = args.out
+    cfg = _load_config(args)
     labels = cfg.get("labels", list(_BOUND_LABELS))
     for label in labels:
         if label not in _BOUND_LABELS:
@@ -291,9 +283,7 @@ def _largest_prime_below(x: int) -> int:
 
 
 def cmd_figure3(args) -> int:
-    cfg = _load_config(args.config)
-    if args.out is not None:
-        cfg["out"] = args.out
+    cfg = _load_config(args)
     exponents = [int(e) for e in cfg.get("exponents", list(range(3, 11)))]
     target = float(cfg.get("delta_target", 0.5))
     columns = ["k_exponent", "n", "p", "chosen_k", "ln_code_size", "n_doubled",

@@ -235,24 +235,11 @@ class FiniteField:
                 f += 1
             if x > 1:
                 factors.add(x)
-            gen = None
-            for cand in range(2, q):
-                # powering must not rely on the tables being built yet
-                ok = True
-                for r in factors:
-                    acc, base, e = 1, cand, order // r
-                    while e:
-                        if e & 1:
-                            acc = self._mul_schoolbook(acc, base)
-                        base = self._mul_schoolbook(base, base)
-                        e >>= 1
-                    if acc == 1:
-                        ok = False
-                        break
-                if ok:
-                    gen = cand
+            # the tables are not built yet, so power() takes its schoolbook path
+            for gen in range(2, q):
+                if all(self.power(gen, order // r) != 1 for r in factors):
                     break
-            if gen is None:
+            else:
                 raise RuntimeError("no multiplicative generator found")
         exp = np.zeros(q - 1, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)

@@ -318,6 +318,13 @@ def direct_sum(U: Subspace, V: Subspace) -> Subspace:
     return total
 
 
+def _gaussian(rng: np.random.Generator, shape, complex_field: bool) -> np.ndarray:
+    g = rng.standard_normal(shape)
+    if complex_field:
+        g = g + 1j * rng.standard_normal(shape)
+    return g
+
+
 def random_subspace(n: int, m: int, rng: np.random.Generator,
                     complex_field: bool = True) -> Subspace:
     """Uniformly random m-dimensional subspace (row space of a Gaussian matrix)."""
@@ -325,10 +332,7 @@ def random_subspace(n: int, m: int, rng: np.random.Generator,
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     if m == 0:
         return Subspace.zero(n, complex_field)
-    g = rng.standard_normal((m, n))
-    if complex_field:
-        g = g + 1j * rng.standard_normal((m, n))
-    out = orthonormalize(g)
+    out = orthonormalize(_gaussian(rng, (m, n), complex_field))
     if out.dim != m:  # Gaussian matrices are full rank almost surely
         raise RuntimeError("sampled a rank-deficient Gaussian matrix")
     return out
@@ -337,10 +341,7 @@ def random_subspace(n: int, m: int, rng: np.random.Generator,
 def random_unitary(n: int, rng: np.random.Generator,
                    complex_field: bool = True) -> np.ndarray:
     """Haar-distributed unitary (orthogonal when real) n x n matrix."""
-    g = rng.standard_normal((n, n))
-    if complex_field:
-        g = g + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_gaussian(rng, (n, n), complex_field))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 

@@ -1,9 +1,11 @@
 """Rate/distance bound calculator tests.
 
-The Zyablov optimizer is checked against a dense brute-force grid built on an
-independent bisection inverse of the binary entropy function.  The closed-form
-Blokh-Zyablov rate is checked against adaptive quadrature of its defining
-integral.
+The Zyablov maximizer, found from its stationarity condition, is checked
+against a dense brute-force grid built on an independent bisection inverse of
+the binary entropy function, against the former grid + golden-section search
+over gv_binary_delta, and against high-precision reference values.  The
+closed-form Blokh-Zyablov rate is checked against adaptive quadrature of its
+defining integral.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from subspacecodes import (
@@ -70,6 +74,37 @@ def _zyablov_oracle(rate: float, points: int = 20000) -> float:
             break
         best = max(best, _h_inverse(1.0 - r) * (1.0 - rate / r))
     return best
+
+
+def _zyablov_grid_golden_oracle(rate: float) -> float:
+    """A 513-point grid over x in [rate, 1], refined by golden-section search
+    to 1e-9, with one gv_binary_delta bisection per objective evaluation."""
+    if rate == 1.0:
+        return 0.0
+
+    def objective(x: float) -> float:
+        return gv_binary_delta(x) * (1.0 - rate / x)
+
+    grid_points = 512
+    xs = [rate + (1.0 - rate) * i / grid_points for i in range(grid_points + 1)]
+    vals = [objective(x) for x in xs]
+    i_best = max(range(len(vals)), key=vals.__getitem__)
+    a = xs[max(i_best - 1, 0)]
+    b = xs[min(i_best + 1, len(xs) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > 1e-9:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(d)
+    return max(vals[i_best], objective(0.5 * (a + b)), 0.0)
 
 
 def test_packing_lower_bound_values():
@@ -157,6 +192,42 @@ def test_zyablov_matches_brute_force_grid():
     for rate in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
         assert zyablov_delta(rate) == pytest.approx(_zyablov_oracle(rate), abs=1e-6)
     assert zyablov_delta(0.3) == pytest.approx(0.044011306391724785, abs=1e-9)
+
+
+def test_zyablov_matches_grid_and_golden_section():
+    cli_grid = [i / 50 for i in range(1, 50)]
+    for rate in cli_grid + [1e-6, 1e-3, 0.999, 0.999999]:
+        assert zyablov_delta(rate) == pytest.approx(_zyablov_grid_golden_oracle(rate), abs=1e-12)
+
+
+def test_zyablov_reference_values():
+    # direct maximization of delta_GV(x) (1 - R / x) over x to 30 digits
+    # (mpmath: bisected inverse entropy, golden section in x), which does
+    # not use the stationarity condition
+    assert zyablov_delta(0.1) == pytest.approx(0.1287741133910986855, abs=1e-15)
+    assert zyablov_delta(0.5) == pytest.approx(0.01539620346440390450, abs=1e-15)
+    assert zyablov_delta(0.9) == pytest.approx(0.0002993092847187473575, abs=1e-15)
+
+
+# The comparator gv_binary_delta is good to 1e-12 only for x above ~1e-10
+# (near delta = 1/2, 1 - h(delta) is small against the rounding error of h),
+# and the maximizing x for a small rate R is about 1.4 R^(2/3); below
+# R = 1e-12 that x enters the band where the comparator misses the tolerance.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rate=st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+       frac=st.floats(min_value=0.0, max_value=1.0))
+def test_zyablov_is_the_maximum(rate, frac):
+    x = min(rate + (1.0 - rate) * frac, 1.0)
+    assert gv_binary_delta(x) * (1.0 - rate / x) <= zyablov_delta(rate) + 1e-12
+
+
+def test_zyablov_extreme_rates():
+    assert zyablov_delta(1.0) == 0.0
+    assert 0.0 <= zyablov_delta(1.0 - 2.0 ** -53) < 1e-30
+    # the true values lie within 1e-10 of 1/2; the maximizer's 1 - h(g) is
+    # then below the rounding error of h, which limits the result to ~5e-9
+    for rate in (1e-30, 1e-300, 5e-324):
+        assert 0.5 - 5e-9 < zyablov_delta(rate) <= 0.5
 
 
 def test_zyablov_edges_and_monotonicity():

@@ -131,6 +131,22 @@ def test_simulate_is_byte_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_flags_override_the_config(tmp_path, capsys):
+    base = {
+        "code": {"type": "random-ensemble", "n": 10, "m": 2, "M": 8},
+        "channel": {"k": 1, "t": 1, "delta": 0.05},
+    }
+    flagged = _write_cfg(tmp_path, "a.json", {**base, "trials": 30, "seed": 4})
+    written = _write_cfg(tmp_path, "b.json", {**base, "trials": 5, "seed": 9})
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(["simulate", "--config", flagged, "--trials", "5", "--seed", "9",
+                     "--out", str(out1)]) == EXIT_OK
+    assert cli.main(["simulate", "--config", written, "--out", str(out2)]) == EXIT_OK
+    assert out1.read_bytes() == out2.read_bytes()
+    assert len(_parse_csv(out1.read_text())[2]) == 6  # 5 trials + summary
+    capsys.readouterr()
+
+
 def test_simulate_rho_alias_and_rejections(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     good = _write_cfg(tmp_path, "g.json", {

@@ -73,7 +73,8 @@ def binary_entropy(x: float) -> float:
 def gv_binary_delta(rate: float) -> float:
     """Gilbert-Varshamov distance h^{-1}(1 - rate) on [0, 1/2], by bisection.
 
-    rate = 0 gives 1/2 and rate = 1 gives 0; the inverse is resolved to 1e-12.
+    rate = 0 gives 1/2, rate = 1 gives 0.  The bracket shrinks to 1e-12, but h
+    rounds near 1/2: off by 4.0e-12 at rate 1e-10, exactly 1/2 at rate <= 2^-54.
     """
     if not 0.0 <= rate <= 1.0:
         raise DomainError("rate must lie in [0, 1]")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DimensionOverflow, PreconditionViolated, RankDeficient)
 from .subspaces import (Subspace, _gaussian, _numerical_rank, complement,
-                        direct_sum, orthonormalize)
+                        orthonormalize)
 
 
 @dataclass(frozen=True)
@@ -46,19 +46,23 @@ class NoisyChannelSpec:
             raise ValueError("noise dimension must be nonnegative")
 
 
+def _draw_within(S: Subspace, d: int, rng: np.random.Generator) -> Subspace:
+    """Uniformly random d-dimensional subspace of S: Gaussian (d, dim S)
+    coefficients applied to S's orthonormal basis."""
+    coeff = _gaussian(rng, (d, S.dim), S.is_complex)
+    out = orthonormalize(coeff @ S.basis)
+    if out.dim != d:  # Gaussian coefficients are full rank almost surely
+        raise RuntimeError("rank-deficient coefficient draw")
+    return out
+
+
 def erase(U: Subspace, k: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random k-dimensional subspace of U; U itself when dim(U) <= k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if U.dim <= k:
         return U
-    if k == 0:
-        return Subspace.zero(U.ambient_dim, U.is_complex)
-    coeff = _gaussian(rng, (k, U.dim), U.is_complex)
-    kept = orthonormalize(coeff @ U.basis)
-    if kept.dim != k:  # Gaussian coefficients are full rank almost surely
-        raise RuntimeError("rank-deficient coefficient draw")
-    return kept
+    return _draw_within(U, k, rng)
 
 
 def random_error_subspace(U: Subspace, t: int, rng: np.random.Generator) -> Subspace:
@@ -71,12 +75,7 @@ def random_error_subspace(U: Subspace, t: int, rng: np.random.Generator) -> Subs
         raise DimensionOverflow(
             f"cannot fit {t} error dimensions next to a {U.dim}-dimensional subspace "
             f"in ambient dimension {U.ambient_dim}")
-    comp = complement(U)
-    coeff = _gaussian(rng, (t, comp.dim), U.is_complex)
-    err = orthonormalize(coeff @ comp.basis)
-    if err.dim != t:
-        raise RuntimeError("rank-deficient coefficient draw")
-    return err
+    return _draw_within(complement(U), t, rng)
 
 
 def apply_operator_channel(U: Subspace, spec: OperatorChannelSpec,
@@ -85,12 +84,12 @@ def apply_operator_channel(U: Subspace, spec: OperatorChannelSpec,
 
     Returns (V, rho, t) where rho = max(0, dim U - k) is the number of
     dimensions actually erased; d(U, V) <= rho + t holds for every draw.
+    The kept part lies in U and E in U-perp, so V's basis is theirs stacked.
     """
     kept = erase(U, spec.k, rng)
     err = random_error_subspace(U, spec.t, rng)
-    out = direct_sum(kept, err)
-    rho = max(0, U.dim - spec.k)
-    return out, rho, spec.t
+    out = Subspace(np.concatenate([kept.basis, err.basis]), validate=False)
+    return out, max(0, U.dim - spec.k), spec.t
 
 
 def rotate(U: Subspace, budget: float, rng: np.random.Generator) -> Subspace:
@@ -129,13 +128,15 @@ def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
     """Noisy channel use: rotate(erase(U, k) (+) E, budget) (+) F.
 
     F has exactly spec.noise_dim dimensions and is drawn inside the
-    complement of the rotated subspace.  With rotation = 0 and noise_dim = 0
-    this reduces to the plain operator channel.
+    complement of the rotated subspace, so the bases stack.  With rotation
+    = 0 and noise_dim = 0 this returns the plain operator channel's output.
     """
     base, _, _ = apply_operator_channel(U, spec.base, rng)
     rotated = rotate(base, spec.rotation, rng)
+    if spec.noise_dim == 0:
+        return rotated
     extra = random_error_subspace(rotated, spec.noise_dim, rng)
-    return direct_sum(rotated, extra)
+    return Subspace(np.concatenate([rotated.basis, extra.basis]), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +168,14 @@ class MatrixChannelSpec:
             raise ValueError("noise level must be nonnegative")
 
 
-def _standard_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _pinned_or_drawn(pinned, shape, name: str, rng: np.random.Generator) -> np.ndarray:
+    """The pinned array, shape-checked, or a standard complex Gaussian draw."""
+    if pinned is None:
+        return _gaussian(rng, shape, True) / np.sqrt(2.0)
+    out = np.asarray(pinned, dtype=complex)
+    if out.shape != shape:
+        raise ValueError(f"pinned {name} has the wrong shape")
+    return out
 
 
 def apply_matrix_channel(X, spec: MatrixChannelSpec, rng: np.random.Generator):
@@ -182,31 +189,14 @@ def apply_matrix_channel(X, spec: MatrixChannelSpec, rng: np.random.Generator):
     if X.ndim != 2 or X.shape[0] != spec.m:
         raise ValueError(f"input must have {spec.m} rows")
     n = X.shape[1]
-    if spec.identity_h:
-        H = np.eye(spec.l, spec.m, dtype=complex)
-    elif spec.h is not None:
-        H = np.asarray(spec.h, dtype=complex)
-        if H.shape != (spec.l, spec.m):
-            raise ValueError("pinned H has the wrong shape")
-    else:
-        H = _standard_complex_gaussian(rng, (spec.l, spec.m))
-    A = H @ X
+    h = np.eye(spec.l, spec.m) if spec.identity_h else spec.h
+    A = _pinned_or_drawn(h, (spec.l, spec.m), "H", rng) @ X
     if spec.t > 0:
-        if spec.g is not None:
-            G = np.asarray(spec.g, dtype=complex)
-            if G.shape != (spec.l, spec.t):
-                raise ValueError("pinned G has the wrong shape")
-        else:
-            G = _standard_complex_gaussian(rng, (spec.l, spec.t))
-        if spec.interference is not None:
-            E = np.asarray(spec.interference, dtype=complex)
-            if E.shape != (spec.t, n):
-                raise ValueError("pinned interference has the wrong shape")
-        else:
-            E = _standard_complex_gaussian(rng, (spec.t, n))
+        G = _pinned_or_drawn(spec.g, (spec.l, spec.t), "G", rng)
+        E = _pinned_or_drawn(spec.interference, (spec.t, n), "interference", rng)
         A = A + G @ E
     if spec.noise_sigma > 0:
-        Y = A + spec.noise_sigma * _standard_complex_gaussian(rng, (spec.l, n))
+        Y = A + spec.noise_sigma * _pinned_or_drawn(None, (spec.l, n), "N", rng)
     else:
         Y = A.copy()
     return Y, A

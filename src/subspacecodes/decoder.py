@@ -34,10 +34,9 @@ def decode(code, received: Subspace) -> DecodeResult:
     dists = np.asarray(code.distances_to(received), dtype=float)
     best = int(np.argmin(dists))  # argmin takes the lowest index on exact ties
     best_d = float(dists[best])
-    if len(dists) > 1:
-        runner = float(np.min(np.delete(dists, best)))
-    else:
-        runner = math.inf
+    # the second-smallest entry is the smallest one besides ``best``, ties
+    # included; distances from validated codes are finite, never NaN
+    runner = float(np.partition(dists, 1)[1]) if len(dists) > 1 else math.inf
     return DecodeResult(
         codeword_index=best,
         distance_to_received=best_d,

@@ -304,8 +304,6 @@ def complement(U: Subspace) -> Subspace:
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     """Smallest subspace containing both operands (row space of stacked bases)."""
     _check_same_ambient(U, V)
-    if U.dim == 0 and V.dim == 0:
-        return Subspace.zero(U.ambient_dim, U.is_complex or V.is_complex)
     return orthonormalize(np.vstack([U.basis, V.basis]))
 
 

@@ -20,6 +20,7 @@ from subspacecodes import (
     apply_noisy_operator_channel,
     apply_operator_channel,
     complement,
+    direct_sum,
     distance,
     erase,
     general_perturbation_bound,
@@ -200,6 +201,89 @@ def test_noisy_channel_dimension_and_distance_budget():
         assert distance(U, V) <= cap + 1e-9
 
 
+def _direct_sum_channel(U, spec, rng):
+    """Oracle: the operator channel with its sum re-derived through direct_sum."""
+    kept = erase(U, spec.k, rng)
+    return direct_sum(kept, random_error_subspace(U, spec.t, rng))
+
+
+def _direct_sum_noisy_channel(U, spec, rng):
+    """Oracle: the noisy channel with both sums re-derived through direct_sum."""
+    rotated = rotate(_direct_sum_channel(U, spec.base, rng), spec.rotation, rng)
+    return direct_sum(rotated, random_error_subspace(rotated, spec.noise_dim, rng))
+
+
+def test_stacked_sums_match_the_direct_sum_oracle():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        n = int(rng.integers(3, 11))
+        m = int(rng.integers(1, n))
+        complex_field = bool(rng.integers(2))
+        U = random_subspace(n, m, rng, complex_field)
+        base = OperatorChannelSpec(k=int(rng.integers(0, m + 2)), t=int(rng.integers(0, n - m + 1)))
+        seed = int(rng.integers(2 ** 32))
+        for run, oracle, spec in (
+            (lambda *a: apply_operator_channel(*a)[0], _direct_sum_channel, base),
+            (apply_noisy_operator_channel, _direct_sum_noisy_channel, NoisyChannelSpec(base)),
+        ):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert same_subspace(run(U, spec, got_rng), oracle(U, spec, want_rng))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@st.composite
+def noisy_channel_cases(draw):
+    """(n, m, k, t, r_d, delta, complex flag, seed) with the operator channel's
+    output of dimension b in [1, n - 1], 0 < delta <= 2 min(b, n - b) and
+    r_d <= n - b."""
+    n = draw(st.integers(2, 10))
+    m = draw(st.integers(1, n - 1))
+    k = draw(st.integers(0, m + 1))
+    kept = min(k, m)
+    t = draw(st.integers(0 if kept else 1, min(n - m, n - 1 - kept)))
+    b = kept + t
+    delta = 2 * min(b, n - b) * draw(st.floats(0.0, 1.0, exclude_min=True))
+    r_d = draw(st.integers(0, n - b))
+    return n, m, k, t, r_d, delta, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@PROPERTY
+@given(case=noisy_channel_cases())
+def test_noisy_channel_output_and_draw_order(case):
+    n, m, k, t, r_d, delta, complex_field, seed = case
+    U = random_subspace(n, m, np.random.default_rng([seed, 1]), complex_field)
+    spec = NoisyChannelSpec(OperatorChannelSpec(k=k, t=t), rotation=delta, noise_dim=r_d)
+    rng = np.random.default_rng([seed, 2])
+    V = apply_noisy_operator_channel(U, spec, rng)
+    Subspace(V.basis, validate=True)  # orthonormal rows, finite entries
+    b = min(k, m) + t
+    assert V.dim == b + r_d
+    assert V.is_complex == complex_field
+    # the documented draws, in order: erase, error, rotate, noise
+    twin = np.random.default_rng([seed, 2])
+    if m > k:
+        _gaussian(twin, (k, m), complex_field)
+    if t > 0:
+        _gaussian(twin, (t, n - m), complex_field)
+    _gaussian(twin, (b, n), complex_field)
+    if r_d > 0:
+        _gaussian(twin, (r_d, n - b), complex_field)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_noisy_channel_without_rotation_or_noise_is_the_plain_channel_bitwise():
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 3])
+        n = int(rng.integers(2, 11))
+        m = int(rng.integers(1, n + 1))
+        U = random_subspace(n, m, rng, bool(seed % 2))
+        base = OperatorChannelSpec(k=int(rng.integers(0, m + 2)), t=int(rng.integers(0, n - m + 1)))
+        V1, _, _ = apply_operator_channel(U, base, np.random.default_rng(seed))
+        V2 = apply_noisy_operator_channel(U, NoisyChannelSpec(base), np.random.default_rng(seed))
+        assert V2.basis.dtype == V1.basis.dtype
+        assert np.array_equal(V2.basis, V1.basis)
+
+
 def test_matrix_channel_identity_path_is_exact():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
@@ -258,6 +342,70 @@ def test_matrix_channel_shape_validation():
         apply_matrix_channel(np.zeros((2, 5)), spec, np.random.default_rng(0))
     with pytest.raises(ValueError):
         apply_matrix_channel(np.zeros((3, 5)), MatrixChannelSpec(l=3, m=2), np.random.default_rng(0))
+
+
+def _matrix_channel_oracle(X, spec, rng):
+    """The matrix channel with one draw-or-pin branch per component."""
+    def gauss(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    X = np.asarray(X, dtype=complex)
+    n = X.shape[1]
+    if spec.identity_h:
+        H = np.eye(spec.l, spec.m, dtype=complex)
+    elif spec.h is not None:
+        H = np.asarray(spec.h, dtype=complex)
+    else:
+        H = gauss((spec.l, spec.m))
+    A = H @ X
+    if spec.t > 0:
+        G = gauss((spec.l, spec.t)) if spec.g is None else np.asarray(spec.g, dtype=complex)
+        if spec.interference is None:
+            E = gauss((spec.t, n))
+        else:
+            E = np.asarray(spec.interference, dtype=complex)
+        A = A + G @ E
+    if spec.noise_sigma > 0:
+        Y = A + spec.noise_sigma * gauss((spec.l, n))
+    else:
+        Y = A.copy()
+    return Y, A
+
+
+def test_matrix_channel_matches_the_branchwise_oracle_bitwise():
+    rng = np.random.default_rng(14)
+    l, m, n = 4, 3, 7
+    X = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    for h_mode in ("drawn", "pinned", "identity"):
+        for t in (0, 2):
+            for pin_g in (False, True):
+                for pin_e in (False, True):
+                    for sigma in (0.0, 0.3):
+                        spec = MatrixChannelSpec(
+                            l=l, m=m, t=t, noise_sigma=sigma,
+                            identity_h=h_mode == "identity",
+                            h=rng.standard_normal((l, m)) if h_mode == "pinned" else None,
+                            g=rng.standard_normal((l, t)) + 1j if pin_g else None,
+                            interference=rng.standard_normal((t, n)) if pin_e else None)
+                        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+                        Y, A = apply_matrix_channel(X, spec, got_rng)
+                        Y0, A0 = _matrix_channel_oracle(X, spec, want_rng)
+                        assert np.array_equal(Y, Y0) and np.array_equal(A, A0)
+                        assert Y.dtype == A.dtype == complex
+                        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_matrix_channel_rejects_wrong_shape_pins():
+    X = np.ones((2, 5))
+    rng = np.random.default_rng(0)
+    cases = (
+        (dict(h=np.eye(3)), "pinned H has the wrong shape"),
+        (dict(t=1, g=np.ones((3, 2))), "pinned G has the wrong shape"),
+        (dict(t=1, interference=np.ones((1, 4))), "pinned interference has the wrong shape"),
+    )
+    for pins, message in cases:
+        with pytest.raises(ValueError, match=message):
+            apply_matrix_channel(X, MatrixChannelSpec(l=3, m=2, **pins), rng)
 
 
 def test_rq_factorization_against_scipy():

@@ -75,6 +75,46 @@ def test_decode_single_codeword_is_trivially_unique():
     assert out.runner_up_distance == math.inf
 
 
+class _FixedDistances:
+    """Stand-in code whose distances to any received subspace are fixed."""
+
+    def __init__(self, dists):
+        self.dists = np.asarray(dists, dtype=float)
+
+    def __len__(self):
+        return len(self.dists)
+
+    def distances_to(self, received):
+        return self.dists
+
+
+def test_decode_runner_up_with_exact_ties():
+    U = Subspace(np.eye(6)[:2])
+    V = Subspace(np.eye(6)[2:4])
+    received = Subspace(np.eye(6)[4:6])  # at distance exactly 4 from both
+    out = decode(SubspaceCode([U, V]), received)
+    assert out.codeword_index == 0
+    assert out.runner_up_distance == out.distance_to_received == 4.0
+    assert not out.unique
+    out = decode(SubspaceCode([U, V]), U)  # M = 2, no tie
+    assert (out.codeword_index, out.distance_to_received, out.runner_up_distance) == (0, 0.0, 4.0)
+    assert out.unique
+    out = decode(SubspaceCode([V]), received)  # M = 1
+    assert out.runner_up_distance == math.inf and out.unique
+
+
+def test_decode_runner_up_matches_the_delete_oracle():
+    rng = np.random.default_rng(15)
+    for _ in range(500):
+        # small integers force ties, at the minimum and above it
+        dists = rng.integers(0, 4, size=int(rng.integers(2, 9))).astype(float)
+        out = decode(_FixedDistances(dists), None)
+        best = int(np.argmin(dists))
+        assert out.codeword_index == best
+        assert out.runner_up_distance == np.min(np.delete(dists, best))
+        assert out.unique == (out.runner_up_distance > out.distance_to_received)
+
+
 def test_decode_empty_code_raises():
     with pytest.raises(EmptyCode):
         decode(SubspaceCode([]), Subspace(np.eye(1, 4)))

@@ -188,6 +188,12 @@ def test_sum_of_overlapping_spans_collapses():
     assert same_subspace(subspace_sum(U, V), V)
 
 
+def test_sum_of_zero_subspaces_promotes_to_complex():
+    S = subspace_sum(Subspace.zero(5, complex_field=False), Subspace.zero(5))
+    assert (S.dim, S.ambient_dim, S.is_complex) == (0, 5, True)
+    assert not subspace_sum(Subspace.zero(5, False), Subspace.zero(5, False)).is_complex
+
+
 def test_orthonormalize_drops_dependent_rows():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((2, 7))

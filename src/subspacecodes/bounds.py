@@ -70,23 +70,31 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _one_minus_entropy(g: float) -> float:
+    """1 - h(g) on [0, 1/2] as (2 u atanh(u) + log1p(-u^2)) / (2 ln 2), u = 1 - 2g,
+    whose terms (about 2u^2 and -u^2) keep full relative accuracy near g = 1/2.
+    u is exact for g >= 1/4; below that the direct 1 - h(g) > 0.18 loses nothing."""
+    if g < 0.25:
+        return 1.0 - binary_entropy(g)
+    u = 1.0 - 2.0 * g
+    return (2.0 * u * math.atanh(u) + math.log1p(-u * u)) / (2.0 * math.log(2.0))
+
+
 def gv_binary_delta(rate: float) -> float:
     """Gilbert-Varshamov distance h^{-1}(1 - rate) on [0, 1/2], by bisection.
 
-    rate = 0 gives 1/2, rate = 1 gives 0.  The bracket shrinks to 1e-12, but h
-    rounds near 1/2: off by 4.0e-12 at rate 1e-10, exactly 1/2 at rate <= 2^-54.
+    rate = 0 gives 1/2, rate = 1 gives 0; otherwise the bracket shrinks to 1e-12.
     """
     if not 0.0 <= rate <= 1.0:
         raise DomainError("rate must lie in [0, 1]")
-    target = 1.0 - rate
-    if target <= 0.0:
+    if rate == 1.0:
         return 0.0
-    if target >= 1.0:
+    if rate == 0.0:
         return 0.5
     lo, hi = 0.0, 0.5
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < target:
+        if _one_minus_entropy(mid) > rate:
             lo = mid
         else:
             hi = mid
@@ -107,9 +115,7 @@ def zyablov_delta(rate: float) -> float:
 
     On (0, 1/2) the left side exceeds the right below that root and not
     above it, so a fixed 64-step bisection on [0, 1/2] finds the maximizer.
-    F is evaluated at the lower end, where 1 - h(g) > 0.  Below rate ~1e-15
-    that 1 - h(g) is under the rounding error of h, and the result is good
-    to ~5e-9 only.
+    F is evaluated at the lower end, where 1 - h(g) > 0.
     """
     if not 0.0 < rate <= 1.0:
         raise DomainError("rate must lie in (0, 1]")
@@ -118,11 +124,11 @@ def zyablov_delta(rate: float) -> float:
     lo, hi = 0.0, 0.5
     for _ in range(64):
         g = 0.5 * (lo + hi)
-        if (1.0 - binary_entropy(g)) ** 2 > rate * (1.0 + math.log2(1.0 - g)):
+        if _one_minus_entropy(g) ** 2 > rate * (1.0 + math.log2(1.0 - g)):
             lo = g
         else:
             hi = g
-    return max(lo * (1.0 - rate / (1.0 - binary_entropy(lo))), 0.0)
+    return max(lo * (1.0 - rate / _one_minus_entropy(lo)), 0.0)
 
 
 def blokh_zyablov_rate(delta: float) -> float:

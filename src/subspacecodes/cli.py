@@ -292,6 +292,8 @@ def cmd_figure3(args) -> int:
     for e in exponents:
         if e < 3:
             raise ConfigError("exponents below 3 leave no room for a prime")
+        if e > 65:
+            raise ConfigError("exponents above 65 leave the exact range of the primality test")
         p = _largest_prime_below(2 ** (e - 1))
         chosen_k = cp_max_k_for_delta(p, target)
         ln_size = chosen_k * math.log(p)

@@ -17,12 +17,14 @@ import numpy as np
 
 from .errors import (AmbientMismatch, CapExceeded, DimensionMismatch, DomainError, LengthMismatch,
                      RetryLimitExceeded, SizeOverflow)
-from .finitefield import LOG_TABLE_MAX_Q, FiniteField, is_prime
-from .subspaces import (TOL_EQUAL, StackedBases, Subspace, complement, pairwise,
-                        random_subspace)
+from .finitefield import FiniteField, is_prime
+from .subspaces import (TOL_EQUAL, StackedBases, Subspace, _check_orthonormal, complement,
+                        pairwise, random_subspace)
 
 DEFAULT_SIZE_CAP = 10 ** 6
 DEFAULT_SEARCH_CAP = 10 ** 4
+# Largest field order cp_construct accepts: CP (4096, 1) is already a 268 MB matrix.
+CP_MAX_Q = 1 << 12
 
 
 class SubspaceCode:
@@ -201,8 +203,8 @@ def cp_construct(spec: CPCodeSpec) -> SubspaceCode:
     """
     field = spec.field
     q = field.q
-    if q > LOG_TABLE_MAX_Q:
-        raise SizeOverflow(f"construction enumerates all of GF(q); needs q <= {LOG_TABLE_MAX_Q}")
+    if q > CP_MAX_Q:
+        raise SizeOverflow(f"construction enumerates all of GF(q); needs q <= {CP_MAX_Q}")
     mons = cp_monomial_set(spec)
     size = q ** len(mons)
     if size > spec.size_cap:
@@ -241,8 +243,9 @@ def cp_simplified_bound(q: int, rate: float) -> float:
 def cp_max_k_for_delta(q: int, delta_target: float) -> int:
     """Largest k < q whose CP distance bound at n = q - 1 still meets the target.
 
-    Returns 0 when even k = 1 falls short.  The bound is strictly decreasing
-    in k, so the scan stops at the first failure.
+    Returns 0 when even k = 1 falls short.  The bound holds exactly when
+    k <= 1 + (n sqrt(1 - delta) - 1) / sqrt(q); from that k, clamped to [0, q - 1],
+    single steps settle the float test, which is monotone in k.
     """
     if not is_prime(q):
         raise DomainError(f"expected prime q, got {q}")
@@ -250,14 +253,16 @@ def cp_max_k_for_delta(q: int, delta_target: float) -> int:
         raise DomainError("delta target must lie in (0, 1]")
     n = q - 1
     sq = math.sqrt(q)
-    best = 0
-    for k in range(1, q):
-        bound = 1.0 - ((k - 1) * sq + 1.0) ** 2 / n ** 2
-        if bound >= delta_target:
-            best = k
-        else:
-            break
-    return best
+
+    def meets(k: int) -> bool:
+        return 1.0 - ((k - 1) * sq + 1.0) ** 2 / n ** 2 >= delta_target
+
+    k = min(max(math.floor(1.0 + (n * math.sqrt(1.0 - delta_target) - 1.0) / sq), 0), q - 1)
+    while k > 0 and not meets(k):
+        k -= 1
+    while k < q - 1 and meets(k + 1):
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +326,15 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
     if not 0 < m <= n:
         raise ValueError(f"need 0 < m <= n, got m = {m}, n = {n}")
     words: list[Subspace] = []
-    for _ in range(M):
+    # the bases of words 0..i-1 fill rows 0..i*m-1
+    accepted = StackedBases(np.empty((M * m, n), dtype=complex if complex_field else float),
+                            np.full(M, m, dtype=np.intp), np.arange(0, M * m, m, dtype=np.intp), m)
+    for i in range(M):
         for _ in range(max_retries):
             cand = random_subspace(n, m, rng, complex_field)
-            if not words or np.all(
-                    pairwise(StackedBases.of([cand]), StackedBases.of(words)) > TOL_EQUAL):
+            if i == 0 or np.all(
+                    pairwise(StackedBases.of([cand]), accepted.part(0, i)) > TOL_EQUAL):
+                accepted.rows[i * m:(i + 1) * m] = cand.basis
                 words.append(cand)
                 break
         else:
@@ -402,9 +411,12 @@ def dict_to_code(data: dict) -> SubspaceCode:
     n = int(data["n"])
     if n < 1:
         raise ValueError(f"ambient dimension n must be at least 1, got {n}")
-    # orthonormality is re-validated on load
-    return SubspaceCode(Subspace(_codeword_basis(pairs, n, beta), validate=True)
-                        for pairs in data["codewords"])
+    words = [Subspace(_codeword_basis(pairs, n, beta), validate=False)
+             for pairs in data["codewords"]]
+    # orthonormality is re-validated on load, one stack per codeword dimension
+    for m in sorted({w.dim for w in words}):
+        _check_orthonormal(np.stack([w.basis for w in words if w.dim == m]))
+    return SubspaceCode(words)
 
 
 def save_code(code: SubspaceCode, path) -> None:

@@ -6,22 +6,19 @@ irreducible modulus.  The modulus defaults to the lexicographically smallest
 irreducible polynomial of degree m (smallest integer encoding of the non-leading
 coefficients), found by exhaustive search and verified by trial division.
 
-Fields up to q = 2^16 are supported.  Fields with q <= 2^12 precompute
-discrete log/antilog tables, so multiplication, inversion, powering and the
-exhaustive character sums are table lookups; larger fields fall back to
-schoolbook polynomial arithmetic.
+Fields up to q = 2^16 are supported, and every one of them keeps discrete
+log/antilog tables to the smallest primitive element, built on first use.
+Multiplication, inversion, powering, the trace and the exhaustive character
+sums are then table lookups.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import DegreeConditionViolated, TrivialCharacter
 
 MAX_Q = 1 << 16
-LOG_TABLE_MAX_Q = 1 << 12
 
 # Witness set making Miller-Rabin deterministic for all n < 2^64.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -62,17 +59,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
@@ -150,8 +136,6 @@ class FiniteField:
         self._log = None
         self._digit_table = None
         self._trace_array = None
-        if q <= LOG_TABLE_MAX_Q:
-            self._build_log_tables()
 
     # -- encoding ----------------------------------------------------------
 
@@ -186,88 +170,71 @@ class FiniteField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _mul_schoolbook(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.decode(a), self.decode(b), self.p)
-        red = _poly_mod(prod, list(self.modulus), self.p)
-        return self.encode(red + [0] * (self.m - len(red)))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
-        return self._mul_schoolbook(a, b)
+        exp, log = self._tables()
+        return int(exp[(log[a] + log[b]) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of the zero field element")
-        if self._exp is not None:
-            return int(self._exp[(-self._log[a]) % (self.q - 1)])
-        return self.power(a, self.q - 2)
+        exp, log = self._tables()
+        return int(exp[(-log[a]) % (self.q - 1)])
 
     def power(self, a: int, e: int) -> int:
         if e < 0:
             return self.power(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        if self._exp is not None:
-            return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_schoolbook(result, base)
-            base = self._mul_schoolbook(base, base)
-            e >>= 1
-        return result
+        exp, log = self._tables()
+        return int(exp[(int(log[a]) * e) % (self.q - 1)])
 
-    def _build_log_tables(self) -> None:
-        q = self.q
-        if q == 2:
-            gen = 1
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log) with exp[i] = g^i for the smallest primitive element g
+        and log the inverse permutation (log[0] = -1), built on first use."""
+        if self._exp is not None:
+            return self._exp, self._log
+        p, m, q = self.p, self.m, self.q
+        # BLAS products; exact, as every entry is at most m (p - 1)^2 < 2^53
+        digits = self.digit_table.astype(float)
+        # candidates below p lie in GF(p), whose orders divide p - 1 < q - 1
+        for gen in range(1 if m == 1 else p, q):
+            # multiplication by gen is GF(p)-linear; row i is gen * x^i
+            rows = [_poly_mod([0] * i + self.decode(gen), list(self.modulus), p)
+                    for i in range(m)]
+            matrix = np.array([r + [0] * (m - len(r)) for r in rows], dtype=float)
+            step = ((digits @ matrix).astype(np.int64) % p @ self._p_pows).tolist()
+            orbit = [1]
+            x = step[1]
+            while x != 1:
+                orbit.append(x)
+                x = step[x]
+            if len(orbit) == q - 1:
+                break
         else:
-            order = q - 1
-            factors = set()
-            x, f = order, 2
-            while f * f <= x:
-                while x % f == 0:
-                    factors.add(f)
-                    x //= f
-                f += 1
-            if x > 1:
-                factors.add(x)
-            # the tables are not built yet, so power() takes its schoolbook path
-            for gen in range(2, q):
-                if all(self.power(gen, order // r) != 1 for r in factors):
-                    break
-            else:
-                raise RuntimeError("no multiplicative generator found")
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_schoolbook(acc, gen)
-        self._exp = exp
-        self._log = log
+            raise RuntimeError("no multiplicative generator found")
+        self._exp = np.array(orbit, dtype=np.int64)
+        self._log = np.full(q, -1, dtype=np.int64)
+        self._log[self._exp] = np.arange(q - 1, dtype=np.int64)
+        return self._exp, self._log
 
     # -- trace and characters ------------------------------------------------
 
     def trace(self, a: int) -> int:
         """Absolute trace tr(a) = a + a^p + ... + a^(p^(m-1)), an integer in [0, p)."""
-        a = self._check(a)
-        x, s = a, a
-        for _ in range(self.m - 1):
-            x = self.power(x, self.p)
-            s = self.add(s, x)
-        if s >= self.p:
-            raise ArithmeticError("trace landed outside the prime subfield")
-        return s
+        return int(self.trace_table[self._check(a)])
 
     @property
     def trace_table(self) -> np.ndarray:
+        """tr(a) for every element a, as the Frobenius sum over all of GF(q) at once."""
         if self._trace_array is None:
-            table = np.array([self.trace(a) for a in range(self.q)], dtype=np.int64)
+            frob = table = np.arange(self.q, dtype=np.int64)
+            for _ in range(self.m - 1):
+                frob = self.pow_vec(frob, self.p)
+                table = self.add_vec(table, frob)
+            if np.any(table >= self.p):
+                raise ArithmeticError("trace landed outside the prime subfield")
             table.setflags(write=False)
             self._trace_array = table
         return self._trace_array
@@ -281,12 +248,7 @@ class FiniteField:
         """chi_j(a) = exp(2 pi i tr(j a) / p); chi_0 is identically 1."""
         return complex(self._char_roots[self.trace(self.mul(j, a))])
 
-    # -- vectorized arithmetic on int64 arrays (requires log tables) ---------
-
-    def _require_tables(self) -> None:
-        if self._exp is None:
-            raise ValueError(
-                f"vectorized arithmetic needs q <= {LOG_TABLE_MAX_Q}, got q = {self.q}")
+    # -- vectorized arithmetic on int64 arrays ---------------------------------
 
     @property
     def digit_table(self) -> np.ndarray:
@@ -308,24 +270,24 @@ class FiniteField:
         return digits @ self._p_pows
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self._require_tables()
+        exp, log = self._tables()
         a, b = np.broadcast_arrays(a, b)
         out = np.zeros(a.shape, dtype=np.int64)
         nz = (a != 0) & (b != 0)
-        out[nz] = self._exp[(self._log[a[nz]] + self._log[b[nz]]) % (self.q - 1)]
+        out[nz] = exp[(log[a[nz]] + log[b[nz]]) % (self.q - 1)]
         return out
 
     def pow_vec(self, a: np.ndarray, e: int) -> np.ndarray:
-        self._require_tables()
         if e < 0:
             raise ValueError("vectorized powering needs e >= 0")
+        exp, log = self._tables()
         a = np.asarray(a)
         out = np.zeros(a.shape, dtype=np.int64)
         if e == 0:
             out[:] = 1
             return out
         nz = a != 0
-        out[nz] = self._exp[(self._log[a[nz]] * e) % (self.q - 1)]
+        out[nz] = exp[(log[a[nz]] * e) % (self.q - 1)]
         return out
 
     # -- element construction -------------------------------------------------
@@ -508,16 +470,11 @@ def weil_sum(f: FieldPolynomial, chi_index=1) -> complex:
         raise DegreeConditionViolated(
             f"need degree >= 1 and coprime to q = {field.q}, got degree {d}")
     q = field.q
-    if field._exp is not None:
-        elems = np.arange(q, dtype=np.int64)
-        acc = np.full(q, f.coeff_values[-1], dtype=np.int64)
-        for c in reversed(f.coeff_values[:-1]):
-            acc = field.mul_vec(acc, elems)
-            if c:
-                acc = field.add_vec(acc, np.full(q, c, dtype=np.int64))
-        vals = field.character_roots[field.trace_table[field.mul_vec(np.full(q, j), acc)]]
-        return complex(vals.sum())
-    total = 0j
-    for a in range(q):
-        total += field.additive_character(j, f(a).value)
-    return total
+    elems = np.arange(q, dtype=np.int64)
+    acc = np.full(q, f.coeff_values[-1], dtype=np.int64)
+    for c in reversed(f.coeff_values[:-1]):
+        acc = field.mul_vec(acc, elems)
+        if c:
+            acc = field.add_vec(acc, np.full(q, c, dtype=np.int64))
+    vals = field.character_roots[field.trace_table[field.mul_vec(np.full(q, j), acc)]]
+    return complex(vals.sum())

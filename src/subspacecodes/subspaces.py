@@ -52,13 +52,8 @@ class Subspace:
         m, n = basis.shape
         if m > n:
             raise ValueError(f"{m} orthonormal rows cannot fit in ambient dimension {n}")
-        if validate and m > 0:
-            if not np.all(np.isfinite(basis)):
-                raise ValueError("basis has non-finite entries")
-            defect = np.max(np.abs(basis @ basis.conj().T - np.eye(m)))
-            # written so that a NaN defect fails the test too
-            if not defect <= TOL_ORTH:
-                raise ValueError("rows are not orthonormal; use orthonormalize()")
+        if validate:
+            _check_orthonormal(basis[np.newaxis])
         basis = basis.copy()
         basis.setflags(write=False)
         self._basis = basis
@@ -109,6 +104,18 @@ class Subspace:
     def __repr__(self) -> str:
         letter = "C" if self.is_complex else "R"
         return f"Subspace(dim={self.dim}, ambient={letter}^{self.ambient_dim})"
+
+
+def _check_orthonormal(bases: np.ndarray) -> None:
+    """Raise ValueError unless every basis in the (B, m, n) stack, m <= n, is
+    finite with orthonormal rows."""
+    if not np.all(np.isfinite(bases)):
+        raise ValueError("basis has non-finite entries")
+    gram = bases @ bases.conj().transpose(0, 2, 1)
+    defect = np.max(np.abs(gram - np.eye(bases.shape[1])), initial=0.0)
+    # written so that a NaN defect fails the test too
+    if not defect <= TOL_ORTH:
+        raise ValueError("rows are not orthonormal; use orthonormalize()")
 
 
 def _as_float_matrix(raw) -> np.ndarray:

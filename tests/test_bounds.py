@@ -207,6 +207,21 @@ def test_zyablov_matches_grid_and_golden_section():
         assert zyablov_delta(rate) == pytest.approx(_zyablov_grid_golden_oracle(rate), abs=1e-12)
 
 
+def test_gv_reference_values_at_small_rates():
+    # 1 - h(g) = rate solved by a 60-digit mpmath bisection, to 30 digits
+    assert gv_binary_delta(1e-10) == pytest.approx(0.499994112949887490636307493224, abs=1e-12)
+    assert gv_binary_delta(1e-14) == pytest.approx(0.499999941129498874226333494045, abs=1e-12)
+    assert gv_binary_delta(1e-16) == pytest.approx(0.499999994112949887422626674478, abs=1e-12)
+    assert gv_binary_delta(5e-17) == pytest.approx(0.499999995837226944211511285785, abs=1e-12)
+
+
+def test_zyablov_reference_values_at_small_rates():
+    # golden-section maximization of g (1 - R / (1 - h(g))) in 60-digit mpmath
+    assert zyablov_delta(1e-16) == pytest.approx(0.499995109475147729685969027118, abs=1e-12)
+    assert zyablov_delta(1e-20) == pytest.approx(0.499999773001474055108947297896, abs=1e-12)
+    assert zyablov_delta(1e-30) == pytest.approx(0.499999999894636607047768777158, abs=1e-12)
+
+
 def test_zyablov_reference_values():
     # direct maximization of delta_GV(x) (1 - R / x) over x to 30 digits
     # (mpmath: bisected inverse entropy, golden section in x), which does

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subspacecodes import cli, distance, load_code
+from subspacecodes import SubspaceCode, cli, distance, load_code, random_subspace, save_code
 from subspacecodes.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK
 
 
@@ -264,6 +264,17 @@ def test_figure3_table(tmp_path, capsys):
     assert cli.main(["figure3", "--config", low]) == EXIT_CONFIG
 
 
+def test_figure3_exponents_up_to_the_primality_range(tmp_path, capsys):
+    top = _write_cfg(tmp_path, "top.json", {"exponents": [65]})
+    out = tmp_path / "top.csv"
+    assert cli.main(["figure3", "--config", top, "--out", str(out)]) == EXIT_OK
+    _, _, rows = _parse_csv(out.read_text())
+    assert int(rows[0][2]) == 2**64 - 59  # the largest prime below 2^64
+    beyond = _write_cfg(tmp_path, "beyond.json", {"exponents": [66]})
+    assert cli.main(["figure3", "--config", beyond]) == EXIT_CONFIG
+    assert "primality test" in capsys.readouterr().err
+
+
 def test_distance_table(tmp_path, capsys):
     cfg_a = _write_cfg(tmp_path, "a.json", {
         "code": {"type": "binary", "words": ["000", "011"]}, "out": str(tmp_path / "a_code.json")})
@@ -305,6 +316,20 @@ def test_distance_rejects_non_finite_code_file(tmp_path, capsys):
     nan_file.write_text(json.dumps(blob))  # json writes the NaN literal
     assert cli.main(["distance", str(nan_file), str(tmp_path / "a_code.json")]) == EXIT_CONFIG
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_distance_rejects_a_bad_codeword_in_the_second_dimension_group(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    good = tmp_path / "good.json"
+    save_code(SubspaceCode([random_subspace(4, m, rng) for m in (1, 2, 1, 2)]), good)
+    blob = json.loads(good.read_text())
+    blob["codewords"][3][0][0] += 0.5  # first entry of a 2-dimensional codeword
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert cli.main(["distance", str(good), str(good)]) == EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["distance", str(bad), str(good)]) == EXIT_CONFIG
+    assert "not orthonormal" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tamper,message", [

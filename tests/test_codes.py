@@ -48,6 +48,7 @@ from subspacecodes.errors import (
     RetryLimitExceeded,
     SizeOverflow,
 )
+from subspacecodes.subspaces import TOL_EQUAL, StackedBases, pairwise
 
 
 def _cp52_oracle():
@@ -244,6 +245,31 @@ def test_cp_max_k_for_target_distance():
     assert cp_max_k_for_delta(3, 0.999) == 0  # unattainable
 
 
+def _cp_max_k_scan(q, delta_target):
+    """The largest k by scanning k = 1, 2, ... up to the first failing bound."""
+    n, sq, best = q - 1, math.sqrt(q), 0
+    for k in range(1, q):
+        if 1.0 - ((k - 1) * sq + 1.0) ** 2 / n**2 < delta_target:
+            break
+        best = k
+    return best
+
+
+def test_cp_max_k_matches_the_scan():
+    primes = [q for q in range(2, 3000) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    for q in primes:
+        for delta in (1e-9, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0):
+            assert cp_max_k_for_delta(q, delta) == _cp_max_k_scan(q, delta)
+
+
+def test_cp_field_cap_refuses_before_building_tables():
+    for p, m in [(3, 10), (2, 16)]:
+        field = FiniteField(p, m)
+        with pytest.raises(SizeOverflow, match="needs q <= 4096"):
+            cp_construct(CPCodeSpec(field, 1))
+        assert field._exp is None
+
+
 def test_cp_size_and_field_caps():
     with pytest.raises(SizeOverflow):
         cp_construct(CPCodeSpec(FiniteField(13), 12))
@@ -325,6 +351,20 @@ def test_random_ensemble_properties():
     )
     real = random_ensemble_code(6, 2, 5, rng, complex_field=False)
     assert not real.codewords[0].is_complex
+
+
+def test_random_ensemble_matches_a_restacking_loop():
+    # the reference re-stacks every accepted word for each candidate
+    for n, m, M, complex_field in [(12, 3, 50, True), (6, 2, 5, False)]:
+        rng = np.random.default_rng(11)
+        words = []
+        while len(words) < M:
+            cand = random_subspace(n, m, rng, complex_field)
+            if not words or np.all(pairwise(StackedBases.of([cand]), StackedBases.of(words))
+                                   > TOL_EQUAL):
+                words.append(cand)
+        code = random_ensemble_code(n, m, M, np.random.default_rng(11), complex_field)
+        assert all(a.basis.tobytes() == b.basis.tobytes() for a, b in zip(code, words))
 
 
 def test_random_ensemble_retry_guard():

@@ -289,10 +289,65 @@ def test_vectorized_ops_match_scalar():
             assert np.array_equal(field.pow_vec(a, e), pow_ref)
 
 
-def test_vectorized_ops_refuse_oversized_fields():
+def _oracle_mul(field, a, b):
+    p, m = field.p, field.m
+    prod = _omod(_omul(_odecode(a, p, m), _odecode(b, p, m), p), list(field.modulus), p)
+    return _oencode(prod, p, m)
+
+
+def _oracle_add(field, a, b):
+    p, m = field.p, field.m
+    digits = zip(_odecode(a, p, m) + [0] * m, _odecode(b, p, m) + [0] * m)
+    return _oencode([(x + y) % p for x, y in digits], p, m)
+
+
+def _oracle_pow(field, a, e):
+    acc = 1
+    while e:
+        if e & 1:
+            acc = _oracle_mul(field, acc, a)
+        a = _oracle_mul(field, a, a)
+        e >>= 1
+    return acc
+
+
+def test_vectorized_ops_on_fields_above_4096():
     big = FiniteField(2, 13)
-    with pytest.raises(ValueError):
-        big.mul_vec(np.array([1]), np.array([2]))
+    rng = np.random.default_rng(41)
+    a = rng.integers(0, big.q, size=500)
+    b = rng.integers(0, big.q, size=500)
+    prod = big.mul_vec(a, b)
+    cubes = big.pow_vec(a, 3)
+    for x, y, xy, x3 in zip(a.tolist(), b.tolist(), prod.tolist(), cubes.tolist()):
+        assert xy == _oracle_mul(big, x, y)
+        assert x3 == _oracle_pow(big, x, 3)
+        if y:
+            assert _oracle_mul(big, y, big.inv(y)) == 1
+
+
+@pytest.mark.parametrize("p,m", [(2, 13), (3, 8), (251, 2), (65521, 1), (2, 16)])
+def test_large_field_arithmetic_matches_long_division_oracle(p, m):
+    field = FiniteField(p, m)
+    rng = np.random.default_rng(43)
+    for a, b in rng.integers(1, field.q, size=(40, 2)).tolist():
+        assert field.mul(a, b) == _oracle_mul(field, a, b)
+        assert _oracle_mul(field, a, field.inv(a)) == 1
+        frob, tr = a, 0
+        for _ in range(m):
+            tr = _oracle_add(field, tr, frob)
+            frob = _oracle_pow(field, frob, p)
+        assert field.trace(a) == tr
+
+
+@pytest.mark.parametrize("p,m", [(8191, 1), (2, 13)])
+def test_weil_bound_for_cubics_above_4096(p, m):
+    field = FiniteField(p, m)
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        c0, c1, c2 = (int(x) for x in rng.integers(0, field.q, size=3))
+        c3 = int(rng.integers(1, field.q))
+        s = weil_sum(FieldPolynomial(field, [c0, c1, c2, c3]))
+        assert abs(s) <= 2 * math.sqrt(field.q) + 1e-6
 
 
 def test_digit_table_is_base_p_expansion():

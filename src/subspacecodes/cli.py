@@ -307,7 +307,7 @@ def cmd_distance(args) -> int:
     code_b = load_code(args.file_b)
     if code_a.ambient_dim != code_b.ambient_dim:
         raise ConfigError("the two codes live in different ambient dimensions")
-    table = pairwise(code_a.stacked, code_b.stacked)
+    table = pairwise(code_a, code_b)
     rows_a, rows_b = table.shape
     # built column by column: index_a repeats each index, index_b cycles
     col_a = itertools.chain.from_iterable(itertools.repeat(f"{i},", rows_b)

@@ -15,73 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AmbientMismatch, CapExceeded, DimensionMismatch, DomainError, LengthMismatch,
+from .errors import (CapExceeded, DimensionMismatch, DomainError, LengthMismatch,
                      RetryLimitExceeded, SizeOverflow)
 from .finitefield import FiniteField, is_prime
-from .subspaces import (TOL_EQUAL, StackedBases, Subspace, _check_orthonormal, complement,
+from .subspaces import (TOL_EQUAL, Subspace, SubspaceCode, _check_orthonormal, complement,
                         pairwise, random_subspace)
 
 DEFAULT_SIZE_CAP = 10 ** 6
 DEFAULT_SEARCH_CAP = 10 ** 4
 # Largest field order cp_construct accepts: CP (4096, 1) is already a 268 MB matrix.
 CP_MAX_Q = 1 << 12
-
-
-class SubspaceCode:
-    """A finite list of distinct subspaces sharing one ambient space."""
-
-    def __init__(self, codewords):
-        codewords = tuple(codewords)
-        if codewords:
-            n = codewords[0].ambient_dim
-            for w in codewords:
-                if w.ambient_dim != n:
-                    raise AmbientMismatch("codewords live in different ambient spaces")
-        self._codewords = codewords
-        self._min_distance = None
-        self._min_pair = None
-        self._stacked = None
-
-    @property
-    def codewords(self) -> tuple[Subspace, ...]:
-        return self._codewords
-
-    def __len__(self) -> int:
-        return len(self._codewords)
-
-    def __iter__(self):
-        return iter(self._codewords)
-
-    def __getitem__(self, i) -> Subspace:
-        return self._codewords[i]
-
-    @property
-    def ambient_dim(self) -> int:
-        if not self._codewords:
-            raise ValueError("empty code has no ambient dimension")
-        return self._codewords[0].ambient_dim
-
-    @property
-    def max_dim(self) -> int:
-        return max(w.dim for w in self._codewords)
-
-    @property
-    def is_constant_dimension(self) -> bool:
-        dims = {w.dim for w in self._codewords}
-        return len(dims) == 1
-
-    @property
-    def stacked(self) -> StackedBases:
-        """The codeword bases stacked into one row matrix, built on first use."""
-        if self._stacked is None:
-            self._stacked = StackedBases.of(self._codewords)
-        return self._stacked
-
-    def distances_to(self, received: Subspace) -> np.ndarray:
-        """Distance from every codeword to ``received``, through pairwise()."""
-        if not self._codewords:
-            return np.zeros(0)
-        return pairwise(self.stacked, StackedBases.of([received]))[:, 0]
 
 
 def min_distance_exhaustive(code: SubspaceCode, cap: int = DEFAULT_SEARCH_CAP):
@@ -99,12 +42,11 @@ def min_distance_exhaustive(code: SubspaceCode, cap: int = DEFAULT_SEARCH_CAP):
         raise ValueError("minimum distance needs at least two codewords")
     if M > cap:
         raise CapExceeded(f"{M} codewords exceed the exhaustive search cap {cap}")
-    stacked = code.stacked
     best = math.inf
     pair = (0, 1)
-    for lo, hi in stacked.blocks(stacked):
+    for lo, hi in code.blocks(code):
         # rows i = lo..hi-1 against columns j = lo..M-1; keep only j > i
-        d = pairwise(stacked.part(lo, hi), stacked.part(lo, M))
+        d = pairwise(code.part(lo, hi), code.part(lo, M))
         d[np.tri(hi - lo, M - lo, dtype=bool)] = math.inf
         k = int(np.argmin(d))
         if d.flat[k] < best:
@@ -217,11 +159,9 @@ def cp_construct(spec: CPCodeSpec) -> SubspaceCode:
         table = field.trace_table[field.mul_vec(chi_c[:, None], field.pow_vec(pts, d)[None, :])]
         exponents = (exponents[:, None, :] + table[None, :, :]).reshape(-1, n)
     exponents %= field.p
-    roots = field.character_roots
-    scale = 1.0 / math.sqrt(n)
-    # one row at a time, so the complex vectors exist once, in the codewords
-    return SubspaceCode(Subspace((roots[e] * scale)[np.newaxis, :], validate=False)
-                        for e in exponents)
+    rows = field.character_roots[exponents]
+    rows *= 1.0 / math.sqrt(n)
+    return SubspaceCode._from_rows(rows, np.ones(size, dtype=np.intp))
 
 
 def cp_distance_bound(spec: CPCodeSpec) -> float:
@@ -288,20 +228,17 @@ def binary_to_lines(codebook, length: int | None = None) -> SubspaceCode:
         raise ValueError("empty codebook")
     if length is None:
         length = len(words[0])
-    seen = set()
-    lines = []
-    scale = 1.0 / math.sqrt(length)
+    if length < 1:
+        raise ValueError(f"word length must be at least 1, got {length}")
+    canon = []
     for bits in words:
         if len(bits) != length:
             raise LengthMismatch(f"word of length {len(bits)}, expected {length}")
         # exactly one of a word and its complement starts with 0
-        canon = bits if bits[0] == 0 else tuple(1 - b for b in bits)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        vec = scale * np.array([1.0 if b == 0 else -1.0 for b in canon])
-        lines.append(Subspace(vec[np.newaxis, :], validate=False))
-    return SubspaceCode(lines)
+        canon.append(bits if bits[0] == 0 else tuple(1 - b for b in bits))
+    lines = list(dict.fromkeys(canon))  # first occurrence order, repeats dropped
+    rows = (1.0 - 2.0 * np.array(lines, dtype=float)) * (1.0 / math.sqrt(length))
+    return SubspaceCode._from_rows(rows, np.ones(len(lines), dtype=np.intp))
 
 
 def line_delta_from_hamming(gamma: float) -> float:
@@ -325,22 +262,19 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
         raise ValueError("an ensemble needs at least two codewords")
     if not 0 < m <= n:
         raise ValueError(f"need 0 < m <= n, got m = {m}, n = {n}")
-    words: list[Subspace] = []
-    # the bases of words 0..i-1 fill rows 0..i*m-1
-    accepted = StackedBases(np.empty((M * m, n), dtype=complex if complex_field else float),
-                            np.full(M, m, dtype=np.intp), np.arange(0, M * m, m, dtype=np.intp), m)
+    buf = np.empty((M * m, n), dtype=complex if complex_field else float)
+    # a read-only view of buf; the bases of words 0..i-1 fill rows 0..i*m-1
+    code = SubspaceCode._from_rows(buf.view(), np.full(M, m, dtype=np.intp))
     for i in range(M):
         for _ in range(max_retries):
             cand = random_subspace(n, m, rng, complex_field)
-            if i == 0 or np.all(
-                    pairwise(StackedBases.of([cand]), accepted.part(0, i)) > TOL_EQUAL):
-                accepted.rows[i * m:(i + 1) * m] = cand.basis
-                words.append(cand)
+            if i == 0 or np.all(pairwise(SubspaceCode([cand]), code.part(0, i)) > TOL_EQUAL):
+                buf[i * m:(i + 1) * m] = cand.basis
                 break
         else:
             raise RetryLimitExceeded(
                 f"could not draw {M} distinct subspaces with m = {m}, n = {n}")
-    return SubspaceCode(words)
+    return code
 
 
 def dual_code(code: SubspaceCode) -> SubspaceCode:
@@ -375,16 +309,16 @@ def code_to_dict(code: SubspaceCode) -> dict:
 
     Each codeword is its basis flattened row-major into [re, im] pairs; the
     row count is recovered from the ambient dimension.  The pairs are read
-    off the complex128 memory layout, one view per codeword.
+    off the complex128 memory layout of the code's rows, one slice per
+    codeword.
     """
     if len(code) == 0:
         raise ValueError("refusing to serialize an empty code")
-    beta = code[0].beta
-    if any(w.beta != beta for w in code):
-        raise ValueError("mixed real/complex codewords")
-    words = [np.ascontiguousarray(w.basis, dtype=complex).view(float).reshape(-1, 2).tolist()
-             for w in code]
-    return {"beta": beta, "n": code.ambient_dim, "codewords": words}
+    n = code.ambient_dim
+    pairs = np.ascontiguousarray(code.rows, dtype=complex).view(float).reshape(-1, 2)
+    words = [pairs[start * n:(start + dim) * n].tolist()
+             for start, dim in zip(code.starts.tolist(), code.dims.tolist())]
+    return {"beta": 2 if np.iscomplexobj(code.rows) else 1, "n": n, "codewords": words}
 
 
 def _codeword_basis(pairs, n: int, beta: int) -> np.ndarray:
@@ -396,6 +330,8 @@ def _codeword_basis(pairs, n: int, beta: int) -> np.ndarray:
         raise ValueError("a codeword must be a list of [re, im] pairs of numbers")
     if len(flat) % n != 0:
         raise ValueError("codeword length is not a multiple of the ambient dimension")
+    if len(flat) > n * n:
+        raise ValueError(f"{len(flat) // n} orthonormal rows cannot fit in ambient dimension {n}")
     flat = np.ascontiguousarray(flat, dtype=float)
     if beta == 1:
         if np.any(flat[:, 1] != 0):
@@ -411,12 +347,13 @@ def dict_to_code(data: dict) -> SubspaceCode:
     n = int(data["n"])
     if n < 1:
         raise ValueError(f"ambient dimension n must be at least 1, got {n}")
-    words = [Subspace(_codeword_basis(pairs, n, beta), validate=False)
-             for pairs in data["codewords"]]
-    # orthonormality is re-validated on load, one stack per codeword dimension
-    for m in sorted({w.dim for w in words}):
-        _check_orthonormal(np.stack([w.basis for w in words if w.dim == m]))
-    return SubspaceCode(words)
+    bases = [_codeword_basis(pairs, n, beta) for pairs in data["codewords"]]
+    dims = [len(b) for b in bases]
+    for m in sorted(set(dims)):
+        # orthonormality is re-validated on load, one stack per codeword dimension
+        _check_orthonormal(np.stack([b for b in bases if len(b) == m]))
+    rows = np.concatenate(bases) if bases else np.zeros((0, n))
+    return SubspaceCode._from_rows(rows, dims)
 
 
 def save_code(code: SubspaceCode, path) -> None:

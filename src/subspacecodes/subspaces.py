@@ -16,7 +16,8 @@ C = Z_U Z_V^H: tr(P_U P_V) = ||C||_F^2, so
     d(U, V) = dim U + dim V - 2 ||Z_U Z_V^H||_F^2,
 
 and no n x n projection is formed.  ``pairwise`` evaluates this identity for
-every pair of two stacked lists of subspaces.
+every pair of codewords of two codes, each stored as its codewords'
+bases stacked into one row matrix.
 """
 
 from __future__ import annotations
@@ -184,48 +185,104 @@ def distance(U: Subspace, V: Subspace) -> float:
     return float(2.0 * np.vdot(residual, residual).real + (zv.shape[0] - zu.shape[0]))
 
 
-class StackedBases:
-    """The bases of a list of subspaces stacked into one (R, n) row matrix.
+class SubspaceCode:
+    """A finite list of subspaces sharing one ambient space.
 
-    Subspace i owns dims[i] rows starting at row starts[i]; a zero-dimensional
-    subspace owns none.  ``common_dim`` is the dimension all subspaces share,
-    or -1 when they differ.
+    The codeword bases are stacked into one read-only (R, n) row matrix,
+    ``rows``: codeword i owns dims[i] rows starting at row starts[i], and a
+    zero-dimensional codeword owns none.  ``common_dim`` is the dimension
+    all codewords share, or -1 when they differ.  Real and complex bases
+    stack as complex rows.  Indexing and iteration give each codeword as a
+    Subspace built from its rows; ``pairwise`` works on the rows directly.
     """
 
-    __slots__ = ("rows", "dims", "starts", "common_dim")
+    __slots__ = ("rows", "dims", "starts", "common_dim", "_min_distance", "_min_pair")
 
-    def __init__(self, rows: np.ndarray, dims: np.ndarray, starts: np.ndarray,
-                 common_dim: int):
+    def __init__(self, codewords):
+        bases = [w.basis for w in codewords]
+        if len(bases) == 1:  # a basis is read-only already, so it is taken without a copy
+            rows = bases[0]
+        elif bases:
+            if any(b.shape[1] != bases[0].shape[1] for b in bases):
+                raise AmbientMismatch("codewords live in different ambient spaces")
+            rows = np.concatenate(bases)
+        else:
+            rows = np.zeros((0, 0))
+        # plain lists: a code wrapping one received subspace is built once per decode
+        dims = [b.shape[0] for b in bases]
+        starts = list(itertools.accumulate(dims, initial=0))[:-1]
+        common_dim = dims[0] if dims and dims.count(dims[0]) == len(dims) else -1
+        self._set(rows, np.array(dims, dtype=np.intp), np.array(starts, dtype=np.intp),
+                  common_dim)
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, dims, common_dim: int | None = None) -> "SubspaceCode":
+        """The code whose codeword i is the next dims[i] rows of ``rows``,
+        taken without a copy or a check and made read-only."""
+        dims = np.asarray(dims, dtype=np.intp)
+        if common_dim is None:
+            common_dim = int(dims[0]) if dims.size and np.all(dims == dims[0]) else -1
+        code = object.__new__(cls)
+        code._set(rows, dims, np.cumsum(dims) - dims, common_dim)
+        return code
+
+    def _set(self, rows: np.ndarray, dims: np.ndarray, starts: np.ndarray,
+             common_dim: int) -> None:
+        rows.setflags(write=False)
         self.rows = rows
         self.dims = dims
         self.starts = starts
         self.common_dim = common_dim
+        self._min_distance = None
+        self._min_pair = None
 
-    @classmethod
-    def of(cls, subspaces) -> "StackedBases":
-        bases = [w.basis for w in subspaces]
-        if not bases:
-            raise ValueError("nothing to stack: the list of subspaces is empty")
-        dims = [b.shape[0] for b in bases]
-        starts = [0, *itertools.accumulate(dims[:-1])]
-        common = dims[0] if dims.count(dims[0]) == len(dims) else -1
-        rows = bases[0] if len(bases) == 1 else np.concatenate(bases)
-        return cls(rows, np.array(dims, dtype=np.intp), np.array(starts, dtype=np.intp), common)
+    @property
+    def codewords(self) -> "SubspaceCode":
+        """The code itself: indexing it gives the codewords."""
+        return self
 
     def __len__(self) -> int:
         return len(self.dims)
 
-    def part(self, lo: int, hi: int) -> "StackedBases":
-        """Subspaces lo..hi-1, sharing this object's rows."""
+    def __getitem__(self, i) -> Subspace:
+        i = range(len(self.dims))[i]  # negative indices; IndexError when out of range
+        start = self.starts[i]
+        return Subspace(self.rows[start:start + self.dims[i]], validate=False)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.dims)))
+
+    @property
+    def ambient_dim(self) -> int:
+        if not len(self.dims):
+            raise ValueError("empty code has no ambient dimension")
+        return self.rows.shape[1]
+
+    @property
+    def max_dim(self) -> int:
+        return int(self.dims.max())
+
+    @property
+    def is_constant_dimension(self) -> bool:
+        return self.common_dim >= 0
+
+    def distances_to(self, received: Subspace) -> np.ndarray:
+        """Distance from every codeword to ``received``, through pairwise()."""
+        if not len(self.dims):
+            return np.zeros(0)
+        return pairwise(self, SubspaceCode([received]))[:, 0]
+
+    def part(self, lo: int, hi: int) -> "SubspaceCode":
+        """Codewords lo..hi-1, sharing this code's rows."""
         if lo == 0 and hi == len(self):
             return self
         first = self.starts[lo]
         stop = self.starts[hi - 1] + self.dims[hi - 1]
-        return StackedBases(self.rows[first:stop], self.dims[lo:hi],
-                            self.starts[lo:hi] - first, self.common_dim)
+        # the whole code's common_dim, so pairwise() takes one path whatever the blocks
+        return SubspaceCode._from_rows(self.rows[first:stop], self.dims[lo:hi], self.common_dim)
 
-    def blocks(self, other: "StackedBases"):
-        """Ranges (lo, hi) covering this list whose cross-Gram product with
+    def blocks(self, other: "SubspaceCode"):
+        """Ranges (lo, hi) covering this code whose cross-Gram product with
         ``other`` takes at most about _BLOCK_BYTES each."""
         row_bytes = 16 * max(1, other.rows.shape[0])  # a complex128 product
         max_dim = self.common_dim if self.common_dim >= 0 else int(self.dims.max())
@@ -234,21 +291,21 @@ class StackedBases:
         return [(lo, min(lo + step, M)) for lo in range(0, M, step)]
 
 
-def _row_segment_sums(x: np.ndarray, stack: StackedBases) -> np.ndarray:
-    """Sums of the rows of x that belong to each subspace of ``stack``; a
-    zero-dimensional subspace sums to 0."""
-    out = np.zeros((len(stack), x.shape[1]))
-    nonempty = stack.dims > 0
+def _row_segment_sums(x: np.ndarray, code: SubspaceCode) -> np.ndarray:
+    """Sums of the rows of x that belong to each codeword of ``code``; a
+    zero-dimensional codeword sums to 0."""
+    out = np.zeros((len(code), x.shape[1]))
+    nonempty = code.dims > 0
     if nonempty.any():
-        out[nonempty] = np.add.reduceat(x, stack.starts[nonempty], axis=0)
+        out[nonempty] = np.add.reduceat(x, code.starts[nonempty], axis=0)
     return out
 
 
-def pairwise(A: StackedBases, B: StackedBases) -> np.ndarray:
-    """Distance from every subspace of A to every subspace of B, (len A, len B).
+def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
+    """Distance from every codeword of A to every codeword of B, (len A, len B).
 
     Uses d(U, V) = dim U + dim V - 2 ||Z_U Z_V^H||_F^2: one matrix product
-    per block of A (see StackedBases.blocks), then |.|^2 summed over the rows
+    per block of A (see SubspaceCode.blocks), then |.|^2 summed over the rows
     of each pair.  Valid for any mix of dimensions, 0 and n included.
     Roundoff can push a near-zero distance below 0; results are clamped at 0.
     """

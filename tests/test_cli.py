@@ -72,6 +72,16 @@ def test_construct_from_code_file(tmp_path, capsys):
     assert "M = 25" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("binary", [{"words": [""]}, {"words": ["0011"], "length": 0}],
+                         ids=["empty_word", "length_zero"])
+def test_construct_refuses_binary_words_of_length_zero(binary, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "c.json", {"code": {"type": "binary", **binary}})
+    assert cli.main(["construct", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "at least 1" in err
+
+
 def test_construct_oversized_code_is_infeasible(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "c.json", {"code": {"type": "cp", "q": 13, "k": 12}})
     assert cli.main(["construct", "--config", cfg]) == EXIT_INFEASIBLE
@@ -341,10 +351,11 @@ def test_distance_rejects_a_bad_codeword_in_the_second_dimension_group(tmp_path,
     (lambda blob: blob["codewords"][0].__setitem__(0, ["0.5", 0.0]), "[re, im] pairs"),
     (lambda blob: blob["codewords"][0].__setitem__(0, [None, 0.0]), "[re, im] pairs"),
     (lambda blob: blob["codewords"].__setitem__(0, [[1.0, 0.0]] * 2), "multiple"),
+    (lambda blob: blob["codewords"].__setitem__(0, [[1.0, 0.0]] * 12), "cannot fit"),
     (lambda blob: blob["codewords"][0][0].__setitem__(1, 0.5), "imaginary"),
     (lambda blob: blob["codewords"][0][0].__setitem__(1, math.nan), "imaginary"),
 ], ids=["n_zero", "short_pairs", "nested_pairs", "non_numeric", "numeric_string", "null",
-        "partial_row", "real_with_imaginary", "real_with_nan_imaginary"])
+        "partial_row", "too_many_rows", "real_with_imaginary", "real_with_nan_imaginary"])
 def test_distance_rejects_malformed_code_file(tamper, message, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "a.json", {
         "code": {"type": "binary", "words": ["000", "011"]}, "out": str(tmp_path / "a_code.json")})

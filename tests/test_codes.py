@@ -48,7 +48,7 @@ from subspacecodes.errors import (
     RetryLimitExceeded,
     SizeOverflow,
 )
-from subspacecodes.subspaces import TOL_EQUAL, StackedBases, pairwise
+from subspacecodes.subspaces import TOL_EQUAL, pairwise
 
 
 def _cp52_oracle():
@@ -360,7 +360,7 @@ def test_random_ensemble_matches_a_restacking_loop():
         words = []
         while len(words) < M:
             cand = random_subspace(n, m, rng, complex_field)
-            if not words or np.all(pairwise(StackedBases.of([cand]), StackedBases.of(words))
+            if not words or np.all(pairwise(SubspaceCode([cand]), SubspaceCode(words))
                                    > TOL_EQUAL):
                 words.append(cand)
         code = random_ensemble_code(n, m, M, np.random.default_rng(11), complex_field)
@@ -382,7 +382,7 @@ def test_random_ensemble_rejects_a_repeated_span_on_another_basis():
     draws = iter([first, again, other])
     with mock.patch.object(codes, "random_subspace", lambda *args: next(draws)):
         code = random_ensemble_code(6, 2, 2, rng)
-    assert code.codewords == (first, other)
+    assert [w.basis.tobytes() for w in code] == [first.basis.tobytes(), other.basis.tobytes()]
 
 
 def test_dual_code_preserves_distances():

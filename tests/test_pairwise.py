@@ -30,7 +30,7 @@ from subspacecodes import (
     random_unitary,
 )
 from subspacecodes import subspaces
-from subspacecodes.subspaces import StackedBases, pairwise
+from subspacecodes.subspaces import pairwise
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 # block sizes: one codeword per block, a few codewords per block, the default
@@ -91,7 +91,7 @@ def test_pairwise_and_distance_match_projection_oracle(a, b, share, block_bytes)
         B += A[:2]
     want = np.array([[_oracle(u, v) for v in B] for u in A])
     with mock.patch.object(subspaces, "_BLOCK_BYTES", block_bytes):
-        got = pairwise(StackedBases.of(A), StackedBases.of(B))
+        got = pairwise(SubspaceCode(A), SubspaceCode(B))
     assert got.shape == (len(A), len(B))
     assert np.all(got >= 0.0)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -140,3 +140,23 @@ def test_min_distance_memory_stays_in_blocks():
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
     assert distance(code[i], code[j]) == pytest.approx(d_min, abs=1e-12)
+
+
+def test_code_holds_one_copy_of_its_bases():
+    # CP (512, 1): 512 lines in C^511, 4 MB of rows; the d_min search works
+    # on those rows in place instead of stacking a second copy of them
+    code = cp_construct(CPCodeSpec(FiniteField(2, 9), 1))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        min_distance_exhaustive(code)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < code.rows.nbytes / 4
+    assert not code.rows.flags.writeable
+    with pytest.raises(ValueError):
+        code.rows[0, 0] = 0.0
+    for i in (0, 1, 511, -1):
+        start = code.starts[i]
+        np.testing.assert_array_equal(code[i].basis, code.rows[start:start + code.dims[i]])

@@ -1,8 +1,8 @@
 """Byte-identity tests of the code-file and CSV writers, and loader checks.
 
-The package writes code files from one array view per codeword and formats
-the distance table column by column.  The straightforward writers they
-replace live here as the oracles: ``code_to_dict`` building one
+The package writes code files from one complex view of a code's rows and
+formats the distance table column by column.  The straightforward writers
+they replace live here as the oracles: ``code_to_dict`` building one
 ``[float(re), float(im)]`` list per basis entry and written with
 ``json.dump``, and a CSV writer that formats every row value by value.  Both
 must produce the same bytes as the package on every kind of code, including
@@ -29,6 +29,7 @@ from subspacecodes import (
     SubspaceCode,
     binary_to_lines,
     cp_construct,
+    distance,
     load_code,
     random_ensemble_code,
     random_subspace,
@@ -78,7 +79,7 @@ def _reference_csv(command: str, cfg: dict, seed, columns, rows) -> str:
 
 
 def _reference_distance_csv(path_a, path_b) -> str:
-    table = pairwise(load_code(path_a).stacked, load_code(path_b).stacked).tolist()
+    table = pairwise(load_code(path_a), load_code(path_b)).tolist()
     rows = [[i, j, d] for i, row in enumerate(table) for j, d in enumerate(row)]
     return _reference_csv("distance", {"file_a": str(path_a), "file_b": str(path_b)}, "",
                           ["index_a", "index_b", "distance"], rows)
@@ -175,6 +176,23 @@ def test_zero_dimensional_codeword_loads_and_round_trips(tmp_path):
         again = tmp_path / f"again_{beta}.json"
         save_code(code, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+def test_mixed_real_and_complex_code_round_trips_as_complex(tmp_path):
+    rng = np.random.default_rng(17)
+    real = random_subspace(5, 2, rng, complex_field=False)
+    cplx = random_subspace(5, 1, rng)
+    code = SubspaceCode([real, cplx])
+    assert np.iscomplexobj(code.rows)
+    words = [real, cplx]
+    want = [[distance(u, v) for v in words] for u in words]
+    np.testing.assert_allclose(pairwise(code, code), want, rtol=0, atol=1e-12)
+    path = tmp_path / "mixed.json"
+    save_code(code, path)
+    assert json.loads(path.read_text())["beta"] == 2
+    loaded = load_code(path)
+    assert [w.basis.tobytes() for w in loaded] == [
+        real.basis.astype(complex).tobytes(), cplx.basis.tobytes()]
 
 
 # ---------------------------------------------------------------------------

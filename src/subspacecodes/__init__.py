@@ -1,9 +1,9 @@
 """Analog subspace codes over R and C.
 
-Subspace geometry on orthonormal bases, finite-field characters,
-character-polynomial code constructions, operator-channel models,
-minimum-distance decoding with provable guarantees, and rate/distance
-bound calculators, plus a CLI (`subspace-codes`) wrapping them.
+Subspace geometry on orthonormal bases, finite-field array arithmetic and
+character sums, character-polynomial code constructions, operator-channel
+models, minimum-distance decoding with provable guarantees, and
+rate/distance bound calculators, plus a CLI (`subspace-codes`) wrapping them.
 """
 
 from .bounds import (barg_lower, barg_upper, binary_entropy, blokh_zyablov_rate,
@@ -22,12 +22,9 @@ from .codes import (CodeParameters, CPCodeSpec, SubspaceCode, binary_to_lines,
                     save_code)
 from .decoder import (DecodeResult, decode, guarantee_chordal,
                       guarantee_noiseless, guarantee_noisy)
-from .finitefield import (FieldElement, FieldPolynomial, FiniteField,
-                          absolute_trace, additive_character, is_prime,
-                          poly_eval, weil_sum)
+from .finitefield import FiniteField, is_prime, weil_sum
 from .subspaces import (Subspace, chordal_distance, complement, direct_sum,
                         distance, orthonormalize, principal_angles,
-                        projection_of, random_subspace, random_unitary,
-                        same_subspace, subspace_sum)
+                        random_subspace, random_unitary, same_subspace)
 
 __version__ = "0.1.0"

@@ -119,10 +119,6 @@ class CPCodeSpec:
     def n(self) -> int:
         return self.field.q - 1
 
-    @property
-    def evaluation_points(self) -> tuple[int, ...]:
-        return tuple(range(1, self.field.q))
-
 
 def cp_monomial_set(spec: CPCodeSpec) -> list[int]:
     """Degrees in [1, k] coprime to the characteristic; size ceil(k(p-1)/p)."""

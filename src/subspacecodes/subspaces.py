@@ -61,6 +61,15 @@ class Subspace:
         self._projection = None
 
     @classmethod
+    def _view(cls, basis: np.ndarray) -> "Subspace":
+        """The subspace spanned by ``basis``, a read-only 2-d inexact array with
+        orthonormal rows, taken as it is: no copy and no check."""
+        U = object.__new__(cls)
+        U._basis = basis
+        U._projection = None
+        return U
+
+    @classmethod
     def zero(cls, ambient_dim: int, complex_field: bool = True) -> "Subspace":
         """The zero subspace {0}, encoded as an empty (0, n) basis."""
         dtype = complex if complex_field else float
@@ -159,11 +168,6 @@ def orthonormalize(raw) -> Subspace:
     return Subspace(vh[:_numerical_rank(s)], validate=False)
 
 
-def projection_of(U: Subspace) -> np.ndarray:
-    """Orthogonal projection matrix P_U = Z^H Z."""
-    return U.projection
-
-
 def distance(U: Subspace, V: Subspace) -> float:
     """Squared projection distance ||P_U - P_V||_F^2.
 
@@ -193,7 +197,7 @@ class SubspaceCode:
     zero-dimensional codeword owns none.  ``common_dim`` is the dimension
     all codewords share, or -1 when they differ.  Real and complex bases
     stack as complex rows.  Indexing and iteration give each codeword as a
-    Subspace built from its rows; ``pairwise`` works on the rows directly.
+    Subspace on a view of its rows; ``pairwise`` works on the rows directly.
     """
 
     __slots__ = ("rows", "dims", "starts", "common_dim", "_min_distance", "_min_pair")
@@ -236,18 +240,14 @@ class SubspaceCode:
         self._min_distance = None
         self._min_pair = None
 
-    @property
-    def codewords(self) -> "SubspaceCode":
-        """The code itself: indexing it gives the codewords."""
-        return self
-
     def __len__(self) -> int:
         return len(self.dims)
 
     def __getitem__(self, i) -> Subspace:
         i = range(len(self.dims))[i]  # negative indices; IndexError when out of range
         start = self.starts[i]
-        return Subspace(self.rows[start:start + self.dims[i]], validate=False)
+        # rows is read-only, so its slice is too and can back the codeword unchanged
+        return Subspace._view(self.rows[start:start + self.dims[i]])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.dims)))
@@ -365,15 +365,11 @@ def complement(U: Subspace) -> Subspace:
     return Subspace(vh[U.dim:], validate=False)
 
 
-def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
-    """Smallest subspace containing both operands (row space of stacked bases)."""
-    _check_same_ambient(U, V)
-    return orthonormalize(np.vstack([U.basis, V.basis]))
-
-
 def direct_sum(U: Subspace, V: Subspace) -> Subspace:
-    """Sum of two subspaces required to intersect trivially."""
-    total = subspace_sum(U, V)
+    """Sum of two subspaces required to intersect trivially: the row space
+    of their stacked bases."""
+    _check_same_ambient(U, V)
+    total = orthonormalize(np.vstack([U.basis, V.basis]))
     if total.dim != U.dim + V.dim:
         raise NontrivialIntersection(
             f"dim(U + V) = {total.dim} < {U.dim} + {V.dim}: intersection is nontrivial")

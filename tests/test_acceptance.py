@@ -25,7 +25,6 @@ import pytest
 from subspacecodes import (
     CPCodeSpec,
     FiniteField,
-    FieldPolynomial,
     NoisyChannelSpec,
     OperatorChannelSpec,
     Subspace,
@@ -50,7 +49,6 @@ from subspacecodes import (
     min_distance_exhaustive,
     orthonormalize,
     perturbation_bound,
-    projection_of,
     random_ensemble_code,
     random_subspace,
     random_unitary,
@@ -83,8 +81,8 @@ def _gate(capfd, index: int, name: str, budget: float, body) -> None:
 
 def test_01_cp_code_sizes(capfd):
     def body():
-        assert len(cp_construct(CPCodeSpec(FiniteField(5), 2)).codewords) == 25
-        assert len(cp_construct(CPCodeSpec(FiniteField(7), 3)).codewords) == 343
+        assert len(cp_construct(CPCodeSpec(FiniteField(5), 2))) == 25
+        assert len(cp_construct(CPCodeSpec(FiniteField(7), 3))) == 343
         for q in (3, 5, 7, 11, 13):
             field = FiniteField(q)
             for k in range(1, q):
@@ -92,7 +90,7 @@ def test_01_cp_code_sizes(capfd):
                 predicted = q ** math.ceil(k * (q - 1) / q)
                 assert q ** len(cp_monomial_set(spec)) == predicted
                 if predicted <= 2500:
-                    assert len(cp_construct(spec).codewords) == predicted
+                    assert len(cp_construct(spec)) == predicted
                 elif predicted > 30000:
                     with pytest.raises(SizeOverflow):
                         cp_construct(spec)
@@ -105,12 +103,14 @@ def test_01_cp_code_sizes(capfd):
 
 def test_02_cp_exhaustive_distance_meets_bound(capfd):
     def body():
-        for q, k in [(5, 2), (7, 2), (7, 3), (11, 2), (13, 2)]:
-            spec = CPCodeSpec(FiniteField(q), k)
+        grid = [(5, 1, 2), (7, 1, 2), (7, 1, 3), (11, 1, 2), (13, 1, 2),
+                (2, 4, 3), (3, 3, 2), (2, 5, 3)]
+        for p, m, k in grid:
+            spec = CPCodeSpec(FiniteField(p, m), k)
             code = cp_construct(spec)
             d_min, _ = min_distance_exhaustive(code, cap=30000)
             delta = d_min / 2.0
-            assert delta >= cp_distance_bound(spec) - 1e-9, (q, k)
+            assert delta >= cp_distance_bound(spec) - 1e-9, (p, m, k)
 
     _gate(capfd, 2, "cp exhaustive min distance meets the bound", 60.0, body)
 
@@ -128,8 +128,7 @@ def test_03_character_sum_bound_exhaustive(capfd):
                     continue
                 cap = (d - 1) * math.sqrt(q) + 1e-9
                 for lower in itertools.product(range(q), repeat=d):
-                    f = FieldPolynomial(field, list(lower) + [1])
-                    assert abs(weil_sum(f)) <= cap, (q, d, lower)
+                    assert abs(weil_sum(field, list(lower) + [1])) <= cap, (q, d, lower)
 
     _gate(capfd, 3, "character sums of all monic polynomials within (d-1)sqrt(q)",
           120.0, body)
@@ -140,12 +139,12 @@ def test_03_character_sum_bound_exhaustive(capfd):
 
 def _noiseless_config_run(code, d_min, k, t, trials, seed):
     spec = OperatorChannelSpec(k=k, t=t)
-    m = code.codewords[0].dim
+    m = code[0].dim
     assert guarantee_noiseless(d_min, max(m - k, 0), t)
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        tx = int(rng.integers(len(code.codewords)))
-        V, rho, t_out = apply_operator_channel(code.codewords[tx], spec, rng)
+        tx = int(rng.integers(len(code)))
+        V, rho, t_out = apply_operator_channel(code[tx], spec, rng)
         out = decode(code, V)
         assert out.codeword_index == tx, (k, t, trial)
 
@@ -194,9 +193,9 @@ def test_05_guaranteed_noisy_decoding(capfd):
             tx = int(rng.integers(4))
             spec = NoisyChannelSpec(OperatorChannelSpec(k, t), rotation=delta,
                                     noise_dim=r_d)
-            V = apply_noisy_operator_channel(code.codewords[tx], spec, rng)
+            V = apply_noisy_operator_channel(code[tx], spec, rng)
             cap = (math.sqrt(rho + t + delta) + math.sqrt(r_d)) ** 2
-            assert distance(code.codewords[tx], V) <= cap + 1e-9, trial
+            assert distance(code[tx], V) <= cap + 1e-9, trial
             assert decode(code, V).codeword_index == tx, trial
 
     _gate(capfd, 5, "guaranteed noisy decoding is always correct", 180.0, body)
@@ -234,7 +233,7 @@ def test_06_distance_lemma_suite(capfd):
                     coeff = rng.standard_normal((td, n))
                     if use_complex:
                         coeff = coeff + 1j * rng.standard_normal((td, n))
-                    T = orthonormalize(coeff @ (np.eye(n) - projection_of(U)))
+                    T = orthonormalize(coeff @ (np.eye(n) - U.projection))
                     if T.dim == td:
                         assert abs(distance(U, direct_sum(U, T)) - td) < tol
 
@@ -272,7 +271,7 @@ def test_07_sphere_embeddings(capfd):
             use_complex = trial % 2 == 0
             U = (random_subspace(n, m, rng, complex_field=use_complex)
                  if m else Subspace.zero(n))
-            P = projection_of(U)
+            P = U.projection
             assert abs(np.linalg.norm(P - (m / n) * np.eye(n)) ** 2
                        - m * (n - m) / n) < 1e-9
             assert abs(np.linalg.norm(P - 0.5 * np.eye(n)) ** 2 - n / 4.0) < 1e-9

@@ -26,13 +26,11 @@ from subspacecodes import (
     general_perturbation_bound,
     orthonormalize,
     perturbation_bound,
-    projection_of,
     random_error_subspace,
     random_subspace,
     rotate,
     rq_factorize,
     same_subspace,
-    subspace_sum,
 )
 from subspacecodes.channel import _gaussian
 from subspacecodes.errors import DimensionOverflow, PreconditionViolated, RankDeficient
@@ -43,7 +41,7 @@ PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=N
 def _contained_in(inner: Subspace, outer: Subspace, tol=1e-9) -> bool:
     if inner.dim == 0:
         return True
-    P = projection_of(outer)
+    P = outer.projection
     return bool(np.linalg.norm(inner.basis @ P - inner.basis) < tol)
 
 
@@ -71,7 +69,7 @@ def test_error_subspace_avoids_the_input():
     U = random_subspace(8, 3, rng)
     E = random_error_subspace(U, 2, rng)
     assert E.dim == 2
-    assert np.linalg.norm(E.basis @ projection_of(U)) < 1e-10
+    assert np.linalg.norm(E.basis @ U.projection) < 1e-10
     assert random_error_subspace(U, 0, rng).dim == 0
     with pytest.raises(DimensionOverflow):
         random_error_subspace(U, 6, rng)
@@ -304,8 +302,8 @@ def test_matrix_channel_pinned_topology():
     assert np.allclose(A, H @ X + G @ E)
     assert np.array_equal(Y, A)  # sigma = 0
     # observed rows live inside row(X) + row(E)
-    S = subspace_sum(orthonormalize(X), orthonormalize(E))
-    assert np.linalg.norm(Y @ projection_of(S) - Y) < 1e-9
+    S = direct_sum(orthonormalize(X), orthonormalize(E))
+    assert np.linalg.norm(Y @ S.projection - Y) < 1e-9
 
 
 def test_matrix_channel_noise_level():

@@ -46,7 +46,7 @@ def test_construct_cp_reports_and_saves(tmp_path, capsys):
     assert "M = 49" in text
     assert "n = 6" in text
     code = load_code(out)
-    assert len(code.codewords) == 49
+    assert len(code) == 49
 
 
 def test_construct_binary_words(tmp_path, capsys):
@@ -303,7 +303,7 @@ def test_distance_table(tmp_path, capsys):
     b = load_code(tmp_path / "b_code.json")
     for r in rows:
         i, j = int(r[0]), int(r[1])
-        assert float(r[2]) == pytest.approx(distance(a.codewords[i], b.codewords[j]), abs=1e-12)
+        assert float(r[2]) == pytest.approx(distance(a[i], b[j]), abs=1e-12)
 
 
 def test_distance_rejects_mismatched_ambients(tmp_path, capsys):

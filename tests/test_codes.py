@@ -70,15 +70,15 @@ def _line_key(vec):
 
 def test_cp_5_2_matches_handwritten_construction():
     code = cp_construct(CPCodeSpec(FiniteField(5), 2))
-    assert len(code.codewords) == 25
-    got = {_line_key(c.basis[0]) for c in code.codewords}
+    assert len(code) == 25
+    got = {_line_key(c.basis[0]) for c in code}
     want = {_line_key(v) for v in _cp52_oracle()}
     assert got == want
 
 
 def test_cp_5_2_min_distance_matches_line_oracle():
     code = cp_construct(CPCodeSpec(FiniteField(5), 2))
-    vecs = [c.basis[0] for c in code.codewords]
+    vecs = [c.basis[0] for c in code]
     best = min(
         2.0 * (1.0 - abs(np.vdot(u, v)) ** 2)
         for u, v in itertools.combinations(vecs, 2)
@@ -86,7 +86,7 @@ def test_cp_5_2_min_distance_matches_line_oracle():
     d_min, pair = min_distance_exhaustive(code)
     assert d_min == pytest.approx(best, abs=1e-12)
     assert d_min == pytest.approx(0.6909830056250521, abs=1e-12)
-    assert distance(code.codewords[pair[0]], code.codewords[pair[1]]) == pytest.approx(
+    assert distance(code[pair[0]], code[pair[1]]) == pytest.approx(
         d_min, abs=1e-12
     )
 
@@ -122,7 +122,7 @@ def test_cp_construct_matches_codeword_loop_bit_for_bit(p, m, k, chi):
 
 def test_cp_first_codeword_is_the_all_ones_line():
     code = cp_construct(CPCodeSpec(FiniteField(7), 3))
-    first = code.codewords[0].basis[0]
+    first = code[0].basis[0]
     assert np.allclose(first, np.ones(6) / math.sqrt(6), atol=1e-12)
 
 
@@ -154,11 +154,11 @@ def test_code_size_formula_across_fields():
             assert predicted == q ** math.ceil(k * (p - 1) / p)
             if predicted <= 700:
                 code = cp_construct(spec)
-                assert len(code.codewords) == predicted
+                assert len(code) == predicted
                 if m == 1:
                     # prime fields: the character is injective, so distinct
                     # coefficient tuples always give distinct vectors
-                    keys = {_line_key(c.basis[0]) for c in code.codewords}
+                    keys = {_line_key(c.basis[0]) for c in code}
                     assert len(keys) == predicted
 
 
@@ -169,8 +169,8 @@ def test_extension_field_vectors_can_collide_beyond_separation_regime():
     spec = CPCodeSpec(FiniteField(2, 3), 5)
     assert cp_distance_bound(spec) < 0.0
     code = cp_construct(spec)
-    assert len(code.codewords) == 512
-    keys = {_line_key(c.basis[0]) for c in code.codewords}
+    assert len(code) == 512
+    keys = {_line_key(c.basis[0]) for c in code}
     assert len(keys) == 64
 
 
@@ -178,14 +178,14 @@ def test_top_degree_monomial_only_shifts_phase():
     # x^(q-1) is constant on the nonzero points, so at k = q - 1 the lines
     # coalesce q-fold even though all vectors stay distinct
     code = cp_construct(CPCodeSpec(FiniteField(3), 2))
-    assert len(code.codewords) == 9
-    keys = {_line_key(c.basis[0]) for c in code.codewords}
+    assert len(code) == 9
+    keys = {_line_key(c.basis[0]) for c in code}
     assert len(keys) == 9
     d_min, _ = min_distance_exhaustive(code)
     assert d_min == pytest.approx(0.0, abs=1e-12)
     distinct_lines = {
         _line_key(c.basis[0] / (c.basis[0][0] / abs(c.basis[0][0])))
-        for c in code.codewords
+        for c in code
     }
     assert len(distinct_lines) == 3
 
@@ -198,7 +198,7 @@ def test_cp_gram_inequality_pairs():
         code = cp_construct(spec)
         n = q - 1
         cap = (k - 1) * math.sqrt(q) + 1.0
-        vecs = [c.basis[0] for c in code.codewords]
+        vecs = [c.basis[0] for c in code]
         for u, v in itertools.combinations(vecs, 2):
             assert n * abs(np.vdot(u, v)) <= cap + 1e-9
 
@@ -288,7 +288,7 @@ def test_cp_size_and_field_caps():
 def test_cp_other_character_same_geometry():
     base = cp_construct(CPCodeSpec(FiniteField(5), 2))
     alt = cp_construct(CPCodeSpec(FiniteField(5), 2, character_index=2))
-    assert len(alt.codewords) == len(base.codewords)
+    assert len(alt) == len(base)
     d0, _ = min_distance_exhaustive(base)
     d1, _ = min_distance_exhaustive(alt)
     assert d1 == pytest.approx(d0, abs=1e-9)
@@ -296,7 +296,7 @@ def test_cp_other_character_same_geometry():
 
 def test_binary_even_weight_code_gives_four_equidistant_lines():
     code = binary_to_lines(["000", "011", "101", "110"])
-    assert len(code.codewords) == 4
+    assert len(code) == 4
     assert code.ambient_dim == 3
     # oracle: +-1 vectors, normalized; squared line distance 2(1-<u,v>^2)
     vecs = []
@@ -311,9 +311,9 @@ def test_binary_even_weight_code_gives_four_equidistant_lines():
 
 def test_binary_lines_collapse_complement_pairs():
     code = binary_to_lines(["0000", "1111", "0011", "1100"])
-    assert len(code.codewords) == 2
+    assert len(code) == 2
     listy = binary_to_lines([[0, 0, 1, 1], [0, 1, 0, 1]])
-    assert len(listy.codewords) == 2
+    assert len(listy) == 2
     with pytest.raises(LengthMismatch):
         binary_to_lines(["001", "0011"])
 
@@ -330,8 +330,8 @@ def test_line_distance_from_crossover_fraction():
         line_delta_from_hamming(1.2)
     # consistency with actual binary lines: distance = 2(1 - (1-2g)^2) ... no,
     # the normalized line distance for crossover g*n bits is 1-(1-2g)^2
-    u = binary_to_lines(["000000"]).codewords[0]
-    v = binary_to_lines(["110000"]).codewords[0]
+    u = binary_to_lines(["000000"])[0]
+    v = binary_to_lines(["110000"])[0]
     assert distance(u, v) / 2.0 == pytest.approx(
         line_delta_from_hamming(2.0 / 6.0), abs=1e-12
     )
@@ -340,17 +340,17 @@ def test_line_distance_from_crossover_fraction():
 def test_random_ensemble_properties():
     rng = np.random.default_rng(7)
     code = random_ensemble_code(12, 3, 50, rng)
-    assert len(code.codewords) == 50
-    assert all(c.dim == 3 and c.ambient_dim == 12 for c in code.codewords)
+    assert len(code) == 50
+    assert all(c.dim == 3 and c.ambient_dim == 12 for c in code)
     d_min, _ = min_distance_exhaustive(code)
     assert d_min > 0.0
     again = random_ensemble_code(12, 3, 50, np.random.default_rng(7))
     assert all(
         np.array_equal(a.basis, b.basis)
-        for a, b in zip(code.codewords, again.codewords)
+        for a, b in zip(code, again)
     )
     real = random_ensemble_code(6, 2, 5, rng, complex_field=False)
-    assert not real.codewords[0].is_complex
+    assert not real[0].is_complex
 
 
 def test_random_ensemble_matches_a_restacking_loop():
@@ -389,11 +389,11 @@ def test_dual_code_preserves_distances():
     rng = np.random.default_rng(11)
     code = random_ensemble_code(8, 3, 12, rng)
     dual = dual_code(code)
-    assert all(c.dim == 5 for c in dual.codewords)
+    assert all(c.dim == 5 for c in dual)
     for i in (0, 3, 7):
         for j in (1, 5, 11):
-            assert distance(dual.codewords[i], dual.codewords[j]) == pytest.approx(
-                distance(code.codewords[i], code.codewords[j]), abs=1e-9
+            assert distance(dual[i], dual[j]) == pytest.approx(
+                distance(code[i], code[j]), abs=1e-9
             )
     d0, _ = min_distance_exhaustive(code)
     d1, _ = min_distance_exhaustive(dual)
@@ -404,14 +404,14 @@ def test_real_doubling_doubles_distances():
     code = cp_construct(CPCodeSpec(FiniteField(5), 2))
     doubled = complex_to_real_double(code)
     assert doubled.ambient_dim == 8
-    assert len(doubled.codewords) == 25
-    assert all(not c.is_complex and c.dim == 2 for c in doubled.codewords)
+    assert len(doubled) == 25
+    assert all(not c.is_complex and c.dim == 2 for c in doubled)
     d0, _ = min_distance_exhaustive(code)
     d1, _ = min_distance_exhaustive(doubled)
     assert d1 == pytest.approx(2.0 * d0, abs=1e-9)
     for i, j in [(0, 1), (2, 17), (5, 24)]:
-        assert distance(doubled.codewords[i], doubled.codewords[j]) == pytest.approx(
-            2.0 * distance(code.codewords[i], code.codewords[j]), abs=1e-9
+        assert distance(doubled[i], doubled[j]) == pytest.approx(
+            2.0 * distance(code[i], code[j]), abs=1e-9
         )
     # normalized min distance is invariant: both d/(2l) agree
     assert d1 / (2 * 2) == pytest.approx(d0 / (2 * 1), abs=1e-9)
@@ -443,14 +443,14 @@ def test_distances_to_agrees_with_scalar_loop():
     code = random_ensemble_code(9, 3, 8, rng)
     received = random_subspace(9, 4, rng)
     got = code.distances_to(received)
-    want = [distance(c, received) for c in code.codewords]
+    want = [distance(c, received) for c in code]
     assert np.allclose(got, want, atol=1e-10)
     # mixed dimensions use the slow path but must agree too
     mixed = SubspaceCode(
         [random_subspace(9, m, rng) for m in (1, 2, 3, 3, 4)]
     )
     got = mixed.distances_to(received)
-    want = [distance(c, received) for c in mixed.codewords]
+    want = [distance(c, received) for c in mixed]
     assert np.allclose(got, want, atol=1e-10)
     assert not mixed.is_constant_dimension
 
@@ -466,8 +466,8 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "code.json"
     save_code(code, path)
     loaded = load_code(path)
-    assert len(loaded.codewords) == 9
-    for a, b in zip(code.codewords, loaded.codewords):
+    assert len(loaded) == 9
+    for a, b in zip(code, loaded):
         assert np.array_equal(a.basis, b.basis)
     # saving again is byte identical
     path2 = tmp_path / "again.json"
@@ -480,8 +480,8 @@ def test_json_round_trip_real_code(tmp_path):
     path = tmp_path / "real.json"
     save_code(code, path)
     loaded = load_code(path)
-    assert not loaded.codewords[0].is_complex
-    assert loaded.codewords[0].beta == 1
+    assert not loaded[0].is_complex
+    assert loaded[0].beta == 1
 
 
 def test_loader_rejects_tampered_file(tmp_path):

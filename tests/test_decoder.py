@@ -35,12 +35,12 @@ def test_decode_picks_the_nearest_codeword():
     code = _orthogonal_planes()
     rng = np.random.default_rng(0)
     for idx in range(4):
-        received = rotate(code.codewords[idx], 0.4, rng)
+        received = rotate(code[idx], 0.4, rng)
         out = decode(code, received)
         assert out.codeword_index == idx
         assert out.unique
         assert out.distance_to_received == pytest.approx(
-            distance(code.codewords[idx], received), abs=1e-12
+            distance(code[idx], received), abs=1e-12
         )
         assert out.runner_up_distance >= out.distance_to_received
 
@@ -51,7 +51,7 @@ def test_decode_brute_force_agreement():
     for _ in range(25):
         received = random_subspace(8, int(rng.integers(1, 4)), rng)
         out = decode(code, received)
-        dists = [distance(c, received) for c in code.codewords]
+        dists = [distance(c, received) for c in code]
         assert out.codeword_index == int(np.argmin(dists))
         assert out.distance_to_received == pytest.approx(min(dists), abs=1e-10)
         second = sorted(dists)[1]
@@ -186,7 +186,7 @@ def test_guaranteed_plain_channel_decoding_always_succeeds():
         rho = 3 - k
         if not guarantee_noiseless(6.0, rho, t):
             continue
-        V, rho_out, _ = apply_operator_channel(code.codewords[tx], OperatorChannelSpec(k, t), rng)
+        V, rho_out, _ = apply_operator_channel(code[tx], OperatorChannelSpec(k, t), rng)
         assert rho_out == rho
         out = decode(code, V)
         assert out.codeword_index == tx
@@ -201,5 +201,5 @@ def test_guaranteed_noisy_decoding_always_succeeds():
         spec = NoisyChannelSpec(OperatorChannelSpec(k, t), rotation=delta, noise_dim=r_d)
         for _ in range(60):
             tx = int(rng.integers(4))
-            V = apply_noisy_operator_channel(code.codewords[tx], spec, rng)
+            V = apply_noisy_operator_channel(code[tx], spec, rng)
             assert decode(code, V).codeword_index == tx

@@ -160,3 +160,17 @@ def test_code_holds_one_copy_of_its_bases():
     for i in (0, 1, 511, -1):
         start = code.starts[i]
         np.testing.assert_array_equal(code[i].basis, code.rows[start:start + code.dims[i]])
+
+
+def test_codewords_are_read_only_views_of_the_rows():
+    rng = np.random.default_rng(29)
+    mixed = SubspaceCode([random_subspace(6, m, rng, complex_field=m % 2 == 0)
+                          for m in (0, 1, 2, 3)])
+    for code in (cp_construct(CPCodeSpec(FiniteField(31), 2)), mixed):
+        for word in (code[0], code[-1], *code):
+            if word.dim:
+                assert np.shares_memory(word.basis, code.rows)
+            assert not word.basis.flags.writeable
+            assert word.basis.dtype == code.rows.dtype
+            with pytest.raises(ValueError):
+                word.basis[...] = 0.0

@@ -22,11 +22,9 @@ from subspacecodes import (
     distance,
     orthonormalize,
     principal_angles,
-    projection_of,
     random_subspace,
     random_unitary,
     same_subspace,
-    subspace_sum,
 )
 from subspacecodes.errors import AmbientMismatch, NontrivialIntersection
 
@@ -110,8 +108,8 @@ def test_zero_and_full_subspaces():
     f = Subspace.full(5)
     assert z.dim == 0 and f.dim == 5
     assert distance(z, f) == pytest.approx(5.0)
-    assert np.allclose(projection_of(f), np.eye(5))
-    assert np.allclose(projection_of(z), np.zeros((5, 5)))
+    assert np.allclose(f.projection, np.eye(5))
+    assert np.allclose(z.projection, np.zeros((5, 5)))
     rng = np.random.default_rng(0)
     U = random_subspace(5, 2, rng)
     assert distance(U, z) == pytest.approx(2.0, abs=1e-12)
@@ -163,7 +161,7 @@ def test_complement_projection_and_duality():
         U = random_subspace(n, m, rng) if m else Subspace.zero(n)
         Uc = complement(U)
         assert Uc.dim == n - m
-        assert np.allclose(projection_of(U) + projection_of(Uc), np.eye(n), atol=1e-10)
+        assert np.allclose(U.projection + Uc.projection, np.eye(n), atol=1e-10)
     U = random_subspace(9, 4, rng)
     V = random_subspace(9, 2, rng)
     assert distance(complement(U), complement(V)) == pytest.approx(distance(U, V), abs=1e-9)
@@ -173,10 +171,10 @@ def test_direct_sum_dimensions_and_overlap_rejection():
     rng = np.random.default_rng(11)
     U = random_subspace(8, 3, rng)
     E = orthonormalize(rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8)))
-    S = subspace_sum(U, E)
-    if S.dim == 5:
-        D = direct_sum(U, E)
-        assert same_subspace(S, D)
+    D = direct_sum(U, E)
+    assert D.dim == 5
+    for part in (U, E):
+        assert np.linalg.norm(part.basis @ D.projection - part.basis) < 1e-9
     with pytest.raises(NontrivialIntersection):
         direct_sum(U, U)
 
@@ -184,14 +182,14 @@ def test_direct_sum_dimensions_and_overlap_rejection():
 def test_sum_of_overlapping_spans_collapses():
     U = Subspace(np.eye(2, 6))
     V = Subspace(np.eye(3, 6))  # contains U
-    assert subspace_sum(U, V).dim == 3
-    assert same_subspace(subspace_sum(U, V), V)
+    with pytest.raises(NontrivialIntersection, match=r"dim\(U \+ V\) = 3 < 2 \+ 3"):
+        direct_sum(U, V)
 
 
 def test_sum_of_zero_subspaces_promotes_to_complex():
-    S = subspace_sum(Subspace.zero(5, complex_field=False), Subspace.zero(5))
+    S = direct_sum(Subspace.zero(5, complex_field=False), Subspace.zero(5))
     assert (S.dim, S.ambient_dim, S.is_complex) == (0, 5, True)
-    assert not subspace_sum(Subspace.zero(5, False), Subspace.zero(5, False)).is_complex
+    assert not direct_sum(Subspace.zero(5, False), Subspace.zero(5, False)).is_complex
 
 
 def test_orthonormalize_drops_dependent_rows():
@@ -200,7 +198,7 @@ def test_orthonormalize_drops_dependent_rows():
     stacked = np.vstack([a, a[0] + a[1], 2.0 * a[0]])
     U = orthonormalize(stacked)
     assert U.dim == 2
-    assert np.allclose(projection_of(U), _projection_oracle(a), atol=1e-9)
+    assert np.allclose(U.projection, _projection_oracle(a), atol=1e-9)
     assert orthonormalize(np.zeros((3, 4))).dim == 0
 
 
@@ -263,7 +261,7 @@ def test_direct_sum_distance_is_added_dimension():
     rng = np.random.default_rng(16)
     for _ in range(20):
         U = random_subspace(8, 3, rng)
-        T = orthonormalize(rng.standard_normal((2, 8)) @ (np.eye(8) - projection_of(U)))
+        T = orthonormalize(rng.standard_normal((2, 8)) @ (np.eye(8) - U.projection))
         assert T.dim == 2
         assert distance(U, direct_sum(U, T)) == pytest.approx(2.0, abs=1e-9)
 
@@ -287,7 +285,7 @@ def test_sphere_embedding_identities_small_batch():
         n = int(rng.integers(2, 10))
         m = int(rng.integers(0, n + 1))
         U = random_subspace(n, m, rng) if m else Subspace.zero(n)
-        P = projection_of(U)
+        P = U.projection
         centered = float(np.linalg.norm(P - (m / n) * np.eye(n)) ** 2)
         assert centered == pytest.approx(m * (n - m) / n, abs=1e-9)
         half = float(np.linalg.norm(P - 0.5 * np.eye(n)) ** 2)
@@ -304,7 +302,7 @@ def test_sphere_embedding_identities_small_batch():
 def test_sphere_embedding_identities_property(shape, seed, complex_field):
     n, m = shape
     U = random_subspace(n, m, np.random.default_rng(seed), complex_field)
-    P = projection_of(U)
+    P = U.projection
     centered = float(np.linalg.norm(P - (m / n) * np.eye(n)) ** 2)
     assert centered == pytest.approx(m * (n - m) / n, abs=1e-9)
     half = float(np.linalg.norm(P - 0.5 * np.eye(n)) ** 2)

@@ -4,7 +4,11 @@ perturbation bounds for recovering a row space from a noisy matrix.
 The operator channel keeps a random k-dimensional part of the transmitted
 subspace and adds a random error subspace drawn inside its orthogonal
 complement.  The noisy extension additionally rotates the result by a
-bounded amount and attaches an extra noise subspace.  The matrix channel is
+bounded amount and attaches an extra noise subspace.  A channel use first
+draws all of its Gaussian coefficients, whose shapes follow from dim U
+alone, and then runs its linear algebra on a stack of bases, so a block of
+uses (apply_noisy_operator_channel_block) costs one stacked SVD per stage
+and one use is the block of one.  The matrix channel is
 the physical-layer model Y = H X + G E + N whose row space feeds the
 subspace decoder; rq_factorize and the perturbation bounds quantify how far
 the row space of a perturbed matrix can drift.
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionOverflow, PreconditionViolated, RankDeficient)
-from .subspaces import (Subspace, _gaussian, _numerical_rank, complement,
-                        orthonormalize)
+from .subspaces import (TOL_RANK, Subspace, SubspaceCode, _complements, _gaussian,
+                        _numerical_rank)
 
 
 @dataclass(frozen=True)
@@ -40,42 +44,132 @@ class NoisyChannelSpec:
     noise_dim: int = 0      # r_d, dimensions of the attached noise subspace
 
     def __post_init__(self):
-        if self.rotation < 0:
-            raise ValueError("rotation budget must be nonnegative")
+        # written so that a NaN budget fails the test too
+        if not self.rotation >= 0:
+            raise ValueError("rotation budget must be a nonnegative number")
         if self.noise_dim < 0:
             raise ValueError("noise dimension must be nonnegative")
 
 
-def _draw_within(S: Subspace, d: int, rng: np.random.Generator) -> Subspace:
-    """Uniformly random d-dimensional subspace of S: Gaussian (d, dim S)
-    coefficients applied to S's orthonormal basis."""
-    coeff = _gaussian(rng, (d, S.dim), S.is_complex)
-    out = orthonormalize(coeff @ S.basis)
-    if out.dim != d:  # Gaussian coefficients are full rank almost surely
-        raise RuntimeError("rank-deficient coefficient draw")
+def _erase_draw(dim: int, k: int, complex_field: bool, rng: np.random.Generator):
+    """Coefficients that pick the kept part of a dim-dimensional subspace:
+    Gaussian (k, dim), or None when nothing is erased."""
+    return _gaussian(rng, (k, dim), complex_field) if dim > k else None
+
+
+def _error_draw(dim: int, n: int, t: int, complex_field: bool, rng: np.random.Generator):
+    """Coefficients of t error dimensions in the complement of a
+    dim-dimensional subspace: Gaussian (t, n - dim), or None when t = 0."""
+    if t == 0:
+        return None
+    if dim + t > n:
+        raise DimensionOverflow(
+            f"cannot fit {t} error dimensions next to a {dim}-dimensional subspace "
+            f"in ambient dimension {n}")
+    return _gaussian(rng, (t, n - dim), complex_field)
+
+
+def _rotate_draw(dim: int, n: int, budget: float, complex_field: bool,
+                 rng: np.random.Generator):
+    """Directions that rotate a dim-dimensional subspace by ``budget``:
+    Gaussian (dim, n), or None when nothing moves."""
+    # written so that a NaN budget fails the tests too
+    if not budget >= 0:
+        raise ValueError("rotation budget must be a nonnegative number")
+    if budget == 0 or dim == 0:
+        return None
+    r = min(dim, n - dim)
+    if not budget <= 2 * r:
+        raise DimensionOverflow(
+            f"rotation budget {budget!r} exceeds the largest distance {2 * r} from a "
+            f"{dim}-dimensional subspace of ambient dimension {n}")
+    return _gaussian(rng, (dim, n), complex_field)
+
+
+def _channel_draws(U: Subspace, spec: NoisyChannelSpec, rng: np.random.Generator) -> tuple:
+    """Every Gaussian array one noisy channel use on U needs, in stream
+    order: erase, error, rotate, noise; None for a stage that draws nothing.
+    Their shapes follow from dim U, n and spec alone."""
+    n, complex_field = U.ambient_dim, U.is_complex
+    base = min(U.dim, spec.base.k) + spec.base.t
+    return (_erase_draw(U.dim, spec.base.k, complex_field, rng),
+            _error_draw(U.dim, n, spec.base.t, complex_field, rng),
+            _rotate_draw(base, n, spec.rotation, complex_field, rng),
+            _error_draw(base, n, spec.noise_dim, complex_field, rng))
+
+
+def _rank_r_rows(raw: np.ndarray, r: int, what: str) -> np.ndarray:
+    """Orthonormal bases of the row spaces of a (B, d, n) stack whose
+    matrices all have numerical rank r, one stacked SVD for the whole stack."""
+    if r == 0:
+        return raw[:, :0]
+    _, s, vh = np.linalg.svd(raw, full_matrices=False)
+    ranks = np.count_nonzero(s > TOL_RANK * s[:, :1], axis=1)
+    if np.any(ranks != r):  # Gaussian draws have rank r almost surely
+        raise RuntimeError(f"rank-deficient {what} draw")
+    return vh[:, :r]
+
+
+def _erase_stack(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Kept parts: the row spaces of coeff @ Z, (B, k, n)."""
+    return _rank_r_rows(coeff @ Z, coeff.shape[1], "coefficient")
+
+
+def _error_stack(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Error parts inside each Z-perp: the row spaces of coeff @ Z-perp."""
+    return _rank_r_rows(coeff @ _complements(Z), coeff.shape[1], "coefficient")
+
+
+def _rotate_stack(Z: np.ndarray, budget: float, g: np.ndarray) -> np.ndarray:
+    """Each basis of Z turned by ``budget`` towards g projected onto Z-perp."""
+    b, n = Z.shape[1:]
+    r = min(b, n - b)
+    W = _rank_r_rows(g - (g @ Z.conj().transpose(0, 2, 1)) @ Z, r, "rotation")
+    sin2 = budget / (2 * r)
+    out = Z.copy()
+    out[:, :r] = np.sqrt(1.0 - sin2) * Z[:, :r] + np.sqrt(sin2) * W
     return out
+
+
+def _channel_stack(Z: np.ndarray, spec: NoisyChannelSpec, draws: list) -> np.ndarray:
+    """Noisy channel outputs for a (B, m, n) stack of bases, trial i using
+    the arrays draws[i] of _channel_draws.  The kept part lies in U and the
+    error in U-perp, and the noise in the complement of the rotated sum, so
+    each output basis is its parts stacked."""
+    erase_c, error_c, rotate_g, noise_c = (
+        None if arrays[0] is None else np.stack(arrays) for arrays in zip(*draws))
+    out = Z if erase_c is None else _erase_stack(Z, erase_c)
+    if error_c is not None:
+        out = np.concatenate([out, _error_stack(Z, error_c)], axis=1)
+    if rotate_g is not None:
+        out = _rotate_stack(out, spec.rotation, rotate_g)
+    if noise_c is not None:
+        out = np.concatenate([out, _error_stack(out, noise_c)], axis=1)
+    return out
+
+
+def _one(stack: np.ndarray) -> Subspace:
+    return Subspace(stack[0], validate=False)
 
 
 def erase(U: Subspace, k: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random k-dimensional subspace of U; U itself when dim(U) <= k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if U.dim <= k:
+    coeff = _erase_draw(U.dim, k, U.is_complex, rng)
+    if coeff is None:
         return U
-    return _draw_within(U, k, rng)
+    return _one(_erase_stack(U.basis[np.newaxis], coeff[np.newaxis]))
 
 
 def random_error_subspace(U: Subspace, t: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random t-dimensional subspace of U-perp, so E intersects U trivially."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
+    coeff = _error_draw(U.dim, U.ambient_dim, t, U.is_complex, rng)
+    if coeff is None:
         return Subspace.zero(U.ambient_dim, U.is_complex)
-    if U.dim + t > U.ambient_dim:
-        raise DimensionOverflow(
-            f"cannot fit {t} error dimensions next to a {U.dim}-dimensional subspace "
-            f"in ambient dimension {U.ambient_dim}")
-    return _draw_within(complement(U), t, rng)
+    return _one(_error_stack(U.basis[np.newaxis], coeff[np.newaxis]))
 
 
 def apply_operator_channel(U: Subspace, spec: OperatorChannelSpec,
@@ -84,12 +178,9 @@ def apply_operator_channel(U: Subspace, spec: OperatorChannelSpec,
 
     Returns (V, rho, t) where rho = max(0, dim U - k) is the number of
     dimensions actually erased; d(U, V) <= rho + t holds for every draw.
-    The kept part lies in U and E in U-perp, so V's basis is theirs stacked.
     """
-    kept = erase(U, spec.k, rng)
-    err = random_error_subspace(U, spec.t, rng)
-    out = Subspace(np.concatenate([kept.basis, err.basis]), validate=False)
-    return out, max(0, U.dim - spec.k), spec.t
+    V = apply_noisy_operator_channel(U, NoisyChannelSpec(spec), rng)
+    return V, max(0, U.dim - spec.k), spec.t
 
 
 def rotate(U: Subspace, budget: float, rng: np.random.Generator) -> Subspace:
@@ -103,24 +194,10 @@ def rotate(U: Subspace, budget: float, rng: np.random.Generator) -> Subspace:
     d(U, V) = 2 r sin^2(theta), which sin^2(theta) = budget / 2r makes equal
     to the budget.  budget = 0 returns U; DimensionOverflow when budget > 2r.
     """
-    if budget < 0:
-        raise ValueError("rotation budget must be nonnegative")
-    if budget == 0 or U.dim == 0:
+    g = _rotate_draw(U.dim, U.ambient_dim, budget, U.is_complex, rng)
+    if g is None:
         return U
-    r = min(U.dim, U.ambient_dim - U.dim)
-    if budget > 2 * r:
-        raise DimensionOverflow(
-            f"rotation budget {budget!r} exceeds the largest distance {2 * r} from a "
-            f"{U.dim}-dimensional subspace of ambient dimension {U.ambient_dim}")
-    Z = U.basis
-    g = _gaussian(rng, Z.shape, U.is_complex)
-    W = orthonormalize(g - (g @ Z.conj().T) @ Z).basis
-    if W.shape[0] != r:  # Gaussian draws are full rank almost surely
-        raise RuntimeError("rank-deficient rotation draw")
-    sin2 = budget / (2 * r)
-    out = Z.copy()
-    out[:r] = np.sqrt(1.0 - sin2) * Z[:r] + np.sqrt(sin2) * W
-    return Subspace(out, validate=False)
+    return _one(_rotate_stack(U.basis[np.newaxis], budget, g[np.newaxis]))
 
 
 def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
@@ -131,12 +208,32 @@ def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
     complement of the rotated subspace, so the bases stack.  With rotation
     = 0 and noise_dim = 0 this returns the plain operator channel's output.
     """
-    base, _, _ = apply_operator_channel(U, spec.base, rng)
-    rotated = rotate(base, spec.rotation, rng)
-    if spec.noise_dim == 0:
-        return rotated
-    extra = random_error_subspace(rotated, spec.noise_dim, rng)
-    return Subspace(np.concatenate([rotated.basis, extra.basis]), validate=False)
+    return apply_noisy_operator_channel_block([U], spec, [rng])[0]
+
+
+def apply_noisy_operator_channel_block(sent, spec: NoisyChannelSpec, rngs) -> SubspaceCode:
+    """One noisy channel use per subspace of ``sent``, the i-th drawing from
+    rngs[i] exactly what apply_noisy_operator_channel draws; the received
+    subspaces as one code, in order.
+
+    The draws run trial by trial, so a DimensionOverflow names the first
+    trial that cannot fit.  The linear algebra then runs once per group of
+    equal-shape bases, on stacked arrays.
+    """
+    if len(sent) != len(rngs):
+        raise ValueError(f"{len(sent)} subspaces but {len(rngs)} generators")
+    draws = [_channel_draws(U, spec, rng) for U, rng in zip(sent, rngs)]
+    groups: dict = {}
+    for i, U in enumerate(sent):
+        groups.setdefault((U.basis.shape, U.basis.dtype), []).append(i)
+    received = [None] * len(sent)
+    for members in groups.values():
+        out = _channel_stack(np.stack([sent[i].basis for i in members]), spec,
+                             [draws[i] for i in members])
+        out.setflags(write=False)
+        for i, basis in zip(members, out):
+            received[i] = Subspace._view(basis)
+    return SubspaceCode(received)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,13 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .channel import NoisyChannelSpec, OperatorChannelSpec, apply_noisy_operator_channel
+from .channel import (NoisyChannelSpec, OperatorChannelSpec,
+                      apply_noisy_operator_channel_block)
 from .codes import (CPCodeSpec, SubspaceCode, binary_to_lines, code_parameters,
                     cp_construct, cp_max_k_for_delta, cp_simplified_bound,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code, DEFAULT_SEARCH_CAP, DEFAULT_SIZE_CAP)
-from .decoder import decode, guarantee_noisy
+from .decoder import decode_block, guarantee_noisy
 from .errors import (CapExceeded, ConfigError, DimensionOverflow, EmptyCode,
                      PreconditionViolated, RankDeficient, RetryLimitExceeded,
                      SizeOverflow)
@@ -38,6 +39,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+
+# simulate trials run through the channel and the decoder this many at a time
+_TRIAL_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +103,20 @@ def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config key '{key}' is required")
     return cfg[key]
+
+
+def _integer(cfg: dict, key: str, default: int | None = None) -> int:
+    """cfg[key] as an int, ``default`` when it is absent (required when the
+    default is None); ConfigError for a value that is not integral."""
+    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    # a string goes through int() as it is; any other value must equal its int
+    if number is None or (not isinstance(value, str) and number != value):
+        raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
+    return number
 
 
 def _field_for_order(q: int) -> FiniteField:
@@ -172,17 +190,20 @@ def _channel_from_config(cfg: dict, code: SubspaceCode):
     if float(cfg.get("sigma", 0.0)) != 0.0:
         raise ConfigError("simulate drives the operator channel; sigma must be 0 "
                           "(the matrix channel is available through the API)")
-    t = int(cfg.get("t", 0))
+    t = _integer(cfg, "t", 0)
     delta = float(cfg.get("delta", 0.0))
-    r_d = int(cfg.get("r_d", 0))
+    r_d = _integer(cfg, "r_d", 0)
     if "k" in cfg and "rho" in cfg:
         raise ConfigError("give either 'k' or 'rho', not both")
     if "k" in cfg:
-        k = int(cfg["k"])
+        k = _integer(cfg, "k")
     elif "rho" in cfg:
         if not code.is_constant_dimension:
             raise ConfigError("'rho' needs a constant-dimension code; use 'k'")
-        k = max(0, code[0].dim - int(cfg["rho"]))
+        rho = _integer(cfg, "rho")
+        if rho < 0:
+            raise ConfigError(f"'rho' must be nonnegative, got {rho}")
+        k = max(0, code[0].dim - rho)
     else:
         raise ConfigError("channel config needs 'k' or 'rho'")
     return NoisyChannelSpec(base=OperatorChannelSpec(k=k, t=t),
@@ -191,8 +212,8 @@ def _channel_from_config(cfg: dict, code: SubspaceCode):
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    seed = int(_require(cfg, "seed"))
-    trials = int(_require(cfg, "trials"))
+    seed = _integer(cfg, "seed")
+    trials = _integer(cfg, "trials")
     if trials < 1:
         raise ConfigError("need at least one trial")
     code = build_code_from_config(_require(cfg, "code"), seed)
@@ -204,19 +225,23 @@ def cmd_simulate(args) -> int:
                "correct", "d_tx_rx", "guarantee_flag"]
     rows = []
     successes = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, 1, trial])
-        tx = int(rng.integers(len(code)))
-        U = code[tx]
-        V = apply_noisy_operator_channel(U, spec, rng)
-        result = decode(code, V)
-        rho = max(0, U.dim - spec.base.k)
-        flag = guarantee_noisy(d_min, rho, spec.base.t, spec.rotation, spec.noise_dim)
-        correct = result.codeword_index == tx
-        successes += int(correct)
-        rows.append([trial, rho, spec.base.t, spec.rotation, spec.noise_dim,
-                     tx, result.codeword_index, correct,
-                     float(distance(U, V)), flag])
+    # each trial keeps its own generator and draw order (the codeword, then
+    # the channel's draws), so the block size does not change any output
+    for lo in range(0, trials, _TRIAL_BLOCK):
+        block = range(lo, min(lo + _TRIAL_BLOCK, trials))
+        rngs = [np.random.default_rng([seed, 1, trial]) for trial in block]
+        txs = [int(rng.integers(len(code))) for rng in rngs]
+        sent = [code[tx] for tx in txs]
+        received = apply_noisy_operator_channel_block(sent, spec, rngs)
+        results = decode_block(code, received)
+        for trial, tx, U, V, result in zip(block, txs, sent, received, results):
+            rho = max(0, U.dim - spec.base.k)
+            flag = guarantee_noisy(d_min, rho, spec.base.t, spec.rotation, spec.noise_dim)
+            correct = result.codeword_index == tx
+            successes += int(correct)
+            rows.append([trial, rho, spec.base.t, spec.rotation, spec.noise_dim,
+                         tx, result.codeword_index, correct,
+                         float(distance(U, V)), flag])
     rate = successes / trials
     rows.append(["summary", "", "", "", "", "", "", float(rate), "", ""])
     _write_csv(cfg.get("out"), "simulate", cfg, seed, columns, _fmt(rows))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCode
-from .subspaces import Subspace
+from .subspaces import Subspace, SubspaceCode, pairwise
 
 # distance gap below which two codewords count as tied
 TIE_TOL = 1e-9
@@ -31,18 +31,36 @@ def decode(code, received: Subspace) -> DecodeResult:
     """Nearest codeword in the projection distance, exhaustively."""
     if len(code) == 0:
         raise EmptyCode("cannot decode against an empty code")
-    dists = np.asarray(code.distances_to(received), dtype=float)
-    best = int(np.argmin(dists))  # argmin takes the lowest index on exact ties
-    best_d = float(dists[best])
+    return _nearest(code.distances_to(received)[:, np.newaxis])[0]
+
+
+def decode_block(code, received: SubspaceCode) -> list[DecodeResult]:
+    """decode() for every subspace of ``received``, from one pairwise() table.
+
+    The table's product can round a distance differently from decode()'s
+    one-column product, in the last digits, so an index can differ from
+    decode()'s only between codewords tied to within roundoff.
+    """
+    if len(code) == 0:
+        raise EmptyCode("cannot decode against an empty code")
+    return _nearest(pairwise(code, received))
+
+
+def _nearest(dists: np.ndarray) -> list[DecodeResult]:
+    """The decode result of each column of a (len code, B) distance table."""
+    best = np.argmin(dists, axis=0)  # argmin takes the lowest index on exact ties
+    best_d = dists[best, np.arange(dists.shape[1])]
     # the second-smallest entry is the smallest one besides ``best``, ties
     # included; distances from validated codes are finite, never NaN
-    runner = float(np.partition(dists, 1)[1]) if len(dists) > 1 else math.inf
-    return DecodeResult(
-        codeword_index=best,
-        distance_to_received=best_d,
-        runner_up_distance=runner,
-        unique=bool(runner - best_d > TIE_TOL),
-    )
+    if len(dists) > 1:
+        runner = np.partition(dists, 1, axis=0)[1]
+    else:
+        runner = np.full(dists.shape[1], math.inf)
+    unique = runner - best_d > TIE_TOL
+    return [DecodeResult(codeword_index=i, distance_to_received=d,
+                         runner_up_distance=r, unique=u)
+            for i, d, r, u in zip(best.tolist(), best_d.tolist(), runner.tolist(),
+                                  unique.tolist())]
 
 
 def _check_counts(rho, t) -> None:
@@ -75,7 +93,8 @@ def guarantee_noisy(d_min: float, rho: int, t: int,
     Reduces exactly to guarantee_noiseless at rotation = 0, noise_dim = 0.
     """
     _check_counts(rho, t)
-    if rotation < 0 or noise_dim < 0:
+    # written so that a NaN rotation budget fails the test too
+    if not rotation >= 0 or noise_dim < 0:
         raise ValueError("rotation budget and noise dimension must be nonnegative")
     s = rho + t
     crowd = (math.sqrt(s + rotation) + math.sqrt(rotation)

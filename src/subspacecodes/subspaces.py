@@ -356,13 +356,18 @@ def principal_angles(U: Subspace, V: Subspace) -> np.ndarray:
 
 def complement(U: Subspace) -> Subspace:
     """Orthogonal complement U-perp; satisfies P_{U-perp} = I - P_U."""
-    n = U.ambient_dim
-    if U.dim == 0:
-        return Subspace.full(n, U.is_complex)
-    if U.dim == n:
-        return Subspace.zero(n, U.is_complex)
-    _, _, vh = np.linalg.svd(U.basis, full_matrices=True)
-    return Subspace(vh[U.dim:], validate=False)
+    return Subspace(_complements(U.basis[np.newaxis])[0], validate=False)
+
+
+def _complements(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the complements of a (B, m, n) stack of
+    orthonormal bases, (B, n - m, n): the last rows of one stacked full SVD."""
+    count, m, n = bases.shape
+    if m == 0:
+        return np.broadcast_to(np.eye(n, dtype=bases.dtype), (count, n, n))
+    if m == n:
+        return np.zeros((count, 0, n), dtype=bases.dtype)
+    return np.linalg.svd(bases, full_matrices=True)[2][:, m:]
 
 
 def direct_sum(U: Subspace, V: Subspace) -> Subspace:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subspacecodes import (
@@ -16,14 +16,17 @@ from subspacecodes import (
     NoisyChannelSpec,
     OperatorChannelSpec,
     Subspace,
+    SubspaceCode,
     apply_matrix_channel,
     apply_noisy_operator_channel,
+    apply_noisy_operator_channel_block,
     apply_operator_channel,
     complement,
     direct_sum,
     distance,
     erase,
     general_perturbation_bound,
+    guarantee_noisy,
     orthonormalize,
     perturbation_bound,
     random_error_subspace,
@@ -109,6 +112,18 @@ def test_channel_spec_validation():
         NoisyChannelSpec(OperatorChannelSpec(k=2), rotation=-0.5)
     with pytest.raises(ValueError):
         NoisyChannelSpec(OperatorChannelSpec(k=2), noise_dim=-1)
+
+
+@pytest.mark.parametrize("budget", [math.nan, -math.nan])
+def test_nan_rotation_budget_is_refused(budget):
+    with pytest.raises(ValueError, match="nonnegative number"):
+        NoisyChannelSpec(OperatorChannelSpec(k=2), rotation=budget)
+    U = random_subspace(6, 2, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="nonnegative number"):
+        rotate(U, budget, rng)
+    with pytest.raises(ValueError):
+        guarantee_noisy(10.0, 1, 1, budget, 0)
 
 
 def test_rotation_respects_budget_and_dimension():
@@ -280,6 +295,86 @@ def test_noisy_channel_without_rotation_or_noise_is_the_plain_channel_bitwise():
         V2 = apply_noisy_operator_channel(U, NoisyChannelSpec(base), np.random.default_rng(seed))
         assert V2.basis.dtype == V1.basis.dtype
         assert np.array_equal(V2.basis, V1.basis)
+
+
+def _per_trial_noisy_channel(U, spec, rng):
+    """Oracle: the noisy channel one stage at a time on 2-d bases, with its own
+    SVD per orthonormalization and complement, as it ran before the stages
+    worked on stacks."""
+    n, cf = U.ambient_dim, U.is_complex
+
+    def within(S, d):
+        return orthonormalize(_gaussian(rng, (d, S.dim), cf) @ S.basis).basis
+
+    def error(S, t):
+        if t == 0:
+            return np.zeros((0, n), dtype=S.basis.dtype)
+        comp = np.eye(n, dtype=S.basis.dtype) if S.dim == 0 else (
+            np.linalg.svd(S.basis, full_matrices=True)[2][S.dim:])
+        return orthonormalize(_gaussian(rng, (t, n - S.dim), cf) @ comp).basis
+
+    kept = within(U, spec.base.k) if U.dim > spec.base.k else U.basis
+    Z = np.concatenate([kept, error(U, spec.base.t)])
+    b = Z.shape[0]
+    if spec.rotation > 0 and b > 0:
+        g = _gaussian(rng, Z.shape, cf)
+        W = orthonormalize(g - (g @ Z.conj().T) @ Z).basis
+        r = W.shape[0]
+        sin2 = spec.rotation / (2 * r)
+        Z = Z.copy()
+        Z[:r] = np.sqrt(1.0 - sin2) * Z[:r] + np.sqrt(sin2) * W
+    return np.concatenate([Z, error(Subspace(Z, validate=False), spec.noise_dim)])
+
+
+@st.composite
+def channel_block_cases(draw):
+    """(spec, n, dims, complex flag, seed): a channel spec and a block of
+    transmitted dimensions, mixed, that it can serve in ambient dimension n."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(0, n))
+    t = draw(st.integers(0, n - 1))
+    r_d = draw(st.integers(0, n - 1))
+    rotating = draw(st.booleans())
+
+    def base(m):
+        return min(m, k) + t
+
+    fits = [m for m in range(n + 1) if m + t <= n and base(m) + r_d <= n
+            and not (rotating and base(m) in (0, n))]
+    assume(fits)
+    reach = min(2 * min(base(m), n - base(m)) for m in fits) if rotating else 0
+    delta = reach * draw(st.floats(0.0, 1.0, exclude_min=True)) if rotating else 0.0
+    spec = NoisyChannelSpec(OperatorChannelSpec(k=k, t=t), rotation=delta, noise_dim=r_d)
+    dims = draw(st.lists(st.sampled_from(fits), min_size=1, max_size=10))
+    return spec, n, dims, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@PROPERTY
+@given(case=channel_block_cases())
+def test_channel_block_is_the_per_trial_channel_bitwise(case):
+    spec, n, dims, complex_field, seed = case
+    sent = [random_subspace(n, m, np.random.default_rng([seed, i]), complex_field)
+            for i, m in enumerate(dims)]
+    rngs = [np.random.default_rng([seed, i, 1]) for i in range(len(dims))]
+    twins = [np.random.default_rng([seed, i, 1]) for i in range(len(dims))]
+    oracles = [np.random.default_rng([seed, i, 1]) for i in range(len(dims))]
+    received = apply_noisy_operator_channel_block(sent, spec, rngs)
+    assert isinstance(received, SubspaceCode) and len(received) == len(sent)
+    for U, V, rng, twin, oracle in zip(sent, received, rngs, twins, oracles):
+        single = apply_noisy_operator_channel(U, spec, twin)
+        assert V.basis.dtype == single.basis.dtype == U.basis.dtype
+        assert np.array_equal(V.basis, single.basis)
+        assert np.array_equal(V.basis, _per_trial_noisy_channel(U, spec, oracle))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+def test_channel_block_needs_one_generator_per_subspace():
+    U = random_subspace(5, 2, np.random.default_rng(1))
+    spec = NoisyChannelSpec(OperatorChannelSpec(k=1, t=1))
+    with pytest.raises(ValueError, match="2 subspaces but 1 generators"):
+        apply_noisy_operator_channel_block([U, U], spec, [np.random.default_rng(2)])
+    assert len(apply_noisy_operator_channel_block([], spec, [])) == 0
 
 
 def test_matrix_channel_identity_path_is_exact():

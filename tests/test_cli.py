@@ -184,6 +184,55 @@ def test_simulate_rho_alias_and_rejections(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("delta", ['"nan"', "NaN", '"-nan"'])
+def test_simulate_refuses_a_nan_rotation_budget(delta, tmp_path, capsys):
+    # JSON NaN is not valid JSON but Python's reader takes it, as float("nan")
+    cfg = tmp_path / "s.json"
+    cfg.write_text('{"code": {"type": "cp", "q": 5, "k": 2}, "trials": 3, "seed": 1, '
+                   '"channel": {"k": 1, "t": 0, "delta": %s}}' % delta)
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "rotation budget must be a nonnegative number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_negative_rho(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "s.json", {
+        "code": {"type": "cp", "q": 5, "k": 2},
+        "channel": {"rho": -2, "t": 0}, "trials": 3, "seed": 1,
+    })
+    assert cli.main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    assert "'rho' must be nonnegative" in capsys.readouterr().err
+
+
+SIM_BASE = {"code": {"type": "cp", "q": 5, "k": 2}, "trials": 3, "seed": 1}
+
+
+@pytest.mark.parametrize("key", ["seed", "trials", "k", "rho", "t", "r_d"])
+@pytest.mark.parametrize("value", [2.7, -0.5, float("inf"), "2.5", None])
+def test_simulate_refuses_non_integral_counts(key, value, tmp_path, capsys):
+    channel = {"rho": 0} if key == "rho" else {"k": 1}
+    payload = {**SIM_BASE, "channel": channel}
+    (payload["channel"] if key in ("k", "rho", "t", "r_d") else payload)[key] = value
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps(payload))  # inf is written as Infinity, which the reader takes
+    assert cli.main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"config key '{key}' must be an integer" in capsys.readouterr().err
+
+
+def test_simulate_takes_integral_floats_as_counts(tmp_path, capsys):
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    floats = _write_cfg(tmp_path, "f.json", {**SIM_BASE, "trials": 3.0, "seed": 1.0,
+                                              "channel": {"k": 1.0, "t": 0.0, "r_d": 0.0}})
+    ints = _write_cfg(tmp_path, "i.json", {**SIM_BASE, "channel": {"k": 1, "t": 0, "r_d": 0}})
+    assert cli.main(["simulate", "--config", floats, "--out", str(out1)]) == EXIT_OK
+    assert cli.main(["simulate", "--config", ints, "--out", str(out2)]) == EXIT_OK
+    # the config hash differs, the trials do not
+    body1, body2 = (p.read_text().splitlines()[2:] for p in (out1, out2))
+    assert body1 == body2 and len(body1) == 1 + 3 + 1  # columns, trials, summary
+    capsys.readouterr()
+
+
 def test_simulate_search_cap_is_infeasible_for_large_codes(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "s.json", {
         "code": {"type": "cp", "q": 13, "k": 4},  # 28561 codewords

@@ -15,6 +15,7 @@ from subspacecodes import (
     apply_noisy_operator_channel,
     apply_operator_channel,
     decode,
+    decode_block,
     distance,
     guarantee_chordal,
     guarantee_noiseless,
@@ -113,6 +114,27 @@ def test_decode_runner_up_matches_the_delete_oracle():
         assert out.codeword_index == best
         assert out.runner_up_distance == np.min(np.delete(dists, best))
         assert out.unique == (out.runner_up_distance > out.distance_to_received)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_block_decoder_columns_are_single_decodes(complex_field):
+    rng = np.random.default_rng(14)
+    code = SubspaceCode([random_subspace(7, m, rng, complex_field)
+                         for m in (2, 2, 1, 3, 2, 0, 2)])
+    # a received block with mixed dimensions, codewords among them for exact ties
+    received = [random_subspace(7, int(rng.integers(0, 5)), rng, complex_field)
+                for _ in range(20)] + [code[0], code[3], code[5]]
+    for decoder_code in (code, SubspaceCode([code[2]])):
+        results = decode_block(decoder_code, SubspaceCode(received))
+        assert len(results) == len(received)
+        # the block's product may round differently from a one-column product
+        for got, want in zip(results, [decode(decoder_code, V) for V in received]):
+            assert got.codeword_index == want.codeword_index
+            assert got.unique == want.unique
+            assert got.distance_to_received == pytest.approx(want.distance_to_received, abs=1e-12)
+            assert got.runner_up_distance == pytest.approx(want.runner_up_distance, abs=1e-12)
+    with pytest.raises(EmptyCode):
+        decode_block(SubspaceCode([]), SubspaceCode(received))
 
 
 def test_decode_empty_code_raises():

@@ -1,0 +1,134 @@
+"""The blocked `simulate` loop against the per-trial loop it replaced.
+
+`simulate` runs its trials in blocks: the channel's linear algebra runs once
+per block on stacked arrays, and one pairwise() table decodes the block.
+Each trial keeps its own generator and its draw order, so the CSV must be
+byte-identical to the one the per-trial loop below writes.  That loop is
+the former body of `cmd_simulate`: one generator, one channel call and one
+decode per trial.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from subspacecodes import (CPCodeSpec, FiniteField, SubspaceCode, apply_noisy_operator_channel,
+                           cli, cp_construct, decode, distance, guarantee_noisy,
+                           min_distance_exhaustive, random_subspace, save_code)
+from subspacecodes.cli import EXIT_INFEASIBLE, EXIT_OK
+from subspacecodes.codes import DEFAULT_SEARCH_CAP
+from subspacecodes.errors import DimensionOverflow
+
+README = {"code": {"type": "random-ensemble", "n": 12, "m": 3, "M": 20},
+          "channel": {"k": 2, "t": 1, "delta": 0.05, "r_d": 1}, "trials": 1000, "seed": 7}
+COLUMNS = ["trial", "rho", "t", "delta_rot", "r_d", "tx_index", "rx_index",
+           "correct", "d_tx_rx", "guarantee_flag"]
+
+
+def _per_trial_simulate(cfg: dict, path) -> None:
+    """Oracle: the simulate CSV written one trial at a time."""
+    seed = int(cfg["seed"])
+    trials = int(cfg["trials"])
+    code = cli.build_code_from_config(cfg["code"], seed)
+    spec = cli._channel_from_config(cfg["channel"], code)
+    d_min, _ = min_distance_exhaustive(code, int(cfg.get("search_cap", DEFAULT_SEARCH_CAP)))
+    rows = []
+    successes = 0
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, 1, trial])
+        tx = int(rng.integers(len(code)))
+        U = code[tx]
+        V = apply_noisy_operator_channel(U, spec, rng)
+        result = decode(code, V)
+        rho = max(0, U.dim - spec.base.k)
+        flag = guarantee_noisy(d_min, rho, spec.base.t, spec.rotation, spec.noise_dim)
+        correct = result.codeword_index == tx
+        successes += int(correct)
+        rows.append([trial, rho, spec.base.t, spec.rotation, spec.noise_dim,
+                     tx, result.codeword_index, correct, float(distance(U, V)), flag])
+    rate = successes / trials
+    rows.append(["summary", "", "", "", "", "", "", float(rate), "", ""])
+    cli._write_csv(str(path), "simulate", cfg, seed, COLUMNS, cli._fmt(rows))
+
+
+def _assert_same_csv(tmp_path, cfg: dict) -> None:
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    blocked, oracle = tmp_path / "blocked.csv", tmp_path / "oracle.csv"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
+    _per_trial_simulate(cfg, oracle)
+    data = blocked.read_bytes()
+    assert data.startswith(b"# subspace-codes simulate v1\n")
+    assert data == oracle.read_bytes()
+
+
+def _mixed_code_file(tmp_path) -> str:
+    rng = np.random.default_rng(5)
+    path = tmp_path / "mixed.code.json"
+    save_code(SubspaceCode([random_subspace(8, m, rng) for m in (1, 2, 3, 2, 1, 3, 2, 0)]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_readme_config_matches_the_per_trial_loop(seed, tmp_path, capsys):
+    _assert_same_csv(tmp_path, {**README, "seed": seed})
+    capsys.readouterr()
+
+
+def test_cp_31_2_file_config_matches_the_per_trial_loop(tmp_path, capsys):
+    path = tmp_path / "cp_31_2.code.json"
+    save_code(cp_construct(CPCodeSpec(FiniteField(31), 2)), path)
+    _assert_same_csv(tmp_path, {"code": {"type": "file", "path": str(path)},
+                                "channel": {"k": 1, "t": 1}, "trials": 1000, "seed": 3})
+    capsys.readouterr()
+
+
+def test_mixed_dimension_code_matches_the_per_trial_loop(tmp_path, capsys):
+    _assert_same_csv(tmp_path, {"code": {"type": "file", "path": _mixed_code_file(tmp_path)},
+                                "channel": {"k": 2, "t": 1, "delta": 0.1, "r_d": 1},
+                                "trials": 300, "seed": 4})
+    capsys.readouterr()
+
+
+def test_real_binary_code_matches_the_per_trial_loop(tmp_path, capsys):
+    _assert_same_csv(tmp_path, {"code": {"type": "binary",
+                                         "words": ["0000", "0110", "1011", "1101", "1110"]},
+                                "channel": {"k": 1, "t": 1, "delta": 0.3, "r_d": 1},
+                                "trials": 300, "seed": 5})
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [None, -1, 0, 1, "2B+3"])
+def test_trial_counts_around_the_block_size(extra, tmp_path, capsys):
+    block = cli._TRIAL_BLOCK
+    trials = 1 if extra is None else 2 * block + 3 if extra == "2B+3" else block + extra
+    _assert_same_csv(tmp_path, {**README, "seed": 11, "trials": trials})
+    capsys.readouterr()
+
+
+def test_first_overflowing_trial_names_the_error(tmp_path, capsys):
+    # dims 1, 2, 3, 2, 1, 3, 2, 0 in ambient 8: seven error dimensions fit
+    # next to the codewords of dimension 0 and 1 only, and the message names
+    # the dimension of the first trial that sent a larger one
+    cfg = {"code": {"type": "file", "path": _mixed_code_file(tmp_path)},
+           "channel": {"k": 3, "t": 7}, "trials": 40, "seed": 2}
+    with pytest.raises(DimensionOverflow) as raised:
+        _per_trial_simulate(cfg, tmp_path / "oracle.csv")
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == f"infeasible request: {raised.value}\n"
+
+
+def test_unreachable_rotation_keeps_its_message(tmp_path, capsys):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"code": {"type": "cp", "q": 5, "k": 2},
+                               "channel": {"k": 1, "t": 0, "delta": 2.5},
+                               "trials": 2 * cli._TRIAL_BLOCK, "seed": 1}))
+    assert cli.main(["simulate", "--config", str(cfg)]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "infeasible request: rotation budget 2.5 exceeds the largest distance 2 from a "
+        "1-dimensional subspace of ambient dimension 4\n")

@@ -148,10 +148,6 @@ def _channel_stack(Z: np.ndarray, spec: NoisyChannelSpec, draws: list) -> np.nda
     return out
 
 
-def _one(stack: np.ndarray) -> Subspace:
-    return Subspace(stack[0], validate=False)
-
-
 def erase(U: Subspace, k: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random k-dimensional subspace of U; U itself when dim(U) <= k."""
     if k < 0:
@@ -159,7 +155,7 @@ def erase(U: Subspace, k: int, rng: np.random.Generator) -> Subspace:
     coeff = _erase_draw(U.dim, k, U.is_complex, rng)
     if coeff is None:
         return U
-    return _one(_erase_stack(U.basis[np.newaxis], coeff[np.newaxis]))
+    return Subspace._view(_erase_stack(U.basis[np.newaxis], coeff[np.newaxis])[0])
 
 
 def random_error_subspace(U: Subspace, t: int, rng: np.random.Generator) -> Subspace:
@@ -169,7 +165,7 @@ def random_error_subspace(U: Subspace, t: int, rng: np.random.Generator) -> Subs
     coeff = _error_draw(U.dim, U.ambient_dim, t, U.is_complex, rng)
     if coeff is None:
         return Subspace.zero(U.ambient_dim, U.is_complex)
-    return _one(_error_stack(U.basis[np.newaxis], coeff[np.newaxis]))
+    return Subspace._view(_error_stack(U.basis[np.newaxis], coeff[np.newaxis])[0])
 
 
 def apply_operator_channel(U: Subspace, spec: OperatorChannelSpec,
@@ -197,7 +193,7 @@ def rotate(U: Subspace, budget: float, rng: np.random.Generator) -> Subspace:
     g = _rotate_draw(U.dim, U.ambient_dim, budget, U.is_complex, rng)
     if g is None:
         return U
-    return _one(_rotate_stack(U.basis[np.newaxis], budget, g[np.newaxis]))
+    return Subspace._view(_rotate_stack(U.basis[np.newaxis], budget, g[np.newaxis])[0])
 
 
 def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
@@ -230,7 +226,6 @@ def apply_noisy_operator_channel_block(sent, spec: NoisyChannelSpec, rngs) -> Su
     for members in groups.values():
         out = _channel_stack(np.stack([sent[i].basis for i in members]), spec,
                              [draws[i] for i in members])
-        out.setflags(write=False)
         for i, basis in zip(members, out):
             received[i] = Subspace._view(basis)
     return SubspaceCode(received)
@@ -246,14 +241,13 @@ class MatrixChannelSpec:
 
     H (l x m), G (l x t) and the interference E (t x n) default to fresh
     standard complex Gaussian draws; each may be pinned to an explicit array,
-    and ``identity_h`` forces H to the identity regardless of the seed.
-    noise_sigma scales the additive Gaussian noise N.
+    ``h=np.eye(l, m)`` for an identity H.  noise_sigma scales the additive
+    Gaussian noise N.
     """
     l: int
     m: int
     t: int = 0
     noise_sigma: float = 0.0
-    identity_h: bool = False
     h: np.ndarray | None = None
     g: np.ndarray | None = None
     interference: np.ndarray | None = None
@@ -286,8 +280,7 @@ def apply_matrix_channel(X, spec: MatrixChannelSpec, rng: np.random.Generator):
     if X.ndim != 2 or X.shape[0] != spec.m:
         raise ValueError(f"input must have {spec.m} rows")
     n = X.shape[1]
-    h = np.eye(spec.l, spec.m) if spec.identity_h else spec.h
-    A = _pinned_or_drawn(h, (spec.l, spec.m), "H", rng) @ X
+    A = _pinned_or_drawn(spec.h, (spec.l, spec.m), "H", rng) @ X
     if spec.t > 0:
         G = _pinned_or_drawn(spec.g, (spec.l, spec.t), "G", rng)
         E = _pinned_or_drawn(spec.interference, (spec.t, n), "interference", rng)

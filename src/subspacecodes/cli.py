@@ -109,13 +109,18 @@ def _integer(cfg: dict, key: str, default: int | None = None) -> int:
     """cfg[key] as an int, ``default`` when it is absent (required when the
     default is None); ConfigError for a value that is not integral."""
     value = _require(cfg, key) if default is None else cfg.get(key, default)
+    return _as_integer(value, f"config key '{key}'")
+
+
+def _as_integer(value, what: str) -> int:
+    """``value`` as an int; ConfigError naming ``what`` unless it is integral."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     # a string goes through int() as it is; any other value must equal its int
     if number is None or (not isinstance(value, str) and number != value):
-        raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     return number
 
 
@@ -142,20 +147,21 @@ def build_code_from_config(cfg, seed=None) -> SubspaceCode:
         raise ConfigError("'code' must be a JSON object")
     kind = _require(cfg, "type")
     if kind == "cp":
-        field = _field_for_order(int(_require(cfg, "q")))
-        spec = CPCodeSpec(field=field, k=int(_require(cfg, "k")),
-                          character_index=int(cfg.get("character_index", 1)),
-                          size_cap=int(cfg.get("size_cap", DEFAULT_SIZE_CAP)))
+        field = _field_for_order(_integer(cfg, "q"))
+        spec = CPCodeSpec(field=field, k=_integer(cfg, "k"),
+                          character_index=_integer(cfg, "character_index", 1),
+                          size_cap=_integer(cfg, "size_cap", DEFAULT_SIZE_CAP))
         return cp_construct(spec)
     if kind == "binary":
         return binary_to_lines(_require(cfg, "words"), cfg.get("length"))
     if kind == "random-ensemble":
         if seed is None:
             raise ConfigError("random-ensemble construction needs a seed")
-        rng = np.random.default_rng([int(seed), 0])
-        return random_ensemble_code(int(_require(cfg, "n")), int(_require(cfg, "m")),
-                                    int(_require(cfg, "M")), rng,
-                                    complex_field=bool(cfg.get("complex", True)))
+        if not isinstance(complex_field := cfg.get("complex", True), bool):
+            raise ConfigError(f"config key 'complex' must be true or false, got {complex_field!r}")
+        rng = np.random.default_rng([seed, 0])
+        return random_ensemble_code(_integer(cfg, "n"), _integer(cfg, "m"),
+                                    _integer(cfg, "M"), rng, complex_field=complex_field)
     if kind == "file":
         return load_code(_require(cfg, "path"))
     raise ConfigError(f"unknown code type '{kind}'")
@@ -167,8 +173,9 @@ def build_code_from_config(cfg, seed=None) -> SubspaceCode:
 
 def cmd_construct(args) -> int:
     cfg = _load_config(args)
-    code = build_code_from_config(_require(cfg, "code"), cfg.get("seed"))
-    cap = int(cfg.get("search_cap", DEFAULT_SEARCH_CAP))
+    seed = _integer(cfg, "seed") if "seed" in cfg else None
+    code = build_code_from_config(_require(cfg, "code"), seed)
+    cap = _integer(cfg, "search_cap", DEFAULT_SEARCH_CAP)
     params = code_parameters(code, cap)
     print(f"codewords        M = {params.size}")
     print(f"ambient          n = {params.ambient_dim}")
@@ -218,7 +225,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("need at least one trial")
     code = build_code_from_config(_require(cfg, "code"), seed)
     spec = _channel_from_config(_require(cfg, "channel"), code)
-    cap = int(cfg.get("search_cap", DEFAULT_SEARCH_CAP))
+    cap = _integer(cfg, "search_cap", DEFAULT_SEARCH_CAP)
     d_min, _ = min_distance_exhaustive(code, cap)
 
     columns = ["trial", "rho", "t", "delta_rot", "r_d", "tx_index", "rx_index",
@@ -260,13 +267,13 @@ def cmd_bounds(args) -> int:
     for label in labels:
         if label not in _BOUND_LABELS:
             raise ConfigError(f"unknown bound label '{label}'")
-    m = int(cfg.get("m", 1))
-    beta = int(cfg.get("beta", 2))
+    m = _integer(cfg, "m", 1)
+    beta = _integer(cfg, "beta", 2)
     d_lo = float(cfg.get("delta_min", 0.02))
     d_hi = float(cfg.get("delta_max", 1.0))
-    d_pts = int(cfg.get("delta_points", 50))
-    r_pts = int(cfg.get("rate_points", 50))
-    cp_qs = [int(q) for q in cfg.get("cp_q", [101, 1009, 10007])]
+    d_pts = _integer(cfg, "delta_points", 50)
+    r_pts = _integer(cfg, "rate_points", 50)
+    cp_qs = [_as_integer(q, "each 'cp_q' entry") for q in cfg.get("cp_q", [101, 1009, 10007])]
     if d_pts < 2 or r_pts < 2 or not 0.0 < d_lo < d_hi <= 2.0:
         raise ConfigError("bad grid configuration")
 
@@ -309,7 +316,8 @@ def _largest_prime_below(x: int) -> int:
 
 def cmd_figure3(args) -> int:
     cfg = _load_config(args)
-    exponents = [int(e) for e in cfg.get("exponents", list(range(3, 11)))]
+    exponents = [_as_integer(e, "each 'exponents' entry")
+                 for e in cfg.get("exponents", list(range(3, 11)))]
     target = float(cfg.get("delta_target", 0.5))
     columns = ["k_exponent", "n", "p", "chosen_k", "ln_code_size", "n_doubled",
                "external_comparator_1", "external_comparator_2"]

@@ -3,8 +3,8 @@
 Covers character-polynomial (CP) line codes built from additive character
 evaluations of sparse polynomials over GF(q), line packings obtained from
 binary codebooks, uniform random ensembles, codeword-wise dual codes, a
-complex-to-real doubling map, exhaustive minimum-distance search with
-caching, and a JSON on-disk format.
+complex-to-real doubling map, exhaustive minimum-distance search, and a
+JSON on-disk format.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ DEFAULT_SIZE_CAP = 10 ** 6
 DEFAULT_SEARCH_CAP = 10 ** 4
 # Largest field order cp_construct accepts: CP (4096, 1) is already a 268 MB matrix.
 CP_MAX_Q = 1 << 12
+# Draws random_ensemble_code makes for one codeword before it gives up.
+ENSEMBLE_MAX_RETRIES = 50
 
 
 def min_distance_exhaustive(code: SubspaceCode, cap: int = DEFAULT_SEARCH_CAP):
@@ -32,11 +34,9 @@ def min_distance_exhaustive(code: SubspaceCode, cap: int = DEFAULT_SEARCH_CAP):
 
     Visits all M(M-1)/2 unordered pairs through pairwise(), one block of
     rows at a time, so no M x M matrix is formed; on ties the first pair in
-    row-major order wins.  The result is cached on the code object.  Raises
-    CapExceeded if the code has more than ``cap`` codewords.
+    row-major order wins.  Raises CapExceeded if the code has more than
+    ``cap`` codewords.
     """
-    if code._min_distance is not None:
-        return code._min_distance, code._min_pair
     M = len(code)
     if M < 2:
         raise ValueError("minimum distance needs at least two codewords")
@@ -53,9 +53,7 @@ def min_distance_exhaustive(code: SubspaceCode, cap: int = DEFAULT_SEARCH_CAP):
             best = float(d.flat[k])
             i, j = divmod(k, M - lo)
             pair = (lo + i, lo + j)
-    code._min_distance = best
-    code._min_pair = pair
-    return code._min_distance, pair
+    return best, pair
 
 
 @dataclass(frozen=True)
@@ -246,13 +244,12 @@ def line_delta_from_hamming(gamma: float) -> float:
 
 
 def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
-                         complex_field: bool = True,
-                         max_retries: int = 50) -> SubspaceCode:
+                         complex_field: bool = True) -> SubspaceCode:
     """M independent uniform m-dimensional subspaces of an n-dimensional space.
 
     Draws that duplicate an already accepted codeword (distance below the
     equality tolerance) are regenerated; RetryLimitExceeded after
-    ``max_retries`` rejected draws for a single slot.
+    ENSEMBLE_MAX_RETRIES rejected draws for a single slot.
     """
     if M < 2:
         raise ValueError("an ensemble needs at least two codewords")
@@ -262,7 +259,7 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
     # a read-only view of buf; the bases of words 0..i-1 fill rows 0..i*m-1
     code = SubspaceCode._from_rows(buf.view(), np.full(M, m, dtype=np.intp))
     for i in range(M):
-        for _ in range(max_retries):
+        for _ in range(ENSEMBLE_MAX_RETRIES):
             cand = random_subspace(n, m, rng, complex_field)
             if i == 0 or np.all(pairwise(SubspaceCode([cand]), code.part(0, i)) > TOL_EQUAL):
                 buf[i * m:(i + 1) * m] = cand.basis

@@ -22,8 +22,6 @@ bases stacked into one row matrix.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import AmbientMismatch, DimensionMismatch, NontrivialIntersection
@@ -42,44 +40,42 @@ class Subspace:
     """An m-dimensional subspace of an n-dimensional ambient space.
 
     The basis is an (m, n) array with orthonormal rows, real for an ambient
-    space over R and complex over C.  Instances are immutable; the projection
-    matrix is computed once on first use and cached.
+    space over R and complex over C.  Subspace(basis) checks the rows
+    (ValueError unless finite and orthonormal) and keeps a read-only copy;
+    an instance holds nothing else and never changes.
     """
 
-    __slots__ = ("_basis", "_projection")
+    __slots__ = ("_basis",)
 
-    def __init__(self, basis, validate: bool = True):
+    def __init__(self, basis):
         basis = _as_float_matrix(basis)
         m, n = basis.shape
         if m > n:
             raise ValueError(f"{m} orthonormal rows cannot fit in ambient dimension {n}")
-        if validate:
-            _check_orthonormal(basis[np.newaxis])
-        basis = basis.copy()
-        basis.setflags(write=False)
-        self._basis = basis
-        self._projection = None
+        _check_orthonormal(basis[np.newaxis])
+        self._basis = basis.copy()
+        self._basis.setflags(write=False)
 
     @classmethod
     def _view(cls, basis: np.ndarray) -> "Subspace":
-        """The subspace spanned by ``basis``, a read-only 2-d inexact array with
-        orthonormal rows, taken as it is: no copy and no check."""
+        """The subspace spanned by ``basis``, a 2-d inexact array with
+        orthonormal rows, taken as it is and made read-only: no copy, no check."""
+        basis.setflags(write=False)
         U = object.__new__(cls)
         U._basis = basis
-        U._projection = None
         return U
 
     @classmethod
     def zero(cls, ambient_dim: int, complex_field: bool = True) -> "Subspace":
         """The zero subspace {0}, encoded as an empty (0, n) basis."""
         dtype = complex if complex_field else float
-        return cls(np.zeros((0, ambient_dim), dtype=dtype), validate=False)
+        return cls._view(np.zeros((0, ambient_dim), dtype=dtype))
 
     @classmethod
     def full(cls, ambient_dim: int, complex_field: bool = True) -> "Subspace":
         """The whole ambient space."""
         dtype = complex if complex_field else float
-        return cls(np.eye(ambient_dim, dtype=dtype), validate=False)
+        return cls._view(np.eye(ambient_dim, dtype=dtype))
 
     @property
     def basis(self) -> np.ndarray:
@@ -104,12 +100,8 @@ class Subspace:
 
     @property
     def projection(self) -> np.ndarray:
-        """The n x n orthogonal projection onto this subspace (Hermitian, idempotent)."""
-        if self._projection is None:
-            proj = self._basis.conj().T @ self._basis
-            proj.setflags(write=False)
-            self._projection = proj
-        return self._projection
+        """The n x n orthogonal projection onto this subspace, formed on each access."""
+        return self._basis.conj().T @ self._basis
 
     def __repr__(self) -> str:
         letter = "C" if self.is_complex else "R"
@@ -162,10 +154,10 @@ def orthonormalize(raw) -> Subspace:
     raw = _as_float_matrix(raw)
     rows, n = raw.shape
     if rows == 0 or not np.any(raw):
-        return Subspace(np.zeros((0, n), dtype=raw.dtype), validate=False)
+        return Subspace._view(np.zeros((0, n), dtype=raw.dtype))
     _, s, vh = np.linalg.svd(raw, full_matrices=False)
     # rows of vh are orthonormal by construction
-    return Subspace(vh[:_numerical_rank(s)], validate=False)
+    return Subspace._view(vh[:_numerical_rank(s)])
 
 
 def distance(U: Subspace, V: Subspace) -> float:
@@ -196,49 +188,39 @@ class SubspaceCode:
     ``rows``: codeword i owns dims[i] rows starting at row starts[i], and a
     zero-dimensional codeword owns none.  ``common_dim`` is the dimension
     all codewords share, or -1 when they differ.  Real and complex bases
-    stack as complex rows.  Indexing and iteration give each codeword as a
-    Subspace on a view of its rows; ``pairwise`` works on the rows directly.
+    stack as complex rows.  SubspaceCode(codewords) copies the bases of a list
+    of Subspace objects; a code caches nothing.  Indexing and iteration give
+    each codeword as a Subspace on a view of its rows; ``pairwise`` works on
+    the rows directly.
     """
 
-    __slots__ = ("rows", "dims", "starts", "common_dim", "_min_distance", "_min_pair")
+    __slots__ = ("rows", "dims", "starts", "common_dim")
 
     def __init__(self, codewords):
         bases = [w.basis for w in codewords]
-        if len(bases) == 1:  # a basis is read-only already, so it is taken without a copy
-            rows = bases[0]
-        elif bases:
-            if any(b.shape[1] != bases[0].shape[1] for b in bases):
-                raise AmbientMismatch("codewords live in different ambient spaces")
-            rows = np.concatenate(bases)
-        else:
-            rows = np.zeros((0, 0))
-        # plain lists: a code wrapping one received subspace is built once per decode
-        dims = [b.shape[0] for b in bases]
-        starts = list(itertools.accumulate(dims, initial=0))[:-1]
-        common_dim = dims[0] if dims and dims.count(dims[0]) == len(dims) else -1
-        self._set(rows, np.array(dims, dtype=np.intp), np.array(starts, dtype=np.intp),
-                  common_dim)
+        if any(b.shape[1] != bases[0].shape[1] for b in bases):
+            raise AmbientMismatch("codewords live in different ambient spaces")
+        self._set(np.concatenate(bases) if bases else np.zeros((0, 0)),
+                  [b.shape[0] for b in bases])
 
     @classmethod
     def _from_rows(cls, rows: np.ndarray, dims, common_dim: int | None = None) -> "SubspaceCode":
         """The code whose codeword i is the next dims[i] rows of ``rows``,
         taken without a copy or a check and made read-only."""
+        code = object.__new__(cls)
+        code._set(rows, dims, common_dim)
+        return code
+
+    def _set(self, rows: np.ndarray, dims, common_dim: int | None = None) -> None:
+        """Set the fields; common_dim is derived from dims unless given."""
         dims = np.asarray(dims, dtype=np.intp)
         if common_dim is None:
             common_dim = int(dims[0]) if dims.size and np.all(dims == dims[0]) else -1
-        code = object.__new__(cls)
-        code._set(rows, dims, np.cumsum(dims) - dims, common_dim)
-        return code
-
-    def _set(self, rows: np.ndarray, dims: np.ndarray, starts: np.ndarray,
-             common_dim: int) -> None:
         rows.setflags(write=False)
         self.rows = rows
         self.dims = dims
-        self.starts = starts
+        self.starts = np.cumsum(dims) - dims
         self.common_dim = common_dim
-        self._min_distance = None
-        self._min_pair = None
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -356,7 +338,7 @@ def principal_angles(U: Subspace, V: Subspace) -> np.ndarray:
 
 def complement(U: Subspace) -> Subspace:
     """Orthogonal complement U-perp; satisfies P_{U-perp} = I - P_U."""
-    return Subspace(_complements(U.basis[np.newaxis])[0], validate=False)
+    return Subspace._view(_complements(U.basis[np.newaxis])[0])
 
 
 def _complements(bases: np.ndarray) -> np.ndarray:

@@ -159,7 +159,7 @@ def test_rotation_lands_on_the_budget(case):
     V = rotate(U, budget, rng)
     assert V.dim == m
     assert V.is_complex == complex_field
-    Subspace(V.basis, validate=True)  # orthonormal rows, finite entries
+    Subspace(V.basis)  # orthonormal rows, finite entries
     assert abs(distance(U, V) - budget) <= 1e-12
 
 
@@ -268,7 +268,7 @@ def test_noisy_channel_output_and_draw_order(case):
     spec = NoisyChannelSpec(OperatorChannelSpec(k=k, t=t), rotation=delta, noise_dim=r_d)
     rng = np.random.default_rng([seed, 2])
     V = apply_noisy_operator_channel(U, spec, rng)
-    Subspace(V.basis, validate=True)  # orthonormal rows, finite entries
+    Subspace(V.basis)  # orthonormal rows, finite entries
     b = min(k, m) + t
     assert V.dim == b + r_d
     assert V.is_complex == complex_field
@@ -323,7 +323,7 @@ def _per_trial_noisy_channel(U, spec, rng):
         sin2 = spec.rotation / (2 * r)
         Z = Z.copy()
         Z[:r] = np.sqrt(1.0 - sin2) * Z[:r] + np.sqrt(sin2) * W
-    return np.concatenate([Z, error(Subspace(Z, validate=False), spec.noise_dim)])
+    return np.concatenate([Z, error(Subspace(Z), spec.noise_dim)])
 
 
 @st.composite
@@ -380,7 +380,7 @@ def test_channel_block_needs_one_generator_per_subspace():
 def test_matrix_channel_identity_path_is_exact():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
-    spec = MatrixChannelSpec(l=3, m=3, identity_h=True)
+    spec = MatrixChannelSpec(l=3, m=3, h=np.eye(3, 3))
     Y, A = apply_matrix_channel(X, spec, rng)
     assert np.array_equal(Y, X)
     assert np.array_equal(A, X)
@@ -403,7 +403,7 @@ def test_matrix_channel_pinned_topology():
 
 def test_matrix_channel_noise_level():
     sigma = 0.25
-    spec = MatrixChannelSpec(l=4, m=4, noise_sigma=sigma, identity_h=True)
+    spec = MatrixChannelSpec(l=4, m=4, noise_sigma=sigma, h=np.eye(4, 4))
     rng = np.random.default_rng(11)
     X = np.zeros((4, 12), dtype=complex)
     total = 0.0
@@ -444,9 +444,7 @@ def _matrix_channel_oracle(X, spec, rng):
 
     X = np.asarray(X, dtype=complex)
     n = X.shape[1]
-    if spec.identity_h:
-        H = np.eye(spec.l, spec.m, dtype=complex)
-    elif spec.h is not None:
+    if spec.h is not None:
         H = np.asarray(spec.h, dtype=complex)
     else:
         H = gauss((spec.l, spec.m))
@@ -476,8 +474,8 @@ def test_matrix_channel_matches_the_branchwise_oracle_bitwise():
                     for sigma in (0.0, 0.3):
                         spec = MatrixChannelSpec(
                             l=l, m=m, t=t, noise_sigma=sigma,
-                            identity_h=h_mode == "identity",
-                            h=rng.standard_normal((l, m)) if h_mode == "pinned" else None,
+                            h=(rng.standard_normal((l, m)) if h_mode == "pinned"
+                               else np.eye(l, m) if h_mode == "identity" else None),
                             g=rng.standard_normal((l, t)) + 1j if pin_g else None,
                             interference=rng.standard_normal((t, n)) if pin_e else None)
                         got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)

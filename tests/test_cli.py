@@ -233,6 +233,77 @@ def test_simulate_takes_integral_floats_as_counts(tmp_path, capsys):
     capsys.readouterr()
 
 
+CP72 = {"code": {"type": "cp", "q": 7, "k": 2}}
+ENSEMBLE = {"code": {"type": "random-ensemble", "n": 8, "m": 2, "M": 6}, "seed": 1}
+
+# (subcommand, config, path to an integer key, its value in the config)
+INTEGER_KEYS = [
+    ("construct", CP72, ("code", "q"), 7),
+    ("construct", CP72, ("code", "k"), 2),
+    ("construct", {"code": {**CP72["code"], "character_index": 3}},
+     ("code", "character_index"), 3),
+    ("construct", {"code": {**CP72["code"], "size_cap": 100}}, ("code", "size_cap"), 100),
+    ("construct", ENSEMBLE, ("code", "n"), 8),
+    ("construct", ENSEMBLE, ("code", "m"), 2),
+    ("construct", ENSEMBLE, ("code", "M"), 6),
+    ("construct", ENSEMBLE, ("seed",), 1),
+    ("construct", {**CP72, "search_cap": 100}, ("search_cap",), 100),
+    ("simulate", {**SIM_BASE, "channel": {"k": 1}, "search_cap": 100}, ("search_cap",), 100),
+    ("bounds", {"m": 2}, ("m",), 2),
+    ("bounds", {"beta": 1}, ("beta",), 1),
+    ("bounds", {"delta_points": 10}, ("delta_points",), 10),
+    ("bounds", {"rate_points": 10}, ("rate_points",), 10),
+    ("bounds", {"cp_q": [101, 103]}, ("cp_q", 1), 103),
+    ("figure3", {"exponents": [3, 5]}, ("exponents", 1), 5),
+]
+
+
+def _with_value(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    owner = cfg
+    for step in path[:-1]:
+        owner = owner[step]
+    owner[path[-1]] = value
+    return cfg
+
+
+def _run_body(command, cfg, tmp_path, capsys):
+    """Exit code, CSV or report lines on stdout without the # header, and stderr."""
+    status = cli.main([command, "--config", _write_cfg(tmp_path, "k.json", cfg)])
+    captured = capsys.readouterr()
+    return status, [ln for ln in captured.out.splitlines() if not ln.startswith("#")], captured.err
+
+
+@pytest.mark.parametrize("command, cfg, path, value", INTEGER_KEYS,
+                         ids=[f"{c}-{'.'.join(map(str, p))}" for c, _, p, _ in INTEGER_KEYS])
+def test_integer_keys_refuse_fractions_and_take_integral_floats(command, cfg, path, value,
+                                                                tmp_path, capsys):
+    status, want, _ = _run_body(command, cfg, tmp_path, capsys)
+    assert status == EXIT_OK and want
+    status, got, _ = _run_body(command, _with_value(cfg, path, float(value)), tmp_path, capsys)
+    assert status == EXIT_OK and got == want
+    # int() would truncate value + 0.5 back to value
+    status, got, err = _run_body(command, _with_value(cfg, path, value + 0.5), tmp_path, capsys)
+    assert status == EXIT_CONFIG and got == []
+    name = next(step for step in reversed(path) if isinstance(step, str))
+    assert f"'{name}'" in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_ensemble_complex_flag_must_be_a_json_boolean(value, tmp_path, capsys):
+    cfg = _with_value(ENSEMBLE, ("code", "complex"), value)
+    assert cli.main(["construct", "--config", _write_cfg(tmp_path, "e.json", cfg)]) == EXIT_CONFIG
+    assert "'complex' must be true or false" in capsys.readouterr().err
+
+
+def test_ensemble_complex_false_builds_a_real_code(tmp_path, capsys):
+    out = tmp_path / "real.json"
+    cfg = {**_with_value(ENSEMBLE, ("code", "complex"), False), "out": str(out)}
+    assert cli.main(["construct", "--config", _write_cfg(tmp_path, "e.json", cfg)]) == EXIT_OK
+    capsys.readouterr()
+    assert json.loads(out.read_text())["beta"] == 1
+
+
 def test_simulate_search_cap_is_infeasible_for_large_codes(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "s.json", {
         "code": {"type": "cp", "q": 13, "k": 4},  # 28561 codewords

@@ -436,6 +436,15 @@ def test_exhaustive_search_cap():
         min_distance_exhaustive(code, cap=10)
 
 
+def test_search_cap_holds_on_every_call():
+    # a code keeps no minimum distance, so a second call with a lower cap is refused too
+    code = random_ensemble_code(6, 2, 20, np.random.default_rng(5))
+    d_min, pair = min_distance_exhaustive(code, 100)
+    with pytest.raises(CapExceeded):
+        min_distance_exhaustive(code, 5)
+    assert min_distance_exhaustive(code, 20) == (d_min, pair)
+
+
 def test_distances_to_agrees_with_scalar_loop():
     rng = np.random.default_rng(13)
     from subspacecodes import random_subspace

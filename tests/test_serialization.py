@@ -158,7 +158,7 @@ def raw_bases(draw):
 @given(basis=raw_bases(), real=st.booleans())
 def test_code_to_dict_matches_reference_on_arbitrary_floats(basis, real):
     # the writer does not validate, so any float must print as the reference prints it
-    word = Subspace(basis.real if real else basis, validate=False)
+    word = Subspace._view(basis.real if real else basis)
     code = SubspaceCode([word, word])
     got = json.dumps(codes.code_to_dict(code), sort_keys=True, separators=(",", ":"))
     assert (got + "\n").encode("utf-8") == _reference_code_bytes(code)

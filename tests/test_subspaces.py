@@ -20,10 +20,13 @@ from subspacecodes import (
     complement,
     direct_sum,
     distance,
+    erase,
     orthonormalize,
     principal_angles,
+    random_error_subspace,
     random_subspace,
     random_unitary,
+    rotate,
     same_subspace,
 )
 from subspacecodes.errors import AmbientMismatch, NontrivialIntersection
@@ -210,9 +213,17 @@ def test_subspace_rejects_non_orthonormal_basis():
 
 
 def test_basis_is_read_only():
-    U = Subspace(np.eye(2, 4))
-    with pytest.raises(ValueError):
-        U.basis[0, 0] = 2.0
+    # the checked constructor and every route that builds orthonormal rows unchecked
+    rng = np.random.default_rng(41)
+    U = random_subspace(6, 2, rng)
+    built = [Subspace(np.eye(2, 4)), U, orthonormalize(rng.standard_normal((3, 6))),
+             orthonormalize(np.zeros((2, 6))), complement(U), complement(Subspace.zero(6)),
+             complement(Subspace.full(6)), Subspace.zero(6), Subspace.full(6, complex_field=False),
+             erase(U, 1, rng), random_error_subspace(U, 2, rng), rotate(U, 0.5, rng)]
+    for V in built:
+        assert not V.basis.flags.writeable
+        with pytest.raises(ValueError):
+            V.basis[...] = 0.0
 
 
 def test_mismatched_ambient_dimensions_raise():

@@ -113,13 +113,16 @@ def _integer(cfg: dict, key: str, default: int | None = None) -> int:
 
 
 def _as_integer(value, what: str) -> int:
-    """``value`` as an int; ConfigError naming ``what`` unless it is integral."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    # a string goes through int() as it is; any other value must equal its int
-    if number is None or (not isinstance(value, str) and number != value):
+    """``value`` as an int; ConfigError naming ``what`` unless it is an
+    integral number.  JSON booleans and strings are refused, though int()
+    would take true as 1 and "7" as 7."""
+    number = None
+    if not isinstance(value, (bool, str)):
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if number is None or number != value:
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return number
 

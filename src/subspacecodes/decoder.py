@@ -31,7 +31,8 @@ def decode(code, received: Subspace) -> DecodeResult:
     """Nearest codeword in the projection distance, exhaustively."""
     if len(code) == 0:
         raise EmptyCode("cannot decode against an empty code")
-    return _nearest(code.distances_to(received)[:, np.newaxis])[0]
+    # a copy: _nearest writes into its table, and the code may hand out its own array
+    return _nearest(np.array(code.distances_to(received))[:, np.newaxis])[0]
 
 
 def decode_block(code, received: SubspaceCode) -> list[DecodeResult]:
@@ -47,15 +48,16 @@ def decode_block(code, received: SubspaceCode) -> list[DecodeResult]:
 
 
 def _nearest(dists: np.ndarray) -> list[DecodeResult]:
-    """The decode result of each column of a (len code, B) distance table."""
+    """The decode result of each column of a (len code, B) distance table,
+    which it overwrites: each column's minimum becomes inf."""
+    columns = np.arange(dists.shape[1])
     best = np.argmin(dists, axis=0)  # argmin takes the lowest index on exact ties
-    best_d = dists[best, np.arange(dists.shape[1])]
+    best_d = dists[best, columns]
     # the second-smallest entry is the smallest one besides ``best``, ties
-    # included; distances from validated codes are finite, never NaN
-    if len(dists) > 1:
-        runner = np.partition(dists, 1, axis=0)[1]
-    else:
-        runner = np.full(dists.shape[1], math.inf)
+    # included, and inf for a one-codeword code; distances from validated
+    # codes are finite, never NaN
+    dists[best, columns] = math.inf
+    runner = dists.min(axis=0)
     unique = runner - best_d > TIE_TOL
     return [DecodeResult(codeword_index=i, distance_to_received=d,
                          runner_up_distance=r, unique=u)

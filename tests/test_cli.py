@@ -289,6 +289,30 @@ def test_integer_keys_refuse_fractions_and_take_integral_floats(command, cfg, pa
     assert f"'{name}'" in err and "must be an integer" in err
 
 
+@pytest.mark.parametrize("command, cfg, path, value", INTEGER_KEYS,
+                         ids=[f"{c}-{'.'.join(map(str, p))}" for c, _, p, _ in INTEGER_KEYS])
+@pytest.mark.parametrize("kind", ["true", "string"])
+def test_integer_keys_refuse_booleans_and_strings(command, cfg, path, value, kind,
+                                                  tmp_path, capsys):
+    # int() would take true as 1 and "7" as 7
+    wrong = True if kind == "true" else str(value)
+    status, got, err = _run_body(command, _with_value(cfg, path, wrong), tmp_path, capsys)
+    assert status == EXIT_CONFIG and got == []
+    name = next(step for step in reversed(path) if isinstance(step, str))
+    assert f"'{name}'" in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("key", ["seed", "trials", "k", "rho", "t", "r_d"])
+@pytest.mark.parametrize("value", [True, "1"])
+def test_simulate_refuses_booleans_and_strings_as_counts(key, value, tmp_path, capsys):
+    channel = {"rho": 0} if key == "rho" else {"k": 1}
+    payload = {**SIM_BASE, "channel": channel}
+    (payload["channel"] if key in ("k", "rho", "t", "r_d") else payload)[key] = value
+    assert cli.main(["simulate", "--config", _write_cfg(tmp_path, "s.json", payload)]) \
+        == EXIT_CONFIG
+    assert f"config key '{key}' must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
 def test_ensemble_complex_flag_must_be_a_json_boolean(value, tmp_path, capsys):
     cfg = _with_value(ENSEMBLE, ("code", "complex"), value)

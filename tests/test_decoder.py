@@ -24,6 +24,7 @@ from subspacecodes import (
     random_subspace,
     rotate,
 )
+from subspacecodes import decoder
 from subspacecodes.errors import EmptyCode
 
 
@@ -114,6 +115,40 @@ def test_decode_runner_up_matches_the_delete_oracle():
         assert out.codeword_index == best
         assert out.runner_up_distance == np.min(np.delete(dists, best))
         assert out.unique == (out.runner_up_distance > out.distance_to_received)
+
+
+def test_block_decoder_matches_the_partition_oracle_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        # small integers force exact ties, at the minimum and above it
+        M, B = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        table = rng.integers(0, 4, size=(M, B)).astype(float)
+        monkeypatch.setattr(decoder, "pairwise", lambda code, received: table.copy())
+        results = decode_block(range(M), None)
+        best = np.argmin(table, axis=0)
+        best_d = table[best, np.arange(B)]
+        runner = np.partition(table, 1, axis=0)[1] if M > 1 else np.full(B, math.inf)
+        assert [r.codeword_index for r in results] == best.tolist()
+        assert [r.distance_to_received for r in results] == best_d.tolist()
+        assert [r.runner_up_distance for r in results] == runner.tolist()
+        assert [r.unique for r in results] == (runner - best_d > decoder.TIE_TOL).tolist()
+
+
+def test_decoders_leave_the_distances_of_a_code_unchanged():
+    dists = np.array([3.0, 1.0, 1.0, 2.0])
+    fixed = _FixedDistances(dists)
+    assert decode(fixed, None) == decode(fixed, None)
+    np.testing.assert_array_equal(dists, [3.0, 1.0, 1.0, 2.0])
+    rng = np.random.default_rng(17)
+    code = SubspaceCode([random_subspace(6, 2, rng) for _ in range(5)])
+    received = [random_subspace(6, 2, rng) for _ in range(4)] + [code[1]]
+    held = [code.distances_to(V) for V in received]
+    kept = [d.copy() for d in held]
+    for V in received:
+        decode(code, V)
+    decode_block(code, SubspaceCode(received))
+    for d, want in zip(held, kept):
+        np.testing.assert_array_equal(d, want)
 
 
 @pytest.mark.parametrize("complex_field", [False, True])

@@ -174,3 +174,32 @@ def test_codewords_are_read_only_views_of_the_rows():
             assert word.basis.dtype == code.rows.dtype
             with pytest.raises(ValueError):
                 word.basis[...] = 0.0
+
+
+def _reshape_sum_pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
+    """The engine's constant-dimension branch with the per-pair sum written as
+    one 4-d reshape-and-sum, block for block as ``pairwise`` runs it."""
+    a, b = A.common_dim, B.common_dim
+    parts = []
+    for lo, hi in A.blocks(B):
+        cross = A.part(lo, hi).rows @ B.rows.conj().T
+        overlap = np.square(cross.real) + np.square(cross.imag)
+        overlap = overlap.reshape(hi - lo, a, len(B), b).sum(axis=(1, 3))
+        parts.append(np.maximum(-2.0 * overlap + (a + b), 0.0))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_pairwise_sums_each_pair_in_the_reshape_sum_order(complex_field):
+    # the same table bit for bit, so every d_min, decode and distance table is unchanged
+    n = 17
+    rng = np.random.default_rng(31)
+    for a, b in itertools.product(range(1, 17), repeat=2):
+        A = SubspaceCode([random_subspace(n, a, rng, complex_field) for _ in range(5)])
+        for size in (1, 3):
+            B = SubspaceCode([random_subspace(n, b, rng, complex_field) for _ in range(size)])
+            # two codewords of A per block, so three blocks form
+            block_bytes = 2 * 16 * B.rows.shape[0] * a
+            with mock.patch.object(subspaces, "_BLOCK_BYTES", block_bytes):
+                assert len(A.blocks(B)) == 3
+                assert np.array_equal(pairwise(A, B), _reshape_sum_pairwise(A, B))

@@ -33,6 +33,7 @@ from .errors import (CapExceeded, ConfigError, DimensionOverflow, EmptyCode,
                      PreconditionViolated, RankDeficient, RetryLimitExceeded,
                      SizeOverflow)
 from .finitefield import MAX_Q, FiniteField, is_prime
+from .seeding import generators, trial_seed_words
 from .subspaces import distance, pairwise
 
 EXIT_OK = 0
@@ -112,6 +113,15 @@ def _integer(cfg: dict, key: str, default: int | None = None) -> int:
     return _as_integer(value, f"config key '{key}'")
 
 
+def _seed(cfg: dict) -> int:
+    """cfg's seed; ConfigError unless it is a nonnegative integer, the
+    only entropy NumPy's SeedSequence takes."""
+    seed = _integer(cfg, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _as_integer(value, what: str) -> int:
     """``value`` as an int; ConfigError naming ``what`` unless it is an
     integral number.  JSON booleans and strings are refused, though int()
@@ -176,7 +186,7 @@ def build_code_from_config(cfg, seed=None) -> SubspaceCode:
 
 def cmd_construct(args) -> int:
     cfg = _load_config(args)
-    seed = _integer(cfg, "seed") if "seed" in cfg else None
+    seed = _seed(cfg) if "seed" in cfg else None
     code = build_code_from_config(_require(cfg, "code"), seed)
     cap = _integer(cfg, "search_cap", DEFAULT_SEARCH_CAP)
     params = code_parameters(code, cap)
@@ -222,10 +232,12 @@ def _channel_from_config(cfg: dict, code: SubspaceCode):
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    seed = _integer(cfg, "seed")
+    seed = _seed(cfg)
     trials = _integer(cfg, "trials")
     if trials < 1:
         raise ConfigError("need at least one trial")
+    if trials > 2**32:
+        raise ConfigError(f"at most 2**32 trials, got {trials}")
     code = build_code_from_config(_require(cfg, "code"), seed)
     spec = _channel_from_config(_require(cfg, "channel"), code)
     cap = _integer(cfg, "search_cap", DEFAULT_SEARCH_CAP)
@@ -235,11 +247,13 @@ def cmd_simulate(args) -> int:
                "correct", "d_tx_rx", "guarantee_flag"]
     rows = []
     successes = 0
-    # each trial keeps its own generator and draw order (the codeword, then
-    # the channel's draws), so the block size does not change any output
+    # each trial keeps its own generator (the one default_rng builds from
+    # [seed, 1, trial]) and draw order (the codeword, then the channel's
+    # draws), so the block size does not change any output
+    words = trial_seed_words(seed, np.arange(trials))
     for lo in range(0, trials, _TRIAL_BLOCK):
         block = range(lo, min(lo + _TRIAL_BLOCK, trials))
-        rngs = [np.random.default_rng([seed, 1, trial]) for trial in block]
+        rngs = generators(words[lo:lo + _TRIAL_BLOCK])
         txs = [int(rng.integers(len(code))) for rng in rngs]
         sent = [code[tx] for tx in txs]
         received = apply_noisy_operator_channel_block(sent, spec, rngs)

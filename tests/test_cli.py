@@ -205,6 +205,41 @@ def test_simulate_refuses_a_negative_rho(tmp_path, capsys):
     assert "'rho' must be nonnegative" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_negative_seed_on_a_file_code(tmp_path, capsys):
+    path = tmp_path / "cp52.json"
+    save_code(cli.build_code_from_config({"type": "cp", "q": 5, "k": 2}), path)
+    out = tmp_path / "s.csv"
+    cfg = _write_cfg(tmp_path, "s.json", {"code": {"type": "file", "path": str(path)},
+                                          "channel": {"k": 1, "t": 1}, "trials": 3, "seed": 1})
+    assert cli.main(["simulate", "--config", cfg, "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_negative_seed_before_building_the_code(tmp_path, capsys):
+    # CP (13,12) exceeds the size cap, which the seed check must come before
+    cfg = _write_cfg(tmp_path, "s.json", {"code": {"type": "cp", "q": 13, "k": 12},
+                                          "channel": {"k": 1, "t": 0}, "trials": 3, "seed": 1})
+    assert cli.main(["simulate", "--config", cfg]) == EXIT_INFEASIBLE
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", cfg, "--seed", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seed must be nonnegative, got -1\n"
+
+
+def test_construct_refuses_a_negative_seed(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "c.json", {"code": {"type": "random-ensemble", "n": 8, "m": 2, "M": 6}})
+    assert cli.main(["construct", "--config", cfg, "--seed", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seed must be nonnegative, got -1\n"
+
+
+def test_simulate_refuses_more_than_2_to_the_32_trials(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "s.json", {"code": {"type": "cp", "q": 13, "k": 12},
+                                          "channel": {"k": 1, "t": 0}, "trials": 2**32 + 1,
+                                          "seed": 1})
+    assert cli.main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: at most 2**32 trials, got {2**32 + 1}\n"
+
+
 SIM_BASE = {"code": {"type": "cp", "q": 5, "k": 2}, "trials": 3, "seed": 1}
 
 

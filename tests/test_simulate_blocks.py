@@ -132,3 +132,9 @@ def test_unreachable_rotation_keeps_its_message(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "infeasible request: rotation budget 2.5 exceeds the largest distance 2 from a "
         "1-dimensional subspace of ambient dimension 4\n")
+
+
+def test_seed_longer_than_two_entropy_words_matches_the_per_trial_loop(tmp_path, capsys):
+    # 2**70 is three uint32 words, so each trial's entropy overflows the 4-word pool
+    _assert_same_csv(tmp_path, {**README, "seed": 2**70, "trials": 200})
+    capsys.readouterr()

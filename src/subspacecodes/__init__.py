@@ -25,6 +25,6 @@ from .decoder import (DecodeResult, decode, decode_block, guarantee_chordal,
 from .finitefield import FiniteField, is_prime, weil_sum
 from .subspaces import (Subspace, chordal_distance, complement, direct_sum,
                         distance, orthonormalize, principal_angles,
-                        random_subspace, random_unitary, same_subspace)
+                        random_subspace)
 
 __version__ = "0.1.0"

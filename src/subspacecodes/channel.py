@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionOverflow, PreconditionViolated, RankDeficient)
-from .subspaces import (TOL_RANK, Subspace, SubspaceCode, _complements, _gaussian,
-                        _numerical_rank)
+from .subspaces import Subspace, SubspaceCode, _complements, _gaussian, _numerical_rank
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,7 @@ def _rank_r_rows(raw: np.ndarray, r: int, what: str) -> np.ndarray:
     if r == 0:
         return raw[:, :0]
     _, s, vh = np.linalg.svd(raw, full_matrices=False)
-    ranks = np.count_nonzero(s > TOL_RANK * s[:, :1], axis=1)
-    if np.any(ranks != r):  # Gaussian draws have rank r almost surely
+    if np.any(_numerical_rank(s) != r):  # Gaussian draws have rank r almost surely
         raise RuntimeError(f"rank-deficient {what} draw")
     return vh[:, :r]
 
@@ -399,7 +397,7 @@ def general_perturbation_bound(A, N):
         raise ValueError("A and N must share a shape")
     l = A.shape[0]
     s = np.linalg.svd(A, compute_uv=False)
-    rank = _numerical_rank(s)
+    rank = int(_numerical_rank(s))
     r_d = l - rank
     if rank == 0:
         raise RankDeficient("zero matrix has no row space to track")

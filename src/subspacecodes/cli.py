@@ -27,7 +27,7 @@ from .channel import (NoisyChannelSpec, OperatorChannelSpec,
 from .codes import (CPCodeSpec, SubspaceCode, binary_to_lines, code_parameters,
                     cp_construct, cp_max_k_for_delta, cp_simplified_bound,
                     load_code, min_distance_exhaustive, random_ensemble_code,
-                    save_code, DEFAULT_SEARCH_CAP, DEFAULT_SIZE_CAP)
+                    save_code, DEFAULT_SEARCH_CAP)
 from .decoder import decode_block, guarantee_noisy
 from .errors import (CapExceeded, ConfigError, DimensionOverflow, EmptyCode,
                      PreconditionViolated, RankDeficient, RetryLimitExceeded,
@@ -49,8 +49,8 @@ _TRIAL_BLOCK = 32
 # config plumbing
 
 
-def _load_config(args) -> dict:
-    """The --config object, with any of --seed, --trials and --out laid over it."""
+def _load_config(args, keys: tuple) -> dict:
+    """The --config object, any --seed, --trials or --out laid over it; ``keys`` only."""
     cfg = {}
     if args.config is not None:
         try:
@@ -65,7 +65,14 @@ def _load_config(args) -> dict:
     for key in ("seed", "trials", "out"):
         if (value := getattr(args, key, None)) is not None:
             cfg[key] = value
+    _known_keys(cfg, keys, "config")
     return cfg
+
+
+def _known_keys(cfg: dict, keys: tuple, what: str) -> None:
+    """ConfigError naming every key of ``cfg`` outside ``keys``, so no typo passes unread."""
+    if unknown := [key for key in cfg if key not in keys]:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -113,6 +120,15 @@ def _integer(cfg: dict, key: str, default: int | None = None) -> int:
     return _as_integer(value, f"config key '{key}'")
 
 
+def _real(cfg: dict, key: str, default: float) -> float:
+    """float(cfg[key]), ``default`` when it is absent; ConfigError for a
+    JSON boolean, which float() would take as 1.0 or 0.0."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool):
+        raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
+    return float(value)
+
+
 def _seed(cfg: dict) -> int:
     """cfg's seed; ConfigError unless it is a nonnegative integer, the
     only entropy NumPy's SeedSequence takes."""
@@ -154,17 +170,22 @@ def _field_for_order(q: int) -> FiniteField:
     return FiniteField(p, m)
 
 
+# the keys each code type reads besides 'type'
+_CODE_KEYS = {"cp": ("q", "k"), "binary": ("words", "length"),
+              "random-ensemble": ("n", "m", "M", "complex"), "file": ("path",)}
+
+
 def build_code_from_config(cfg, seed=None) -> SubspaceCode:
     """Build a code from its config block (cp / binary / random-ensemble / file)."""
     if not isinstance(cfg, dict):
         raise ConfigError("'code' must be a JSON object")
     kind = _require(cfg, "type")
+    if not isinstance(kind, str) or kind not in _CODE_KEYS:
+        raise ConfigError(f"unknown code type '{kind}'")
+    _known_keys(cfg, ("type", *_CODE_KEYS[kind]), f"'{kind}' code")
     if kind == "cp":
         field = _field_for_order(_integer(cfg, "q"))
-        spec = CPCodeSpec(field=field, k=_integer(cfg, "k"),
-                          character_index=_integer(cfg, "character_index", 1),
-                          size_cap=_integer(cfg, "size_cap", DEFAULT_SIZE_CAP))
-        return cp_construct(spec)
+        return cp_construct(CPCodeSpec(field, _integer(cfg, "k")))
     if kind == "binary":
         return binary_to_lines(_require(cfg, "words"), cfg.get("length"))
     if kind == "random-ensemble":
@@ -175,9 +196,7 @@ def build_code_from_config(cfg, seed=None) -> SubspaceCode:
         rng = np.random.default_rng([seed, 0])
         return random_ensemble_code(_integer(cfg, "n"), _integer(cfg, "m"),
                                     _integer(cfg, "M"), rng, complex_field=complex_field)
-    if kind == "file":
-        return load_code(_require(cfg, "path"))
-    raise ConfigError(f"unknown code type '{kind}'")
+    return load_code(_require(cfg, "path"))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +204,7 @@ def build_code_from_config(cfg, seed=None) -> SubspaceCode:
 
 
 def cmd_construct(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, ("code", "seed", "search_cap", "out"))
     seed = _seed(cfg) if "seed" in cfg else None
     code = build_code_from_config(_require(cfg, "code"), seed)
     cap = _integer(cfg, "search_cap", DEFAULT_SEARCH_CAP)
@@ -207,11 +226,9 @@ def cmd_construct(args) -> int:
 def _channel_from_config(cfg: dict, code: SubspaceCode):
     if not isinstance(cfg, dict):
         raise ConfigError("'channel' must be a JSON object")
-    if float(cfg.get("sigma", 0.0)) != 0.0:
-        raise ConfigError("simulate drives the operator channel; sigma must be 0 "
-                          "(the matrix channel is available through the API)")
+    _known_keys(cfg, ("k", "rho", "t", "delta", "r_d"), "channel")
     t = _integer(cfg, "t", 0)
-    delta = float(cfg.get("delta", 0.0))
+    delta = _real(cfg, "delta", 0.0)
     r_d = _integer(cfg, "r_d", 0)
     if "k" in cfg and "rho" in cfg:
         raise ConfigError("give either 'k' or 'rho', not both")
@@ -231,7 +248,7 @@ def _channel_from_config(cfg: dict, code: SubspaceCode):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, ("code", "channel", "seed", "trials", "search_cap", "out"))
     seed = _seed(cfg)
     trials = _integer(cfg, "trials")
     if trials < 1:
@@ -279,15 +296,16 @@ _BOUND_LABELS = ("shannon", "barg_lower", "barg_upper", "cp", "gv", "zyablov",
 
 
 def cmd_bounds(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, ("labels", "m", "beta", "delta_min", "delta_max", "delta_points",
+                              "rate_points", "cp_q", "seed", "out"))
     labels = cfg.get("labels", list(_BOUND_LABELS))
     for label in labels:
         if label not in _BOUND_LABELS:
             raise ConfigError(f"unknown bound label '{label}'")
     m = _integer(cfg, "m", 1)
     beta = _integer(cfg, "beta", 2)
-    d_lo = float(cfg.get("delta_min", 0.02))
-    d_hi = float(cfg.get("delta_max", 1.0))
+    d_lo = _real(cfg, "delta_min", 0.02)
+    d_hi = _real(cfg, "delta_max", 1.0)
     d_pts = _integer(cfg, "delta_points", 50)
     r_pts = _integer(cfg, "rate_points", 50)
     cp_qs = [_as_integer(q, "each 'cp_q' entry") for q in cfg.get("cp_q", [101, 1009, 10007])]
@@ -332,10 +350,10 @@ def _largest_prime_below(x: int) -> int:
 
 
 def cmd_figure3(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, ("exponents", "delta_target", "seed", "out"))
     exponents = [_as_integer(e, "each 'exponents' entry")
                  for e in cfg.get("exponents", list(range(3, 11)))]
-    target = float(cfg.get("delta_target", 0.5))
+    target = _real(cfg, "delta_target", 0.5)
     columns = ["k_exponent", "n", "p", "chosen_k", "ln_code_size", "n_doubled",
                "external_comparator_1", "external_comparator_2"]
     rows = []

@@ -21,10 +21,9 @@ from .finitefield import FiniteField, is_prime
 from .subspaces import (TOL_EQUAL, Subspace, SubspaceCode, _check_orthonormal, complement,
                         pairwise, random_subspace)
 
-DEFAULT_SIZE_CAP = 10 ** 6
 DEFAULT_SEARCH_CAP = 10 ** 4
-# Largest field order cp_construct accepts: CP (4096, 1) is already a 268 MB matrix.
-CP_MAX_Q = 1 << 12
+# Most basis entries (M times n) cp_construct allocates: CP (4096, 1), 268 MB.
+CP_MAX_ENTRIES = 4096 * 4095
 # Draws random_ensemble_code makes for one codeword before it gives up.
 ENSEMBLE_MAX_RETRIES = 50
 
@@ -96,18 +95,15 @@ class CPCodeSpec:
     where f ranges over polynomials whose monomial degrees lie in [1, k] and
     are not divisible by the field characteristic, n = q - 1, and the
     evaluation points a_i are the nonzero field elements in increasing
-    integer encoding.  chi is the additive character with the given index.
+    integer encoding.  chi(x) = exp(2 pi i tr(x) / p); any other nontrivial
+    character, chi(j x), only reorders the lines: chi(j f(a)) is chi of j f.
     """
     field: FiniteField
     k: int
-    character_index: int = 1
-    size_cap: int = DEFAULT_SIZE_CAP
 
     def __post_init__(self):
         if not 1 <= self.k < self.field.q:
             raise ValueError(f"need 1 <= k < q, got k = {self.k}, q = {self.field.q}")
-        if self.character_index % self.field.q == 0:
-            raise ValueError("character index must be nonzero")
 
     @property
     def q(self) -> int:
@@ -132,25 +128,25 @@ def cp_construct(spec: CPCodeSpec) -> SubspaceCode:
     the all-zero polynomial comes first and maps to the line of the all-ones
     vector.
 
-    The trace is additive, so tr(chi f(a)) = sum_d tr(chi c_d a^d) mod p over
-    the monomials d of f.  One (q, n) table of tr(chi c a^d) per monomial,
-    indexed by the coefficient c, is broadcast-summed over the coefficient
-    grid (first monomial slowest) to give every codeword's trace exponents.
+    The trace is additive, so tr(f(a)) = sum_d tr(c_d a^d) mod p over the
+    monomials d of f.  One (q, n) table of tr(c a^d) per monomial, indexed
+    by the coefficient c, is broadcast-summed over the coefficient grid
+    (first monomial slowest) to give every codeword's trace exponents.
+    SizeOverflow, before any field table is built, past CP_MAX_ENTRIES.
     """
     field = spec.field
     q = field.q
-    if q > CP_MAX_Q:
-        raise SizeOverflow(f"construction enumerates all of GF(q); needs q <= {CP_MAX_Q}")
+    n = spec.n
     mons = cp_monomial_set(spec)
     size = q ** len(mons)
-    if size > spec.size_cap:
-        raise SizeOverflow(f"code size {size} exceeds the cap {spec.size_cap}")
-    n = q - 1
+    if size * n > CP_MAX_ENTRIES:
+        raise SizeOverflow(f"CP ({q},{spec.k}) has {size} codewords of length {n}; "
+                           f"needs at most {CP_MAX_ENTRIES} basis entries")
     pts = np.arange(1, q, dtype=np.int64)
-    chi_c = field.mul_vec(np.arange(q, dtype=np.int64), spec.character_index % q)
+    coeffs = np.arange(q, dtype=np.int64)
     exponents = np.zeros((1, n), dtype=np.int64)
     for d in mons:
-        table = field.trace_table[field.mul_vec(chi_c[:, None], field.pow_vec(pts, d)[None, :])]
+        table = field.trace_table[field.mul_vec(coeffs[:, None], field.pow_vec(pts, d)[None, :])]
         exponents = (exponents[:, None, :] + table[None, :, :]).reshape(-1, n)
     exponents %= field.p
     rows = field.character_roots[exponents]

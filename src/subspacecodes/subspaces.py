@@ -132,11 +132,10 @@ def _as_float_matrix(raw) -> np.ndarray:
     return raw
 
 
-def _numerical_rank(s: np.ndarray) -> int:
-    """Number of singular values ``s`` (descending) above TOL_RANK * s[0]."""
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > TOL_RANK * s[0]))
+def _numerical_rank(s: np.ndarray):
+    """Numerical rank of each row of singular values in the stack ``s``
+    (each row descending): the count above TOL_RANK times the row's first."""
+    return np.count_nonzero(s > TOL_RANK * s[..., :1], axis=-1)
 
 
 def _check_same_ambient(U: Subspace, V: Subspace) -> None:
@@ -331,9 +330,10 @@ def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
     for lo, hi in A.blocks(B):
         block = A.part(lo, hi)
         cross = block.rows @ b_adj
-        overlap = np.square(cross.real)
+        # |c|^2: the product's float view squared in place, then re^2 + im^2
+        overlap = np.square(cross.view(float), out=cross.view(float))
         if np.iscomplexobj(cross):
-            overlap += np.square(cross.imag)
+            overlap = overlap[:, 0::2] + overlap[:, 1::2]
         if uniform:
             overlap = _tile_sums(overlap.reshape(hi - lo, A.common_dim, len(B), B.common_dim))
             dims = A.common_dim + B.common_dim
@@ -412,16 +412,3 @@ def random_subspace(n: int, m: int, rng: np.random.Generator,
     if out.dim != m:  # Gaussian matrices are full rank almost surely
         raise RuntimeError("sampled a rank-deficient Gaussian matrix")
     return out
-
-
-def random_unitary(n: int, rng: np.random.Generator,
-                   complex_field: bool = True) -> np.ndarray:
-    """Haar-distributed unitary (orthogonal when real) n x n matrix."""
-    q, r = np.linalg.qr(_gaussian(rng, (n, n), complex_field))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def same_subspace(U: Subspace, V: Subspace) -> bool:
-    """Equality up to numerical tolerance: distance below TOL_EQUAL."""
-    return distance(U, V) < TOL_EQUAL

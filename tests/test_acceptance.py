@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import random_unitary
 from subspacecodes import (
     CPCodeSpec,
     FiniteField,
@@ -51,11 +52,11 @@ from subspacecodes import (
     perturbation_bound,
     random_ensemble_code,
     random_subspace,
-    random_unitary,
     rq_factorize,
     weil_sum,
     zyablov_delta,
 )
+from subspacecodes.codes import CP_MAX_ENTRIES
 from subspacecodes.errors import SizeOverflow
 
 
@@ -83,17 +84,20 @@ def test_01_cp_code_sizes(capfd):
     def body():
         assert len(cp_construct(CPCodeSpec(FiniteField(5), 2))) == 25
         assert len(cp_construct(CPCodeSpec(FiniteField(7), 3))) == 343
+        refused = []
         for q in (3, 5, 7, 11, 13):
             field = FiniteField(q)
             for k in range(1, q):
-                spec = CPCodeSpec(field, k, size_cap=30000)
+                spec = CPCodeSpec(field, k)
                 predicted = q ** math.ceil(k * (q - 1) / q)
                 assert q ** len(cp_monomial_set(spec)) == predicted
                 if predicted <= 2500:
                     assert len(cp_construct(spec)) == predicted
-                elif predicted > 30000:
+                elif predicted * (q - 1) > CP_MAX_ENTRIES:
                     with pytest.raises(SizeOverflow):
                         cp_construct(spec)
+                    refused.append((q, k))
+        assert refused == [(q, k) for q in (11, 13) for k in range(6, q)]
 
     _gate(capfd, 1, "cp code sizes exact over the q,k grid", 10.0, body)
 

@@ -11,6 +11,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import same_subspace
 from subspacecodes import (
     MatrixChannelSpec,
     NoisyChannelSpec,
@@ -33,7 +34,6 @@ from subspacecodes import (
     random_subspace,
     rotate,
     rq_factorize,
-    same_subspace,
 )
 from subspacecodes.channel import _gaussian
 from subspacecodes.errors import DimensionOverflow, PreconditionViolated, RankDeficient

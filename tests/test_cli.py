@@ -275,9 +275,6 @@ ENSEMBLE = {"code": {"type": "random-ensemble", "n": 8, "m": 2, "M": 6}, "seed":
 INTEGER_KEYS = [
     ("construct", CP72, ("code", "q"), 7),
     ("construct", CP72, ("code", "k"), 2),
-    ("construct", {"code": {**CP72["code"], "character_index": 3}},
-     ("code", "character_index"), 3),
-    ("construct", {"code": {**CP72["code"], "size_cap": 100}}, ("code", "size_cap"), 100),
     ("construct", ENSEMBLE, ("code", "n"), 8),
     ("construct", ENSEMBLE, ("code", "m"), 2),
     ("construct", ENSEMBLE, ("code", "M"), 6),
@@ -361,6 +358,59 @@ def test_ensemble_complex_false_builds_a_real_code(tmp_path, capsys):
     assert cli.main(["construct", "--config", _write_cfg(tmp_path, "e.json", cfg)]) == EXIT_OK
     capsys.readouterr()
     assert json.loads(out.read_text())["beta"] == 1
+
+
+# (subcommand, config, path to a key that no config object reads)
+UNKNOWN_KEYS = [
+    ("construct", {"code": {**CP72["code"], "character_index": 3}}, ("code", "character_index")),
+    ("construct", {"code": {**CP72["code"], "size_cap": 100}}, ("code", "size_cap")),
+    ("construct", {"code": {**ENSEMBLE["code"], "complx": False}, "seed": 1}, ("code", "complx")),
+    ("construct", {**CP72, "serach_cap": 100}, ("serach_cap",)),
+    ("simulate", {**SIM_BASE, "channel": {"k": 1, "sigma": 0}}, ("channel", "sigma")),
+    ("simulate", {**SIM_BASE, "channel": {"k": 1, "detla": 5}}, ("channel", "detla")),
+    ("simulate", {**SIM_BASE, "channel": {"k": 1}, "trails": 3}, ("trails",)),
+    ("bounds", {"delta_mim": 0.1}, ("delta_mim",)),
+    ("figure3", {"delta_taget": 0.4}, ("delta_taget",)),
+]
+
+
+@pytest.mark.parametrize("command, cfg, path", UNKNOWN_KEYS,
+                         ids=[f"{c}-{'.'.join(p)}" for c, _, p in UNKNOWN_KEYS])
+def test_config_refuses_unknown_keys(command, cfg, path, tmp_path, capsys):
+    status, got, err = _run_body(command, cfg, tmp_path, capsys)
+    assert status == EXIT_CONFIG and got == []
+    assert f"key(s): '{path[-1]}'" in err
+    # without the key the same config runs
+    cfg = json.loads(json.dumps(cfg))
+    owner = cfg
+    for step in path[:-1]:
+        owner = owner[step]
+    del owner[path[-1]]
+    assert _run_body(command, cfg, tmp_path, capsys)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("simulate", {**SIM_BASE, "channel": {"k": 1, "delta": True}}, "delta"),
+    ("simulate", {**SIM_BASE, "channel": {"k": 1, "delta": False}}, "delta"),
+    ("bounds", {"delta_min": False}, "delta_min"),
+    ("bounds", {"delta_max": True}, "delta_max"),
+    ("figure3", {"delta_target": True}, "delta_target"),
+])
+def test_real_keys_refuse_json_booleans(command, cfg, key, tmp_path, capsys):
+    # float() would take true as 1.0 and false as 0.0
+    status, got, err = _run_body(command, cfg, tmp_path, capsys)
+    assert status == EXIT_CONFIG and got == []
+    assert f"config key '{key}' must be a number" in err
+
+
+def test_construct_refuses_an_oversized_cp_code_before_allocating(tmp_path, capsys):
+    # CP (997,2) would be 997^2 lines in C^996, a 15.8 GB matrix
+    cfg = _write_cfg(tmp_path, "c.json", {"code": {"type": "cp", "q": 997, "k": 2}})
+    t0 = time.monotonic()
+    assert cli.main(["construct", "--config", cfg]) == EXIT_INFEASIBLE
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible request: CP (997,2) has 994009 codewords")
 
 
 def test_simulate_search_cap_is_infeasible_for_large_codes(tmp_path, capsys):

@@ -16,6 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from helpers import random_unitary
 from subspacecodes import (
     CPCodeSpec,
     FiniteField,
@@ -36,7 +37,6 @@ from subspacecodes import (
     min_distance_exhaustive,
     random_ensemble_code,
     random_subspace,
-    random_unitary,
     save_code,
 )
 from subspacecodes import codes
@@ -91,14 +91,15 @@ def test_cp_5_2_min_distance_matches_line_oracle():
     )
 
 
-def _cp_loop_oracle(spec: CPCodeSpec) -> np.ndarray:
-    """Codeword vectors of the CP code, one polynomial at a time: accumulate
-    f(a) = sum_d c_d a^d in the field, then look up chi(f(a))."""
+def _cp_loop_oracle(spec: CPCodeSpec, chi_index: int) -> np.ndarray:
+    """Codeword vectors of the CP code under the character chi_j(x) = chi(j x),
+    j = chi_index, one polynomial at a time: accumulate f(a) = sum_d c_d a^d
+    in the field, then look up chi_j(f(a))."""
     field = spec.field
     q, n = field.q, spec.n
     pts = np.arange(1, q, dtype=np.int64)
     powmat = [field.pow_vec(pts, d) for d in cp_monomial_set(spec)]
-    chi = np.full(n, spec.character_index % q, dtype=np.int64)
+    chi = np.full(n, chi_index % q, dtype=np.int64)
     vecs = []
     for coeff in itertools.product(range(q), repeat=len(powmat)):
         acc = np.zeros(n, dtype=np.int64)
@@ -115,9 +116,17 @@ def _cp_loop_oracle(spec: CPCodeSpec) -> np.ndarray:
     (7, 1, 4, 1), (5, 2, 3, 1), (7, 1, 3, 3), (3, 2, 4, 5), (2, 3, 5, 6),
 ])
 def test_cp_construct_matches_codeword_loop_bit_for_bit(p, m, k, chi):
-    spec = CPCodeSpec(FiniteField(p, m), k, character_index=chi)
+    spec = CPCodeSpec(FiniteField(p, m), k)
     got = np.array([w.basis[0] for w in cp_construct(spec)])
-    assert np.array_equal(got, _cp_loop_oracle(spec))
+    if chi != 1:
+        # chi_j(f(a)) = chi((j f)(a)): the row of coefficient tuple c under
+        # chi_j is the row of j c under chi; tuples are numbered with the
+        # first monomial slowest
+        field, q = spec.field, spec.q
+        tuples = np.array(list(itertools.product(range(q), repeat=len(cp_monomial_set(spec)))))
+        scaled = field.mul_vec(tuples, chi % q)
+        got = got[scaled @ q ** np.arange(tuples.shape[1])[::-1]]
+    assert np.array_equal(got, _cp_loop_oracle(spec, chi))
 
 
 def test_cp_first_codeword_is_the_all_ones_line():
@@ -149,7 +158,7 @@ def test_code_size_formula_across_fields():
         field = FiniteField(p, m)
         q = p**m
         for k in range(1, q):
-            spec = CPCodeSpec(field, k, size_cap=10**9)
+            spec = CPCodeSpec(field, k)
             predicted = q ** len(cp_monomial_set(spec))
             assert predicted == q ** math.ceil(k * (p - 1) / p)
             if predicted <= 700:
@@ -263,10 +272,10 @@ def test_cp_max_k_matches_the_scan():
 
 
 def test_cp_field_cap_refuses_before_building_tables():
-    for p, m in [(3, 10), (2, 16)]:
+    for p, m, k in [(3, 10, 1), (2, 16, 1), (257, 1, 2)]:
         field = FiniteField(p, m)
-        with pytest.raises(SizeOverflow, match="needs q <= 4096"):
-            cp_construct(CPCodeSpec(field, 1))
+        with pytest.raises(SizeOverflow, match=f"needs at most {4096 * 4095} basis entries"):
+            cp_construct(CPCodeSpec(field, k))
         assert field._exp is None
 
 
@@ -274,20 +283,21 @@ def test_cp_size_and_field_caps():
     with pytest.raises(SizeOverflow):
         cp_construct(CPCodeSpec(FiniteField(13), 12))
     with pytest.raises(SizeOverflow):
-        cp_construct(CPCodeSpec(FiniteField(5), 2, size_cap=10))
+        cp_construct(CPCodeSpec(FiniteField(257), 2))  # 16,908,544 basis entries
     with pytest.raises(SizeOverflow):
         cp_construct(CPCodeSpec(FiniteField(2, 13), 1))  # field too big to enumerate
     with pytest.raises(ValueError):
         CPCodeSpec(FiniteField(5), 0)
     with pytest.raises(ValueError):
         CPCodeSpec(FiniteField(5), 5)
-    with pytest.raises(ValueError):
-        CPCodeSpec(FiniteField(5), 2, character_index=0)
 
 
 def test_cp_other_character_same_geometry():
-    base = cp_construct(CPCodeSpec(FiniteField(5), 2))
-    alt = cp_construct(CPCodeSpec(FiniteField(5), 2, character_index=2))
+    # the code evaluated through chi_2(x) = chi(2x) has the same size and
+    # minimum distance as the chi_1 code that cp_construct builds
+    spec = CPCodeSpec(FiniteField(5), 2)
+    base = cp_construct(spec)
+    alt = SubspaceCode([Subspace(v[np.newaxis]) for v in _cp_loop_oracle(spec, 2)])
     assert len(alt) == len(base)
     d0, _ = min_distance_exhaustive(base)
     d1, _ = min_distance_exhaustive(alt)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_unitary
 from subspacecodes import (
     CPCodeSpec,
     FiniteField,
@@ -27,7 +28,6 @@ from subspacecodes import (
     distance,
     min_distance_exhaustive,
     random_subspace,
-    random_unitary,
 )
 from subspacecodes import subspaces
 from subspacecodes.subspaces import pairwise

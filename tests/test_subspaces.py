@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_unitary, same_subspace
 from subspacecodes import (
     Subspace,
     chordal_distance,
@@ -25,9 +26,7 @@ from subspacecodes import (
     principal_angles,
     random_error_subspace,
     random_subspace,
-    random_unitary,
     rotate,
-    same_subspace,
 )
 from subspacecodes.errors import AmbientMismatch, NontrivialIntersection
 

@@ -12,16 +12,17 @@ from .bounds import (barg_lower, barg_upper, binary_entropy, blokh_zyablov_rate,
 from .channel import (MatrixChannelSpec, NoisyChannelSpec, OperatorChannelSpec,
                       apply_matrix_channel, apply_noisy_operator_channel,
                       apply_noisy_operator_channel_block, apply_operator_channel,
-                      erase, general_perturbation_bound, perturbation_bound,
-                      random_error_subspace, rotate, rq_factorize)
+                      channel_draw_size, erase, general_perturbation_bound,
+                      perturbation_bound, random_error_subspace, rotate,
+                      rq_factorize)
 from .codes import (CodeParameters, CPCodeSpec, SubspaceCode, binary_to_lines,
                     code_parameters, complex_to_real_double, cp_construct,
                     cp_distance_bound, cp_max_k_for_delta, cp_monomial_set,
                     cp_simplified_bound, dual_code, line_delta_from_hamming,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code)
-from .decoder import (DecodeResult, decode, decode_block, guarantee_chordal,
-                      guarantee_noiseless, guarantee_noisy)
+from .decoder import (Decoded, DecodeResult, decode, decode_block, guarantee_chordal,
+                      guarantee_noiseless, guarantee_noisy, guarantee_noisy_slack)
 from .finitefield import FiniteField, is_prime, weil_sum
 from .subspaces import (Subspace, chordal_distance, complement, direct_sum,
                         distance, orthonormalize, principal_angles,

@@ -5,10 +5,10 @@ The operator channel keeps a random k-dimensional part of the transmitted
 subspace and adds a random error subspace drawn inside its orthogonal
 complement.  The noisy extension additionally rotates the result by a
 bounded amount and attaches an extra noise subspace.  A channel use first
-draws all of its Gaussian coefficients, whose shapes follow from dim U
-alone, and then runs its linear algebra on a stack of bases, so a block of
-uses (apply_noisy_operator_channel_block) costs one stacked SVD per stage
-and one use is the block of one.  The matrix channel is
+draws all of its Gaussian coefficients with one standard_normal call, whose
+size follows from dim U alone, and then runs its linear algebra on a stack
+of bases, so a block of uses (apply_noisy_operator_channel_block) costs one
+stacked SVD per stage and one use is the block of one.  The matrix channel is
 the physical-layer model Y = H X + G E + N whose row space feeds the
 subspace decoder; rq_factorize and the perturbation bounds quantify how far
 the row space of a perturbed matrix can drift.
@@ -16,12 +16,13 @@ the row space of a perturbed matrix can drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionOverflow, PreconditionViolated, RankDeficient)
-from .subspaces import Subspace, SubspaceCode, _complements, _gaussian, _numerical_rank
+from .subspaces import Subspace, _complements, _gaussian, _numerical_rank
 
 
 @dataclass(frozen=True)
@@ -50,28 +51,27 @@ class NoisyChannelSpec:
             raise ValueError("noise dimension must be nonnegative")
 
 
-def _erase_draw(dim: int, k: int, complex_field: bool, rng: np.random.Generator):
-    """Coefficients that pick the kept part of a dim-dimensional subspace:
-    Gaussian (k, dim), or None when nothing is erased."""
-    return _gaussian(rng, (k, dim), complex_field) if dim > k else None
+def _erase_shape(dim: int, k: int):
+    """Shape of the coefficients that pick the kept part of a dim-dimensional
+    subspace, (k, dim), or None when nothing is erased."""
+    return (k, dim) if dim > k else None
 
 
-def _error_draw(dim: int, n: int, t: int, complex_field: bool, rng: np.random.Generator):
-    """Coefficients of t error dimensions in the complement of a
-    dim-dimensional subspace: Gaussian (t, n - dim), or None when t = 0."""
+def _error_shape(dim: int, n: int, t: int):
+    """Shape of the coefficients of t error dimensions in the complement of
+    a dim-dimensional subspace, (t, n - dim), or None when t = 0."""
     if t == 0:
         return None
     if dim + t > n:
         raise DimensionOverflow(
             f"cannot fit {t} error dimensions next to a {dim}-dimensional subspace "
             f"in ambient dimension {n}")
-    return _gaussian(rng, (t, n - dim), complex_field)
+    return (t, n - dim)
 
 
-def _rotate_draw(dim: int, n: int, budget: float, complex_field: bool,
-                 rng: np.random.Generator):
-    """Directions that rotate a dim-dimensional subspace by ``budget``:
-    Gaussian (dim, n), or None when nothing moves."""
+def _rotate_shape(dim: int, n: int, budget: float):
+    """Shape of the directions that rotate a dim-dimensional subspace by
+    ``budget``, (dim, n), or None when nothing moves."""
     # written so that a NaN budget fails the tests too
     if not budget >= 0:
         raise ValueError("rotation budget must be a nonnegative number")
@@ -82,19 +82,35 @@ def _rotate_draw(dim: int, n: int, budget: float, complex_field: bool,
         raise DimensionOverflow(
             f"rotation budget {budget!r} exceeds the largest distance {2 * r} from a "
             f"{dim}-dimensional subspace of ambient dimension {n}")
-    return _gaussian(rng, (dim, n), complex_field)
+    return (dim, n)
 
 
-def _channel_draws(U: Subspace, spec: NoisyChannelSpec, rng: np.random.Generator) -> tuple:
-    """Every Gaussian array one noisy channel use on U needs, in stream
-    order: erase, error, rotate, noise; None for a stage that draws nothing.
-    Their shapes follow from dim U, n and spec alone."""
-    n, complex_field = U.ambient_dim, U.is_complex
-    base = min(U.dim, spec.base.k) + spec.base.t
-    return (_erase_draw(U.dim, spec.base.k, complex_field, rng),
-            _error_draw(U.dim, n, spec.base.t, complex_field, rng),
-            _rotate_draw(base, n, spec.rotation, complex_field, rng),
-            _error_draw(base, n, spec.noise_dim, complex_field, rng))
+def _draw_shapes(dim: int, n: int, spec: NoisyChannelSpec) -> tuple:
+    """Shapes of the erase, error, rotate and noise coefficients of one noisy
+    channel use on a dim-dimensional subspace of an n-dimensional space, in
+    stream order; None for a stage that draws nothing."""
+    base = min(dim, spec.base.k) + spec.base.t
+    return (_erase_shape(dim, spec.base.k),
+            _error_shape(dim, n, spec.base.t),
+            _rotate_shape(base, n, spec.rotation),
+            _error_shape(base, n, spec.noise_dim))
+
+
+def channel_draw_size(dim: int, n: int, spec: NoisyChannelSpec,
+                      complex_field: bool) -> int:
+    """How many standard normals one noisy channel use on a dim-dimensional
+    subspace of an n-dimensional space draws: the entries of its four
+    coefficient arrays, two per complex entry.  DimensionOverflow when the
+    use cannot fit."""
+    entries = sum(math.prod(shape) for shape in _draw_shapes(dim, n, spec) if shape is not None)
+    return 2 * entries if complex_field else entries
+
+
+def _normal(rng: np.random.Generator, shape, complex_field: bool) -> np.ndarray:
+    """A standard Gaussian array of ``shape`` from one standard_normal call;
+    a complex entry takes two consecutive draws, as (re, im)."""
+    g = rng.standard_normal(2 * math.prod(shape) if complex_field else math.prod(shape))
+    return (g.view(complex) if complex_field else g).reshape(shape)
 
 
 def _rank_r_rows(raw: np.ndarray, r: int, what: str) -> np.ndarray:
@@ -129,30 +145,14 @@ def _rotate_stack(Z: np.ndarray, budget: float, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _channel_stack(Z: np.ndarray, spec: NoisyChannelSpec, draws: list) -> np.ndarray:
-    """Noisy channel outputs for a (B, m, n) stack of bases, trial i using
-    the arrays draws[i] of _channel_draws.  The kept part lies in U and the
-    error in U-perp, and the noise in the complement of the rotated sum, so
-    each output basis is its parts stacked."""
-    erase_c, error_c, rotate_g, noise_c = (
-        None if arrays[0] is None else np.stack(arrays) for arrays in zip(*draws))
-    out = Z if erase_c is None else _erase_stack(Z, erase_c)
-    if error_c is not None:
-        out = np.concatenate([out, _error_stack(Z, error_c)], axis=1)
-    if rotate_g is not None:
-        out = _rotate_stack(out, spec.rotation, rotate_g)
-    if noise_c is not None:
-        out = np.concatenate([out, _error_stack(out, noise_c)], axis=1)
-    return out
-
-
 def erase(U: Subspace, k: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random k-dimensional subspace of U; U itself when dim(U) <= k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    coeff = _erase_draw(U.dim, k, U.is_complex, rng)
-    if coeff is None:
+    shape = _erase_shape(U.dim, k)
+    if shape is None:
         return U
+    coeff = _normal(rng, shape, U.is_complex)
     return Subspace._view(_erase_stack(U.basis[np.newaxis], coeff[np.newaxis])[0])
 
 
@@ -160,9 +160,10 @@ def random_error_subspace(U: Subspace, t: int, rng: np.random.Generator) -> Subs
     """Uniformly random t-dimensional subspace of U-perp, so E intersects U trivially."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    coeff = _error_draw(U.dim, U.ambient_dim, t, U.is_complex, rng)
-    if coeff is None:
+    shape = _error_shape(U.dim, U.ambient_dim, t)
+    if shape is None:
         return Subspace.zero(U.ambient_dim, U.is_complex)
+    coeff = _normal(rng, shape, U.is_complex)
     return Subspace._view(_error_stack(U.basis[np.newaxis], coeff[np.newaxis])[0])
 
 
@@ -188,9 +189,10 @@ def rotate(U: Subspace, budget: float, rng: np.random.Generator) -> Subspace:
     d(U, V) = 2 r sin^2(theta), which sin^2(theta) = budget / 2r makes equal
     to the budget.  budget = 0 returns U; DimensionOverflow when budget > 2r.
     """
-    g = _rotate_draw(U.dim, U.ambient_dim, budget, U.is_complex, rng)
-    if g is None:
+    shape = _rotate_shape(U.dim, U.ambient_dim, budget)
+    if shape is None:
         return U
+    g = _normal(rng, shape, U.is_complex)
     return Subspace._view(_rotate_stack(U.basis[np.newaxis], budget, g[np.newaxis])[0])
 
 
@@ -201,32 +203,57 @@ def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
     F has exactly spec.noise_dim dimensions and is drawn inside the
     complement of the rotated subspace, so the bases stack.  With rotation
     = 0 and noise_dim = 0 this returns the plain operator channel's output.
+    All of the use's Gaussian coefficients come from one standard_normal
+    call of channel_draw_size entries, split as
+    apply_noisy_operator_channel_block splits them.
     """
-    return apply_noisy_operator_channel_block([U], spec, [rng])[0]
+    size = channel_draw_size(U.dim, U.ambient_dim, spec, U.is_complex)
+    draws = rng.standard_normal(size)
+    out = apply_noisy_operator_channel_block(U.basis[np.newaxis], spec, draws[np.newaxis])
+    return Subspace._view(out[0])
 
 
-def apply_noisy_operator_channel_block(sent, spec: NoisyChannelSpec, rngs) -> SubspaceCode:
-    """One noisy channel use per subspace of ``sent``, the i-th drawing from
-    rngs[i] exactly what apply_noisy_operator_channel draws; the received
-    subspaces as one code, in order.
+def apply_noisy_operator_channel_block(bases: np.ndarray, spec: NoisyChannelSpec,
+                                       draws: np.ndarray) -> np.ndarray:
+    """One noisy channel use per basis of the (B, m, n) stack ``bases``; the
+    (B, b + noise_dim, n) stack of received bases, b = min(m, k) + t.
 
-    The draws run trial by trial, so a DimensionOverflow names the first
-    trial that cannot fit.  The linear algebra then runs once per group of
-    equal-shape bases, on stacked arrays.
+    Row i of the (B, channel_draw_size) array ``draws`` holds use i's standard
+    normals.  They are split in stream order into the erase (k, m), error
+    (t, n - m), rotate (b, n) and noise (noise_dim, n - b) coefficients, a
+    stage that draws nothing taking none; over C, consecutive pairs are the
+    (re, im) parts of one entry.  The kept part
+    lies in U and the error in U-perp, and the noise in the complement of
+    the rotated sum, so each output basis is its parts stacked.  Every stage
+    runs once on the whole stack, and each use's output does not depend on
+    the rest of the stack.
     """
-    if len(sent) != len(rngs):
-        raise ValueError(f"{len(sent)} subspaces but {len(rngs)} generators")
-    draws = [_channel_draws(U, spec, rng) for U, rng in zip(sent, rngs)]
-    groups: dict = {}
-    for i, U in enumerate(sent):
-        groups.setdefault((U.basis.shape, U.basis.dtype), []).append(i)
-    received = [None] * len(sent)
-    for members in groups.values():
-        out = _channel_stack(np.stack([sent[i].basis for i in members]), spec,
-                             [draws[i] for i in members])
-        for i, basis in zip(members, out):
-            received[i] = Subspace._view(basis)
-    return SubspaceCode(received)
+    count, m, n = bases.shape
+    complex_field = np.iscomplexobj(bases)
+    size = channel_draw_size(m, n, spec, complex_field)
+    if draws.shape != (count, size):
+        raise ValueError(f"{count} bases of dimension {m} need draws of shape "
+                         f"({count}, {size}), got {draws.shape}")
+    coeffs = np.ascontiguousarray(draws, dtype=float)
+    if complex_field:
+        coeffs = coeffs.view(complex)
+    parts, lo = [], 0
+    for shape in _draw_shapes(m, n, spec):
+        if shape is None:
+            parts.append(None)
+        else:
+            hi = lo + math.prod(shape)
+            parts.append(coeffs[:, lo:hi].reshape(count, *shape))
+            lo = hi
+    erase_c, error_c, rotate_g, noise_c = parts
+    out = bases if erase_c is None else _erase_stack(bases, erase_c)
+    if error_c is not None:
+        out = np.concatenate([out, _error_stack(bases, error_c)], axis=1)
+    if rotate_g is not None:
+        out = _rotate_stack(out, spec.rotation, rotate_g)
+    if noise_c is not None:
+        out = np.concatenate([out, _error_stack(out, noise_c)], axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ dimension overflow), 4 numerical precondition violated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -23,18 +24,18 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .channel import (NoisyChannelSpec, OperatorChannelSpec,
-                      apply_noisy_operator_channel_block)
+                      apply_noisy_operator_channel_block, channel_draw_size)
 from .codes import (CPCodeSpec, SubspaceCode, binary_to_lines, code_parameters,
                     cp_construct, cp_max_k_for_delta, cp_simplified_bound,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code, DEFAULT_SEARCH_CAP)
-from .decoder import decode_block, guarantee_noisy
+from .decoder import decode_block, guarantee_noisy, guarantee_noisy_slack
 from .errors import (CapExceeded, ConfigError, DimensionOverflow, EmptyCode,
                      PreconditionViolated, RankDeficient, RetryLimitExceeded,
                      SizeOverflow)
 from .finitefield import MAX_Q, FiniteField, is_prime
 from .seeding import generators, trial_seed_words
-from .subspaces import distance, pairwise
+from .subspaces import _groups, _residual_distances, pairwise
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,6 +44,8 @@ EXIT_NUMERICAL = 4
 
 # simulate trials run through the channel and the decoder this many at a time
 _TRIAL_BLOCK = 32
+# CSV lines are formatted, joined and written this many at a time
+_WRITE_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +94,22 @@ def _fmt(rows) -> list[str]:
     return [",".join(map(cell, row)) for row in rows]
 
 
-def _write_csv(path: str | None, command: str, cfg: dict, seed, columns, lines) -> None:
-    """Write the header and the already formatted body ``lines``."""
+def _write_csv(path: str | None, command: str, cfg: dict, seed, columns, lines,
+               version: int = 1) -> None:
+    """Write the header, naming the CSV schema's ``version``, and the
+    already formatted body ``lines``."""
     # the destination is not part of the experiment: two runs of the same
     # config into different files must produce byte-identical contents
     hashed = {k: v for k, v in cfg.items() if k != "out"}
-    header = [f"# subspace-codes {command} v1",
+    header = [f"# subspace-codes {command} v{version}",
               f"# config_sha256={_config_hash(hashed)} seed={seed}",
               ",".join(columns)]
-    text = "\n".join(itertools.chain(header, lines)) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    lines = itertools.chain(header, lines)
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        # a chunk at a time, so a long table is never held as one text
+        while chunk := list(itertools.islice(lines, _WRITE_CHUNK)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def _require(cfg: dict, key: str):
@@ -121,12 +126,19 @@ def _integer(cfg: dict, key: str, default: int | None = None) -> int:
 
 
 def _real(cfg: dict, key: str, default: float) -> float:
-    """float(cfg[key]), ``default`` when it is absent; ConfigError for a
-    JSON boolean, which float() would take as 1.0 or 0.0."""
+    """cfg[key] as a float, ``default`` when it is absent; ConfigError
+    naming the key unless it is a JSON number.  Booleans and strings are
+    refused, though float() would take true as 1.0 and "0.05" as 0.05."""
     value = cfg.get(key, default)
-    if isinstance(value, bool):
+    number = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    if number is None:
         raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _seed(cfg: dict) -> int:
@@ -247,6 +259,32 @@ def _channel_from_config(cfg: dict, code: SubspaceCode):
                             rotation=delta, noise_dim=r_d)
 
 
+_SIMULATE_COLUMNS = ["trial", "rho", "t", "delta_rot", "r_d", "tx_index", "rx_index",
+                     "correct", "d_tx_rx", "guarantee_flag", "runner_up", "margin", "slack"]
+
+
+def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
+    """The simulate CSV's trial lines, formatted by columns, _WRITE_CHUNK
+    trials at a time.  rho, the flag and the slack depend on the codeword's
+    dimension alone, so they are formatted once for each of ``dims``."""
+    head, flag, slack = {}, {}, {}
+    for m in dims:
+        rho = max(0, m - spec.base.k)
+        impairments = (rho, spec.base.t, spec.rotation, spec.noise_dim)
+        head[m] = ",{},{},{!r},{},".format(*impairments)
+        flag[m] = ",1," if guarantee_noisy(d_min, *impairments) else ",0,"
+        slack[m] = repr(guarantee_noisy_slack(d_min, *impairments))
+    for lo in range(0, len(tx), _WRITE_CHUNK):
+        at = slice(lo, lo + _WRITE_CHUNK)
+        sent_dims = code.dims[tx[at]].tolist()
+        yield from map("{}{}{},{},{},{!r}{}{!r},{!r},{}".format,
+                       range(lo, lo + len(sent_dims)), map(head.__getitem__, sent_dims),
+                       tx[at].tolist(), rx[at].tolist(), (rx[at] == tx[at]).astype(int).tolist(),
+                       d_tx_rx[at].tolist(), map(flag.__getitem__, sent_dims),
+                       runner_up[at].tolist(), (runner_up[at] - d_rx[at]).tolist(),
+                       map(slack.__getitem__, sent_dims))
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args, ("code", "channel", "seed", "trials", "search_cap", "out"))
     seed = _seed(cfg)
@@ -260,32 +298,41 @@ def cmd_simulate(args) -> int:
     cap = _integer(cfg, "search_cap", DEFAULT_SEARCH_CAP)
     d_min, _ = min_distance_exhaustive(code, cap)
 
-    columns = ["trial", "rho", "t", "delta_rot", "r_d", "tx_index", "rx_index",
-               "correct", "d_tx_rx", "guarantee_flag"]
-    rows = []
-    successes = 0
+    n, complex_field = code.ambient_dim, np.iscomplexobj(code.rows)
+    sizes = {}  # the channel's draw size per codeword dimension
+    tx = np.empty(trials, dtype=np.intp)
+    rx = np.empty(trials, dtype=np.intp)
+    d_tx_rx, d_rx, runner_up = np.empty(trials), np.empty(trials), np.empty(trials)
     # each trial keeps its own generator (the one default_rng builds from
-    # [seed, 1, trial]) and draw order (the codeword, then the channel's
-    # draws), so the block size does not change any output
+    # [seed, 1, trial]) and its two calls on it (the codeword, then one
+    # standard_normal for the whole channel use), and no trial's results
+    # depend on the others in its block, so the block size changes no output
     words = trial_seed_words(seed, np.arange(trials))
     for lo in range(0, trials, _TRIAL_BLOCK):
-        block = range(lo, min(lo + _TRIAL_BLOCK, trials))
         rngs = generators(words[lo:lo + _TRIAL_BLOCK])
-        txs = [int(rng.integers(len(code))) for rng in rngs]
-        sent = [code[tx] for tx in txs]
-        received = apply_noisy_operator_channel_block(sent, spec, rngs)
-        results = decode_block(code, received)
-        for trial, tx, U, V, result in zip(block, txs, sent, received, results):
-            rho = max(0, U.dim - spec.base.k)
-            flag = guarantee_noisy(d_min, rho, spec.base.t, spec.rotation, spec.noise_dim)
-            correct = result.codeword_index == tx
-            successes += int(correct)
-            rows.append([trial, rho, spec.base.t, spec.rotation, spec.noise_dim,
-                         tx, result.codeword_index, correct,
-                         float(distance(U, V)), flag])
-    rate = successes / trials
-    rows.append(["summary", "", "", "", "", "", "", float(rate), "", ""])
-    _write_csv(cfg.get("out"), "simulate", cfg, seed, columns, _fmt(rows))
+        txs = np.array([rng.integers(len(code)) for rng in rngs], dtype=np.intp)
+        tx[lo:lo + len(rngs)] = txs
+        # in trial order, so a DimensionOverflow names the first trial that cannot fit
+        for m, members in _groups(code.dims[txs]):
+            if m not in sizes:
+                sizes[m] = channel_draw_size(m, n, spec, complex_field)
+            draws = np.empty((len(members), sizes[m]))
+            for row, i in zip(draws, members.tolist()):
+                rngs[i].standard_normal(out=row)
+            sent = code.bases(txs[members])
+            received = apply_noisy_operator_channel_block(sent, spec, draws)
+            dim = received.shape[1]
+            decoded = decode_block(code, SubspaceCode._from_rows(
+                received.reshape(-1, n), np.full(len(members), dim), dim))
+            at = lo + members
+            rx[at], d_rx[at], runner_up[at] = decoded
+            d_tx_rx[at] = _residual_distances(sent, received)
+
+    rate = int(np.count_nonzero(rx == tx)) / trials
+    rows = _simulate_rows(code, spec, d_min, sizes, tx, rx, d_tx_rx, d_rx, runner_up)
+    summary = ",".join(["summary", "", "", "", "", "", "", repr(rate), "", "", "", "", ""])
+    _write_csv(cfg.get("out"), "simulate", cfg, seed, _SIMULATE_COLUMNS,
+               itertools.chain(rows, [summary]), version=2)
     if cfg.get("out"):
         print(f"{trials} trials, success rate {rate!r}, wrote {cfg['out']}")
     return EXIT_OK

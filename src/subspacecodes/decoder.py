@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyCode
-from .subspaces import Subspace, SubspaceCode, pairwise
+from .subspaces import Subspace, SubspaceCode, _pair_distances, pairwise
 
 # distance gap below which two codewords count as tied
 TIE_TOL = 1e-9
@@ -27,42 +28,63 @@ class DecodeResult:
     unique: bool
 
 
+class Decoded(NamedTuple):
+    """decode_block's results as arrays, one entry per received subspace."""
+    index: np.ndarray      # the nearest codeword
+    distance: np.ndarray   # its distance to the received subspace
+    runner_up: np.ndarray  # the second-nearest codeword's; inf for a one-codeword code
+
+
 def decode(code, received: Subspace) -> DecodeResult:
     """Nearest codeword in the projection distance, exhaustively."""
     if len(code) == 0:
         raise EmptyCode("cannot decode against an empty code")
     # a copy: _nearest writes into its table, and the code may hand out its own array
-    return _nearest(np.array(code.distances_to(received))[:, np.newaxis])[0]
+    out = _nearest(np.array(code.distances_to(received))[:, np.newaxis], code,
+                   SubspaceCode([received]))
+    best, runner = float(out.distance[0]), float(out.runner_up[0])
+    return DecodeResult(codeword_index=int(out.index[0]), distance_to_received=best,
+                        runner_up_distance=runner, unique=runner - best > TIE_TOL)
 
 
-def decode_block(code, received: SubspaceCode) -> list[DecodeResult]:
+def decode_block(code, received: SubspaceCode) -> Decoded:
     """decode() for every subspace of ``received``, from one pairwise() table.
 
     The table's product can round a distance differently from decode()'s
-    one-column product, in the last digits, so an index can differ from
-    decode()'s only between codewords tied to within roundoff.
+    one-column product, in the last digits.  It only picks the two nearest
+    codewords, and the results come from the residual kernel (see
+    _nearest), so they equal decode()'s bit for bit unless three codewords
+    tie to within roundoff.
     """
     if len(code) == 0:
         raise EmptyCode("cannot decode against an empty code")
-    return _nearest(pairwise(code, received))
+    return _nearest(pairwise(code, received), code, received)
 
 
-def _nearest(dists: np.ndarray) -> list[DecodeResult]:
-    """The decode result of each column of a (len code, B) distance table,
-    which it overwrites: each column's minimum becomes inf."""
+def _nearest(dists: np.ndarray, code, received: SubspaceCode) -> Decoded:
+    """The decode results of the columns of ``dists``, the (len code, B)
+    distance table of ``received``, which it overwrites.
+
+    The table picks each column's two nearest codewords: argmin takes the
+    lowest index on exact ties, and masking the first with inf leaves the
+    second, ties included.  Their distances are then taken again with the
+    residual kernel, which keeps full relative accuracy and gives each
+    received subspace the same bits whatever else the table holds; the
+    nearer of the two by the kernel, the lower index on a tie, is the
+    decoded codeword.  So the table's rounding, which depends on its other
+    columns, decides nothing unless a third codeword ties with the two.
+    """
     columns = np.arange(dists.shape[1])
-    best = np.argmin(dists, axis=0)  # argmin takes the lowest index on exact ties
-    best_d = dists[best, columns]
-    # the second-smallest entry is the smallest one besides ``best``, ties
-    # included, and inf for a one-codeword code; distances from validated
-    # codes are finite, never NaN
+    best = np.argmin(dists, axis=0)
+    d_best = _pair_distances(code, best, received, columns)
+    if len(code) == 1:
+        return Decoded(best, d_best, np.full(len(columns), math.inf))
     dists[best, columns] = math.inf
-    runner = dists.min(axis=0)
-    unique = runner - best_d > TIE_TOL
-    return [DecodeResult(codeword_index=i, distance_to_received=d,
-                         runner_up_distance=r, unique=u)
-            for i, d, r, u in zip(best.tolist(), best_d.tolist(), runner.tolist(),
-                                  unique.tolist())]
+    second = np.argmin(dists, axis=0)
+    d_second = _pair_distances(code, second, received, columns)
+    swap = (d_second < d_best) | ((d_second == d_best) & (second < best))
+    return Decoded(np.where(swap, second, best), np.where(swap, d_second, d_best),
+                   np.where(swap, d_best, d_second))
 
 
 def _check_counts(rho, t) -> None:
@@ -94,6 +116,15 @@ def guarantee_noisy(d_min: float, rho: int, t: int,
 
     Reduces exactly to guarantee_noiseless at rotation = 0, noise_dim = 0.
     """
+    return guarantee_noisy_slack(d_min, rho, t, rotation, noise_dim) > 0
+
+
+def guarantee_noisy_slack(d_min: float, rho: int, t: int,
+                          rotation: float, noise_dim: int) -> float:
+    """d_min minus the left side of guarantee_noisy's condition.  A float
+    difference is 0 only between equal operands and carries the sign of
+    their order, so the slack is positive exactly when guarantee_noisy holds.
+    """
     _check_counts(rho, t)
     # written so that a NaN rotation budget fails the test too
     if not rotation >= 0 or noise_dim < 0:
@@ -101,4 +132,4 @@ def guarantee_noisy(d_min: float, rho: int, t: int,
     s = rho + t
     crowd = (math.sqrt(s + rotation) + math.sqrt(rotation)
              + 2.0 * math.sqrt(noise_dim)) ** 2
-    return s + crowd < d_min
+    return d_min - (s + crowd)

@@ -163,21 +163,31 @@ def distance(U: Subspace, V: Subspace) -> float:
     """Squared projection distance ||P_U - P_V||_F^2.
 
     Symmetric, zero exactly on equal subspaces, defined for any dimensions,
-    and equal to 2 * chordal_distance(U, V)**2.
+    and equal to 2 * chordal_distance(U, V)**2.  It is the residual kernel
+    _residual_distances on a stack of one.
+    """
+    _check_same_ambient(U, V)
+    return float(_residual_distances(U.basis[np.newaxis], V.basis[np.newaxis])[0])
+
+
+def _residual_distances(zu: np.ndarray, zv: np.ndarray) -> np.ndarray:
+    """d(U_i, V_i) for every pair of a (B, a, n) and a (B, b, n) stack of
+    orthonormal bases, (B,).
 
     With U the operand of smaller dimension and C = Z_U Z_V^H, the residual
     R = Z_U - C Z_V has ||R||_F^2 = dim U - ||C||_F^2, and so does Z_V -
     C^H Z_U after adding dim V - dim U.  Hence d = 2 ||R||_F^2 + dim V - dim U.
     The residual is formed before it is squared, so a distance near 0 keeps
     full relative accuracy, which the Gram identity loses to cancellation.
+    Each pair is computed alone, so its distance does not depend on the
+    rest of the stack.
     """
-    _check_same_ambient(U, V)
-    zu, zv = U.basis, V.basis
-    if zu.shape[0] > zv.shape[0]:
+    if zu.shape[1] > zv.shape[1]:
         zu, zv = zv, zu
-    # np.dot, not @: on these small matrices it skips the gufunc overhead
-    residual = zu - np.dot(np.dot(zu, zv.conj().T), zv)
-    return float(2.0 * np.vdot(residual, residual).real + (zv.shape[0] - zu.shape[0]))
+    residual = zu - (zu @ zv.conj().transpose(0, 2, 1)) @ zv
+    # |r|^2 summed as the squares of the residual's float view, re and im alike
+    parts = residual.view(residual.real.dtype)
+    return 2.0 * np.square(parts).sum(axis=(1, 2)) + (zv.shape[1] - zu.shape[1])
 
 
 class SubspaceCode:
@@ -233,6 +243,17 @@ class SubspaceCode:
     def __iter__(self):
         return map(self.__getitem__, range(len(self.dims)))
 
+    def bases(self, idx: np.ndarray) -> np.ndarray:
+        """The bases of codewords ``idx``, which share one dimension m, as one
+        (len(idx), m, n) stack: a single fancy index into ``rows``."""
+        if self.common_dim >= 0:
+            return self.rows.reshape(len(self), self.common_dim, self.rows.shape[1])[idx]
+        dims = self.dims[idx]
+        m = int(dims[0]) if len(dims) else 0
+        if np.any(dims != m):
+            raise DimensionMismatch("bases() stacks codewords of one dimension only")
+        return self.rows[self.starts[idx][:, np.newaxis] + np.arange(m)]
+
     @property
     def ambient_dim(self) -> int:
         if not len(self.dims):
@@ -270,6 +291,26 @@ class SubspaceCode:
         step = max(1, _BLOCK_BYTES // (row_bytes * max(1, max_dim)))
         M = len(self)
         return [(lo, min(lo + step, M)) for lo in range(0, M, step)]
+
+
+def _groups(keys: np.ndarray) -> list:
+    """(key, positions) for each distinct entry of the integer array
+    ``keys``, in order of first appearance."""
+    return [(key, np.flatnonzero(keys == key)) for key in dict.fromkeys(keys.tolist())]
+
+
+def _pair_distances(A: "SubspaceCode", ia: np.ndarray, B: "SubspaceCode",
+                    ib: np.ndarray) -> np.ndarray:
+    """distance(A[ia[i]], B[ib[i]]) for every i, by the residual kernel: one
+    stacked call per pair of dimensions, so each distance is bit-identical
+    to distance() on the two codewords."""
+    if A.common_dim >= 0 and B.common_dim >= 0:
+        return _residual_distances(A.bases(ia), B.bases(ib))
+    out = np.empty(len(ia))
+    keys = A.dims[ia] * (B.rows.shape[1] + 1) + B.dims[ib]
+    for _, at in _groups(keys):
+        out[at] = _residual_distances(A.bases(ia[at]), B.bases(ib[at]))
+    return out
 
 
 def _row_segment_sums(x: np.ndarray, code: SubspaceCode) -> np.ndarray:

@@ -17,11 +17,11 @@ from subspacecodes import (
     NoisyChannelSpec,
     OperatorChannelSpec,
     Subspace,
-    SubspaceCode,
     apply_matrix_channel,
     apply_noisy_operator_channel,
     apply_noisy_operator_channel_block,
     apply_operator_channel,
+    channel_draw_size,
     complement,
     direct_sum,
     distance,
@@ -35,7 +35,6 @@ from subspacecodes import (
     rotate,
     rq_factorize,
 )
-from subspacecodes.channel import _gaussian
 from subspacecodes.errors import DimensionOverflow, PreconditionViolated, RankDeficient
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -164,12 +163,16 @@ def test_rotation_lands_on_the_budget(case):
 
 
 def test_rotation_consumes_one_gaussian_draw():
+    # one standard_normal call of dim U * n entries, two per entry over C
     for complex_field in (False, True):
         U = random_subspace(7, 3, np.random.default_rng(1), complex_field)
-        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
-        rotate(U, 0.7, rng)
-        _gaussian(twin, U.basis.shape, complex_field)
+        rng, twin, oracle = (np.random.default_rng(2) for _ in range(3))
+        V = rotate(U, 0.7, rng)
+        twin.standard_normal(U.basis.size * (2 if complex_field else 1))
         assert rng.bit_generator.state == twin.bit_generator.state
+        # the draw is the stage oracle's rotate coefficients, (re, im) pairs over C
+        spec = NoisyChannelSpec(OperatorChannelSpec(k=3), rotation=0.7)
+        assert np.array_equal(V.basis, _per_trial_noisy_channel(U, spec, oracle))
 
 
 def test_rotation_beyond_reach_is_refused():
@@ -272,16 +275,16 @@ def test_noisy_channel_output_and_draw_order(case):
     b = min(k, m) + t
     assert V.dim == b + r_d
     assert V.is_complex == complex_field
-    # the documented draws, in order: erase, error, rotate, noise
+    # the documented draw: one standard_normal call holding the erase, error,
+    # rotate and noise coefficients, in order, two normals per complex entry
+    entries = (k * m if m > k else 0) + t * (n - m) + b * n + r_d * (n - b)
+    size = 2 * entries if complex_field else entries
+    assert channel_draw_size(m, n, spec, complex_field) == size
     twin = np.random.default_rng([seed, 2])
-    if m > k:
-        _gaussian(twin, (k, m), complex_field)
-    if t > 0:
-        _gaussian(twin, (t, n - m), complex_field)
-    _gaussian(twin, (b, n), complex_field)
-    if r_d > 0:
-        _gaussian(twin, (r_d, n - b), complex_field)
+    twin.standard_normal(size)
     assert rng.bit_generator.state == twin.bit_generator.state
+    # split in that order, as the stage oracle splits it
+    assert np.array_equal(V.basis, _per_trial_noisy_channel(U, spec, np.random.default_rng([seed, 2])))
 
 
 def test_noisy_channel_without_rotation_or_noise_is_the_plain_channel_bitwise():
@@ -300,30 +303,45 @@ def test_noisy_channel_without_rotation_or_noise_is_the_plain_channel_bitwise():
 def _per_trial_noisy_channel(U, spec, rng):
     """Oracle: the noisy channel one stage at a time on 2-d bases, with its own
     SVD per orthonormalization and complement, as it ran before the stages
-    worked on stacks."""
+    worked on stacks.  Its coefficients come from one standard_normal call,
+    taken in stage order, a complex entry as a (re, im) pair of normals."""
     n, cf = U.ambient_dim, U.is_complex
+    k, t, r_d = spec.base.k, spec.base.t, spec.noise_dim
+    b = min(U.dim, k) + t
+    rotating = spec.rotation > 0 and b > 0
+    entries = ((k * U.dim if U.dim > k else 0) + t * (n - U.dim)
+               + (b * n if rotating else 0) + r_d * (n - b))
+    normals = rng.standard_normal(2 * entries if cf else entries)
+    coeffs = normals.view(complex) if cf else normals
+    used = 0
+
+    def gauss(rows, cols):
+        nonlocal used
+        used += rows * cols
+        return coeffs[used - rows * cols:used].reshape(rows, cols)
 
     def within(S, d):
-        return orthonormalize(_gaussian(rng, (d, S.dim), cf) @ S.basis).basis
+        return orthonormalize(gauss(d, S.dim) @ S.basis).basis
 
     def error(S, t):
         if t == 0:
             return np.zeros((0, n), dtype=S.basis.dtype)
         comp = np.eye(n, dtype=S.basis.dtype) if S.dim == 0 else (
             np.linalg.svd(S.basis, full_matrices=True)[2][S.dim:])
-        return orthonormalize(_gaussian(rng, (t, n - S.dim), cf) @ comp).basis
+        return orthonormalize(gauss(t, n - S.dim) @ comp).basis
 
-    kept = within(U, spec.base.k) if U.dim > spec.base.k else U.basis
-    Z = np.concatenate([kept, error(U, spec.base.t)])
-    b = Z.shape[0]
-    if spec.rotation > 0 and b > 0:
-        g = _gaussian(rng, Z.shape, cf)
+    kept = within(U, k) if U.dim > k else U.basis
+    Z = np.concatenate([kept, error(U, t)])
+    if rotating:
+        g = gauss(*Z.shape)
         W = orthonormalize(g - (g @ Z.conj().T) @ Z).basis
         r = W.shape[0]
         sin2 = spec.rotation / (2 * r)
         Z = Z.copy()
         Z[:r] = np.sqrt(1.0 - sin2) * Z[:r] + np.sqrt(sin2) * W
-    return np.concatenate([Z, error(Subspace(Z), spec.noise_dim)])
+    out = np.concatenate([Z, error(Subspace(Z), r_d)])
+    assert used == entries
+    return out
 
 
 @st.composite
@@ -355,26 +373,37 @@ def test_channel_block_is_the_per_trial_channel_bitwise(case):
     spec, n, dims, complex_field, seed = case
     sent = [random_subspace(n, m, np.random.default_rng([seed, i]), complex_field)
             for i, m in enumerate(dims)]
-    rngs = [np.random.default_rng([seed, i, 1]) for i in range(len(dims))]
-    twins = [np.random.default_rng([seed, i, 1]) for i in range(len(dims))]
-    oracles = [np.random.default_rng([seed, i, 1]) for i in range(len(dims))]
-    received = apply_noisy_operator_channel_block(sent, spec, rngs)
-    assert isinstance(received, SubspaceCode) and len(received) == len(sent)
-    for U, V, rng, twin, oracle in zip(sent, received, rngs, twins, oracles):
-        single = apply_noisy_operator_channel(U, spec, twin)
-        assert V.basis.dtype == single.basis.dtype == U.basis.dtype
-        assert np.array_equal(V.basis, single.basis)
-        assert np.array_equal(V.basis, _per_trial_noisy_channel(U, spec, oracle))
-        assert rng.bit_generator.state == twin.bit_generator.state
-        assert rng.bit_generator.state == oracle.bit_generator.state
+    for m in dict.fromkeys(dims):  # one stack per transmitted dimension
+        members = [i for i, d in enumerate(dims) if d == m]
+        rngs = [np.random.default_rng([seed, i, 1]) for i in members]
+        twins = [np.random.default_rng([seed, i, 1]) for i in members]
+        oracles = [np.random.default_rng([seed, i, 1]) for i in members]
+        size = channel_draw_size(m, n, spec, complex_field)
+        draws = np.stack([rng.standard_normal(size) for rng in rngs])
+        received = apply_noisy_operator_channel_block(
+            np.stack([sent[i].basis for i in members]), spec, draws)
+        assert received.shape == (len(members), min(m, spec.base.k) + spec.base.t
+                                  + spec.noise_dim, n)
+        for i, V, rng, twin, oracle in zip(members, received, rngs, twins, oracles):
+            U = sent[i]
+            single = apply_noisy_operator_channel(U, spec, twin)
+            assert V.dtype == single.basis.dtype == U.basis.dtype
+            assert np.array_equal(V, single.basis)
+            assert np.array_equal(V, _per_trial_noisy_channel(U, spec, oracle))
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert rng.bit_generator.state == oracle.bit_generator.state
 
 
-def test_channel_block_needs_one_generator_per_subspace():
+def test_channel_block_checks_the_shape_of_its_draws():
     U = random_subspace(5, 2, np.random.default_rng(1))
     spec = NoisyChannelSpec(OperatorChannelSpec(k=1, t=1))
-    with pytest.raises(ValueError, match="2 subspaces but 1 generators"):
-        apply_noisy_operator_channel_block([U, U], spec, [np.random.default_rng(2)])
-    assert len(apply_noisy_operator_channel_block([], spec, [])) == 0
+    size = channel_draw_size(2, 5, spec, True)
+    assert size == 2 * (1 * 2 + 1 * 3)  # erase (1, 2) and error (1, 3), complex
+    bases = np.stack([U.basis, U.basis])
+    with pytest.raises(ValueError, match=r"2 bases of dimension 2 need draws of shape "
+                                         r"\(2, 10\), got \(1, 10\)"):
+        apply_noisy_operator_channel_block(bases, spec, np.zeros((1, size)))
+    assert apply_noisy_operator_channel_block(bases[:0], spec, np.zeros((0, size))).shape == (0, 2, 5)
 
 
 def test_matrix_channel_identity_path_is_exact():

@@ -110,11 +110,13 @@ def test_simulate_writes_expected_columns(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg]) == EXIT_OK
     capsys.readouterr()
     header, columns, rows = _parse_csv(out.read_text())
-    assert header[0] == "# subspace-codes simulate v1"
+    assert header[0] == "# subspace-codes simulate v2"
     assert "seed=11" in header[1]
     assert columns == ["trial", "rho", "t", "delta_rot", "r_d", "tx_index",
-                       "rx_index", "correct", "d_tx_rx", "guarantee_flag"]
+                       "rx_index", "correct", "d_tx_rx", "guarantee_flag",
+                       "runner_up", "margin", "slack"]
     assert len(rows) == 21  # trials + summary
+    assert all(len(r) == len(columns) for r in rows)
     body, summary = rows[:-1], rows[-1]
     assert all(r[7] in ("0", "1") for r in body)
     assert summary[0] == "summary"
@@ -186,13 +188,18 @@ def test_simulate_rho_alias_and_rejections(tmp_path, capsys):
 
 @pytest.mark.parametrize("delta", ['"nan"', "NaN", '"-nan"'])
 def test_simulate_refuses_a_nan_rotation_budget(delta, tmp_path, capsys):
-    # JSON NaN is not valid JSON but Python's reader takes it, as float("nan")
+    # JSON NaN is not valid JSON but Python's reader takes it, as float("nan");
+    # the strings are refused at the config boundary, before any float()
     cfg = tmp_path / "s.json"
     cfg.write_text('{"code": {"type": "cp", "q": 5, "k": 2}, "trials": 3, "seed": 1, '
                    '"channel": {"k": 1, "t": 0, "delta": %s}}' % delta)
     out = tmp_path / "sim.csv"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    assert "rotation budget must be a nonnegative number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if delta == "NaN":
+        assert "rotation budget must be a nonnegative number" in err
+    else:
+        assert "config key 'delta' must be a number" in err
     assert not out.exists()
 
 
@@ -398,6 +405,21 @@ def test_config_refuses_unknown_keys(command, cfg, path, tmp_path, capsys):
 ])
 def test_real_keys_refuse_json_booleans(command, cfg, key, tmp_path, capsys):
     # float() would take true as 1.0 and false as 0.0
+    status, got, err = _run_body(command, cfg, tmp_path, capsys)
+    assert status == EXIT_CONFIG and got == []
+    assert f"config key '{key}' must be a number" in err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("simulate", {**SIM_BASE, "channel": {"k": 1, "delta": "0.05"}}, "delta"),
+    ("simulate", {**SIM_BASE, "channel": {"k": 1, "delta": "abc"}}, "delta"),
+    ("simulate", {**SIM_BASE, "channel": {"k": 1, "delta": [1]}}, "delta"),
+    ("simulate", {**SIM_BASE, "channel": {"k": 1, "delta": 10 ** 400}}, "delta"),
+    ("bounds", {"delta_min": "0.1"}, "delta_min"),
+    ("figure3", {"delta_target": None}, "delta_target"),
+])
+def test_real_keys_refuse_strings_and_other_non_numbers(command, cfg, key, tmp_path, capsys):
+    # float() would take "0.05" as 0.05, and fail on the others without naming the key
     status, got, err = _run_body(command, cfg, tmp_path, capsys)
     assert status == EXIT_CONFIG and got == []
     assert f"config key '{key}' must be a number" in err

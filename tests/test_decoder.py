@@ -77,17 +77,13 @@ def test_decode_single_codeword_is_trivially_unique():
     assert out.runner_up_distance == math.inf
 
 
-class _FixedDistances:
-    """Stand-in code whose distances to any received subspace are fixed."""
-
-    def __init__(self, dists):
-        self.dists = np.asarray(dists, dtype=float)
-
-    def __len__(self):
-        return len(self.dists)
-
-    def distances_to(self, received):
-        return self.dists
+def _coordinate_code(rng, n, count):
+    """A code of coordinate subspaces of R^n, drawn with repeats: every
+    distance, |A| + |B| - 2 |A & B|, is an integer computed exactly by both
+    the pairwise table and the residual kernel, and ties are frequent."""
+    eye = np.eye(n)
+    return SubspaceCode([Subspace(eye[np.flatnonzero(rng.integers(0, 2, n))])
+                         for _ in range(count)])
 
 
 def test_decode_runner_up_with_exact_ties():
@@ -108,37 +104,35 @@ def test_decode_runner_up_with_exact_ties():
 def test_decode_runner_up_matches_the_delete_oracle():
     rng = np.random.default_rng(15)
     for _ in range(500):
-        # small integers force ties, at the minimum and above it
-        dists = rng.integers(0, 4, size=int(rng.integers(2, 9))).astype(float)
-        out = decode(_FixedDistances(dists), None)
+        # coordinate subspaces force exact ties, at the minimum and above it
+        code = _coordinate_code(rng, 4, int(rng.integers(2, 9)))
+        received = _coordinate_code(rng, 4, 1)[0]
+        dists = np.array([distance(c, received) for c in code])
+        out = decode(code, received)
         best = int(np.argmin(dists))
         assert out.codeword_index == best
+        assert out.distance_to_received == dists[best]
         assert out.runner_up_distance == np.min(np.delete(dists, best))
         assert out.unique == (out.runner_up_distance > out.distance_to_received)
 
 
-def test_block_decoder_matches_the_partition_oracle_bit_for_bit(monkeypatch):
+def test_block_decoder_matches_the_partition_oracle_bit_for_bit():
     rng = np.random.default_rng(16)
     for _ in range(300):
-        # small integers force exact ties, at the minimum and above it
+        # coordinate subspaces force exact ties, at the minimum and above it
         M, B = int(rng.integers(1, 9)), int(rng.integers(1, 6))
-        table = rng.integers(0, 4, size=(M, B)).astype(float)
-        monkeypatch.setattr(decoder, "pairwise", lambda code, received: table.copy())
-        results = decode_block(range(M), None)
+        code, received = _coordinate_code(rng, 4, M), _coordinate_code(rng, 4, B)
+        table = np.array([[distance(c, V) for V in received] for c in code])
+        results = decode_block(code, received)
         best = np.argmin(table, axis=0)
         best_d = table[best, np.arange(B)]
         runner = np.partition(table, 1, axis=0)[1] if M > 1 else np.full(B, math.inf)
-        assert [r.codeword_index for r in results] == best.tolist()
-        assert [r.distance_to_received for r in results] == best_d.tolist()
-        assert [r.runner_up_distance for r in results] == runner.tolist()
-        assert [r.unique for r in results] == (runner - best_d > decoder.TIE_TOL).tolist()
+        assert results.index.tolist() == best.tolist()
+        assert results.distance.tolist() == best_d.tolist()
+        assert results.runner_up.tolist() == runner.tolist()
 
 
-def test_decoders_leave_the_distances_of_a_code_unchanged():
-    dists = np.array([3.0, 1.0, 1.0, 2.0])
-    fixed = _FixedDistances(dists)
-    assert decode(fixed, None) == decode(fixed, None)
-    np.testing.assert_array_equal(dists, [3.0, 1.0, 1.0, 2.0])
+def test_decoders_leave_the_distances_of_a_code_unchanged(monkeypatch):
     rng = np.random.default_rng(17)
     code = SubspaceCode([random_subspace(6, 2, rng) for _ in range(5)])
     received = [random_subspace(6, 2, rng) for _ in range(4)] + [code[1]]
@@ -149,6 +143,11 @@ def test_decoders_leave_the_distances_of_a_code_unchanged():
     decode_block(code, SubspaceCode(received))
     for d, want in zip(held, kept):
         np.testing.assert_array_equal(d, want)
+    # a code that hands out its own array of distances
+    dists = np.array([3.0, 1.0, 1.0, 2.0, 5.0])
+    monkeypatch.setattr(SubspaceCode, "distances_to", lambda self, V: dists)
+    assert decode(code, received[0]) == decode(code, received[0])
+    np.testing.assert_array_equal(dists, [3.0, 1.0, 1.0, 2.0, 5.0])
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
@@ -161,13 +160,16 @@ def test_block_decoder_columns_are_single_decodes(complex_field):
                 for _ in range(20)] + [code[0], code[3], code[5]]
     for decoder_code in (code, SubspaceCode([code[2]])):
         results = decode_block(decoder_code, SubspaceCode(received))
-        assert len(results) == len(received)
-        # the block's product may round differently from a one-column product
-        for got, want in zip(results, [decode(decoder_code, V) for V in received]):
-            assert got.codeword_index == want.codeword_index
-            assert got.unique == want.unique
-            assert got.distance_to_received == pytest.approx(want.distance_to_received, abs=1e-12)
-            assert got.runner_up_distance == pytest.approx(want.runner_up_distance, abs=1e-12)
+        assert all(len(column) == len(received) for column in results)
+        # the block's table may round differently from a one-column table, but
+        # the distances reported come from the residual kernel, pair by pair
+        for index, best, runner, V in zip(*results, received):
+            want = decode(decoder_code, V)
+            assert index == want.codeword_index
+            assert best == want.distance_to_received
+            assert runner == want.runner_up_distance
+            assert (runner - best > decoder.TIE_TOL) == want.unique
+            assert best == distance(decoder_code[index], V)
     with pytest.raises(EmptyCode):
         decode_block(SubspaceCode([]), SubspaceCode(received))
 

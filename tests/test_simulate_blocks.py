@@ -1,23 +1,28 @@
 """The blocked `simulate` loop against the per-trial loop it replaced.
 
 `simulate` runs its trials in blocks: the channel's linear algebra runs once
-per block on stacked arrays, and one pairwise() table decodes the block.
-Each trial keeps its own generator and its draw order, so the CSV must be
-byte-identical to the one the per-trial loop below writes.  That loop is
-the former body of `cmd_simulate`: one generator, one channel call and one
-decode per trial.
+per block and codeword dimension on stacked arrays, and one pairwise() table
+picks the block's decodes.  Each trial keeps its own generator and its two
+calls on it (the codeword index, then one standard_normal for the whole
+channel use), and every distance written comes from the residual kernel, pair
+by pair, so the CSV must be byte-identical to the one the per-trial loop
+below writes, whatever the block size.  That loop is the former body of
+`cmd_simulate`: one generator, one channel call, one decode and one
+distance() call per trial, with the v2 columns.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from subspacecodes import (CPCodeSpec, FiniteField, SubspaceCode, apply_noisy_operator_channel,
                            cli, cp_construct, decode, distance, guarantee_noisy,
-                           min_distance_exhaustive, random_subspace, save_code)
+                           guarantee_noisy_slack, min_distance_exhaustive, random_subspace,
+                           save_code)
 from subspacecodes.cli import EXIT_INFEASIBLE, EXIT_OK
 from subspacecodes.codes import DEFAULT_SEARCH_CAP
 from subspacecodes.errors import DimensionOverflow
@@ -25,7 +30,7 @@ from subspacecodes.errors import DimensionOverflow
 README = {"code": {"type": "random-ensemble", "n": 12, "m": 3, "M": 20},
           "channel": {"k": 2, "t": 1, "delta": 0.05, "r_d": 1}, "trials": 1000, "seed": 7}
 COLUMNS = ["trial", "rho", "t", "delta_rot", "r_d", "tx_index", "rx_index",
-           "correct", "d_tx_rx", "guarantee_flag"]
+           "correct", "d_tx_rx", "guarantee_flag", "runner_up", "margin", "slack"]
 
 
 def _per_trial_simulate(cfg: dict, path) -> None:
@@ -43,15 +48,17 @@ def _per_trial_simulate(cfg: dict, path) -> None:
         U = code[tx]
         V = apply_noisy_operator_channel(U, spec, rng)
         result = decode(code, V)
-        rho = max(0, U.dim - spec.base.k)
-        flag = guarantee_noisy(d_min, rho, spec.base.t, spec.rotation, spec.noise_dim)
+        impairments = (max(0, U.dim - spec.base.k), spec.base.t, spec.rotation, spec.noise_dim)
+        flag = guarantee_noisy(d_min, *impairments)
         correct = result.codeword_index == tx
         successes += int(correct)
-        rows.append([trial, rho, spec.base.t, spec.rotation, spec.noise_dim,
-                     tx, result.codeword_index, correct, float(distance(U, V)), flag])
+        rows.append([trial, *impairments, tx, result.codeword_index, correct,
+                     distance(U, V), flag, result.runner_up_distance,
+                     result.runner_up_distance - result.distance_to_received,
+                     guarantee_noisy_slack(d_min, *impairments)])
     rate = successes / trials
-    rows.append(["summary", "", "", "", "", "", "", float(rate), "", ""])
-    cli._write_csv(str(path), "simulate", cfg, seed, COLUMNS, cli._fmt(rows))
+    rows.append(["summary", "", "", "", "", "", "", float(rate), "", "", "", "", ""])
+    cli._write_csv(str(path), "simulate", cfg, seed, COLUMNS, cli._fmt(rows), version=2)
 
 
 def _assert_same_csv(tmp_path, cfg: dict) -> None:
@@ -61,8 +68,29 @@ def _assert_same_csv(tmp_path, cfg: dict) -> None:
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
     _per_trial_simulate(cfg, oracle)
     data = blocked.read_bytes()
-    assert data.startswith(b"# subspace-codes simulate v1\n")
+    assert data.startswith(b"# subspace-codes simulate v2\n")
     assert data == oracle.read_bytes()
+    _check_columns(data)
+
+
+def _check_columns(data: bytes) -> None:
+    """Every row, the summary included, has a field per column; the margin is
+    never negative, and on a correct decode it is runner_up - d_tx_rx, the
+    distance to the decoded codeword being d_tx_rx bit for bit; the slack
+    is positive exactly on the rows inside the guarantee."""
+    lines = data.decode().splitlines()[2:]
+    columns = lines[0].split(",")
+    assert columns == COLUMNS
+    rows = [dict(zip(columns, line.split(","))) for line in lines[1:]]
+    assert all(line.count(",") == len(columns) - 1 for line in lines[1:])
+    assert rows[-1]["trial"] == "summary"
+    for row in rows[:-1]:
+        runner_up, margin = float(row["runner_up"]), float(row["margin"])
+        assert margin >= 0
+        if row["correct"] == "1":
+            assert runner_up - float(row["d_tx_rx"]) == margin
+            assert runner_up >= float(row["d_tx_rx"])
+        assert (float(row["slack"]) > 0) == (row["guarantee_flag"] == "1")
 
 
 def _mixed_code_file(tmp_path) -> str:
@@ -137,4 +165,52 @@ def test_unreachable_rotation_keeps_its_message(tmp_path, capsys):
 def test_seed_longer_than_two_entropy_words_matches_the_per_trial_loop(tmp_path, capsys):
     # 2**70 is three uint32 words, so each trial's entropy overflows the 4-word pool
     _assert_same_csv(tmp_path, {**README, "seed": 2**70, "trials": 200})
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("cfg", ["readme", "mixed", "binary"])
+def test_block_size_does_not_change_the_bytes(block, cfg, tmp_path, monkeypatch, capsys):
+    cfg = {"readme": {**README, "trials": 100},
+           "mixed": {"code": {"type": "file", "path": _mixed_code_file(tmp_path)},
+                     "channel": {"k": 2, "t": 1, "delta": 0.1, "r_d": 1},
+                     "trials": 100, "seed": 4},
+           "binary": {"code": {"type": "binary",
+                               "words": ["0000", "0110", "1011", "1101", "1110"]},
+                      "channel": {"k": 1, "t": 1, "delta": 0.3, "r_d": 1},
+                      "trials": 100, "seed": 5}}[cfg]
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    default, blocked = tmp_path / "default.csv", tmp_path / "blocked.csv"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(default)]) == EXIT_OK
+    monkeypatch.setattr(cli, "_TRIAL_BLOCK", block)
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
+    assert blocked.read_bytes() == default.read_bytes()
+    capsys.readouterr()
+
+
+def test_slack_and_flag_agree_on_both_sides_of_the_guarantee(tmp_path, capsys):
+    # no rotation and no noise: a codeword of dimension 0 or 1 loses nothing
+    # to k = 1, so rho = 0 and the guarantee holds; dimension 2 or 3 erases
+    # rho >= 1, and 2 rho exceeds this code's d_min
+    cfg = {"code": {"type": "file", "path": _mixed_code_file(tmp_path)},
+           "channel": {"k": 1, "t": 0}, "trials": 200, "seed": 6}
+    _assert_same_csv(tmp_path, cfg)
+    rows = [line.split(",") for line in (tmp_path / "blocked.csv").read_text().splitlines()[3:-1]]
+    flags = {(row[1], row[9]) for row in rows}
+    assert flags == {("0", "1"), ("1", "0"), ("2", "0")}
+    capsys.readouterr()
+
+
+def test_a_tiny_rotation_keeps_its_relative_accuracy(tmp_path, capsys):
+    # the Gram identity m + m - 2 ||C||^2 would lose 1e-12 to cancellation
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({**README, "channel": {"k": 3, "t": 0, "delta": 1e-12},
+                               "trials": 100}))
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:-1]]
+    assert len(rows) == 100
+    for row in rows:
+        assert math.isclose(float(row[8]), 1e-12, rel_tol=1e-6)
     capsys.readouterr()

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import random_unitary, same_subspace
 from subspacecodes import (
     Subspace,
+    SubspaceCode,
     chordal_distance,
     complement,
     direct_sum,
@@ -28,7 +29,8 @@ from subspacecodes import (
     random_subspace,
     rotate,
 )
-from subspacecodes.errors import AmbientMismatch, NontrivialIntersection
+from subspacecodes.errors import AmbientMismatch, DimensionMismatch, NontrivialIntersection
+from subspacecodes.subspaces import _residual_distances
 
 
 def _gram_schmidt(rows, tol=1e-10):
@@ -325,3 +327,32 @@ def test_squared_operator_norm_bound_of_gram_product():
         B = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         lhs = float(np.linalg.norm(B.conj().T @ B))
         assert lhs <= float(np.linalg.norm(B)) ** 2 + 1e-9
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_stacked_distance_kernel_is_its_stack_of_one_bit_for_bit(complex_field):
+    # each pair of a stack is computed alone: the same bits as distance() on
+    # the pair, for either operand the larger, zero and full dimensions included
+    rng = np.random.default_rng(23)
+    for n, a, b in [(30, 2, 2), (12, 3, 4), (12, 4, 3), (8, 1, 3), (5, 0, 2), (5, 2, 0),
+                    (6, 6, 2), (7, 3, 3), (40, 5, 7)]:
+        for count in (1, 2, 5, 32, 33):
+            zu = np.stack([random_subspace(n, a, rng, complex_field).basis for _ in range(count)])
+            zv = np.stack([random_subspace(n, b, rng, complex_field).basis for _ in range(count)])
+            stacked = _residual_distances(zu, zv)
+            assert stacked.shape == (count,)
+            for i in range(count):
+                one = _residual_distances(zu[i:i + 1], zv[i:i + 1])[0]
+                assert stacked[i] == one == distance(Subspace(zu[i]), Subspace(zv[i]))
+
+
+def test_code_bases_stack_codewords_of_one_dimension():
+    rng = np.random.default_rng(24)
+    code = SubspaceCode([random_subspace(6, m, rng) for m in (2, 1, 2, 0, 2)])
+    stack = code.bases(np.array([4, 0, 4]))
+    assert stack.shape == (3, 2, 6)
+    for basis, i in zip(stack, (4, 0, 4)):
+        assert np.array_equal(basis, code[i].basis)
+    assert code.bases(np.array([3])).shape == (1, 0, 6)
+    with pytest.raises(DimensionMismatch):
+        code.bases(np.array([0, 1]))

@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .channel import (NoisyChannelSpec, OperatorChannelSpec,
                       apply_noisy_operator_channel_block, channel_draw_size)
-from .codes import (CPCodeSpec, SubspaceCode, binary_to_lines, code_parameters,
+from .codes import (CPCodeSpec, SubspaceCode, _as_integer, binary_to_lines, code_parameters,
                     cp_construct, cp_max_k_for_delta, cp_simplified_bound,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code, DEFAULT_SEARCH_CAP)
@@ -148,21 +148,6 @@ def _seed(cfg: dict) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     return seed
-
-
-def _as_integer(value, what: str) -> int:
-    """``value`` as an int; ConfigError naming ``what`` unless it is an
-    integral number.  JSON booleans and strings are refused, though int()
-    would take true as 1 and "7" as 7."""
-    number = None
-    if not isinstance(value, (bool, str)):
-        try:
-            number = int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if number is None or number != value:
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return number
 
 
 def _field_for_order(q: int) -> FiniteField:

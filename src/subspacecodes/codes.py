@@ -9,13 +9,14 @@ JSON on-disk format.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapExceeded, DimensionMismatch, DomainError, LengthMismatch,
+from .errors import (CapExceeded, ConfigError, DimensionMismatch, DomainError, LengthMismatch,
                      RetryLimitExceeded, SizeOverflow)
 from .finitefield import FiniteField, is_prime
 from .subspaces import (TOL_EQUAL, Subspace, SubspaceCode, _check_orthonormal, complement,
@@ -293,21 +294,62 @@ def complex_to_real_double(code: SubspaceCode) -> SubspaceCode:
 # JSON on-disk format
 
 
-def code_to_dict(code: SubspaceCode) -> dict:
-    """Portable form: {"beta": 1|2, "n": int, "codewords": [[ [re, im], ... ]]}.
+def _as_integer(value, what: str) -> int:
+    """``value`` as an int; ConfigError naming ``what`` unless it is an
+    integral number.  JSON booleans and strings are refused, though int()
+    would take true as 1 and "7" as 7."""
+    number = None
+    if not isinstance(value, (bool, str)):
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if number is None or number != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return number
+
+
+def _json_float(x: float) -> str:
+    """``x`` as the json module writes it: repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def save_code(code: SubspaceCode, path) -> None:
+    """Write ``code`` as one line of JSON, {"beta":1|2,"codewords":[...],"n":n}.
 
     Each codeword is its basis flattened row-major into [re, im] pairs; the
-    row count is recovered from the ambient dimension.  The pairs are read
-    off the complex128 memory layout of the code's rows, one slice per
-    codeword.
+    row count is recovered from the ambient dimension.  The bytes are those
+    the json module writes with sorted keys and no spaces, but each distinct
+    entry, told apart by its bit pattern so that -0.0 is not 0.0, is
+    formatted once: a CP code's entries are p-th roots of unity over
+    sqrt(n), so its file holds at most p distinct pairs.  The pairs are
+    looked up and written one codeword at a time.
     """
     if len(code) == 0:
         raise ValueError("refusing to serialize an empty code")
     n = code.ambient_dim
-    pairs = np.ascontiguousarray(code.rows, dtype=complex).view(float).reshape(-1, 2)
-    words = [pairs[start * n:(start + dim) * n].tolist()
-             for start, dim in zip(code.starts.tolist(), code.dims.tolist())]
-    return {"beta": 2 if np.iscomplexobj(code.rows) else 1, "n": n, "codewords": words}
+    # each entry as its 16 bytes, so that a dict finds the distinct entries in
+    # one pass; np.unique would sort, and its first call maps about 0.5 MB more
+    # of NumPy into the process
+    entries = np.ascontiguousarray(code.rows, dtype=complex).view("V16").reshape(-1).tolist()
+    distinct = list(dict.fromkeys(entries))
+    parts = np.frombuffer(b"".join(distinct), dtype=float).reshape(-1, 2)
+    re_parts, im_parts = parts.T.tolist()
+    pairs = [f"[{re!r},{im!r}]" for re, im in zip(re_parts, im_parts)]
+    # repr spells a non-finite float nan, inf or -inf, where json has NaN,
+    # Infinity or -Infinity
+    for i in np.flatnonzero(~np.isfinite(parts).all(axis=1)).tolist():
+        pairs[i] = "[{},{}]".format(*map(_json_float, parts[i].tolist()))
+    text = dict(zip(distinct, pairs))
+    beta = 2 if np.iscomplexobj(code.rows) else 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{"beta":{beta},"codewords":[')
+        for i, (start, dim) in enumerate(zip(code.starts.tolist(), code.dims.tolist())):
+            fh.write(("[" if i == 0 else ",[")
+                     + ",".join(map(text.__getitem__, entries[start * n:(start + dim) * n])) + "]")
+        fh.write(f'],"n":{n}}}\n')
 
 
 def _codeword_basis(pairs, n: int, beta: int) -> np.ndarray:
@@ -315,7 +357,7 @@ def _codeword_basis(pairs, n: int, beta: int) -> np.ndarray:
     flat = np.asarray(pairs)
     if flat.shape == (0,):  # a zero-dimensional codeword
         flat = flat.reshape(0, 2)
-    if flat.ndim != 2 or flat.shape[1] != 2 or flat.dtype.kind not in "biuf":
+    if flat.ndim != 2 or flat.shape[1] != 2 or flat.dtype.kind not in "iuf":
         raise ValueError("a codeword must be a list of [re, im] pairs of numbers")
     if len(flat) % n != 0:
         raise ValueError("codeword length is not a multiple of the ambient dimension")
@@ -329,14 +371,28 @@ def _codeword_basis(pairs, n: int, beta: int) -> np.ndarray:
     return flat.view(complex).reshape(-1, n)
 
 
-def dict_to_code(data: dict) -> SubspaceCode:
-    beta = int(data["beta"])
+def _code_from_json(text: str) -> SubspaceCode:
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got a JSON {type(data).__name__}")
+    if missing := [key for key in ("beta", "codewords", "n") if key not in data]:
+        raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
+    beta = _as_integer(data["beta"], "'beta'")
     if beta not in (1, 2):
         raise ValueError(f"beta must be 1 or 2, got {beta}")
-    n = int(data["n"])
+    n = _as_integer(data["n"], "'n'")
     if n < 1:
         raise ValueError(f"ambient dimension n must be at least 1, got {n}")
+    if not isinstance(data["codewords"], list):
+        raise ValueError("'codewords' must be a list")
     bases = [_codeword_basis(pairs, n, beta) for pairs in data["codewords"]]
+    # a JSON boolean is not a number, though beside numbers the dtype hides it.
+    # In JSON text a "u" or an "l" is part of true, false, null or a string,
+    # and a code file's keys and numbers (NaN and Infinity too) hold neither,
+    # so a file with neither letter holds no boolean and needs no scan
+    if ("u" in text or "l" in text) and bool in set(map(type, itertools.chain.from_iterable(
+            itertools.chain.from_iterable(data["codewords"])))):
+        raise ValueError("a codeword must be a list of [re, im] pairs of numbers, not booleans")
     dims = [len(b) for b in bases]
     for m in sorted(set(dims)):
         # orthonormality is re-validated on load, one stack per codeword dimension
@@ -345,14 +401,11 @@ def dict_to_code(data: dict) -> SubspaceCode:
     return SubspaceCode._from_rows(rows, dims)
 
 
-def save_code(code: SubspaceCode, path) -> None:
-    # json.dumps runs the C encoder; json.dump to a file would not
-    text = json.dumps(code_to_dict(code), sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
-
-
 def load_code(path) -> SubspaceCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return dict_to_code(json.load(fh))
+    """Read a code file that save_code wrote.  ConfigError naming the file
+    unless it holds valid JSON of that form, with orthonormal bases."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _code_from_json(fh.read())
+    except ValueError as exc:
+        raise ConfigError(f"code file {path}: {exc}") from exc

@@ -622,6 +622,46 @@ def test_distance_rejects_malformed_code_file(tamper, message, tmp_path, capsys)
     assert message in err
 
 
+_GOOD_HEADER = {"beta": 2, "n": 2, "codewords": [[[1.0, 0.0], [0.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("key,value", [("beta", 2.7), ("beta", True), ("beta", "2"),
+                                       ("n", "2"), ("n", 2.9), ("n", False)])
+def test_distance_rejects_code_file_header_that_is_not_an_integer(key, value, tmp_path, capsys):
+    # the rule of the config integer keys: 2.0 counts, 2.7, booleans and strings do not
+    bad = _write_cfg(tmp_path, "bad.json", {**_GOOD_HEADER, key: value})
+    assert cli.main(["distance", bad, bad]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: code file {bad}: '{key}' must be an integer")
+    good = _write_cfg(tmp_path, "good.json", {**_GOOD_HEADER, "beta": 2.0, "n": 2.0})
+    assert cli.main(["distance", good, good]) == EXIT_OK
+    assert [w.basis.shape for w in load_code(good)] == [(1, 2)]
+
+
+@pytest.mark.parametrize("codeword", [[[True, False], [False, False]],
+                                      [[1.0, False], [0.0, 0.0]],
+                                      [[True, 0], [0, 0]]],
+                         ids=["booleans", "boolean_beside_floats", "boolean_beside_integers"])
+def test_distance_rejects_boolean_basis_entries(codeword, tmp_path, capsys):
+    bad = _write_cfg(tmp_path, "bad.json", {**_GOOD_HEADER, "codewords": [codeword]})
+    assert cli.main(["distance", bad, bad]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: code file {bad}:")
+    assert "[re, im] pairs of numbers" in err
+
+
+@pytest.mark.parametrize("blob,message", [
+    ([1, 2], "expected a JSON object, got a JSON list"),
+    ({"beta": 2, "n": 2}, "missing key(s) 'codewords'"),
+    ({"codewords": []}, "missing key(s) 'beta', 'n'"),
+    ({**_GOOD_HEADER, "codewords": 3}, "'codewords' must be a list"),
+], ids=["top_level_array", "no_codewords", "no_header", "codewords_not_a_list"])
+def test_distance_names_the_code_file_and_the_missing_key(blob, message, tmp_path, capsys):
+    bad = _write_cfg(tmp_path, "bad.json", blob)
+    assert cli.main(["distance", bad, bad]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: code file {bad}: {message}\n"
+
+
 def test_field_order_checks(tmp_path, capsys):
     # a prime far above the supported maximum is refused before any factoring
     huge = _write_cfg(tmp_path, "h.json", {"code": {"type": "cp", "q": 2 ** 31 - 1, "k": 2}})

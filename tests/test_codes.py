@@ -232,6 +232,23 @@ def test_cp_exhaustive_distance_meets_bound():
         assert delta >= cp_distance_bound(spec) - 1e-9
 
 
+@pytest.mark.parametrize("q", [5, 13, 17, 29, 37, 41, 7, 31, 43])
+def test_cp_bound_is_attained_at_k2_exactly_when_q_is_1_mod_4(q):
+    # d_min/2 = 1 - max |S|^2 / n^2 over the differences h = a x + b x^2, and
+    # S = sum over x != 0 of chi(h(x)) is the complete sum less its x = 0
+    # term, 1.  For b != 0 the complete sum is a p-th root of unity times +-g,
+    # with g the quadratic Gauss sum: sqrt(q) when q = 1 (mod 4), so a = 0 and
+    # a non-square b give S = -sqrt(q) - 1 and the bound is met; i sqrt(q)
+    # when q = 3 (mod 4), so |S| < sqrt(q) + 1
+    spec = CPCodeSpec(FiniteField(q), 2)
+    d_min, _ = min_distance_exhaustive(cp_construct(spec))
+    gap = d_min / 2.0 - cp_distance_bound(spec)
+    if q % 4 == 1:
+        assert abs(gap) <= 1e-15
+    else:
+        assert gap == pytest.approx({7: 0.08321, 31: 7.702e-4, 43: 1.2367e-4}[q], rel=1e-3)
+
+
 def test_cp_simplified_bound_value_and_domain():
     q, rate = 101, 0.2
     expected = 1.0 - q * rate**2 / math.log(q) ** 2

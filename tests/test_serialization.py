@@ -1,12 +1,13 @@
 """Byte-identity tests of the code-file and CSV writers, and loader checks.
 
-The package writes code files from one complex view of a code's rows and
-formats the distance table column by column.  The straightforward writers
-they replace live here as the oracles: ``code_to_dict`` building one
-``[float(re), float(im)]`` list per basis entry and written with
+The package writes code files from a table of each code's distinct entries
+and formats the distance table column by column.  The straightforward writers
+they replace live here as the oracles: ``_reference_code_to_dict`` building
+one ``[float(re), float(im)]`` list per basis entry and written with
 ``json.dump``, and a CSV writer that formats every row value by value.  Both
 must produce the same bytes as the package on every kind of code, including
-entries whose shortest repr is in exponent form or is ``-0.0``.
+entries whose shortest repr is in exponent form, is ``-0.0`` or is not
+finite.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,7 +36,7 @@ from subspacecodes import (
     random_subspace,
     save_code,
 )
-from subspacecodes import cli, codes
+from subspacecodes import cli
 from subspacecodes.cli import EXIT_OK
 from subspacecodes.subspaces import pairwise
 
@@ -108,12 +109,18 @@ def _hand_made_code() -> SubspaceCode:
 CODES = {
     "cp_13_2": lambda: cp_construct(CPCodeSpec(FiniteField(13), 2)),
     "cp_gf16_3": lambda: cp_construct(CPCodeSpec(FiniteField(2, 4), 3)),
+    # the other codes that the cp-certify benchmark writes
+    "cp_gf27_2": lambda: cp_construct(CPCodeSpec(FiniteField(3, 3), 2)),
+    "cp_31_2": lambda: cp_construct(CPCodeSpec(FiniteField(31), 2)),
+    "cp_gf128_2": lambda: cp_construct(CPCodeSpec(FiniteField(2, 7), 2)),
+    "ensemble_30_3_200": lambda: random_ensemble_code(30, 3, 200, np.random.default_rng(1001)),
     "complex_ensemble": lambda: random_ensemble_code(5, 2, 12, np.random.default_rng(5)),
     "real_binary": lambda: binary_to_lines(["000000", "001111", "110011", "101010"]),
     "real_ensemble": lambda: random_ensemble_code(5, 3, 8, np.random.default_rng(6), False),
     "mixed_dims_complex": lambda: _mixed_dimension_code(True),
     "mixed_dims_real": lambda: _mixed_dimension_code(False),
     "hand_made": _hand_made_code,
+    "zero_dims_only": lambda: SubspaceCode([Subspace.zero(3, True)] * 2),
 }
 
 
@@ -154,14 +161,23 @@ def raw_bases(draw):
     return draw(hnp.arrays(np.complex128, (m, n), elements=st.builds(complex, floats, floats)))
 
 
+# a NaN with its sign bit set, and -0.0 beside 0.0: distinct bit patterns
+_SIGNED_NAN = -np.float64(math.nan)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(basis=raw_bases(), real=st.booleans())
-def test_code_to_dict_matches_reference_on_arbitrary_floats(basis, real):
+@example(basis=np.array([[complex(_SIGNED_NAN, 0.0), complex(-0.0, math.nan)],
+                         [complex(0.0, -0.0), complex(math.inf, -math.inf)]]), real=False)
+@example(basis=np.array([[complex(_SIGNED_NAN, 1.0), complex(-0.0, 0.0), complex(0.0, 0.0)]]),
+         real=True)
+def test_code_file_matches_reference_on_arbitrary_floats(basis, real, tmp_path_factory):
     # the writer does not validate, so any float must print as the reference prints it
     word = Subspace._view(basis.real if real else basis)
     code = SubspaceCode([word, word])
-    got = json.dumps(codes.code_to_dict(code), sort_keys=True, separators=(",", ":"))
-    assert (got + "\n").encode("utf-8") == _reference_code_bytes(code)
+    path = tmp_path_factory.mktemp("floats") / "code.json"
+    save_code(code, path)
+    assert path.read_bytes() == _reference_code_bytes(code)
 
 
 def test_zero_dimensional_codeword_loads_and_round_trips(tmp_path):

@@ -17,7 +17,7 @@ from .channel import (MatrixChannelSpec, NoisyChannelSpec, OperatorChannelSpec,
                       rq_factorize)
 from .codes import (CodeParameters, CPCodeSpec, SubspaceCode, binary_to_lines,
                     code_parameters, complex_to_real_double, cp_construct,
-                    cp_distance_bound, cp_max_k_for_delta, cp_monomial_set,
+                    cp_distance_bound, cp_max_k_for_delta, cp_min_distance, cp_monomial_set,
                     cp_simplified_bound, dual_code, line_delta_from_hamming,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code)

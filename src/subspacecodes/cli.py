@@ -26,7 +26,7 @@ from . import bounds as bounds_mod
 from .channel import (NoisyChannelSpec, OperatorChannelSpec,
                       apply_noisy_operator_channel_block, channel_draw_size)
 from .codes import (CPCodeSpec, SubspaceCode, _as_integer, binary_to_lines, code_parameters,
-                    cp_construct, cp_max_k_for_delta, cp_simplified_bound,
+                    cp_construct, cp_max_k_for_delta, cp_min_distance, cp_simplified_bound,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code, DEFAULT_SEARCH_CAP)
 from .decoder import decode_block, guarantee_noisy, guarantee_noisy_slack
@@ -42,8 +42,10 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-# simulate trials run through the channel and the decoder this many at a time
-_TRIAL_BLOCK = 32
+# bytes the stacked arrays of one block of simulate trials may take
+_BLOCK_BYTES = 2 ** 19
+# trials per block at the least: each block's decode reads the whole code once
+_MIN_TRIAL_BLOCK = 32
 # CSV lines are formatted, joined and written this many at a time
 _WRITE_CHUNK = 1024
 
@@ -196,6 +198,16 @@ def build_code_from_config(cfg, seed=None) -> SubspaceCode:
     return load_code(_require(cfg, "path"))
 
 
+def _min_distance(cfg: dict, code: SubspaceCode) -> float:
+    """d_min of the code that ``cfg`` built: from one column for a CP code,
+    by the exhaustive search under search_cap otherwise.  The cap is read,
+    and so checked, for either."""
+    cap = _integer(cfg, "search_cap", DEFAULT_SEARCH_CAP)
+    if cfg["code"]["type"] == "cp":
+        return cp_min_distance(code)
+    return min_distance_exhaustive(code, cap)[0]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -204,8 +216,7 @@ def cmd_construct(args) -> int:
     cfg = _load_config(args, ("code", "seed", "search_cap", "out"))
     seed = _seed(cfg) if "seed" in cfg else None
     code = build_code_from_config(_require(cfg, "code"), seed)
-    cap = _integer(cfg, "search_cap", DEFAULT_SEARCH_CAP)
-    params = code_parameters(code, cap)
+    params = code_parameters(code, _min_distance(cfg, code))
     print(f"codewords        M = {params.size}")
     print(f"ambient          n = {params.ambient_dim}")
     print(f"max dimension    l = {params.max_dim}")
@@ -270,6 +281,21 @@ def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
                        map(slack.__getitem__, sent_dims))
 
 
+def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
+    """Trials that simulate runs through the channel and the decoder at once:
+    as many as keep the block's stacked arrays within _BLOCK_BYTES, and at
+    least _MIN_TRIAL_BLOCK.  Per trial the channel's are n wide and complex
+    at most: the (n, n) complement, and the sent basis, the rotation draws
+    and the received basis, of at most l, b and b rows, with l the code's
+    largest dimension and b = min(l, k) + t + r_d; the decoder's is a column
+    of M distances in decode_block's table.  pairwise() bounds the product
+    behind that table by itself."""
+    n, l = code.ambient_dim, code.max_dim
+    b = min(l, spec.base.k) + spec.base.t + spec.noise_dim
+    per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
+    return max(_MIN_TRIAL_BLOCK, _BLOCK_BYTES // per_trial)
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args, ("code", "channel", "seed", "trials", "search_cap", "out"))
     seed = _seed(cfg)
@@ -280,8 +306,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"at most 2**32 trials, got {trials}")
     code = build_code_from_config(_require(cfg, "code"), seed)
     spec = _channel_from_config(_require(cfg, "channel"), code)
-    cap = _integer(cfg, "search_cap", DEFAULT_SEARCH_CAP)
-    d_min, _ = min_distance_exhaustive(code, cap)
+    d_min = _min_distance(cfg, code)
 
     n, complex_field = code.ambient_dim, np.iscomplexobj(code.rows)
     sizes = {}  # the channel's draw size per codeword dimension
@@ -292,9 +317,11 @@ def cmd_simulate(args) -> int:
     # [seed, 1, trial]) and its two calls on it (the codeword, then one
     # standard_normal for the whole channel use), and no trial's results
     # depend on the others in its block, so the block size changes no output
+    # unless three codewords tie to within roundoff (see decode_block)
     words = trial_seed_words(seed, np.arange(trials))
-    for lo in range(0, trials, _TRIAL_BLOCK):
-        rngs = generators(words[lo:lo + _TRIAL_BLOCK])
+    block = _trial_block(code, spec)
+    for lo in range(0, trials, block):
+        rngs = generators(words[lo:lo + block])
         txs = np.array([rng.integers(len(code)) for rng in rngs], dtype=np.intp)
         tx[lo:lo + len(rngs)] = txs
         # in trial order, so a DimensionOverflow names the first trial that cannot fit

@@ -68,8 +68,8 @@ class CodeParameters:
     normalized_min_distance: float  # d_min / (2 l)
 
 
-def code_parameters(code: SubspaceCode, cap: int = DEFAULT_SEARCH_CAP) -> CodeParameters:
-    d_min, _ = min_distance_exhaustive(code, cap)
+def code_parameters(code: SubspaceCode, d_min: float) -> CodeParameters:
+    """The parameters of ``code``, whose minimum distance is ``d_min``."""
     n = code.ambient_dim
     l = code.max_dim
     M = len(code)
@@ -153,6 +153,18 @@ def cp_construct(spec: CPCodeSpec) -> SubspaceCode:
     rows = field.character_roots[exponents]
     rows *= 1.0 / math.sqrt(n)
     return SubspaceCode._from_rows(rows, np.ones(size, dtype=np.intp))
+
+
+def cp_min_distance(code: SubspaceCode) -> float:
+    """Minimum distance of a code that cp_construct built, from the one
+    column of distances to codeword 0.
+
+    The polynomials form a group under addition and chi(f - g) =
+    chi(f) conj chi(g), so <u_f, u_g> = <u_{f-g}, u_0>: every distance
+    between two codewords is the distance of a third to codeword 0, the
+    line of the zero polynomial.
+    """
+    return float(np.min(pairwise(code, code.part(0, 1))[1:]))
 
 
 def cp_distance_bound(spec: CPCodeSpec) -> float:
@@ -375,6 +387,9 @@ def _code_from_json(text: str) -> SubspaceCode:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got a JSON {type(data).__name__}")
+    # a key no reader reads is refused, as in a config, so no typo passes unread
+    if unknown := [key for key in data if key not in ("beta", "codewords", "n")]:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
     if missing := [key for key in ("beta", "codewords", "n") if key not in data]:
         raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
     beta = _as_integer(data["beta"], "'beta'")

@@ -36,12 +36,9 @@ class Decoded(NamedTuple):
 
 
 def decode(code, received: Subspace) -> DecodeResult:
-    """Nearest codeword in the projection distance, exhaustively."""
-    if len(code) == 0:
-        raise EmptyCode("cannot decode against an empty code")
-    # a copy: _nearest writes into its table, and the code may hand out its own array
-    out = _nearest(np.array(code.distances_to(received))[:, np.newaxis], code,
-                   SubspaceCode([received]))
+    """Nearest codeword in the projection distance, exhaustively: decode_block
+    on a stack of one."""
+    out = decode_block(code, SubspaceCode([received]))
     best, runner = float(out.distance[0]), float(out.runner_up[0])
     return DecodeResult(codeword_index=int(out.index[0]), distance_to_received=best,
                         runner_up_distance=runner, unique=runner - best > TIE_TOL)
@@ -50,21 +47,6 @@ def decode(code, received: Subspace) -> DecodeResult:
 def decode_block(code, received: SubspaceCode) -> Decoded:
     """decode() for every subspace of ``received``, from one pairwise() table.
 
-    The table's product can round a distance differently from decode()'s
-    one-column product, in the last digits.  It only picks the two nearest
-    codewords, and the results come from the residual kernel (see
-    _nearest), so they equal decode()'s bit for bit unless three codewords
-    tie to within roundoff.
-    """
-    if len(code) == 0:
-        raise EmptyCode("cannot decode against an empty code")
-    return _nearest(pairwise(code, received), code, received)
-
-
-def _nearest(dists: np.ndarray, code, received: SubspaceCode) -> Decoded:
-    """The decode results of the columns of ``dists``, the (len code, B)
-    distance table of ``received``, which it overwrites.
-
     The table picks each column's two nearest codewords: argmin takes the
     lowest index on exact ties, and masking the first with inf leaves the
     second, ties included.  Their distances are then taken again with the
@@ -72,9 +54,14 @@ def _nearest(dists: np.ndarray, code, received: SubspaceCode) -> Decoded:
     received subspace the same bits whatever else the table holds; the
     nearer of the two by the kernel, the lower index on a tie, is the
     decoded codeword.  So the table's rounding, which depends on its other
-    columns, decides nothing unless a third codeword ties with the two.
+    columns and on pairwise()'s row blocks (a one-row block is a
+    matrix-vector product), decides nothing unless a third codeword ties
+    with the two to within roundoff.
     """
-    columns = np.arange(dists.shape[1])
+    if len(code) == 0:
+        raise EmptyCode("cannot decode against an empty code")
+    dists = pairwise(code, received)
+    columns = np.arange(len(received))
     best = np.argmin(dists, axis=0)
     d_best = _pair_distances(code, best, received, columns)
     if len(code) == 1:

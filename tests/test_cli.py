@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subspacecodes import SubspaceCode, cli, distance, load_code, random_subspace, save_code
+from subspacecodes import (CPCodeSpec, FiniteField, SubspaceCode, cli, cp_construct,
+                           cp_min_distance, distance, load_code, random_subspace, save_code)
 from subspacecodes.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK
 
 
@@ -436,11 +437,31 @@ def test_construct_refuses_an_oversized_cp_code_before_allocating(tmp_path, caps
 
 
 def test_simulate_search_cap_is_infeasible_for_large_codes(tmp_path, capsys):
+    # 2**14 distinct lines: words of length 15 that start with 0 are their own representatives
+    words = [format(i, "015b") for i in range(2 ** 14)]
     cfg = _write_cfg(tmp_path, "s.json", {
-        "code": {"type": "cp", "q": 13, "k": 4},  # 28561 codewords
+        "code": {"type": "binary", "words": words},
         "channel": {"k": 1, "t": 0}, "trials": 2, "seed": 1,
     })
     assert cli.main(["simulate", "--config", cfg]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "infeasible request: 16384 codewords exceed the exhaustive search cap 10000\n")
+
+
+def test_cp_codes_take_d_min_from_one_column_past_the_search_cap(tmp_path, capsys):
+    # CP (13,4) has 28561 codewords, past the exhaustive search cap, which a
+    # CP code does not need
+    code = cp_construct(CPCodeSpec(FiniteField(13), 4))
+    d_min = cp_min_distance(code)
+    cfg = _write_cfg(tmp_path, "c.json", {"code": {"type": "cp", "q": 13, "k": 4},
+                                          "search_cap": 10})
+    assert cli.main(["construct", "--config", cfg]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "M = 28561" in out and f"d_min = {d_min!r}\n" in out
+    cfg = _write_cfg(tmp_path, "s.json", {"code": {"type": "cp", "q": 13, "k": 4},
+                                          "channel": {"k": 1, "t": 0}, "trials": 2, "seed": 1,
+                                          "out": str(tmp_path / "s.csv")})
+    assert cli.main(["simulate", "--config", cfg]) == EXIT_OK
     capsys.readouterr()
 
 
@@ -660,6 +681,19 @@ def test_distance_names_the_code_file_and_the_missing_key(blob, message, tmp_pat
     bad = _write_cfg(tmp_path, "bad.json", blob)
     assert cli.main(["distance", bad, bad]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: code file {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("extra,named", [({"betta": 7}, "'betta'"),
+                                         ({"Codewords": [], "version": 1}, "'Codewords', 'version'")],
+                         ids=["misspelt_beside_a_valid_header", "two_unknown"])
+def test_code_file_with_an_unknown_key_is_refused(extra, named, tmp_path, capsys):
+    bad = _write_cfg(tmp_path, "bad.json", {**_GOOD_HEADER, **extra})
+    assert cli.main(["distance", bad, bad]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: code file {bad}: unknown key(s) {named}\n"
+    cfg = _write_cfg(tmp_path, "sim.json", {"code": {"type": "file", "path": bad},
+                                            "channel": {"k": 1}, "trials": 2, "seed": 1})
+    assert cli.main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: code file {bad}: unknown key(s) {named}\n"
 
 
 def test_field_order_checks(tmp_path, capsys):

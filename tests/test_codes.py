@@ -28,6 +28,7 @@ from subspacecodes import (
     cp_construct,
     cp_distance_bound,
     cp_max_k_for_delta,
+    cp_min_distance,
     cp_monomial_set,
     cp_simplified_bound,
     distance,
@@ -230,6 +231,24 @@ def test_cp_exhaustive_distance_meets_bound():
         d_min, _ = min_distance_exhaustive(code)
         delta = d_min / 2.0  # lines: max dimension 1
         assert delta >= cp_distance_bound(spec) - 1e-9
+
+
+# (p, m, k): the grid of the acceptance gate on the exhaustive CP distance
+@pytest.mark.parametrize("p,m,k", [(5, 1, 2), (7, 1, 2), (7, 1, 3), (11, 1, 2), (13, 1, 2),
+                                   (2, 4, 3), (3, 3, 2), (2, 5, 3)])
+def test_cp_min_distance_from_one_column_matches_the_exhaustive_search(p, m, k):
+    code = cp_construct(CPCodeSpec(FiniteField(p, m), k))
+    d_min, _ = min_distance_exhaustive(code, cap=30000)
+    assert cp_min_distance(code) == pytest.approx(d_min, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("p,m,k", [(5, 1, 2), (2, 4, 3), (3, 3, 2)])
+def test_cp_codeword_0_is_the_zero_polynomial_line(p, m, k):
+    # the one-column d_min takes codeword 0 as u_0, the all-ones vector over sqrt n
+    code = cp_construct(CPCodeSpec(FiniteField(p, m), k))
+    n = code.ambient_dim
+    np.testing.assert_allclose(code[0].basis, np.full((1, n), 1 / math.sqrt(n)), rtol=0,
+                               atol=1e-15)
 
 
 @pytest.mark.parametrize("q", [5, 13, 17, 29, 37, 41, 7, 31, 43])
@@ -446,7 +465,7 @@ def test_real_doubling_doubles_distances():
 
 def test_code_parameters_frozen_for_cp_5_2():
     code = cp_construct(CPCodeSpec(FiniteField(5), 2))
-    params = code_parameters(code)
+    params = code_parameters(code, min_distance_exhaustive(code)[0])
     assert params.ambient_dim == 4
     assert params.max_dim == 1
     assert params.size == 25

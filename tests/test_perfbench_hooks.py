@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps named functions, methods and properties of the
 package from outside it, so moving or deleting one of those names breaks the
 traced benchmark run without failing any library test.  This installs the
-tracer, runs one decode through a wrapped method, and uninstalls it again.
+tracer, runs one decode and one call of a wrapped method, and uninstalls it
+again.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ def test_span_tracer_installs_and_uninstalls(monkeypatch):
         rng = np.random.default_rng(0)
         code = SubspaceCode([random_subspace(4, 1, rng) for _ in range(3)])
         subspacecodes.decode(code, code[1])
+        code.distances_to(code[1])
     finally:
         tracer.uninstall()
     assert codes.SubspaceCode.__dict__["distances_to"] is original

@@ -1,8 +1,9 @@
 """The blocked `simulate` loop against the per-trial loop it replaced.
 
-`simulate` runs its trials in blocks: the channel's linear algebra runs once
-per block and codeword dimension on stacked arrays, and one pairwise() table
-picks the block's decodes.  Each trial keeps its own generator and its two
+`simulate` runs its trials in blocks, sized from the code and the channel
+(`cli._trial_block`): the channel's linear algebra runs once per block and
+codeword dimension on stacked arrays, and one pairwise() table picks the
+block's decodes.  Each trial keeps its own generator and its two
 calls on it (the codeword index, then one standard_normal for the whole
 channel use), and every distance written comes from the residual kernel, pair
 by pair, so the CSV must be byte-identical to the one the per-trial loop
@@ -129,12 +130,31 @@ def test_real_binary_code_matches_the_per_trial_loop(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _block_size(cfg: dict) -> int:
+    """The trials per block that simulate computes for ``cfg``."""
+    code = cli.build_code_from_config(cfg["code"], cfg["seed"])
+    return cli._trial_block(code, cli._channel_from_config(cfg["channel"], code))
+
+
 @pytest.mark.parametrize("extra", [None, -1, 0, 1, "2B+3"])
 def test_trial_counts_around_the_block_size(extra, tmp_path, capsys):
-    block = cli._TRIAL_BLOCK
+    block = _block_size({**README, "seed": 11})
+    assert block > cli._MIN_TRIAL_BLOCK
     trials = 1 if extra is None else 2 * block + 3 if extra == "2B+3" else block + extra
     _assert_same_csv(tmp_path, {**README, "seed": 11, "trials": trials})
     capsys.readouterr()
+
+
+def test_block_size_keeps_to_the_budget_and_the_floor():
+    # n = 12, l = 3, b = min(3, 2) + 1 + 1 and M = 20: the channel's arrays and
+    # a column of the decode table per trial
+    assert _block_size(README) == cli._BLOCK_BYTES // (16 * 12 * (12 + 3 + 2 * 4) + 8 * 20)
+    # in a wide ambient space the budget holds a few trials; the floor keeps more
+    rng = np.random.default_rng(3)
+    wide = SubspaceCode([random_subspace(100, 1, rng) for _ in range(2)])
+    spec = cli._channel_from_config({"k": 1, "t": 1}, wide)
+    assert cli._BLOCK_BYTES // (16 * 100 * (100 + 1 + 2 * 2) + 8 * 2) < cli._MIN_TRIAL_BLOCK
+    assert cli._trial_block(wide, spec) == cli._MIN_TRIAL_BLOCK
 
 
 def test_first_overflowing_trial_names_the_error(tmp_path, capsys):
@@ -152,11 +172,11 @@ def test_first_overflowing_trial_names_the_error(tmp_path, capsys):
 
 
 def test_unreachable_rotation_keeps_its_message(tmp_path, capsys):
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({"code": {"type": "cp", "q": 5, "k": 2},
-                               "channel": {"k": 1, "t": 0, "delta": 2.5},
-                               "trials": 2 * cli._TRIAL_BLOCK, "seed": 1}))
-    assert cli.main(["simulate", "--config", str(cfg)]) == EXIT_INFEASIBLE
+    cfg = {"code": {"type": "cp", "q": 5, "k": 2}, "channel": {"k": 1, "t": 0, "delta": 2.5},
+           "seed": 1}
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({**cfg, "trials": 2 * _block_size(cfg)}))
+    assert cli.main(["simulate", "--config", str(path)]) == EXIT_INFEASIBLE
     assert capsys.readouterr().err == (
         "infeasible request: rotation budget 2.5 exceeds the largest distance 2 from a "
         "1-dimensional subspace of ambient dimension 4\n")
@@ -183,7 +203,7 @@ def test_block_size_does_not_change_the_bytes(block, cfg, tmp_path, monkeypatch,
     cfg_path.write_text(json.dumps(cfg))
     default, blocked = tmp_path / "default.csv", tmp_path / "blocked.csv"
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(default)]) == EXIT_OK
-    monkeypatch.setattr(cli, "_TRIAL_BLOCK", block)
+    monkeypatch.setattr(cli, "_trial_block", lambda code, spec: block)
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
     assert blocked.read_bytes() == default.read_bytes()
     capsys.readouterr()

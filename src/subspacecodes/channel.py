@@ -8,7 +8,8 @@ bounded amount and attaches an extra noise subspace.  A channel use first
 draws all of its Gaussian coefficients with one standard_normal call, whose
 size follows from dim U alone, and then runs its linear algebra on a stack
 of bases, so a block of uses (apply_noisy_operator_channel_block) costs one
-stacked SVD per stage and one use is the block of one.  The matrix channel is
+stacked SVD per stage (and, for an error or noise part, one stacked QR of the
+bases it avoids) and one use is the block of one.  The matrix channel is
 the physical-layer model Y = H X + G E + N whose row space feeds the
 subspace decoder; rq_factorize and the perturbation bounds quantify how far
 the row space of a perturbed matrix can drift.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionOverflow, PreconditionViolated, RankDeficient)
-from .subspaces import Subspace, _complements, _gaussian, _numerical_rank
+from .subspaces import Subspace, _gaussian, _numerical_rank
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,39 @@ def _erase_stack(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return _rank_r_rows(coeff @ Z, coeff.shape[1], "coefficient")
 
 
+def _into_complements(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """The rows of each (t, n - m) coefficient matrix carried isometrically
+    into the complement of the row space of its (m, n) basis in the stack Z:
+    [0 | coeff] Q^H, (B, t, n).
+
+    Q = H_0 ... H_{m-1} is the unitary of the QR factorization of Z^H, whose
+    last n - m columns span Z-perp; LAPACK returns it as m Householder
+    reflectors H_j = I - tau_j v_j v_j^H, v_j zero before entry j and 1 there
+    (numpy.linalg.qr, mode "raw", one call on the whole stack).  Applying
+    H_{m-1}^H, ..., H_0^H to the zero-padded rows in turn costs O(m n t) a
+    basis, and the (n - m, n) complement is never formed.
+    """
+    count, m, n = Z.shape
+    out = np.zeros((count, coeff.shape[1], n), dtype=np.result_type(Z, coeff))
+    out[:, :, m:] = coeff
+    if m == 0:
+        return out
+    h, tau = np.linalg.qr(Z.conj().transpose(0, 2, 1), mode="raw")  # h[:, j, j + 1:] is v_j's tail
+    diagonal = np.arange(m)
+    h[:, diagonal, diagonal] = 1.0
+    h_adj, tau_adj = h.conj(), tau.conj()[:, :, np.newaxis, np.newaxis]
+    for j in range(m - 1, -1, -1):
+        # y H_j^H = y - conj(tau_j) (y v_j) v_j^H, on the entries from j on
+        tail = out[:, :, j:]
+        tail -= (tail @ h[:, j, j:, np.newaxis]) * tau_adj[:, j] * h_adj[:, j, np.newaxis, j:]
+    return out
+
+
 def _error_stack(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Error parts inside each Z-perp: the row spaces of coeff @ Z-perp."""
-    return _rank_r_rows(coeff @ _complements(Z), coeff.shape[1], "coefficient")
+    """Error parts inside each Z-perp: the row spaces of coeff carried into
+    Z-perp by _into_complements.  A Gaussian coeff is unitarily invariant, so
+    any isometry onto Z-perp gives a uniformly random error subspace."""
+    return _rank_r_rows(_into_complements(Z, coeff), coeff.shape[1], "coefficient")
 
 
 def _rotate_stack(Z: np.ndarray, budget: float, g: np.ndarray) -> np.ndarray:

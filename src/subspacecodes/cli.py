@@ -283,13 +283,16 @@ def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
 
 def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
     """Trials that simulate runs through the channel and the decoder at once:
-    as many as keep the block's stacked arrays within _BLOCK_BYTES, and at
-    least _MIN_TRIAL_BLOCK.  Per trial the channel's are n wide and complex
-    at most: the (n, n) complement, and the sent basis, the rotation draws
-    and the received basis, of at most l, b and b rows, with l the code's
-    largest dimension and b = min(l, k) + t + r_d; the decoder's is a column
-    of M distances in decode_block's table.  pairwise() bounds the product
-    behind that table by itself."""
+    _BLOCK_BYTES over a per-trial weight, and at least _MIN_TRIAL_BLOCK.
+
+    The weight, 16 n (n + l + 2 b) + 8 M bytes, with l the code's largest
+    dimension, b = min(l, k) + t + r_d and M the code's size, is a budget
+    rule that grows with n^2 and with M, not a count of the block's arrays:
+    traced, a block's peak grows by about 10.5 KB a trial on the README
+    config, where the weight is 4.6 KB, and by about 32 KB on CP (31,2)
+    over k = 1, t = 1, where it is 24.5 KB and pairwise()'s product (which
+    pairwise() itself splits into row blocks) sets the peak.  Its value
+    fixes the block sizes: 114 and 32 on those two configs."""
     n, l = code.ambient_dim, code.max_dim
     b = min(l, spec.base.k) + spec.base.t + spec.noise_dim
     per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
@@ -317,7 +320,7 @@ def cmd_simulate(args) -> int:
     # [seed, 1, trial]) and its two calls on it (the codeword, then one
     # standard_normal for the whole channel use), and no trial's results
     # depend on the others in its block, so the block size changes no output
-    # unless three codewords tie to within roundoff (see decode_block)
+    # (decode_block settles ties to within roundoff by the residual kernel)
     words = trial_seed_words(seed, np.arange(trials))
     block = _trial_block(code, spec)
     for lo in range(0, trials, block):
@@ -344,7 +347,7 @@ def cmd_simulate(args) -> int:
     rows = _simulate_rows(code, spec, d_min, sizes, tx, rx, d_tx_rx, d_rx, runner_up)
     summary = ",".join(["summary", "", "", "", "", "", "", repr(rate), "", "", "", "", ""])
     _write_csv(cfg.get("out"), "simulate", cfg, seed, _SIMULATE_COLUMNS,
-               itertools.chain(rows, [summary]), version=2)
+               itertools.chain(rows, [summary]), version=3)
     if cfg.get("out"):
         print(f"{trials} trials, success rate {rate!r}, wrote {cfg['out']}")
     return EXIT_OK

@@ -47,31 +47,49 @@ def decode(code, received: Subspace) -> DecodeResult:
 def decode_block(code, received: SubspaceCode) -> Decoded:
     """decode() for every subspace of ``received``, from one pairwise() table.
 
-    The table picks each column's two nearest codewords: argmin takes the
-    lowest index on exact ties, and masking the first with inf leaves the
-    second, ties included.  Their distances are then taken again with the
-    residual kernel, which keeps full relative accuracy and gives each
-    received subspace the same bits whatever else the table holds; the
-    nearer of the two by the kernel, the lower index on a tie, is the
-    decoded codeword.  So the table's rounding, which depends on its other
-    columns and on pairwise()'s row blocks (a one-row block is a
-    matrix-vector product), decides nothing unless a third codeword ties
-    with the two to within roundoff.
+    The table, transposed so that each received subspace has one contiguous
+    row, nominates each row's candidates: its two nearest codewords (argmin
+    takes the lowest index on exact ties, and masking the first with inf
+    leaves the second, ties included) and, where the third nearest lies
+    within TIE_TOL of the second, every codeword within TIE_TOL of the
+    second.  The candidates' distances are then taken again with the
+    residual kernel, which keeps full relative accuracy and gives each pair
+    the same bits whatever else the table holds, and ranked by them, the
+    lower index first on a tie: the first two are the decoded codeword and
+    the runner-up.  The table's rounding depends on its other columns and on
+    pairwise()'s row blocks (a one-row block is a matrix-vector product), but
+    it is far below TIE_TOL, so it never changes the result.
     """
     if len(code) == 0:
         raise EmptyCode("cannot decode against an empty code")
-    dists = pairwise(code, received)
-    columns = np.arange(len(received))
-    best = np.argmin(dists, axis=0)
-    d_best = _pair_distances(code, best, received, columns)
+    dists = pairwise(code, received).T.copy()
+    rows = np.arange(len(received))
+    best = np.argmin(dists, axis=1)
     if len(code) == 1:
-        return Decoded(best, d_best, np.full(len(columns), math.inf))
-    dists[best, columns] = math.inf
-    second = np.argmin(dists, axis=0)
-    d_second = _pair_distances(code, second, received, columns)
-    swap = (d_second < d_best) | ((d_second == d_best) & (second < best))
-    return Decoded(np.where(swap, second, best), np.where(swap, d_second, d_best),
-                   np.where(swap, d_best, d_second))
+        return Decoded(best, _pair_distances(code, best, received, rows),
+                       np.full(len(rows), math.inf))
+    dists[rows, best] = math.inf
+    second = np.argmin(dists, axis=1)
+    at, words = np.concatenate([rows, rows]), np.concatenate([best, second])
+    if len(code) > 2:
+        edge = dists[rows, second] + TIE_TOL
+        dists[rows, second] = math.inf
+        tied = np.flatnonzero(dists.min(axis=1) <= edge)
+        # the rest of each tied row's window; its best and second are masked
+        window_at, window_words = np.nonzero(dists[tied] <= edge[tied, np.newaxis])
+        at = np.concatenate([at, tied[window_at]])
+        words = np.concatenate([words, window_words])
+    d = _pair_distances(code, words, received, at)
+    # per row: the least distance, the lowest index at it, and the least of the rest
+    nearest = np.full(len(rows), math.inf)
+    np.minimum.at(nearest, at, d)
+    index = np.full(len(rows), len(code), dtype=np.intp)
+    at_nearest = d == nearest[at]
+    np.minimum.at(index, at[at_nearest], words[at_nearest])
+    runner_up = np.full(len(rows), math.inf)
+    rest = words != index[at]
+    np.minimum.at(runner_up, at[rest], d[rest])
+    return Decoded(index, nearest, runner_up)
 
 
 def _check_counts(rho, t) -> None:

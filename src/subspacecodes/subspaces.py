@@ -409,19 +409,12 @@ def principal_angles(U: Subspace, V: Subspace) -> np.ndarray:
 
 
 def complement(U: Subspace) -> Subspace:
-    """Orthogonal complement U-perp; satisfies P_{U-perp} = I - P_U."""
-    return Subspace._view(_complements(U.basis[np.newaxis])[0])
-
-
-def _complements(bases: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the complements of a (B, m, n) stack of
-    orthonormal bases, (B, n - m, n): the last rows of one stacked full SVD."""
-    count, m, n = bases.shape
+    """Orthogonal complement U-perp, satisfying P_{U-perp} = I - P_U: the
+    last n - m rows of U's full SVD."""
+    m, n = U.basis.shape
     if m == 0:
-        return np.broadcast_to(np.eye(n, dtype=bases.dtype), (count, n, n))
-    if m == n:
-        return np.zeros((count, 0, n), dtype=bases.dtype)
-    return np.linalg.svd(bases, full_matrices=True)[2][:, m:]
+        return Subspace._view(np.eye(n, dtype=U.basis.dtype))
+    return Subspace._view(np.linalg.svd(U.basis, full_matrices=True)[2][m:])
 
 
 def direct_sum(U: Subspace, V: Subspace) -> Subspace:

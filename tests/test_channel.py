@@ -35,7 +35,9 @@ from subspacecodes import (
     rotate,
     rq_factorize,
 )
+from subspacecodes.channel import _error_stack, _into_complements
 from subspacecodes.errors import DimensionOverflow, PreconditionViolated, RankDeficient
+from subspacecodes.subspaces import _gaussian
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -302,9 +304,11 @@ def test_noisy_channel_without_rotation_or_noise_is_the_plain_channel_bitwise():
 
 def _per_trial_noisy_channel(U, spec, rng):
     """Oracle: the noisy channel one stage at a time on 2-d bases, with its own
-    SVD per orthonormalization and complement, as it ran before the stages
-    worked on stacks.  Its coefficients come from one standard_normal call,
-    taken in stage order, a complex entry as a (re, im) pair of normals."""
+    SVD per orthonormalization, as it ran before the stages worked on stacks;
+    the error and noise coefficients are carried into the complement by the
+    reflector map on a stack of one (its distribution is checked against the
+    SVD complement below).  Its coefficients come from one standard_normal
+    call, taken in stage order, a complex entry as a (re, im) pair of normals."""
     n, cf = U.ambient_dim, U.is_complex
     k, t, r_d = spec.base.k, spec.base.t, spec.noise_dim
     b = min(U.dim, k) + t
@@ -326,9 +330,8 @@ def _per_trial_noisy_channel(U, spec, rng):
     def error(S, t):
         if t == 0:
             return np.zeros((0, n), dtype=S.basis.dtype)
-        comp = np.eye(n, dtype=S.basis.dtype) if S.dim == 0 else (
-            np.linalg.svd(S.basis, full_matrices=True)[2][S.dim:])
-        return orthonormalize(gauss(t, n - S.dim) @ comp).basis
+        carried = _into_complements(S.basis[np.newaxis], gauss(t, n - S.dim)[np.newaxis])
+        return orthonormalize(carried[0]).basis
 
     kept = within(U, k) if U.dim > k else U.basis
     Z = np.concatenate([kept, error(U, t)])
@@ -342,6 +345,60 @@ def _per_trial_noisy_channel(U, spec, rng):
     out = np.concatenate([Z, error(Subspace(Z), r_d)])
     assert used == entries
     return out
+
+
+def _svd_complement_map(U, coeff):
+    """Oracle: the error part as it was drawn before the reflectors, the row
+    space of coeff times the last n - m rows of U's full SVD."""
+    comp = np.eye(U.ambient_dim, dtype=U.basis.dtype) if U.dim == 0 else (
+        np.linalg.svd(U.basis, full_matrices=True)[2][U.dim:])
+    return orthonormalize(coeff @ comp)
+
+
+def _reflector_map(U, coeff):
+    return Subspace(_error_stack(U.basis[np.newaxis], coeff[np.newaxis])[0])
+
+
+def test_reflector_map_has_the_svd_complement_maps_distribution():
+    # both maps send coeff to the row space of coeff times an isometry onto
+    # U-perp, so the distance between the images of two draws is the same
+    # whichever isometry carries them: only the realization differs
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        m = int(rng.integers(0, n))
+        t = int(rng.integers(1, n - m + 1))
+        complex_field = bool(rng.integers(2))
+        U = random_subspace(n, m, rng, complex_field)
+        c1, c2 = (_gaussian(rng, (t, n - m), complex_field) for _ in range(2))
+        want = distance(_svd_complement_map(U, c1), _svd_complement_map(U, c2))
+        assert abs(distance(_reflector_map(U, c1), _reflector_map(U, c2)) - want) <= 1e-12
+
+
+@st.composite
+def error_stack_cases(draw):
+    """(n, m, t, count, complex flag, seed) with 0 <= m < n and 1 <= t <= n - m."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, n - 1))
+    t = draw(st.integers(1, n - m))
+    return n, m, t, draw(st.integers(1, 4)), draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@PROPERTY
+@given(case=error_stack_cases())
+def test_error_rows_are_orthonormal_and_avoid_the_sent_subspace(case):
+    n, m, t, count, complex_field, seed = case
+    rng = np.random.default_rng(seed)
+    Z = np.stack([random_subspace(n, m, rng, complex_field).basis for _ in range(count)])
+    coeff = _gaussian(rng, (count, t, n - m), complex_field)
+    E = _error_stack(Z, coeff)
+    assert E.shape == (count, t, n)
+    assert E.dtype == Z.dtype
+    assert np.max(np.abs(E @ E.conj().transpose(0, 2, 1) - np.eye(t))) <= 1e-12
+    assert np.max(np.abs(E @ Z.conj().transpose(0, 2, 1)), initial=0.0) <= 1e-12
+    if m == 0:  # nothing to avoid: the row space of the coefficients themselves
+        for rows, c in zip(E, coeff):
+            assert same_subspace(Subspace(rows), orthonormalize(c))
 
 
 @st.composite

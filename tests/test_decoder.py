@@ -142,35 +142,37 @@ def test_block_decoder_matches_the_partition_oracle_bit_for_bit():
 
 def _nearest(code, received: SubspaceCode) -> decoder.Decoded:
     """Oracle: the decode results from the whole (len code, B) pairwise()
-    table, its product formed in one block.  argmin takes the lowest index
-    on exact ties, and masking the first with inf leaves the second, ties
-    included; the residual kernel then re-ranks the two, the lower index
-    winning a tie."""
+    table, its product formed in one block, one received subspace at a time.
+    A stable sort of its column nominates the two nearest codewords, or,
+    where the third lies within TIE_TOL of the second, every codeword within
+    TIE_TOL of the second; the residual kernel then ranks the nominees, the
+    lower index winning a tie."""
     with mock.patch.object(subspaces, "_BLOCK_BYTES", 2 ** 62):
-        dists = pairwise(code, received)
-    columns = np.arange(dists.shape[1])
-    best = np.argmin(dists, axis=0)
-    d_best = _pair_distances(code, best, received, columns)
-    if len(code) == 1:
-        return decoder.Decoded(best, d_best, np.full(len(columns), math.inf))
-    dists[best, columns] = math.inf
-    second = np.argmin(dists, axis=0)
-    d_second = _pair_distances(code, second, received, columns)
-    swap = (d_second < d_best) | ((d_second == d_best) & (second < best))
-    return decoder.Decoded(np.where(swap, second, best), np.where(swap, d_second, d_best),
-                           np.where(swap, d_best, d_second))
+        table = pairwise(code, received)
+    index, best, runner = [], [], []
+    for column, dists in enumerate(table.T):
+        order = np.argsort(dists, kind="stable")
+        nominees = order[:2]
+        if len(order) > 2 and dists[order[2]] <= dists[order[1]] + decoder.TIE_TOL:
+            nominees = np.flatnonzero(dists <= dists[order[1]] + decoder.TIE_TOL)
+        kernel = _pair_distances(code, nominees, received, np.full(len(nominees), column))
+        ranked = sorted(zip(kernel.tolist(), nominees.tolist()))
+        index.append(ranked[0][1])
+        best.append(ranked[0][0])
+        runner.append(ranked[1][0] if len(ranked) > 1 else math.inf)
+    return decoder.Decoded(np.array(index, dtype=np.intp), np.array(best), np.array(runner))
 
 
 @st.composite
 def decode_cases(draw):
     """(code, received, kind): coordinate subspaces of R^n, whose distances
     are exact integers with frequent exact ties, or random subspaces of
-    dimensions 0 to n - 1, mixed; ``kind`` is "coordinate" or "random".
+    dimensions 0 to n, mixed; ``kind`` is "coordinate" or "random".
 
     A random basis of the whole space lies at an integer distance from every
     subspace of one dimension, which roundoff splits one way in one product
-    and another way in the next: ties to within roundoff are where row
-    blocks may nominate different pairs, so the random codes leave it out.
+    and another way in the next: such ties to within roundoff are where row
+    blocks nominate different pairs, and the TIE_TOL window must absorb them.
     """
     n = draw(st.integers(2, 6))
     M, B = draw(st.integers(1, 12)), draw(st.integers(1, 6))
@@ -179,11 +181,11 @@ def decode_cases(draw):
     if kind == "coordinate":
         return _coordinate_code(rng, n, M), _coordinate_code(rng, n, B), kind
     complex_field = draw(st.booleans())
-    dims = draw(st.lists(st.integers(0, n - 1), min_size=M, max_size=M))
+    dims = draw(st.lists(st.integers(0, n), min_size=M, max_size=M))
     if draw(st.booleans()):  # a code of one dimension takes pairwise()'s other branch
         dims = [dims[0]] * M
     code = SubspaceCode([random_subspace(n, m, rng, complex_field) for m in dims])
-    received = SubspaceCode([random_subspace(n, int(rng.integers(0, n)), rng, complex_field)
+    received = SubspaceCode([random_subspace(n, int(rng.integers(0, n + 1)), rng, complex_field)
                              for _ in range(B)])
     return code, received, kind
 

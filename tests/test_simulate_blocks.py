@@ -9,7 +9,7 @@ channel use), and every distance written comes from the residual kernel, pair
 by pair, so the CSV must be byte-identical to the one the per-trial loop
 below writes, whatever the block size.  That loop is the former body of
 `cmd_simulate`: one generator, one channel call, one decode and one
-distance() call per trial, with the v2 columns.
+distance() call per trial, with the columns of v2, which v3 keeps.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import math
 import numpy as np
 import pytest
 
-from subspacecodes import (CPCodeSpec, FiniteField, SubspaceCode, apply_noisy_operator_channel,
+from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode,
+                           apply_noisy_operator_channel,
                            cli, cp_construct, decode, distance, guarantee_noisy,
                            guarantee_noisy_slack, min_distance_exhaustive, random_subspace,
                            save_code)
@@ -59,7 +60,7 @@ def _per_trial_simulate(cfg: dict, path) -> None:
                      guarantee_noisy_slack(d_min, *impairments)])
     rate = successes / trials
     rows.append(["summary", "", "", "", "", "", "", float(rate), "", "", "", "", ""])
-    cli._write_csv(str(path), "simulate", cfg, seed, COLUMNS, cli._fmt(rows), version=2)
+    cli._write_csv(str(path), "simulate", cfg, seed, COLUMNS, cli._fmt(rows), version=3)
 
 
 def _assert_same_csv(tmp_path, cfg: dict) -> None:
@@ -69,7 +70,7 @@ def _assert_same_csv(tmp_path, cfg: dict) -> None:
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
     _per_trial_simulate(cfg, oracle)
     data = blocked.read_bytes()
-    assert data.startswith(b"# subspace-codes simulate v2\n")
+    assert data.startswith(b"# subspace-codes simulate v3\n")
     assert data == oracle.read_bytes()
     _check_columns(data)
 
@@ -206,6 +207,40 @@ def test_block_size_does_not_change_the_bytes(block, cfg, tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "_trial_block", lambda code, spec: block)
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
     assert blocked.read_bytes() == default.read_bytes()
+    capsys.readouterr()
+
+
+def _repeated_lines_file(tmp_path) -> str:
+    """Four random lines of C^6, each three times at different phases: a
+    code whose codewords tie with each other to within roundoff."""
+    rng = np.random.default_rng(8)
+    lines = [random_subspace(6, 1, rng).basis for _ in range(4)]
+    path = tmp_path / "repeated.code.json"
+    save_code(SubspaceCode([Subspace(np.exp(2j * np.pi * rng.random()) * line)
+                            for _ in range(3) for line in lines]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("code", ["cp_3_2", "repeated_lines"])
+def test_codewords_tied_to_within_roundoff_give_one_csv_at_every_block_size(
+        code, tmp_path, monkeypatch, capsys):
+    # CP (3,2)'s nine lines of C^2 repeat, so every trial's decode meets a
+    # three-way tie that the table's roundoff splits differently per block
+    if code == "cp_3_2":
+        path = tmp_path / "cp_3_2.code.json"
+        save_code(cp_construct(CPCodeSpec(FiniteField(3), 2)), path)
+    else:
+        path = _repeated_lines_file(tmp_path)
+    cfg = {"code": {"type": "file", "path": str(path)}, "channel": {"k": 1, "t": 0},
+           "trials": 400, "seed": 1}
+    _assert_same_csv(tmp_path, cfg)
+    default = (tmp_path / "blocked.csv").read_bytes()
+    for block in (1, 2, 7):
+        monkeypatch.setattr(cli, "_trial_block", lambda code, spec: block)
+        out = tmp_path / f"block_{block}.csv"
+        assert cli.main(["simulate", "--config", str(tmp_path / "sim.json"),
+                         "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == default
     capsys.readouterr()
 
 

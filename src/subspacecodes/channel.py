@@ -8,11 +8,13 @@ bounded amount and attaches an extra noise subspace.  A channel use first
 draws all of its Gaussian coefficients with one standard_normal call, whose
 size follows from dim U alone, and then runs its linear algebra on a stack
 of bases, so a block of uses (apply_noisy_operator_channel_block) costs one
-stacked SVD per stage (and, for an error or noise part, one stacked QR of the
-bases it avoids) and one use is the block of one.  The matrix channel is
-the physical-layer model Y = H X + G E + N whose row space feeds the
-subspace decoder; rq_factorize and the perturbation bounds quantify how far
-the row space of a perturbed matrix can drift.
+stacked QR per stage, which orthonormalizes its rows as Gram-Schmidt does
+(and, for an error or noise part, one more of the bases it avoids), and one
+use is the block of one.  The Gram-Schmidt basis of a Gaussian draw is
+Haar-distributed (Mezzadri 2007), so no singular values are needed.  The
+matrix channel is the physical-layer model Y = H X + G E + N whose row space
+feeds the subspace decoder; rq_factorize and the perturbation bounds
+quantify how far the row space of a perturbed matrix can drift.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionOverflow, PreconditionViolated, RankDeficient)
-from .subspaces import Subspace, _gaussian, _numerical_rank
+from .subspaces import TOL_RANK, Subspace, _gaussian, _numerical_rank
 
 
 @dataclass(frozen=True)
@@ -115,14 +117,27 @@ def _normal(rng: np.random.Generator, shape, complex_field: bool) -> np.ndarray:
 
 
 def _rank_r_rows(raw: np.ndarray, r: int, what: str) -> np.ndarray:
-    """Orthonormal bases of the row spaces of a (B, d, n) stack whose
-    matrices all have numerical rank r, one stacked SVD for the whole stack."""
+    """The Gram-Schmidt orthonormalization of the first r rows of each matrix
+    of a (B, d, n) stack whose matrices all have numerical rank r, those r
+    rows independent: one stacked QR of raw^H for the whole stack.
+
+    raw^H = Q R, so raw = R^H Q^H with R^H lower triangular.  LAPACK leaves
+    the phases of R's diagonal to its own sign convention; dividing them out
+    of Q gives the factor whose triangle has a positive diagonal, which is
+    Gram-Schmidt's, so a unitary applied to the columns of raw carries the
+    rows returned along with it.  Column j of raw^H adds a dimension exactly
+    when |R_jj| > TOL_RANK max |R_jj|.
+    """
     if r == 0:
         return raw[:, :0]
-    _, s, vh = np.linalg.svd(raw, full_matrices=False)
-    if np.any(_numerical_rank(s) != r):  # Gaussian draws have rank r almost surely
+    q, tri = np.linalg.qr(raw.conj().transpose(0, 2, 1))
+    diagonal = np.diagonal(tri, axis1=1, axis2=2)[:, np.newaxis]
+    size = np.abs(diagonal)
+    independent = size > TOL_RANK * size.max(axis=-1, keepdims=True)
+    # Gaussian draws have rank r almost surely, in their first r rows
+    if np.any(independent != (np.arange(raw.shape[1]) < r)):
         raise RuntimeError(f"rank-deficient {what} draw")
-    return vh[:, :r]
+    return (q[:, :, :r] * (diagonal[..., :r] / size[..., :r])).conj().transpose(0, 2, 1)
 
 
 def _erase_stack(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -212,9 +227,9 @@ def apply_operator_channel(U: Subspace, spec: OperatorChannelSpec,
 def rotate(U: Subspace, budget: float, rng: np.random.Generator) -> Subspace:
     """Random same-dimension subspace at distance exactly ``budget`` from U.
 
-    A Gaussian draw projected onto U-perp and orthonormalized gives r =
-    min(dim U, n - dim U) orthonormal directions W_i outside U.  The first r
-    basis rows turn towards them by one angle theta,
+    A Gaussian draw projected onto U-perp, its first r = min(dim U, n - dim U)
+    rows orthonormalized by Gram-Schmidt, gives r orthonormal directions W_i
+    outside U.  The first r basis rows turn towards them by one angle theta,
     Z_i -> cos(theta) Z_i + sin(theta) W_i, so the cross-Gram matrix of the
     two bases is diag(cos theta, ..., cos theta, 1, ..., 1) and
     d(U, V) = 2 r sin^2(theta), which sin^2(theta) = budget / 2r makes equal

@@ -34,7 +34,6 @@ from .errors import (CapExceeded, ConfigError, DimensionOverflow, EmptyCode,
                      PreconditionViolated, RankDeficient, RetryLimitExceeded,
                      SizeOverflow)
 from .finitefield import MAX_Q, FiniteField, is_prime
-from .seeding import generators, trial_seed_words
 from .subspaces import _groups, _residual_distances, pairwise
 
 EXIT_OK = 0
@@ -46,6 +45,9 @@ EXIT_NUMERICAL = 4
 _BLOCK_BYTES = 2 ** 19
 # trials per block at the least: each block's decode reads the whole code once
 _MIN_TRIAL_BLOCK = 32
+# trials per generator in simulate: a constant of the v4 draw stream, which
+# changing would change every CSV
+_TRIAL_CHUNK = 1024
 # CSV lines are formatted, joined and written this many at a time
 _WRITE_CHUNK = 1024
 
@@ -299,6 +301,15 @@ def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
     return max(_MIN_TRIAL_BLOCK, _BLOCK_BYTES // per_trial)
 
 
+def _draw_sizes(code: SubspaceCode, spec: NoisyChannelSpec, complex_field: bool) -> dict:
+    """The channel's draw size for each of the code's dimensions that fits it."""
+    sizes = {}
+    for m in set(code.dims.tolist()):
+        with contextlib.suppress(DimensionOverflow):
+            sizes[m] = channel_draw_size(m, code.ambient_dim, spec, complex_field)
+    return sizes
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args, ("code", "channel", "seed", "trials", "search_cap", "out"))
     seed = _seed(cfg)
@@ -312,42 +323,44 @@ def cmd_simulate(args) -> int:
     d_min = _min_distance(cfg, code)
 
     n, complex_field = code.ambient_dim, np.iscomplexobj(code.rows)
-    sizes = {}  # the channel's draw size per codeword dimension
+    sizes = _draw_sizes(code, spec, complex_field)
+    width = max(sizes.values(), default=0)
     tx = np.empty(trials, dtype=np.intp)
     rx = np.empty(trials, dtype=np.intp)
     d_tx_rx, d_rx, runner_up = np.empty(trials), np.empty(trials), np.empty(trials)
-    # each trial keeps its own generator (the one default_rng builds from
-    # [seed, 1, trial]) and its two calls on it (the codeword, then one
-    # standard_normal for the whole channel use), and no trial's results
-    # depend on the others in its block, so the block size changes no output
+    # chunk c of _TRIAL_CHUNK trials draws from default_rng([seed, 1, c]): its
+    # codeword indices in one integers call, then a row of `width` normals per
+    # trial, block by block, of which a trial takes the first sizes[m].  Draws
+    # made in pieces are the draw made at once, and no trial's results depend
+    # on the others in its block, so the block size changes no output
     # (decode_block settles ties to within roundoff by the residual kernel)
-    words = trial_seed_words(seed, np.arange(trials))
     block = _trial_block(code, spec)
-    for lo in range(0, trials, block):
-        rngs = generators(words[lo:lo + block])
-        txs = np.array([rng.integers(len(code)) for rng in rngs], dtype=np.intp)
-        tx[lo:lo + len(rngs)] = txs
-        # in trial order, so a DimensionOverflow names the first trial that cannot fit
-        for m, members in _groups(code.dims[txs]):
-            if m not in sizes:
-                sizes[m] = channel_draw_size(m, n, spec, complex_field)
-            draws = np.empty((len(members), sizes[m]))
-            for row, i in zip(draws, members.tolist()):
-                rngs[i].standard_normal(out=row)
-            sent = code.bases(txs[members])
-            received = apply_noisy_operator_channel_block(sent, spec, draws)
-            dim = received.shape[1]
-            decoded = decode_block(code, SubspaceCode._from_rows(
-                received.reshape(-1, n), np.full(len(members), dim), dim))
-            at = lo + members
-            rx[at], d_rx[at], runner_up[at] = decoded
-            d_tx_rx[at] = _residual_distances(sent, received)
+    for chunk, start in enumerate(range(0, trials, _TRIAL_CHUNK)):
+        rng = np.random.default_rng([seed, 1, chunk])
+        stop = min(start + _TRIAL_CHUNK, trials)
+        tx[start:stop] = rng.integers(len(code), size=stop - start)
+        for lo in range(start, stop, block):
+            txs = tx[lo:min(lo + block, stop)]
+            draws = rng.standard_normal((len(txs), width))
+            # in trial order, so a DimensionOverflow names the first trial that cannot fit
+            for m, members in _groups(code.dims[txs]):
+                if m not in sizes:
+                    channel_draw_size(m, n, spec, complex_field)  # raises DimensionOverflow
+                sent = code.bases(txs[members])
+                received = apply_noisy_operator_channel_block(
+                    sent, spec, draws[members, :sizes[m]])
+                dim = received.shape[1]
+                decoded = decode_block(code, SubspaceCode._from_rows(
+                    received.reshape(-1, n), np.full(len(members), dim), dim))
+                at = lo + members
+                rx[at], d_rx[at], runner_up[at] = decoded
+                d_tx_rx[at] = _residual_distances(sent, received)
 
     rate = int(np.count_nonzero(rx == tx)) / trials
     rows = _simulate_rows(code, spec, d_min, sizes, tx, rx, d_tx_rx, d_rx, runner_up)
     summary = ",".join(["summary", "", "", "", "", "", "", repr(rate), "", "", "", "", ""])
     _write_csv(cfg.get("out"), "simulate", cfg, seed, _SIMULATE_COLUMNS,
-               itertools.chain(rows, [summary]), version=3)
+               itertools.chain(rows, [summary]), version=4)
     if cfg.get("out"):
         print(f"{trials} trials, success rate {rate!r}, wrote {cfg['out']}")
     return EXIT_OK

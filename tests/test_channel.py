@@ -35,7 +35,8 @@ from subspacecodes import (
     rotate,
     rq_factorize,
 )
-from subspacecodes.channel import _error_stack, _into_complements
+from subspacecodes.channel import (_erase_stack, _error_stack, _into_complements,
+                                   _rank_r_rows)
 from subspacecodes.errors import DimensionOverflow, PreconditionViolated, RankDeficient
 from subspacecodes.subspaces import _gaussian
 
@@ -302,9 +303,25 @@ def test_noisy_channel_without_rotation_or_noise_is_the_plain_channel_bitwise():
         assert np.array_equal(V2.basis, V1.basis)
 
 
-def _per_trial_noisy_channel(U, spec, rng):
+def _qr_rows(raw, r):
+    """The first r rows of raw orthonormalized as Gram-Schmidt does, by one
+    2-d QR of raw^H with the phases of R's diagonal divided out of Q."""
+    q, tri = np.linalg.qr(raw.conj().T)
+    diagonal = np.diagonal(tri)[:r]
+    return (q[:, :r] * (diagonal / np.abs(diagonal))).conj().T
+
+
+def _svd_rows(raw, r):
+    """The channel's orthonormalization before v4: the first r right singular
+    vectors of raw, a basis of the same row space as _qr_rows's when raw has
+    rank r."""
+    return np.linalg.svd(raw, full_matrices=False)[2][:r]
+
+
+def _per_trial_noisy_channel(U, spec, rng, orth=_qr_rows):
     """Oracle: the noisy channel one stage at a time on 2-d bases, with its own
-    SVD per orthonormalization, as it ran before the stages worked on stacks;
+    orthonormalization ``orth`` per stage (a 2-d QR by default, the stacked
+    QR's bits matrix by matrix), as it ran before the stages worked on stacks;
     the error and noise coefficients are carried into the complement by the
     reflector map on a stack of one (its distribution is checked against the
     SVD complement below).  Its coefficients come from one standard_normal
@@ -325,26 +342,128 @@ def _per_trial_noisy_channel(U, spec, rng):
         return coeffs[used - rows * cols:used].reshape(rows, cols)
 
     def within(S, d):
-        return orthonormalize(gauss(d, S.dim) @ S.basis).basis
+        return orth(gauss(d, S.dim) @ S.basis, d)
 
     def error(S, t):
         if t == 0:
             return np.zeros((0, n), dtype=S.basis.dtype)
         carried = _into_complements(S.basis[np.newaxis], gauss(t, n - S.dim)[np.newaxis])
-        return orthonormalize(carried[0]).basis
+        return orth(carried[0], t)
 
     kept = within(U, k) if U.dim > k else U.basis
     Z = np.concatenate([kept, error(U, t)])
     if rotating:
         g = gauss(*Z.shape)
-        W = orthonormalize(g - (g @ Z.conj().T) @ Z).basis
-        r = W.shape[0]
+        r = min(b, n - b)
+        W = orth(g - (g @ Z.conj().T) @ Z, r)
         sin2 = spec.rotation / (2 * r)
         Z = Z.copy()
         Z[:r] = np.sqrt(1.0 - sin2) * Z[:r] + np.sqrt(sin2) * W
     out = np.concatenate([Z, error(Subspace(Z), r_d)])
     assert used == entries
     return out
+
+
+def _gram_schmidt(raw):
+    """Modified Gram-Schmidt on the rows of one matrix of full row rank."""
+    out = []
+    for row in raw:
+        v = row.copy()
+        for e in out:
+            v = v - (e.conj() @ v) * e
+        out.append(v / np.linalg.norm(v))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("shape", [(114, 1, 12), (114, 3, 12), (32, 1, 30), (5, 3, 7)])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_rank_r_rows_is_gram_schmidt(shape, complex_field):
+    raw = _gaussian(np.random.default_rng(list(shape)), shape, complex_field)
+    got = _rank_r_rows(raw, shape[1], "test")
+    assert got.shape == shape and got.dtype == raw.dtype
+    want = np.stack([_gram_schmidt(matrix) for matrix in raw])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("defect", ["duplicated", "zero"])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_rank_r_rows_refuses_a_rank_deficient_matrix_in_the_stack(defect, complex_field):
+    raw = _gaussian(np.random.default_rng(4), (5, 3, 7), complex_field)
+    if defect == "duplicated":
+        raw[2, 2] = raw[2, 0]
+    else:
+        raw[3, 1] = 0.0
+    with pytest.raises(RuntimeError, match="rank-deficient test draw"):
+        _rank_r_rows(raw, 3, "test")
+
+
+@st.composite
+def equivariance_cases(draw):
+    """(n, m, k, delta, complex flag, seed) for a channel with t = r_d = 0
+    whose kept part, of dimension b = min(m, k) in [1, n - 1], turns by
+    0 < delta <= 2 min(b, n - b)."""
+    n = draw(st.integers(2, 10))
+    m = draw(st.integers(1, n - 1))
+    k = draw(st.integers(1, m + 1))
+    b = min(m, k)
+    delta = 2 * min(b, n - b) * draw(st.floats(0.0, 1.0, exclude_min=True))
+    return n, m, k, delta, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@PROPERTY
+@given(case=equivariance_cases())
+def test_channel_commutes_with_a_unitary_when_its_rotate_draw_turns_too(case):
+    # channel(U Q) = channel(U) Q when the rotate draw g becomes g Q: the kept
+    # part's coefficients act on the rows, and Gram-Schmidt, unlike LAPACK's
+    # sign convention, does not depend on the coordinates
+    n, m, k, delta, complex_field, seed = case
+    rng = np.random.default_rng(seed)
+    U = random_subspace(n, m, rng, complex_field)
+    Q = orthonormalize(_gaussian(rng, (n, n), complex_field)).basis
+    spec = NoisyChannelSpec(OperatorChannelSpec(k=k), rotation=delta)
+    draws = rng.standard_normal(channel_draw_size(m, n, spec, complex_field))
+    coeffs = draws.view(complex) if complex_field else draws
+    turned = coeffs.copy()
+    erased = k * m if m > k else 0
+    turned[erased:] = (coeffs[erased:].reshape(min(m, k), n) @ Q).ravel()
+    turned_draws = turned.view(float) if complex_field else turned
+    got = apply_noisy_operator_channel_block((U.basis @ Q)[np.newaxis], spec,
+                                             turned_draws[np.newaxis])[0]
+    want = apply_noisy_operator_channel_block(U.basis[np.newaxis], spec, draws[np.newaxis])[0]
+    assert np.max(np.abs(got - want @ Q)) <= 1e-12
+
+
+@PROPERTY
+@given(case=noisy_channel_cases())
+def test_the_svd_route_spans_the_same_parts_and_turns_by_the_same_budget(case):
+    # the kept, error and noise parts are the row spaces of their draws, so
+    # either orthonormalization gives the same subspace; the rotation pairs
+    # the rows with other directions but lands on its budget under both
+    n, m, k, t, r_d, delta, complex_field, seed = case
+    rng = np.random.default_rng([seed, 1])
+    U = random_subspace(n, m, rng, complex_field)
+    if m > k:
+        coeff = _gaussian(rng, (1, k, m), complex_field)
+        kept = Subspace(_erase_stack(U.basis[np.newaxis], coeff)[0])
+        assert distance(kept, Subspace(_svd_rows(coeff[0] @ U.basis, k))) <= 1e-12
+    b = min(k, m) + t
+    # the error part lies next to U, the noise part next to a b-dimensional subspace
+    for dim, S in ((t, U), (r_d, random_subspace(n, b, rng, complex_field))):
+        if dim:
+            Z = S.basis[np.newaxis]
+            coeff = _gaussian(rng, (1, dim, n - S.dim), complex_field)
+            carried = Subspace(_error_stack(Z, coeff)[0])
+            svd = Subspace(_svd_rows(_into_complements(Z, coeff)[0], dim))
+            assert distance(carried, svd) <= 1e-12
+    before = Subspace(_per_trial_noisy_channel(
+        U, NoisyChannelSpec(OperatorChannelSpec(k=k, t=t)), np.random.default_rng([seed, 2])))
+    turned = NoisyChannelSpec(OperatorChannelSpec(k=k, t=t), rotation=delta)
+    for orth in (_qr_rows, _svd_rows):
+        # the rotate draw follows the erase and error draws in the one call
+        after = Subspace(_per_trial_noisy_channel(U, turned, np.random.default_rng([seed, 2]),
+                                                  orth))
+        assert after.dim == b
+        assert abs(distance(before, after) - delta) <= 1e-12
 
 
 def _svd_complement_map(U, coeff):

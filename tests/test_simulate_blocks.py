@@ -1,15 +1,18 @@
-"""The blocked `simulate` loop against the per-trial loop it replaced.
+"""The blocked `simulate` loop against a loop that runs one trial at a time.
 
 `simulate` runs its trials in blocks, sized from the code and the channel
 (`cli._trial_block`): the channel's linear algebra runs once per block and
 codeword dimension on stacked arrays, and one pairwise() table picks the
-block's decodes.  Each trial keeps its own generator and its two
-calls on it (the codeword index, then one standard_normal for the whole
-channel use), and every distance written comes from the residual kernel, pair
-by pair, so the CSV must be byte-identical to the one the per-trial loop
-below writes, whatever the block size.  That loop is the former body of
-`cmd_simulate`: one generator, one channel call, one decode and one
-distance() call per trial, with the columns of v2, which v3 keeps.
+block's decodes.  Chunk c of `cli._TRIAL_CHUNK` trials draws from
+`default_rng([seed, 1, c])`: first its codeword indices in one call, then
+one row of S normals per trial, S the largest channel draw size over the
+code's dimensions that fit, of which each trial's channel use takes the
+first ones it needs.  Every distance written comes from the residual
+kernel, pair by pair, so the CSV must be byte-identical to the one the
+per-chunk loop below writes, whatever the block size.  That loop draws each
+chunk's indices and normals at once and then runs one channel call, one
+decode and one distance() call per trial, with the columns of v2, which v4
+keeps.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ import numpy as np
 import pytest
 
 from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode,
-                           apply_noisy_operator_channel,
+                           apply_noisy_operator_channel_block, channel_draw_size,
                            cli, cp_construct, decode, distance, guarantee_noisy,
                            guarantee_noisy_slack, min_distance_exhaustive, random_subspace,
                            save_code)
 from subspacecodes.cli import EXIT_INFEASIBLE, EXIT_OK
-from subspacecodes.codes import DEFAULT_SEARCH_CAP
+from subspacecodes.codes import DEFAULT_SEARCH_CAP, cp_min_distance
 from subspacecodes.errors import DimensionOverflow
 
 README = {"code": {"type": "random-ensemble", "n": 12, "m": 3, "M": 20},
@@ -35,20 +38,44 @@ COLUMNS = ["trial", "rho", "t", "delta_rot", "r_d", "tx_index", "rx_index",
            "correct", "d_tx_rx", "guarantee_flag", "runner_up", "margin", "slack"]
 
 
+def _draw_width(code, spec) -> int:
+    """S: the largest channel draw size over the code's dimensions that fit."""
+    complex_field = np.iscomplexobj(code.rows)
+    sizes = [0]
+    for U in code:
+        try:
+            sizes.append(channel_draw_size(U.dim, U.ambient_dim, spec, complex_field))
+        except DimensionOverflow:
+            pass
+    return max(sizes)
+
+
 def _per_trial_simulate(cfg: dict, path) -> None:
-    """Oracle: the simulate CSV written one trial at a time."""
+    """Oracle: the simulate CSV written one chunk of draws, and then one
+    trial, at a time."""
     seed = int(cfg["seed"])
     trials = int(cfg["trials"])
     code = cli.build_code_from_config(cfg["code"], seed)
     spec = cli._channel_from_config(cfg["channel"], code)
-    d_min, _ = min_distance_exhaustive(code, int(cfg.get("search_cap", DEFAULT_SEARCH_CAP)))
+    if cfg["code"]["type"] == "cp":
+        d_min = cp_min_distance(code)
+    else:
+        d_min, _ = min_distance_exhaustive(code, int(cfg.get("search_cap", DEFAULT_SEARCH_CAP)))
+    width = _draw_width(code, spec)
     rows = []
     successes = 0
     for trial in range(trials):
-        rng = np.random.default_rng([seed, 1, trial])
-        tx = int(rng.integers(len(code)))
+        if trial % cli._TRIAL_CHUNK == 0:
+            rng = np.random.default_rng([seed, 1, trial // cli._TRIAL_CHUNK])
+            count = min(cli._TRIAL_CHUNK, trials - trial)
+            chunk_tx = rng.integers(len(code), size=count)
+            chunk_normals = rng.standard_normal((count, width))
+        tx = int(chunk_tx[trial % cli._TRIAL_CHUNK])
+        normals = chunk_normals[trial % cli._TRIAL_CHUNK]
         U = code[tx]
-        V = apply_noisy_operator_channel(U, spec, rng)
+        size = channel_draw_size(U.dim, U.ambient_dim, spec, U.is_complex)
+        V = Subspace(apply_noisy_operator_channel_block(U.basis[np.newaxis], spec,
+                                                        normals[np.newaxis, :size])[0])
         result = decode(code, V)
         impairments = (max(0, U.dim - spec.base.k), spec.base.t, spec.rotation, spec.noise_dim)
         flag = guarantee_noisy(d_min, *impairments)
@@ -60,7 +87,7 @@ def _per_trial_simulate(cfg: dict, path) -> None:
                      guarantee_noisy_slack(d_min, *impairments)])
     rate = successes / trials
     rows.append(["summary", "", "", "", "", "", "", float(rate), "", "", "", "", ""])
-    cli._write_csv(str(path), "simulate", cfg, seed, COLUMNS, cli._fmt(rows), version=3)
+    cli._write_csv(str(path), "simulate", cfg, seed, COLUMNS, cli._fmt(rows), version=4)
 
 
 def _assert_same_csv(tmp_path, cfg: dict) -> None:
@@ -70,7 +97,7 @@ def _assert_same_csv(tmp_path, cfg: dict) -> None:
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
     _per_trial_simulate(cfg, oracle)
     data = blocked.read_bytes()
-    assert data.startswith(b"# subspace-codes simulate v3\n")
+    assert data.startswith(b"# subspace-codes simulate v4\n")
     assert data == oracle.read_bytes()
     _check_columns(data)
 
@@ -116,6 +143,14 @@ def test_cp_31_2_file_config_matches_the_per_trial_loop(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cp_5_2_config_matches_the_per_trial_loop(tmp_path, capsys):
+    # a cp config takes its d_min from one column, in simulate and in the oracle
+    _assert_same_csv(tmp_path, {"code": {"type": "cp", "q": 5, "k": 2},
+                                "channel": {"k": 1, "t": 1, "delta": 0.2},
+                                "trials": 300, "seed": 6})
+    capsys.readouterr()
+
+
 def test_mixed_dimension_code_matches_the_per_trial_loop(tmp_path, capsys):
     _assert_same_csv(tmp_path, {"code": {"type": "file", "path": _mixed_code_file(tmp_path)},
                                 "channel": {"k": 2, "t": 1, "delta": 0.1, "r_d": 1},
@@ -137,11 +172,14 @@ def _block_size(cfg: dict) -> int:
     return cli._trial_block(code, cli._channel_from_config(cfg["channel"], code))
 
 
-@pytest.mark.parametrize("extra", [None, -1, 0, 1, "2B+3"])
+@pytest.mark.parametrize("extra", [None, -1, 0, 1, "2B+3", "C+1"])
 def test_trial_counts_around_the_block_size(extra, tmp_path, capsys):
     block = _block_size({**README, "seed": 11})
     assert block > cli._MIN_TRIAL_BLOCK
-    trials = 1 if extra is None else 2 * block + 3 if extra == "2B+3" else block + extra
+    # C + 1 trials: a second chunk of one trial, and a block cut at the chunk's end
+    assert cli._TRIAL_CHUNK % block
+    trials = block + extra if isinstance(extra, int) else {
+        None: 1, "2B+3": 2 * block + 3, "C+1": cli._TRIAL_CHUNK + 1}[extra]
     _assert_same_csv(tmp_path, {**README, "seed": 11, "trials": trials})
     capsys.readouterr()
 
@@ -184,7 +222,7 @@ def test_unreachable_rotation_keeps_its_message(tmp_path, capsys):
 
 
 def test_seed_longer_than_two_entropy_words_matches_the_per_trial_loop(tmp_path, capsys):
-    # 2**70 is three uint32 words, so each trial's entropy overflows the 4-word pool
+    # 2**70 is three uint32 words, so each chunk's entropy overflows the 4-word pool
     _assert_same_csv(tmp_path, {**README, "seed": 2**70, "trials": 200})
     capsys.readouterr()
 

@@ -12,8 +12,11 @@ stacked QR per stage, which orthonormalizes its rows as Gram-Schmidt does
 (and, for an error or noise part, one more of the bases it avoids), and one
 use is the block of one.  The Gram-Schmidt basis of a Gaussian draw is
 Haar-distributed (Mezzadri 2007), so no singular values are needed.  The
-matrix channel is the physical-layer model Y = H X + G E + N whose row space
-feeds the subspace decoder; rq_factorize and the perturbation bounds
+stand-alone stages are channel uses with specs that leave the other stages
+idle: erase(U, k) keeps k dimensions and adds none, random_error_subspace(U,
+t) keeps none and adds t, and rotate(U, budget) keeps all of U and turns it.
+The matrix channel is the physical-layer model Y = H X + G E + N whose row
+space feeds the subspace decoder; rq_factorize and the perturbation bounds
 quantify how far the row space of a perturbed matrix can drift.
 """
 
@@ -54,49 +57,33 @@ class NoisyChannelSpec:
             raise ValueError("noise dimension must be nonnegative")
 
 
-def _erase_shape(dim: int, k: int):
-    """Shape of the coefficients that pick the kept part of a dim-dimensional
-    subspace, (k, dim), or None when nothing is erased."""
-    return (k, dim) if dim > k else None
-
-
-def _error_shape(dim: int, n: int, t: int):
-    """Shape of the coefficients of t error dimensions in the complement of
-    a dim-dimensional subspace, (t, n - dim), or None when t = 0."""
-    if t == 0:
-        return None
-    if dim + t > n:
-        raise DimensionOverflow(
-            f"cannot fit {t} error dimensions next to a {dim}-dimensional subspace "
-            f"in ambient dimension {n}")
-    return (t, n - dim)
-
-
-def _rotate_shape(dim: int, n: int, budget: float):
-    """Shape of the directions that rotate a dim-dimensional subspace by
-    ``budget``, (dim, n), or None when nothing moves."""
-    # written so that a NaN budget fails the tests too
-    if not budget >= 0:
-        raise ValueError("rotation budget must be a nonnegative number")
-    if budget == 0 or dim == 0:
-        return None
-    r = min(dim, n - dim)
-    if not budget <= 2 * r:
-        raise DimensionOverflow(
-            f"rotation budget {budget!r} exceeds the largest distance {2 * r} from a "
-            f"{dim}-dimensional subspace of ambient dimension {n}")
-    return (dim, n)
-
-
 def _draw_shapes(dim: int, n: int, spec: NoisyChannelSpec) -> tuple:
-    """Shapes of the erase, error, rotate and noise coefficients of one noisy
-    channel use on a dim-dimensional subspace of an n-dimensional space, in
-    stream order; None for a stage that draws nothing."""
-    base = min(dim, spec.base.k) + spec.base.t
-    return (_erase_shape(dim, spec.base.k),
-            _error_shape(dim, n, spec.base.t),
-            _rotate_shape(base, n, spec.rotation),
-            _error_shape(base, n, spec.noise_dim))
+    """Shapes of the erase (k, dim), error (t, n - dim), rotate (b, n) and
+    noise (noise_dim, n - b) coefficients of one noisy channel use on a
+    dim-dimensional subspace of an n-dimensional space, b = min(dim, k) + t,
+    in stream order; None for a stage that draws nothing: erase when
+    dim <= k, rotate when the budget or b is 0, and error or noise when it
+    adds no dimension.  DimensionOverflow when the error or the noise cannot
+    fit next to its subspace, or when the budget exceeds the largest distance
+    2 min(b, n - b) from a b-dimensional subspace."""
+    k, t, noise = spec.base.k, spec.base.t, spec.noise_dim
+
+    def no_room(extra: int, fixed: int) -> DimensionOverflow:
+        return DimensionOverflow(f"cannot fit {extra} error dimensions next to a {fixed}-dimensional "
+                                 f"subspace in ambient dimension {n}")
+
+    if dim + t > n:
+        raise no_room(t, dim)
+    b = min(dim, k) + t
+    turns = spec.rotation > 0 and b > 0
+    if turns and spec.rotation > 2 * min(b, n - b):
+        raise DimensionOverflow(
+            f"rotation budget {spec.rotation!r} exceeds the largest distance {2 * min(b, n - b)} "
+            f"from a {b}-dimensional subspace of ambient dimension {n}")
+    if b + noise > n:
+        raise no_room(noise, b)
+    return ((k, dim) if dim > k else None, (t, n - dim) if t else None,
+            (b, n) if turns else None, (noise, n - b) if noise else None)
 
 
 def channel_draw_size(dim: int, n: int, spec: NoisyChannelSpec,
@@ -107,13 +94,6 @@ def channel_draw_size(dim: int, n: int, spec: NoisyChannelSpec,
     use cannot fit."""
     entries = sum(math.prod(shape) for shape in _draw_shapes(dim, n, spec) if shape is not None)
     return 2 * entries if complex_field else entries
-
-
-def _normal(rng: np.random.Generator, shape, complex_field: bool) -> np.ndarray:
-    """A standard Gaussian array of ``shape`` from one standard_normal call;
-    a complex entry takes two consecutive draws, as (re, im)."""
-    g = rng.standard_normal(2 * math.prod(shape) if complex_field else math.prod(shape))
-    return (g.view(complex) if complex_field else g).reshape(shape)
 
 
 def _rank_r_rows(raw: np.ndarray, r: int, what: str) -> np.ndarray:
@@ -192,25 +172,15 @@ def _rotate_stack(Z: np.ndarray, budget: float, g: np.ndarray) -> np.ndarray:
 
 
 def erase(U: Subspace, k: int, rng: np.random.Generator) -> Subspace:
-    """Uniformly random k-dimensional subspace of U; U itself when dim(U) <= k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    shape = _erase_shape(U.dim, k)
-    if shape is None:
-        return U
-    coeff = _normal(rng, shape, U.is_complex)
-    return Subspace._view(_erase_stack(U.basis[np.newaxis], coeff[np.newaxis])[0])
+    """Uniformly random k-dimensional subspace of U; U's span when dim(U) <= k.
+    The channel use that keeps k dimensions and adds none."""
+    return apply_noisy_operator_channel(U, NoisyChannelSpec(OperatorChannelSpec(k)), rng)
 
 
 def random_error_subspace(U: Subspace, t: int, rng: np.random.Generator) -> Subspace:
-    """Uniformly random t-dimensional subspace of U-perp, so E intersects U trivially."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    shape = _error_shape(U.dim, U.ambient_dim, t)
-    if shape is None:
-        return Subspace.zero(U.ambient_dim, U.is_complex)
-    coeff = _normal(rng, shape, U.is_complex)
-    return Subspace._view(_error_stack(U.basis[np.newaxis], coeff[np.newaxis])[0])
+    """Uniformly random t-dimensional subspace of U-perp, so E intersects U
+    trivially.  The channel use that keeps no dimension of U and adds t."""
+    return apply_noisy_operator_channel(U, NoisyChannelSpec(OperatorChannelSpec(0, t)), rng)
 
 
 def apply_operator_channel(U: Subspace, spec: OperatorChannelSpec,
@@ -233,13 +203,11 @@ def rotate(U: Subspace, budget: float, rng: np.random.Generator) -> Subspace:
     Z_i -> cos(theta) Z_i + sin(theta) W_i, so the cross-Gram matrix of the
     two bases is diag(cos theta, ..., cos theta, 1, ..., 1) and
     d(U, V) = 2 r sin^2(theta), which sin^2(theta) = budget / 2r makes equal
-    to the budget.  budget = 0 returns U; DimensionOverflow when budget > 2r.
+    to the budget.  budget = 0 returns U's span; DimensionOverflow when
+    budget > 2r.  The channel use that keeps all of U and turns it.
     """
-    shape = _rotate_shape(U.dim, U.ambient_dim, budget)
-    if shape is None:
-        return U
-    g = _normal(rng, shape, U.is_complex)
-    return Subspace._view(_rotate_stack(U.basis[np.newaxis], budget, g[np.newaxis])[0])
+    spec = NoisyChannelSpec(OperatorChannelSpec(U.dim), rotation=budget)
+    return apply_noisy_operator_channel(U, spec, rng)
 
 
 def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
@@ -276,7 +244,9 @@ def apply_noisy_operator_channel_block(bases: np.ndarray, spec: NoisyChannelSpec
     """
     count, m, n = bases.shape
     complex_field = np.iscomplexobj(bases)
-    size = channel_draw_size(m, n, spec, complex_field)
+    shapes = _draw_shapes(m, n, spec)
+    entries = [0 if shape is None else math.prod(shape) for shape in shapes]
+    size = 2 * sum(entries) if complex_field else sum(entries)
     if draws.shape != (count, size):
         raise ValueError(f"{count} bases of dimension {m} need draws of shape "
                          f"({count}, {size}), got {draws.shape}")
@@ -284,13 +254,9 @@ def apply_noisy_operator_channel_block(bases: np.ndarray, spec: NoisyChannelSpec
     if complex_field:
         coeffs = coeffs.view(complex)
     parts, lo = [], 0
-    for shape in _draw_shapes(m, n, spec):
-        if shape is None:
-            parts.append(None)
-        else:
-            hi = lo + math.prod(shape)
-            parts.append(coeffs[:, lo:hi].reshape(count, *shape))
-            lo = hi
+    for shape, entry in zip(shapes, entries):
+        parts.append(None if shape is None else coeffs[:, lo:lo + entry].reshape(count, *shape))
+        lo += entry
     erase_c, error_c, rotate_g, noise_c = parts
     out = bases if erase_c is None else _erase_stack(bases, erase_c)
     if error_c is not None:

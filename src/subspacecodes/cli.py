@@ -188,7 +188,9 @@ def build_code_from_config(cfg, seed=None) -> SubspaceCode:
         field = _field_for_order(_integer(cfg, "q"))
         return cp_construct(CPCodeSpec(field, _integer(cfg, "k")))
     if kind == "binary":
-        return binary_to_lines(_require(cfg, "words"), cfg.get("length"))
+        if not isinstance(words := _require(cfg, "words"), list):
+            raise ConfigError(f"config key 'words' must be a list, got {words!r}")
+        return binary_to_lines(words, _integer(cfg, "length") if "length" in cfg else None)
     if kind == "random-ensemble":
         if seed is None:
             raise ConfigError("random-ensemble construction needs a seed")

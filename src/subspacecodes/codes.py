@@ -216,17 +216,16 @@ def binary_to_lines(codebook, length: int | None = None) -> SubspaceCode:
     """Map binary words to the lines of their +-1 images (0 -> +1, 1 -> -1).
 
     Complementary words span the same line and collapse to a single
-    codeword.  Words may be strings like "0110" or integer sequences.
+    codeword.  Words may be strings like "0110" or integer sequences; a bit
+    that is not 0 or 1 (1.0 counts as 1; 1.5, true and "1" do not) is
+    refused.
     """
     words = []
     for w in codebook:
-        if isinstance(w, str):
-            bits = tuple(int(ch) for ch in w)
-        else:
-            bits = tuple(int(b) for b in w)
-        if any(b not in (0, 1) for b in bits):
+        bits = [{"0": 0, "1": 1}.get(ch, ch) for ch in w] if isinstance(w, str) else list(w)
+        if any(isinstance(b, (bool, str)) or b not in (0, 1) for b in bits):
             raise ValueError(f"non-binary word {w!r}")
-        words.append(bits)
+        words.append(tuple(int(b) for b in bits))
     if not words:
         raise ValueError("empty codebook")
     if length is None:

@@ -58,27 +58,24 @@ def decode_block(code, received: SubspaceCode) -> Decoded:
     lower index first on a tie: the first two are the decoded codeword and
     the runner-up.  The table's rounding depends on its other columns and on
     pairwise()'s row blocks (a one-row block is a matrix-vector product), but
-    it is far below TIE_TOL, so it never changes the result.
+    it is far below TIE_TOL, so it never changes the result.  A one- or
+    two-codeword code takes the same path: its masked entries are inf, and
+    a candidate nominated twice changes no result.
     """
     if len(code) == 0:
         raise EmptyCode("cannot decode against an empty code")
     dists = pairwise(code, received).T.copy()
     rows = np.arange(len(received))
     best = np.argmin(dists, axis=1)
-    if len(code) == 1:
-        return Decoded(best, _pair_distances(code, best, received, rows),
-                       np.full(len(rows), math.inf))
     dists[rows, best] = math.inf
     second = np.argmin(dists, axis=1)
-    at, words = np.concatenate([rows, rows]), np.concatenate([best, second])
-    if len(code) > 2:
-        edge = dists[rows, second] + TIE_TOL
-        dists[rows, second] = math.inf
-        tied = np.flatnonzero(dists.min(axis=1) <= edge)
-        # the rest of each tied row's window; its best and second are masked
-        window_at, window_words = np.nonzero(dists[tied] <= edge[tied, np.newaxis])
-        at = np.concatenate([at, tied[window_at]])
-        words = np.concatenate([words, window_words])
+    edge = dists[rows, second] + TIE_TOL
+    dists[rows, second] = math.inf
+    tied = np.flatnonzero(dists.min(axis=1) <= edge)
+    # the rest of each tied row's window; its best and second are masked
+    window_at, window_words = np.nonzero(dists[tied] <= edge[tied, np.newaxis])
+    at = np.concatenate([rows, rows, tied[window_at]])
+    words = np.concatenate([best, second, window_words])
     d = _pair_distances(code, words, received, at)
     # per row: the least distance, the lowest index at it, and the least of the rest
     nearest = np.full(len(rows), math.inf)

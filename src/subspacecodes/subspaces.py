@@ -440,8 +440,6 @@ def random_subspace(n: int, m: int, rng: np.random.Generator,
     """Uniformly random m-dimensional subspace (row space of a Gaussian matrix)."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    if m == 0:
-        return Subspace.zero(n, complex_field)
     out = orthonormalize(_gaussian(rng, (m, n), complex_field))
     if out.dim != m:  # Gaussian matrices are full rank almost surely
         raise RuntimeError("sampled a rank-deficient Gaussian matrix")

@@ -303,6 +303,73 @@ def test_noisy_channel_without_rotation_or_noise_is_the_plain_channel_bitwise():
         assert np.array_equal(V2.basis, V1.basis)
 
 
+def _stage_spec(stage, U, arg):
+    """The spec of the channel use that the stand-alone ``stage`` is."""
+    if stage is erase:
+        return NoisyChannelSpec(OperatorChannelSpec(arg))
+    if stage is random_error_subspace:
+        return NoisyChannelSpec(OperatorChannelSpec(0, arg))
+    return NoisyChannelSpec(OperatorChannelSpec(U.dim), rotation=arg)
+
+
+def _stage_entries(stage, U, arg):
+    """The Gaussian entries ``stage`` draws: a (k, dim U) erase draw when it
+    erases, a (t, n - dim U) error draw, a (dim U, n) rotate draw when it
+    turns a nonzero U."""
+    n, m = U.ambient_dim, U.dim
+    if stage is erase:
+        return arg * m if m > arg else 0
+    if stage is random_error_subspace:
+        return arg * (n - m)
+    return m * n if arg > 0 and m > 0 else 0
+
+
+@pytest.mark.parametrize("stage, dim, arg", [
+    (erase, 4, 2), (erase, 4, 0), (erase, 4, 4), (erase, 4, 6), (erase, 0, 2), (erase, 7, 3),
+    (random_error_subspace, 4, 2), (random_error_subspace, 4, 3), (random_error_subspace, 4, 0),
+    (random_error_subspace, 0, 5), (random_error_subspace, 7, 0),
+    (rotate, 4, 0.7), (rotate, 4, 6.0), (rotate, 4, 0.0), (rotate, 1, 2.0), (rotate, 0, 0.3),
+    (rotate, 7, 0.0),
+], ids=lambda value: getattr(value, "__name__", None))
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_each_stage_is_the_channel_use_with_its_spec(stage, dim, arg, complex_field):
+    U = random_subspace(7, dim, np.random.default_rng([dim, 1]), complex_field)
+    spec = _stage_spec(stage, U, arg)
+    rng, channel_rng, oracle_rng, twin = (np.random.default_rng(5) for _ in range(4))
+    V = stage(U, arg, rng)
+    W = apply_noisy_operator_channel(U, spec, channel_rng)
+    assert V.basis.dtype == W.basis.dtype == U.basis.dtype
+    assert np.array_equal(V.basis, W.basis)
+    assert np.array_equal(V.basis, _per_trial_noisy_channel(U, spec, oracle_rng))
+    entries = _stage_entries(stage, U, arg)
+    twin.standard_normal(2 * entries if complex_field else entries)
+    for used in (channel_rng, oracle_rng, twin):
+        assert rng.bit_generator.state == used.bit_generator.state
+    if stage is erase:
+        assert V.dim == min(dim, arg) and _contained_in(V, U)
+    elif stage is random_error_subspace:
+        assert V.dim == arg
+        assert np.max(np.abs(V.basis @ U.basis.conj().T), initial=0.0) <= 1e-12
+    else:
+        assert V.dim == dim and abs(distance(U, V) - (arg if dim else 0.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("stage, dim, arg", [
+    (random_error_subspace, 4, 4), (random_error_subspace, 7, 1), (rotate, 7, 0.1),
+    (rotate, 4, 6.5), (rotate, 1, 2.5),
+], ids=lambda value: getattr(value, "__name__", None))
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_each_stage_refuses_what_its_channel_use_refuses(stage, dim, arg, complex_field):
+    U = random_subspace(7, dim, np.random.default_rng([dim, 2]), complex_field)
+    rng, untouched = np.random.default_rng(6), np.random.default_rng(6)
+    with pytest.raises(DimensionOverflow) as refused:
+        stage(U, arg, rng)
+    with pytest.raises(DimensionOverflow) as channel_refused:
+        apply_noisy_operator_channel(U, _stage_spec(stage, U, arg), rng)
+    assert str(refused.value) == str(channel_refused.value)
+    assert rng.bit_generator.state == untouched.bit_generator.state
+
+
 def _qr_rows(raw, r):
     """The first r rows of raw orthonormalized as Gram-Schmidt does, by one
     2-d QR of raw^H with the phases of R's diagonal divided out of Q."""

@@ -83,6 +83,32 @@ def test_construct_refuses_binary_words_of_length_zero(binary, tmp_path, capsys)
     assert "at least 1" in err
 
 
+@pytest.mark.parametrize("binary", [
+    {"words": [[0, 1.5], [0, 0]]}, {"words": [[0, True], [0, 0]]}, {"words": "0110"},
+    {"words": [["0", "1"], [0, 0]]}, {"words": ["0120"]}, {"words": [[0, None]]},
+    {"words": ["01"], "length": "2"}, {"words": ["01"], "length": True},
+    {"words": ["01"], "length": 2.5},
+], ids=["fraction", "boolean", "string_words", "string_bits", "digit_2", "null_bit",
+        "string_length", "boolean_length", "fractional_length"])
+def test_construct_refuses_words_that_are_not_binary(binary, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "c.json", {"code": {"type": "binary", **binary}})
+    assert cli.main(["construct", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_construct_reads_integral_floats_as_bits(tmp_path, capsys):
+    files = []
+    for name, binary in (("ints", {"words": ["01", "00"]}),
+                         ("floats", {"words": [[0, 1.0], [0.0, 0]], "length": 2.0})):
+        out = tmp_path / f"{name}.json"
+        cfg = _write_cfg(tmp_path, f"{name}_cfg.json", {"code": {"type": "binary", **binary},
+                                                         "out": str(out)})
+        assert cli.main(["construct", "--config", cfg]) == EXIT_OK
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
+    capsys.readouterr()
+
+
 def test_construct_oversized_code_is_infeasible(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "c.json", {"code": {"type": "cp", "q": 13, "k": 12}})
     assert cli.main(["construct", "--config", cfg]) == EXIT_INFEASIBLE

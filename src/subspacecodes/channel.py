@@ -92,7 +92,12 @@ def channel_draw_size(dim: int, n: int, spec: NoisyChannelSpec,
     subspace of an n-dimensional space draws: the entries of its four
     coefficient arrays, two per complex entry.  DimensionOverflow when the
     use cannot fit."""
-    entries = sum(math.prod(shape) for shape in _draw_shapes(dim, n, spec) if shape is not None)
+    return _draw_size(_draw_shapes(dim, n, spec), complex_field)
+
+
+def _draw_size(shapes: tuple, complex_field: bool) -> int:
+    """The standard normals that coefficient arrays of ``shapes`` take."""
+    entries = sum(math.prod(shape) for shape in shapes if shape is not None)
     return 2 * entries if complex_field else entries
 
 
@@ -221,10 +226,9 @@ def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
     call of channel_draw_size entries, split as
     apply_noisy_operator_channel_block splits them.
     """
-    size = channel_draw_size(U.dim, U.ambient_dim, spec, U.is_complex)
-    draws = rng.standard_normal(size)
-    out = apply_noisy_operator_channel_block(U.basis[np.newaxis], spec, draws[np.newaxis])
-    return Subspace._view(out[0])
+    shapes = _draw_shapes(U.dim, U.ambient_dim, spec)
+    draws = rng.standard_normal(_draw_size(shapes, U.is_complex))
+    return Subspace._view(_channel_block(U.basis[np.newaxis], spec, draws[np.newaxis], shapes)[0])
 
 
 def apply_noisy_operator_channel_block(bases: np.ndarray, spec: NoisyChannelSpec,
@@ -242,9 +246,15 @@ def apply_noisy_operator_channel_block(bases: np.ndarray, spec: NoisyChannelSpec
     runs once on the whole stack, and each use's output does not depend on
     the rest of the stack.
     """
+    return _channel_block(bases, spec, draws, _draw_shapes(bases.shape[1], bases.shape[2], spec))
+
+
+def _channel_block(bases: np.ndarray, spec: NoisyChannelSpec, draws: np.ndarray,
+                   shapes: tuple) -> np.ndarray:
+    """apply_noisy_operator_channel_block with the stages' coefficient
+    shapes, _draw_shapes(m, n, spec), already known."""
     count, m, n = bases.shape
     complex_field = np.iscomplexobj(bases)
-    shapes = _draw_shapes(m, n, spec)
     entries = [0 if shape is None else math.prod(shape) for shape in shapes]
     size = 2 * sum(entries) if complex_field else sum(entries)
     if draws.shape != (count, size):

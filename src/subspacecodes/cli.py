@@ -29,7 +29,7 @@ from .codes import (CPCodeSpec, SubspaceCode, _as_integer, binary_to_lines, code
                     cp_construct, cp_max_k_for_delta, cp_min_distance, cp_simplified_bound,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code, DEFAULT_SEARCH_CAP)
-from .decoder import decode_block, guarantee_noisy, guarantee_noisy_slack
+from .decoder import decode_block, guarantee_noisy, guarantee_noisy_slack, single_precision
 from .errors import (CapExceeded, ConfigError, DimensionOverflow, EmptyCode,
                      PreconditionViolated, RankDeficient, RetryLimitExceeded,
                      SizeOverflow)
@@ -43,8 +43,10 @@ EXIT_NUMERICAL = 4
 
 # bytes the stacked arrays of one block of simulate trials may take
 _BLOCK_BYTES = 2 ** 19
-# trials per block at the least: each block's decode reads the whole code once
-_MIN_TRIAL_BLOCK = 32
+# trials per block at the least: each block's decode reads the whole code
+# once, and a single-precision screen of 64 trials takes the bytes that a
+# double-precision table of 32 took
+_MIN_TRIAL_BLOCK = 64
 # trials per generator in simulate: a constant of the v4 draw stream, which
 # changing would change every CSV
 _TRIAL_CHUNK = 1024
@@ -294,9 +296,13 @@ def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
     rule that grows with n^2 and with M, not a count of the block's arrays:
     traced, a block's peak grows by about 10.5 KB a trial on the README
     config, where the weight is 4.6 KB, and by about 32 KB on CP (31,2)
-    over k = 1, t = 1, where it is 24.5 KB and pairwise()'s product (which
-    pairwise() itself splits into row blocks) sets the peak.  Its value
-    fixes the block sizes: 114 and 32 on those two configs."""
+    over k = 1, t = 1 with a double-precision decode table, where the
+    weight is 24.5 KB and pairwise()'s product (which pairwise() itself
+    splits into row blocks) sets the peak.  The floor
+    holds there: each block's decode reads the whole code once, and
+    decode_block's single-precision screen of 64 trials peaks, traced, at
+    1.70 MB, where the double-precision table of 32 peaked at 1.71 MB.  So
+    the block sizes are 114 and 64 on those two configs."""
     n, l = code.ambient_dim, code.max_dim
     b = min(l, spec.base.k) + spec.base.t + spec.noise_dim
     per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
@@ -337,6 +343,7 @@ def cmd_simulate(args) -> int:
     # on the others in its block, so the block size changes no output
     # (decode_block settles ties to within roundoff by the residual kernel)
     block = _trial_block(code, spec)
+    single = single_precision(code)  # decode_block's screen, cast once per run
     for chunk, start in enumerate(range(0, trials, _TRIAL_CHUNK)):
         rng = np.random.default_rng([seed, 1, chunk])
         stop = min(start + _TRIAL_CHUNK, trials)
@@ -353,7 +360,7 @@ def cmd_simulate(args) -> int:
                     sent, spec, draws[members, :sizes[m]])
                 dim = received.shape[1]
                 decoded = decode_block(code, SubspaceCode._from_rows(
-                    received.reshape(-1, n), np.full(len(members), dim), dim))
+                    received.reshape(-1, n), np.full(len(members), dim), dim), single=single)
                 at = lo + members
                 rx[at], d_rx[at], runner_up[at] = decoded
                 d_tx_rx[at] = _residual_distances(sent, received)

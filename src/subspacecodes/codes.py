@@ -218,8 +218,11 @@ def binary_to_lines(codebook, length: int | None = None) -> SubspaceCode:
     Complementary words span the same line and collapse to a single
     codeword.  Words may be strings like "0110" or integer sequences; a bit
     that is not 0 or 1 (1.0 counts as 1; 1.5, true and "1" do not) is
-    refused.
+    refused, and so is a codebook given as one string, which would read as
+    one-bit words.
     """
+    if isinstance(codebook, str):
+        raise ValueError(f"the codebook must be a sequence of words, not the string {codebook!r}")
     words = []
     for w in codebook:
         bits = [{"0": 0, "1": 1}.get(ch, ch) for ch in w] if isinstance(w, str) else list(w)

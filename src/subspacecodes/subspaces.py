@@ -121,15 +121,14 @@ def _check_orthonormal(bases: np.ndarray) -> None:
 
 
 def _as_float_matrix(raw) -> np.ndarray:
-    """``raw`` as a 2-d inexact array, a vector becoming one row."""
+    """``raw`` as a 2-d float64 or complex128 array, a vector becoming one
+    row: every basis is double precision, as TOL_ORTH requires."""
     raw = np.asarray(raw)
     if raw.ndim == 1:
         raw = raw[np.newaxis, :]
     if raw.ndim != 2:
         raise ValueError("expected a vector or a 2-d matrix")
-    if not np.issubdtype(raw.dtype, np.inexact):
-        raw = raw.astype(float)
-    return raw
+    return raw.astype(complex if np.iscomplexobj(raw) else float, copy=False)
 
 
 def _numerical_rank(s: np.ndarray):
@@ -262,7 +261,7 @@ class SubspaceCode:
 
     @property
     def max_dim(self) -> int:
-        return int(self.dims.max())
+        return self.common_dim if self.common_dim >= 0 else int(self.dims.max())
 
     @property
     def is_constant_dimension(self) -> bool:
@@ -286,9 +285,10 @@ class SubspaceCode:
     def blocks(self, other: "SubspaceCode"):
         """Ranges (lo, hi) covering this code whose cross-Gram product with
         ``other`` takes at most about _BLOCK_BYTES each."""
-        row_bytes = 16 * max(1, other.rows.shape[0])  # a complex128 product
-        max_dim = self.common_dim if self.common_dim >= 0 else int(self.dims.max())
-        step = max(1, _BLOCK_BYTES // (row_bytes * max(1, max_dim)))
+        # two floats per entry, as if complex: 16 bytes in double precision, 8 in single
+        row_bytes = 2 * np.result_type(self.rows.real, other.rows.real).itemsize
+        row_bytes *= max(1, other.rows.shape[0])
+        step = max(1, _BLOCK_BYTES // (row_bytes * max(1, self.max_dim)))
         M = len(self)
         return [(lo, min(lo + step, M)) for lo in range(0, M, step)]
 
@@ -316,7 +316,7 @@ def _pair_distances(A: "SubspaceCode", ia: np.ndarray, B: "SubspaceCode",
 def _row_segment_sums(x: np.ndarray, code: SubspaceCode) -> np.ndarray:
     """Sums of the rows of x that belong to each codeword of ``code``; a
     zero-dimensional codeword sums to 0."""
-    out = np.zeros((len(code), x.shape[1]))
+    out = np.zeros((len(code), x.shape[1]), dtype=x.dtype)
     nonempty = code.dims > 0
     if nonempty.any():
         out[nonempty] = np.add.reduceat(x, code.starts[nonempty], axis=0)
@@ -360,6 +360,8 @@ def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
     rows first and then over A's, in NumPy's order for the 4-d
     ``sum(axis=(1, 3))`` that earlier releases took, so every distance is
     bit-identical to theirs.
+    The table is computed in the precision of the rows: float64 for double
+    codes, float32 when both codes are single precision (decode_block's screen).
     Roundoff can push a near-zero distance below 0; results are clamped at 0.
     """
     if A.rows.shape[1] != B.rows.shape[1]:
@@ -372,7 +374,8 @@ def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
         block = A.part(lo, hi)
         cross = block.rows @ b_adj
         # |c|^2: the product's float view squared in place, then re^2 + im^2
-        overlap = np.square(cross.view(float), out=cross.view(float))
+        floats = cross.view(cross.real.dtype)
+        overlap = np.square(floats, out=floats)
         if np.iscomplexobj(cross):
             overlap = overlap[:, 0::2] + overlap[:, 1::2]
         if uniform:

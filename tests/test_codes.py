@@ -364,6 +364,15 @@ def test_binary_lines_collapse_complement_pairs():
         binary_to_lines(["001", "0011"])
 
 
+def test_binary_codebook_given_as_one_string_is_refused():
+    # iterating "0110" would read four one-bit words: one codeword in R^1
+    with pytest.raises(ValueError, match="sequence of words"):
+        binary_to_lines("0110")
+    with pytest.raises(ValueError, match="sequence of words"):
+        binary_to_lines("0110", 4)
+    assert len(binary_to_lines(("0110", "0011"))) == 2
+
+
 def test_line_distance_from_crossover_fraction():
     assert line_delta_from_hamming(0.0) == pytest.approx(0.0)
     assert line_delta_from_hamming(0.5) == pytest.approx(1.0)

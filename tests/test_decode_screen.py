@@ -1,0 +1,242 @@
+"""decode_block's single-precision screen against the double-precision decoder.
+
+decode_block nominates each received subspace's candidates from a pairwise()
+table formed in single precision, and falls back to the double-precision
+table where the screen cannot settle a row.  These tests hold the screen's
+error to its bound, hold every decode bit for bit to ``decode_block_double``
+(tests/helpers.py), the decoder with no screen, and check that the
+benchmark's CP (31,2) config is settled by the screen alone.
+"""
+
+from __future__ import annotations
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import decode_block_double
+from test_decoder import decode_cases
+from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode, cli, cp_construct,
+                           decode_block, random_subspace, save_code)
+from subspacecodes import decoder
+from subspacecodes.cli import EXIT_OK
+from subspacecodes.decoder import TIE_TOL, screen_tolerance, single_precision
+from subspacecodes.subspaces import pairwise
+
+
+def _screen_error(A: SubspaceCode, B: SubspaceCode):
+    """The largest |single-precision table - double table| and its bound."""
+    single = pairwise(single_precision(A), single_precision(B))
+    assert single.dtype == np.float32
+    error = np.max(np.abs(single.astype(float) - pairwise(A, B)), initial=0.0)
+    return error, screen_tolerance(A.rows.shape[1], A.max_dim, B.max_dim)
+
+
+@st.composite
+def screen_cases(draw):
+    """Two codes of subspaces of R^n or C^n, n <= 64, of mixed dimensions
+    (0 and n included) or of one dimension each, B holding some of A's
+    codewords so that distances of 0 occur too."""
+    n = draw(st.integers(1, 64))
+    complex_field = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = st.integers(0, n)
+
+    def code(size: int, same: bool) -> list:
+        ms = [draw(dims)] * size if same else draw(st.lists(dims, min_size=size, max_size=size))
+        return [random_subspace(n, m, rng, complex_field) for m in ms]
+
+    A = code(draw(st.integers(1, 12)), draw(st.booleans()))
+    B = code(draw(st.integers(1, 6)), draw(st.booleans()))
+    return SubspaceCode(A), SubspaceCode(B + A[:draw(st.integers(0, 2))])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=screen_cases())
+def test_single_precision_table_lies_within_the_screen_tolerance(case):
+    A, B = case
+    error, eps = _screen_error(A, B)
+    assert error <= eps
+
+
+def test_screen_tolerance_holds_on_cp_1021_1():
+    # n = 1020: the widest ambient space a tier-1 test can afford
+    code = cp_construct(CPCodeSpec(FiniteField(1021), 1))
+    rng = np.random.default_rng(21)
+    received = SubspaceCode([random_subspace(1020, m, rng) for m in (0, 1, 2, 3)]
+                            + [code[7], code[1000]])
+    error, eps = _screen_error(code, received)
+    assert 0 < error <= eps
+
+
+def test_screen_tolerance_matches_its_formula():
+    # u = 2^-24, e = (n + 4) u / (1 - (n + 4) u), m = min(a, b); the bound on
+    # the overlap, doubled, plus 2 u (a + b), and the same in double precision
+    n, a, b = 30, 1, 2
+    total = 0.0
+    for u in (2.0 ** -24, 2.0 ** -53):
+        e = (n + 4) * u / (1 - (n + 4) * u)
+        overlap = 2 * e * np.sqrt(2.0) + 2 * e * e + 5 * u * 2
+        total += 2 * overlap + 2 * u * 3
+    assert screen_tolerance(n, a, b) == pytest.approx(total, rel=1e-12)
+    assert 1.2e-5 < screen_tolerance(30, 1, 2) < 1.4e-5
+
+
+class _Spy:
+    """Counts decode_block's pairwise() tables by precision, and the
+    nominees that it ranks with the residual kernel."""
+
+    def __init__(self, monkeypatch):
+        self.tables = {"single": [], "double": []}
+        self.nominees = []
+        pairwise_, pair_distances = decoder.pairwise, decoder._pair_distances
+
+        def table(A, B):
+            kind = "single" if A.rows.dtype in (np.complex64, np.float32) else "double"
+            self.tables[kind].append(len(B))
+            return pairwise_(A, B)
+
+        def ranked(A, ia, B, ib):
+            self.nominees.append(len(ia))
+            return pair_distances(A, ia, B, ib)
+
+        monkeypatch.setattr(decoder, "pairwise", table)
+        monkeypatch.setattr(decoder, "_pair_distances", ranked)
+
+
+def _triple_line_code(rng) -> SubspaceCode:
+    """The line of e_0 in C^5 three times, at different phases (codewords 0,
+    6 and 7), and five random lines orthogonal to it (1 to 5).  A received
+    line at e_0 ties three ways to within roundoff, so its second and third
+    nearest tie; a received line orthogonal to e_0 lies at distance 2 from
+    the three copies, which are then never among its three nearest."""
+    e0 = np.eye(1, 5, dtype=complex)
+    others = [np.hstack([[[0]], random_subspace(4, 1, rng).basis]) for _ in range(5)]
+    copies = [np.exp(1j * phase) * e0 for phase in (2.0, 4.0)]
+    return SubspaceCode([Subspace(b) for b in [e0, *others, *copies]])
+
+
+def _orthogonal_to_e0(rng) -> Subspace:
+    return Subspace(np.hstack([[[0]], random_subspace(4, 1, rng).basis]))
+
+
+@pytest.mark.parametrize("ties, path", [
+    ((), {"single": [2, 6], "double": []}),        # every row settled by the screen
+    ((3, 6), {"single": [2, 6], "double": [2]}),   # two later rows sent to double
+    ((0,), {"single": [2, 6], "double": [1]}),     # one probe row tied: the rest screened
+    ((0, 1), {"single": [2], "double": [8]}),      # both probe rows tied: the whole block
+])
+def test_each_screen_path_decodes_bit_for_bit_as_the_double_decoder(ties, path, monkeypatch):
+    monkeypatch.setattr(decoder, "_SCREEN_MIN_PRODUCT", 0)  # screen this small table too
+    rng = np.random.default_rng(22)
+    code = _triple_line_code(rng)
+    received = SubspaceCode([code[6] if i in ties else _orthogonal_to_e0(rng)
+                             for i in range(8)])
+    want = decode_block_double(code, received)
+    spy = _Spy(monkeypatch)
+    got = decode_block(code, received)
+    assert spy.tables == path
+    for got_column, want_column in zip(got, want):
+        assert got_column.dtype == want_column.dtype
+        assert got_column.tobytes() == want_column.tobytes()
+
+
+def test_a_small_table_is_not_screened(monkeypatch):
+    # the README config's block: 20 codewords of dimension 3 in C^12 against
+    # 114 received subspaces of dimension 4 is 720 x 456 multiply-adds
+    rng = np.random.default_rng(24)
+    code = SubspaceCode([random_subspace(12, 3, rng) for _ in range(20)])
+    received = SubspaceCode([random_subspace(12, 4, rng) for _ in range(114)])
+    assert code.rows.size * received.rows.shape[0] < decoder._SCREEN_MIN_PRODUCT
+    spy = _Spy(monkeypatch)
+    decode_block(code, received)
+    assert spy.tables == {"single": [], "double": [114]}
+    assert spy.nominees == [2 * 114]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=decode_cases())
+def test_screened_decoder_matches_the_double_decoder_bit_for_bit(case):
+    code, received, _ = case
+    with mock.patch.object(decoder, "_SCREEN_MIN_PRODUCT", 0):
+        got = decode_block(code, received)
+    want = decode_block_double(code, received)
+    for got_column, want_column in zip(got, want):
+        assert got_column.dtype == want_column.dtype
+        assert got_column.tobytes() == want_column.tobytes()
+
+
+def test_decode_block_uses_a_given_single_precision_copy(monkeypatch):
+    monkeypatch.setattr(decoder, "_SCREEN_MIN_PRODUCT", 0)
+    rng = np.random.default_rng(23)
+    code = _triple_line_code(rng)
+    received = SubspaceCode([random_subspace(5, m, rng) for m in (1, 2, 0, 1, 5)])
+    single = single_precision(code)
+    assert single.rows.dtype == np.complex64
+    assert single.dims.tolist() == code.dims.tolist()
+    got = decode_block(code, received, single=single)
+    want = decode_block_double(code, received)
+    for got_column, want_column in zip(got, want):
+        assert got_column.tobytes() == want_column.tobytes()
+
+
+def _cp_31_2_file(tmp_path) -> str:
+    path = tmp_path / "cp_31_2.code.json"
+    save_code(cp_construct(CPCodeSpec(FiniteField(31), 2)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("t, trials", [(1, 700), (0, 200)])
+def test_simulate_writes_the_bytes_of_the_double_decoder(t, trials, tmp_path, monkeypatch,
+                                                         capsys):
+    # the benchmark's cp-decode config (CP (31,2) over k = 1, t = 1), and the
+    # same code at t = 0, where every row ties at the runner-up and each block
+    # falls back to the double-precision table
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"code": {"type": "file", "path": _cp_31_2_file(tmp_path)},
+                               "channel": {"k": 1, "t": t}, "trials": trials, "seed": 31}))
+    screened, double = tmp_path / "screened.csv", tmp_path / "double.csv"
+    spy = _Spy(monkeypatch)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(screened)]) == EXIT_OK
+    if t == 0:  # each block's two probe rows tie, so the whole block is decoded in double
+        assert spy.tables["single"] == [2] * 3  # the last block, of 8, is too small to screen
+        assert spy.tables["double"] == [64, 64, 64, 8]
+    monkeypatch.setattr(cli, "decode_block",
+                        lambda code, received, single: decode_block_double(code, received))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(double)]) == EXIT_OK
+    assert screened.read_bytes() == double.read_bytes()
+    capsys.readouterr()
+
+
+def test_cp_decode_config_is_settled_by_the_screen_alone(tmp_path, monkeypatch, capsys):
+    # 64 trials of CP (31,2) over k = 1, t = 1 are one block.  The screen
+    # covers every row, and only a row whose third-nearest distance lies
+    # within TIE_TOL + 4 eps of its second may go on to double precision:
+    # here one row, whose gap of 1.8e-5 is inside 2 eps = 2.6e-5.  Every row
+    # ranks exactly its two nominees.  A broken screen, or one that sends
+    # every row to double precision, keeps the bytes but loses the speed;
+    # this catches it.
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"code": {"type": "file", "path": _cp_31_2_file(tmp_path)},
+                               "channel": {"k": 1, "t": 1}, "trials": 64, "seed": 1}))
+    blocks = []
+    decode = cli.decode_block
+
+    def recorded(code, received, single):
+        blocks.append((code, received))
+        return decode(code, received, single=single)
+
+    monkeypatch.setattr(cli, "decode_block", recorded)
+    spy = _Spy(monkeypatch)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    (code, received), = blocks
+    table = np.sort(pairwise(code, received), axis=0)
+    near = np.count_nonzero(table[2] - table[1] <= TIE_TOL + 4 * screen_tolerance(30, 1, 2))
+    assert spy.tables["single"] == [2, 62]
+    assert sum(spy.tables["double"]) <= near <= 1
+    assert spy.nominees == [2 * 64]
+    capsys.readouterr()

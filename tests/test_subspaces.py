@@ -29,8 +29,9 @@ from subspacecodes import (
     random_subspace,
     rotate,
 )
+from subspacecodes import decode, min_distance_exhaustive
 from subspacecodes.errors import AmbientMismatch, DimensionMismatch, NontrivialIntersection
-from subspacecodes.subspaces import _residual_distances
+from subspacecodes.subspaces import _gaussian, _residual_distances, pairwise
 
 
 def _gram_schmidt(rows, tol=1e-10):
@@ -204,6 +205,25 @@ def test_orthonormalize_drops_dependent_rows():
     assert U.dim == 2
     assert np.allclose(U.projection, _projection_oracle(a), atol=1e-9)
     assert orthonormalize(np.zeros((3, 4))).dim == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+def test_single_precision_input_gives_a_double_basis(dtype):
+    rng = np.random.default_rng(13)
+    complex_field = np.issubdtype(dtype, np.complexfloating)
+    raw = [_gaussian(rng, (2, 6), complex_field).astype(dtype) for _ in range(4)]
+    words = [orthonormalize(r) for r in raw]
+    want = np.result_type(dtype, np.float64)
+    assert all(w.basis.dtype == want for w in words)
+    assert orthonormalize(np.zeros((3, 4), dtype=dtype)).basis.dtype == want
+    assert Subspace(np.eye(2, 4, dtype=dtype)).basis.dtype == want
+    code = SubspaceCode(words)
+    table = pairwise(code, code)
+    assert table.dtype == np.float64
+    assert np.all(np.diagonal(table) < 1e-12)
+    assert decode(code, words[2]).codeword_index == 2
+    d_min, _ = min_distance_exhaustive(code)
+    assert d_min == np.min(table[~np.eye(4, dtype=bool)])
 
 
 def test_subspace_rejects_non_orthonormal_basis():

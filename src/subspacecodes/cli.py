@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -477,6 +478,7 @@ def cmd_distance(args) -> int:
 # wiring
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subspace-codes",

@@ -19,13 +19,13 @@ import numpy as np
 from .errors import (CapExceeded, ConfigError, DimensionMismatch, DomainError, LengthMismatch,
                      RetryLimitExceeded, SizeOverflow)
 from .finitefield import FiniteField, is_prime
-from .subspaces import (TOL_EQUAL, Subspace, SubspaceCode, _check_orthonormal, complement,
-                        pairwise, random_subspace)
+from .subspaces import (_BLOCK_BYTES, TOL_EQUAL, Subspace, SubspaceCode, _check_orthonormal,
+                        _random_bases, complement, pairwise)
 
 DEFAULT_SEARCH_CAP = 10 ** 4
 # Most basis entries (M times n) cp_construct allocates: CP (4096, 1), 268 MB.
 CP_MAX_ENTRIES = 4096 * 4095
-# Draws random_ensemble_code makes for one codeword before it gives up.
+# Rejected draws in a row after which random_ensemble_code gives up.
 ENSEMBLE_MAX_RETRIES = 50
 
 
@@ -258,26 +258,43 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
                          complex_field: bool = True) -> SubspaceCode:
     """M independent uniform m-dimensional subspaces of an n-dimensional space.
 
-    Draws that duplicate an already accepted codeword (distance below the
-    equality tolerance) are regenerated; RetryLimitExceeded after
-    ENSEMBLE_MAX_RETRIES rejected draws for a single slot.
+    Candidates are drawn in turn, and one within the equality tolerance of a
+    codeword already accepted is rejected; RetryLimitExceeded after
+    ENSEMBLE_MAX_RETRIES rejections in a row.  The candidates are drawn in
+    batches from rng, each batch orthonormalized by one stacked SVD and
+    screened by one pairwise() table against the accepted codewords and one
+    within itself, then accepted in order.  A batch holds no more candidates
+    than the draw would examine anyway: the slots still open, the retries
+    left, and as many as keep a table row against all M codewords within
+    _BLOCK_BYTES.  So a seed gives the code that drawing one random_subspace
+    at a time gives, and leaves rng where that leaves it.
     """
     if M < 2:
         raise ValueError("an ensemble needs at least two codewords")
     if not 0 < m <= n:
         raise ValueError(f"need 0 < m <= n, got m = {m}, n = {n}")
     buf = np.empty((M * m, n), dtype=complex if complex_field else float)
-    # a read-only view of buf; the bases of words 0..i-1 fill rows 0..i*m-1
+    # a read-only view of buf; the bases of the words accepted so far fill its first rows
     code = SubspaceCode._from_rows(buf.view(), np.full(M, m, dtype=np.intp))
-    for i in range(M):
-        for _ in range(ENSEMBLE_MAX_RETRIES):
-            cand = random_subspace(n, m, rng, complex_field)
-            if i == 0 or np.all(pairwise(SubspaceCode([cand]), code.part(0, i)) > TOL_EQUAL):
-                buf[i * m:(i + 1) * m] = cand.basis
-                break
-        else:
+    most = max(1, _BLOCK_BYTES // (8 * M))
+    accepted = rejected = 0
+    while accepted < M:
+        if rejected >= ENSEMBLE_MAX_RETRIES:
             raise RetryLimitExceeded(
                 f"could not draw {M} distinct subspaces with m = {m}, n = {n}")
+        count = min(M - accepted, ENSEMBLE_MAX_RETRIES - rejected, most)
+        bases = _random_bases(n, m, count, rng, complex_field)
+        batch = SubspaceCode._from_rows(bases.reshape(-1, n), np.full(count, m, dtype=np.intp))
+        far = (np.all(pairwise(batch, code.part(0, accepted)) > TOL_EQUAL, axis=1) if accepted
+               else np.ones(count, dtype=bool))
+        near = pairwise(batch, batch) <= TOL_EQUAL
+        keep = np.zeros(count, dtype=bool)
+        for j in range(count):
+            keep[j] = far[j] and not keep[near[j]].any()
+            rejected = 0 if keep[j] else rejected + 1
+        kept = bases[keep]
+        buf[accepted * m:(accepted + len(kept)) * m] = kept.reshape(-1, n)
+        accepted += len(kept)
     return code
 
 
@@ -366,23 +383,7 @@ def save_code(code: SubspaceCode, path) -> None:
         fh.write(f'],"n":{n}}}\n')
 
 
-def _codeword_basis(pairs, n: int, beta: int) -> np.ndarray:
-    """The (rows, n) basis stored as one codeword's row-major [re, im] pairs."""
-    flat = np.asarray(pairs)
-    if flat.shape == (0,):  # a zero-dimensional codeword
-        flat = flat.reshape(0, 2)
-    if flat.ndim != 2 or flat.shape[1] != 2 or flat.dtype.kind not in "iuf":
-        raise ValueError("a codeword must be a list of [re, im] pairs of numbers")
-    if len(flat) % n != 0:
-        raise ValueError("codeword length is not a multiple of the ambient dimension")
-    if len(flat) > n * n:
-        raise ValueError(f"{len(flat) // n} orthonormal rows cannot fit in ambient dimension {n}")
-    flat = np.ascontiguousarray(flat, dtype=float)
-    if beta == 1:
-        if np.any(flat[:, 1] != 0):
-            raise ValueError("real code (beta = 1) with nonzero imaginary parts")
-        return flat[:, 0].reshape(-1, n)
-    return flat.view(complex).reshape(-1, n)
+_PAIRS = "a codeword must be a list of [re, im] pairs of numbers"
 
 
 def _code_from_json(text: str) -> SubspaceCode:
@@ -400,22 +401,44 @@ def _code_from_json(text: str) -> SubspaceCode:
     n = _as_integer(data["n"], "'n'")
     if n < 1:
         raise ValueError(f"ambient dimension n must be at least 1, got {n}")
-    if not isinstance(data["codewords"], list):
+    words = data["codewords"]
+    if not isinstance(words, list):
         raise ValueError("'codewords' must be a list")
-    bases = [_codeword_basis(pairs, n, beta) for pairs in data["codewords"]]
+    if not all(isinstance(pairs, list) for pairs in words):
+        raise ValueError(_PAIRS)
+    # every codeword's row-major [re, im] pairs, one after another, as one array
+    try:
+        flat = np.asarray(list(itertools.chain.from_iterable(words)))
+    except ValueError:  # NumPy's "inhomogeneous shape": pairs of unequal lengths
+        raise ValueError(_PAIRS) from None
+    if flat.shape == (0,):  # zero-dimensional codewords only
+        flat = flat.reshape(0, 2)
+    if flat.ndim != 2 or flat.shape[1] != 2 or flat.dtype.kind not in "iuf":
+        raise ValueError(_PAIRS)
+    dims, partial = np.divmod(np.array(list(map(len, words)), dtype=np.intp), n)
+    if (bad := np.flatnonzero(partial | (dims > n))).size:
+        if partial[bad[0]]:
+            raise ValueError("codeword length is not a multiple of the ambient dimension")
+        raise ValueError(f"{dims[bad[0]]} orthonormal rows cannot fit in ambient dimension {n}")
+    flat = np.ascontiguousarray(flat, dtype=float)
+    if beta == 1:
+        if np.any(flat[:, 1] != 0):
+            raise ValueError("real code (beta = 1) with nonzero imaginary parts")
+        rows = np.ascontiguousarray(flat[:, 0]).reshape(-1, n)
+    else:
+        rows = flat.view(complex).reshape(-1, n)
     # a JSON boolean is not a number, though beside numbers the dtype hides it.
     # In JSON text a "u" or an "l" is part of true, false, null or a string,
     # and a code file's keys and numbers (NaN and Infinity too) hold neither,
     # so a file with neither letter holds no boolean and needs no scan
     if ("u" in text or "l" in text) and bool in set(map(type, itertools.chain.from_iterable(
-            itertools.chain.from_iterable(data["codewords"])))):
-        raise ValueError("a codeword must be a list of [re, im] pairs of numbers, not booleans")
-    dims = [len(b) for b in bases]
-    for m in sorted(set(dims)):
+            itertools.chain.from_iterable(words)))):
+        raise ValueError(_PAIRS + ", not booleans")
+    code = SubspaceCode._from_rows(rows, dims)
+    for m in sorted(set(dims.tolist())):
         # orthonormality is re-validated on load, one stack per codeword dimension
-        _check_orthonormal(np.stack([b for b in bases if len(b) == m]))
-    rows = np.concatenate(bases) if bases else np.zeros((0, n))
-    return SubspaceCode._from_rows(rows, dims)
+        _check_orthonormal(code.bases(np.flatnonzero(dims == m)))
+    return code
 
 
 def load_code(path) -> SubspaceCode:

@@ -105,7 +105,7 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
 
     The double table is formed only where a single-precision screen cannot
     settle the nominees.  The screen is pairwise() on ``single``, the code's
-    single_precision() copy (made here when not given), and on a
+    single_precision() copy, and on a
     single-precision copy of ``received``; each of its entries lies within
     eps = screen_tolerance(n, a, b) of the double table's, a and b the
     largest codeword and received dimensions.  A row is settled when its
@@ -123,7 +123,12 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     _SCREEN_MIN_PRODUCT (2^20) multiply-adds, the code's row entries times
     the received rows: below that its extra calls cost more than the
     product saves (on simulate blocks, 1.7 times the double table's time on
-    the README config, at 720 x 456, and about even at 2880 x 412).
+    the README config, at 720 x 456, and about even at 2880 x 412).  When
+    ``single`` is not given, the copy is made here for a block of more than
+    _PROBE received subspaces; a smaller block, such as decode()'s one,
+    goes to the double table unscreened: the cast and the screen then cost
+    more than the double table they could save (decode() of one plane
+    against CP (127,2) took 11.9 ms with them and 6.4 ms without).
 
     The block's first two received subspaces are screened alone first.
     When neither settles, the whole block goes to the double table
@@ -139,7 +144,8 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     best = np.zeros(count, dtype=np.intp)
     second = np.zeros(count, dtype=np.intp)
     settled = np.zeros(count, dtype=bool)
-    if code.rows.size * received.rows.shape[0] >= _SCREEN_MIN_PRODUCT:
+    if (code.rows.size * received.rows.shape[0] >= _SCREEN_MIN_PRODUCT
+            and (single is not None or count > _PROBE)):
         if single is None:
             single = single_precision(code)
         eps = screen_tolerance(code.rows.shape[1], code.max_dim, received.max_dim)

@@ -443,7 +443,28 @@ def random_subspace(n: int, m: int, rng: np.random.Generator,
     """Uniformly random m-dimensional subspace (row space of a Gaussian matrix)."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    out = orthonormalize(_gaussian(rng, (m, n), complex_field))
-    if out.dim != m:  # Gaussian matrices are full rank almost surely
+    if m == 0:
+        return Subspace.zero(n, complex_field)
+    return Subspace._view(_random_bases(n, m, 1, rng, complex_field)[0])
+
+
+def _random_bases(n: int, m: int, count: int, rng: np.random.Generator,
+                  complex_field: bool) -> np.ndarray:
+    """Orthonormal bases of ``count`` uniformly random m-dimensional subspaces,
+    0 < m <= n, as one (count, m, n) stack: one draw, one stacked SVD.
+
+    Each subspace takes its Gaussian matrix's m x n real parts from rng and
+    then, over C, its imaginary parts.  Normals drawn at once are those drawn
+    in pieces, and the stacked SVD factors each matrix alone, so the stack
+    holds bit for bit what ``count`` draws of one subspace each would, and
+    leaves rng where they leave it.
+    """
+    if complex_field:
+        g = rng.standard_normal((count, 2, m, n))
+        g = g[:, 0] + 1j * g[:, 1]
+    else:
+        g = rng.standard_normal((count, m, n))
+    _, s, vh = np.linalg.svd(g, full_matrices=False)
+    if np.any(_numerical_rank(s) != m):  # Gaussian matrices are full rank almost surely
         raise RuntimeError("sampled a rank-deficient Gaussian matrix")
-    return out
+    return vh

@@ -57,6 +57,49 @@ def test_construct_binary_words(tmp_path, capsys):
     assert "M = 4" in text
 
 
+def test_main_reuses_one_parser_as_if_each_call_built_its_own(tmp_path, capsys):
+    # the parser is built once per process; construct, distance and command
+    # lines that argparse refuses (exit 2), in turn, must leave it as a
+    # fresh parser would be
+    ens = tmp_path / "ens.json"
+    cfg = _write_cfg(tmp_path, "ens.cfg.json", {
+        "code": {"type": "random-ensemble", "n": 6, "m": 2, "M": 10}, "out": str(ens)})
+    cp = tmp_path / "cp.json"
+    cp_cfg = _write_cfg(tmp_path, "cp.cfg.json", {"code": {"type": "cp", "q": 7, "k": 2},
+                                                  "out": str(cp)})
+    table = tmp_path / "table.csv"
+    calls = [["construct", "--config", cfg, "--seed", "3"],
+             ["construct", "--config", cp_cfg],
+             ["distance", str(cp), str(ens), "--out", str(table)],
+             ["construct", "--seed", "4"],
+             ["construct", "--config", cfg, "--seed", "4"],
+             ["distance", str(cp)],
+             ["simulate", "--config", cfg, "--trials", "many"],
+             ["distance", str(ens), str(cp), "--out", str(table)]]
+
+    def session(fresh: bool) -> list:
+        for path in (ens, cp, table):
+            path.unlink(missing_ok=True)
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            seen.append((code, out.out, out.err, ens.read_bytes(), table.read_bytes()
+                         if table.exists() else b""))
+        return seen
+
+    cli._build_parser.cache_clear()
+    reused = session(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, *_ in reused] == [EXIT_OK, EXIT_OK, EXIT_OK, 2, EXIT_OK, 2, 2, EXIT_OK]
+    assert session(fresh=True) == reused
+
+
 def test_construct_ensemble_needs_seed(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "c.json", {"code": {"type": "random-ensemble", "n": 8, "m": 2, "M": 6}})
     assert cli.main(["construct", "--config", cfg]) == EXIT_CONFIG
@@ -670,6 +713,31 @@ def test_distance_rejects_malformed_code_file(tamper, message, tmp_path, capsys)
 
 
 _GOOD_HEADER = {"beta": 2, "n": 2, "codewords": [[[1.0, 0.0], [0.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("codewords,message", [
+    ([[[1.0, 0.0], [0.0, 0.0]], 0.5], "[re, im] pairs of numbers"),
+    ([[[1.0, 0.0], [0.0, 0.0]], "ab"], "[re, im] pairs of numbers"),
+    ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+     "[re, im] pairs of numbers"),
+    ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], 1.0], [[0.0, 0.0], [1.0, 0.0]]],
+     "[re, im] pairs of numbers"),
+    ([[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]], "[re, im] pairs of numbers"),
+    ([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]], "not a multiple of the ambient dimension"),
+    ([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]] * 3],
+     "3 orthonormal rows cannot fit in ambient dimension 2"),
+], ids=["number", "string", "three_numbers_mid_file", "number_mid_file", "triples",
+        "partial_row_later", "too_many_rows_later"])
+def test_distance_rejects_a_malformed_codeword_anywhere_in_the_file(codewords, message,
+                                                                   tmp_path, capsys):
+    # the file is read as one array, so a bad codeword after good ones, or
+    # pairs of unequal lengths, must still name the fault and not NumPy's
+    bad = _write_cfg(tmp_path, "bad.json", {**_GOOD_HEADER, "codewords": codewords})
+    assert cli.main(["distance", bad, bad]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: code file {bad}: ")
+    assert message in err
+    assert "inhomogeneous" not in err
 
 
 @pytest.mark.parametrize("key,value", [("beta", 2.7), ("beta", True), ("beta", "2"),

@@ -15,6 +15,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_unitary
 from subspacecodes import (
@@ -49,7 +51,7 @@ from subspacecodes.errors import (
     RetryLimitExceeded,
     SizeOverflow,
 )
-from subspacecodes.subspaces import TOL_EQUAL, pairwise
+from subspacecodes.subspaces import TOL_EQUAL, _gaussian, orthonormalize, pairwise
 
 
 def _cp52_oracle():
@@ -428,6 +430,74 @@ def test_random_ensemble_retry_guard():
         random_ensemble_code(1, 1, 2, np.random.default_rng(0))
 
 
+def _per_candidate_ensemble(n, m, M, rng, complex_field):
+    """The ensemble drawn one candidate at a time, each orthonormalized by
+    its own SVD and screened by its own pairwise() row: the loop that
+    random_ensemble_code's batches replace."""
+    buf = np.empty((M * m, n), dtype=complex if complex_field else float)
+    code = SubspaceCode._from_rows(buf.view(), np.full(M, m, dtype=np.intp))
+    for i in range(M):
+        for _ in range(codes.ENSEMBLE_MAX_RETRIES):
+            cand = orthonormalize(_gaussian(rng, (m, n), complex_field))
+            assert cand.dim == m
+            if i == 0 or np.all(pairwise(SubspaceCode([cand]), code.part(0, i)) > TOL_EQUAL):
+                buf[i * m:(i + 1) * m] = cand.basis
+                break
+        else:
+            raise RetryLimitExceeded(f"could not draw {M} distinct subspaces")
+    return code
+
+
+def _drawn(draw, n, m, M, seed, complex_field):
+    """(rows or None if the draw gave up, rows dtype, generator state after)."""
+    rng = np.random.default_rng(seed)
+    try:
+        rows = draw(n, m, M, rng, complex_field).rows
+        got = (rows.tobytes(), rows.dtype, rows.shape)
+    except RetryLimitExceeded:
+        got = None
+    return got, rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 12), data=st.data(), M=st.integers(2, 40),
+       complex_field=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_random_ensemble_batches_draw_what_the_per_candidate_loop_draws(
+        n, data, M, complex_field, seed):
+    # same rows, same bytes and the generator left in the same state, also
+    # when both give up (m = n, or n = 1: every draw spans the same space)
+    m = data.draw(st.integers(1, n), label="m")
+    want = _drawn(_per_candidate_ensemble, n, m, M, seed, complex_field)
+    assert _drawn(random_ensemble_code, n, m, M, seed, complex_field) == want
+
+
+@pytest.mark.parametrize("per_batch", [1, 3])
+@pytest.mark.parametrize("n, m, M, complex_field", [(30, 3, 40, True), (5, 2, 17, False)])
+def test_random_ensemble_small_batches_give_the_same_bytes(per_batch, n, m, M, complex_field):
+    want = _drawn(random_ensemble_code, n, m, M, 8, complex_field)
+    sizes = []
+    draw = codes._random_bases
+
+    def recorded(n, m, count, rng, complex_field):
+        sizes.append(count)
+        return draw(n, m, count, rng, complex_field)
+
+    # a table row against all M codewords is 8 M bytes
+    with mock.patch.object(codes, "_BLOCK_BYTES", 8 * M * per_batch), \
+            mock.patch.object(codes, "_random_bases", recorded):
+        got = _drawn(random_ensemble_code, n, m, M, 8, complex_field)
+    assert got == want
+    assert set(sizes[:-1]) == {per_batch} and 1 <= sizes[-1] <= per_batch
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2)])
+def test_random_ensemble_gives_up_when_every_draw_spans_the_same_space(n, m):
+    for complex_field in (True, False):
+        rng = np.random.default_rng(4)
+        with pytest.raises(RetryLimitExceeded, match=f"m = {m}, n = {n}"):
+            random_ensemble_code(n, m, 3, rng, complex_field)
+
+
 def test_random_ensemble_rejects_a_repeated_span_on_another_basis():
     rng = np.random.default_rng(2)
     first = random_subspace(6, 2, rng)
@@ -435,7 +505,8 @@ def test_random_ensemble_rejects_a_repeated_span_on_another_basis():
     other = random_subspace(6, 2, rng)
     assert 0.0 < distance(first, again) < 1e-12  # equal up to roundoff only
     draws = iter([first, again, other])
-    with mock.patch.object(codes, "random_subspace", lambda *args: next(draws)):
+    with mock.patch.object(codes, "_random_bases", lambda n, m, count, *args: np.stack(
+            [next(draws).basis for _ in range(count)])):
         code = random_ensemble_code(6, 2, 2, rng)
     assert [w.basis.tobytes() for w in code] == [first.basis.tobytes(), other.basis.tobytes()]
 

@@ -184,6 +184,33 @@ def test_decode_block_uses_a_given_single_precision_copy(monkeypatch):
         assert got_column.tobytes() == want_column.tobytes()
 
 
+def test_decode_does_not_cast_a_large_code(monkeypatch):
+    # one plane against CP (127,2) reaches the screen's product threshold,
+    # but casting the code would cost more than the double table it could
+    # save: decode() pays for no cast, and decodes as the screen would
+    code = cp_construct(CPCodeSpec(FiniteField(127), 2))
+    rng = np.random.default_rng(24)
+    received = [random_subspace(126, 2, rng) for _ in range(3)]
+    assert code.rows.size * 2 >= decoder._SCREEN_MIN_PRODUCT
+    single = single_precision(code)
+    want = [decode_block(code, SubspaceCode([U]), single=single) for U in received]
+    casts = []
+    cast = decoder.single_precision
+    monkeypatch.setattr(decoder, "single_precision",
+                        lambda c: casts.append(len(c)) or cast(c))
+    for U, expected in zip(received, want):
+        got = decoder.decode(code, U)
+        assert (got.codeword_index, got.distance_to_received, got.runner_up_distance) == (
+            int(expected.index[0]), float(expected.distance[0]), float(expected.runner_up[0]))
+    assert casts == []
+    # a block of more than _PROBE received subspaces is still screened
+    three = SubspaceCode(received)
+    got = decode_block(code, three)
+    assert casts == [len(code), 3]
+    for got_column, want_column in zip(got, decode_block(code, three, single=single)):
+        assert got_column.tobytes() == want_column.tobytes()
+
+
 def _cp_31_2_file(tmp_path) -> str:
     path = tmp_path / "cp_31_2.code.json"
     save_code(cp_construct(CPCodeSpec(FiniteField(31), 2)), path)

@@ -180,6 +180,32 @@ def test_code_file_matches_reference_on_arbitrary_floats(basis, real, tmp_path_f
     assert path.read_bytes() == _reference_code_bytes(code)
 
 
+def _reference_load_rows(path) -> tuple[np.ndarray, list[int]]:
+    """The rows and codeword dimensions of a code file, read one codeword at
+    a time: each codeword's pairs as an array of its own, the bases then
+    concatenated."""
+    blob = json.loads(path.read_text())
+    n = blob["n"]
+    bases = []
+    for pairs in blob["codewords"]:
+        flat = np.ascontiguousarray(np.asarray(pairs, dtype=float).reshape(-1, 2))
+        bases.append(flat[:, 0].reshape(-1, n) if blob["beta"] == 1
+                     else flat.view(complex).reshape(-1, n))
+    return np.concatenate(bases), [len(b) for b in bases]
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_loaded_rows_match_a_codeword_by_codeword_reader(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    save_code(CODES[name](), path)
+    rows, dims = _reference_load_rows(path)
+    code = load_code(path)
+    assert _same_bits(code.rows, rows)
+    assert code.dims.tolist() == dims
+    assert code.starts.tolist() == (np.cumsum(dims) - dims).tolist()
+    assert code.common_dim == (dims[0] if len(set(dims)) == 1 else -1)
+
+
 def test_zero_dimensional_codeword_loads_and_round_trips(tmp_path):
     for beta, complex_field in ((1, False), (2, True)):
         blob = {"beta": beta, "n": 3,

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import ConfigError
 
 
 def barg_lower(m: int, delta: float, beta: int) -> float:
     """Achievable-rate side of the sphere-packing pair: -(1/2) beta m ln(delta)."""
     _check_m_beta(m, beta)
     if not 0.0 < delta <= 1.0:
-        raise DomainError("delta must lie in (0, 1]")
+        raise ConfigError("delta must lie in (0, 1]")
     return -0.5 * beta * m * math.log(delta)
 
 def barg_upper(m: int, delta: float, beta: int) -> float:
@@ -28,7 +28,7 @@ def barg_upper(m: int, delta: float, beta: int) -> float:
     """
     _check_m_beta(m, beta)
     if not 0.0 < delta <= 2.0:
-        raise DomainError("delta must lie in (0, 2]")
+        raise ConfigError("delta must lie in (0, 2]")
     inner = 1.0 - math.sqrt(1.0 - delta / 2.0)
     return -beta * m * math.log(math.sqrt(inner))
 
@@ -36,7 +36,7 @@ def barg_upper(m: int, delta: float, beta: int) -> float:
 def shannon_lower(delta: float) -> float:
     """Line-packing (m = 1) rate floor -(1/2) ln(delta), delta = sin^2(theta)."""
     if not 0.0 < delta <= 1.0:
-        raise DomainError("delta must lie in (0, 1]")
+        raise ConfigError("delta must lie in (0, 1]")
     return -0.5 * math.log(delta)
 
 
@@ -44,17 +44,17 @@ def random_coding_rate(m: int, delta: float, beta: int, eps: float) -> float:
     """Rate -(1/4) beta m ln(delta) - eps achieved by a uniform random ensemble."""
     _check_m_beta(m, beta)
     if not 0.0 < delta <= 1.0:
-        raise DomainError("delta must lie in (0, 1]")
+        raise ConfigError("delta must lie in (0, 1]")
     if eps < 0:
-        raise DomainError("eps must be nonnegative")
+        raise ConfigError("eps must be nonnegative")
     return -0.25 * beta * m * math.log(delta) - eps
 
 
 def _check_m_beta(m: int, beta: int) -> None:
     if m < 1:
-        raise DomainError("dimension m must be at least 1")
+        raise ConfigError("dimension m must be at least 1")
     if beta not in (1, 2):
-        raise DomainError("beta must be 1 (real) or 2 (complex)")
+        raise ConfigError("beta must be 1 (real) or 2 (complex)")
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def _check_m_beta(m: int, beta: int) -> None:
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
     if not 0.0 <= x <= 1.0:
-        raise DomainError("entropy argument must lie in [0, 1]")
+        raise ConfigError("entropy argument must lie in [0, 1]")
     if x in (0.0, 1.0):
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -86,7 +86,7 @@ def gv_binary_delta(rate: float) -> float:
     rate = 0 gives 1/2, rate = 1 gives 0; otherwise the bracket shrinks to 1e-12.
     """
     if not 0.0 <= rate <= 1.0:
-        raise DomainError("rate must lie in [0, 1]")
+        raise ConfigError("rate must lie in [0, 1]")
     if rate == 1.0:
         return 0.0
     if rate == 0.0:
@@ -118,7 +118,7 @@ def zyablov_delta(rate: float) -> float:
     F is evaluated at the lower end, where 1 - h(g) > 0.
     """
     if not 0.0 < rate <= 1.0:
-        raise DomainError("rate must lie in (0, 1]")
+        raise ConfigError("rate must lie in (0, 1]")
     if rate == 1.0:
         return 0.0
     lo, hi = 0.0, 0.5
@@ -148,7 +148,7 @@ def blokh_zyablov_rate(delta: float) -> float:
     64 terms.
     """
     if not 0.0 < delta <= 0.5:
-        raise DomainError("delta must lie in (0, 1/2]")
+        raise ConfigError("delta must lie in (0, 1/2]")
     upper = 1.0 - binary_entropy(delta)
     if upper <= 0.0:
         return 0.0

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionOverflow, PreconditionViolated, RankDeficient)
-from .subspaces import TOL_RANK, Subspace, _gaussian, _numerical_rank
+from .errors import ConfigError, Infeasible, NumericalError
+from .subspaces import TOL_RANK, Subspace, _gaussian, _into_complements, _numerical_rank
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class OperatorChannelSpec:
 
     def __post_init__(self):
         if self.k < 0 or self.t < 0:
-            raise ValueError("channel parameters must be nonnegative")
+            raise ConfigError("channel parameters must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ class NoisyChannelSpec:
     def __post_init__(self):
         # written so that a NaN budget fails the test too
         if not self.rotation >= 0:
-            raise ValueError("rotation budget must be a nonnegative number")
+            raise ConfigError("rotation budget must be a nonnegative number")
         if self.noise_dim < 0:
-            raise ValueError("noise dimension must be nonnegative")
+            raise ConfigError("noise dimension must be nonnegative")
 
 
 def _draw_shapes(dim: int, n: int, spec: NoisyChannelSpec) -> tuple:
@@ -63,21 +63,21 @@ def _draw_shapes(dim: int, n: int, spec: NoisyChannelSpec) -> tuple:
     dim-dimensional subspace of an n-dimensional space, b = min(dim, k) + t,
     in stream order; None for a stage that draws nothing: erase when
     dim <= k, rotate when the budget or b is 0, and error or noise when it
-    adds no dimension.  DimensionOverflow when the error or the noise cannot
+    adds no dimension.  Infeasible when the error or the noise cannot
     fit next to its subspace, or when the budget exceeds the largest distance
     2 min(b, n - b) from a b-dimensional subspace."""
     k, t, noise = spec.base.k, spec.base.t, spec.noise_dim
 
-    def no_room(extra: int, fixed: int) -> DimensionOverflow:
-        return DimensionOverflow(f"cannot fit {extra} error dimensions next to a {fixed}-dimensional "
-                                 f"subspace in ambient dimension {n}")
+    def no_room(extra: int, fixed: int) -> Infeasible:
+        return Infeasible(f"cannot fit {extra} error dimensions next to a {fixed}-dimensional "
+                          f"subspace in ambient dimension {n}")
 
     if dim + t > n:
         raise no_room(t, dim)
     b = min(dim, k) + t
     turns = spec.rotation > 0 and b > 0
     if turns and spec.rotation > 2 * min(b, n - b):
-        raise DimensionOverflow(
+        raise Infeasible(
             f"rotation budget {spec.rotation!r} exceeds the largest distance {2 * min(b, n - b)} "
             f"from a {b}-dimensional subspace of ambient dimension {n}")
     if b + noise > n:
@@ -90,14 +90,9 @@ def channel_draw_size(dim: int, n: int, spec: NoisyChannelSpec,
                       complex_field: bool) -> int:
     """How many standard normals one noisy channel use on a dim-dimensional
     subspace of an n-dimensional space draws: the entries of its four
-    coefficient arrays, two per complex entry.  DimensionOverflow when the
+    coefficient arrays, two per complex entry.  Infeasible when the
     use cannot fit."""
-    return _draw_size(_draw_shapes(dim, n, spec), complex_field)
-
-
-def _draw_size(shapes: tuple, complex_field: bool) -> int:
-    """The standard normals that coefficient arrays of ``shapes`` take."""
-    entries = sum(math.prod(shape) for shape in shapes if shape is not None)
+    entries = sum(math.prod(shape) for shape in _draw_shapes(dim, n, spec) if shape is not None)
     return 2 * entries if complex_field else entries
 
 
@@ -128,34 +123,6 @@ def _rank_r_rows(raw: np.ndarray, r: int, what: str) -> np.ndarray:
 def _erase_stack(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Kept parts: the row spaces of coeff @ Z, (B, k, n)."""
     return _rank_r_rows(coeff @ Z, coeff.shape[1], "coefficient")
-
-
-def _into_complements(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """The rows of each (t, n - m) coefficient matrix carried isometrically
-    into the complement of the row space of its (m, n) basis in the stack Z:
-    [0 | coeff] Q^H, (B, t, n).
-
-    Q = H_0 ... H_{m-1} is the unitary of the QR factorization of Z^H, whose
-    last n - m columns span Z-perp; LAPACK returns it as m Householder
-    reflectors H_j = I - tau_j v_j v_j^H, v_j zero before entry j and 1 there
-    (numpy.linalg.qr, mode "raw", one call on the whole stack).  Applying
-    H_{m-1}^H, ..., H_0^H to the zero-padded rows in turn costs O(m n t) a
-    basis, and the (n - m, n) complement is never formed.
-    """
-    count, m, n = Z.shape
-    out = np.zeros((count, coeff.shape[1], n), dtype=np.result_type(Z, coeff))
-    out[:, :, m:] = coeff
-    if m == 0:
-        return out
-    h, tau = np.linalg.qr(Z.conj().transpose(0, 2, 1), mode="raw")  # h[:, j, j + 1:] is v_j's tail
-    diagonal = np.arange(m)
-    h[:, diagonal, diagonal] = 1.0
-    h_adj, tau_adj = h.conj(), tau.conj()[:, :, np.newaxis, np.newaxis]
-    for j in range(m - 1, -1, -1):
-        # y H_j^H = y - conj(tau_j) (y v_j) v_j^H, on the entries from j on
-        tail = out[:, :, j:]
-        tail -= (tail @ h[:, j, j:, np.newaxis]) * tau_adj[:, j] * h_adj[:, j, np.newaxis, j:]
-    return out
 
 
 def _error_stack(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -208,7 +175,7 @@ def rotate(U: Subspace, budget: float, rng: np.random.Generator) -> Subspace:
     Z_i -> cos(theta) Z_i + sin(theta) W_i, so the cross-Gram matrix of the
     two bases is diag(cos theta, ..., cos theta, 1, ..., 1) and
     d(U, V) = 2 r sin^2(theta), which sin^2(theta) = budget / 2r makes equal
-    to the budget.  budget = 0 returns U's span; DimensionOverflow when
+    to the budget.  budget = 0 returns U's span; Infeasible when
     budget > 2r.  The channel use that keeps all of U and turns it.
     """
     spec = NoisyChannelSpec(OperatorChannelSpec(U.dim), rotation=budget)
@@ -226,9 +193,8 @@ def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
     call of channel_draw_size entries, split as
     apply_noisy_operator_channel_block splits them.
     """
-    shapes = _draw_shapes(U.dim, U.ambient_dim, spec)
-    draws = rng.standard_normal(_draw_size(shapes, U.is_complex))
-    return Subspace._view(_channel_block(U.basis[np.newaxis], spec, draws[np.newaxis], shapes)[0])
+    draws = rng.standard_normal((1, channel_draw_size(U.dim, U.ambient_dim, spec, U.is_complex)))
+    return Subspace._view(apply_noisy_operator_channel_block(U.basis[np.newaxis], spec, draws)[0])
 
 
 def apply_noisy_operator_channel_block(bases: np.ndarray, spec: NoisyChannelSpec,
@@ -246,14 +212,8 @@ def apply_noisy_operator_channel_block(bases: np.ndarray, spec: NoisyChannelSpec
     runs once on the whole stack, and each use's output does not depend on
     the rest of the stack.
     """
-    return _channel_block(bases, spec, draws, _draw_shapes(bases.shape[1], bases.shape[2], spec))
-
-
-def _channel_block(bases: np.ndarray, spec: NoisyChannelSpec, draws: np.ndarray,
-                   shapes: tuple) -> np.ndarray:
-    """apply_noisy_operator_channel_block with the stages' coefficient
-    shapes, _draw_shapes(m, n, spec), already known."""
     count, m, n = bases.shape
+    shapes = _draw_shapes(m, n, spec)
     complex_field = np.iscomplexobj(bases)
     entries = [0 if shape is None else math.prod(shape) for shape in shapes]
     size = 2 * sum(entries) if complex_field else sum(entries)
@@ -357,10 +317,10 @@ def rq_factorize(A):
         raise ValueError("need a 2-d matrix")
     l, n = A.shape
     if l > n:
-        raise RankDeficient(f"{l} rows cannot be independent in {n} columns")
+        raise NumericalError(f"{l} rows cannot be independent in {n} columns")
     s = np.linalg.svd(A, compute_uv=False)
     if _numerical_rank(s) < l:
-        raise RankDeficient("matrix is not of full row rank")
+        raise NumericalError("matrix is not of full row rank")
     flipped = np.flipud(A).conj().T            # n x l
     qt, rt = np.linalg.qr(flipped)             # reduced QR
     R = np.flipud(np.fliplr(rt.conj().T))      # upper triangular again
@@ -377,13 +337,13 @@ def _perturbation_eps(s: np.ndarray, N: np.ndarray, name: str) -> float:
     """eps = ((1 + sqrt 2) kappa / (1 - ||A+||_2 ||N||_2) * ||N||_F / ||A||_2)^2
     for a full-row-rank A with singular values s (descending, all nonzero).
 
-    PreconditionViolated, naming the matrix ``name``, when ||A+||_2 ||N||_2 >= 1.
+    NumericalError, naming the matrix ``name``, when ||A+||_2 ||N||_2 >= 1.
     """
     norm_a = float(s[0])
     pinv_norm = 1.0 / float(s[-1])
     norm_n_2 = float(np.linalg.norm(N, 2)) if N.size else 0.0
     if pinv_norm * norm_n_2 >= 1.0:
-        raise PreconditionViolated(
+        raise NumericalError(
             f"||{name}+||_2 ||N||_2 = {pinv_norm * norm_n_2:.6g} >= 1")
     kappa = norm_a * pinv_norm
     norm_n_f = float(np.linalg.norm(N))
@@ -398,8 +358,8 @@ def perturbation_bound(A, N):
 
         eps = ((1 + sqrt 2) kappa(A) / (1 - ||A+||_2 ||N||_2) * ||N||_F / ||A||_2)^2.
 
-    PreconditionViolated when ||A+||_2 ||N||_2 >= 1; RankDeficient when A is
-    not of full row rank.
+    NumericalError when ||A+||_2 ||N||_2 >= 1 or when A is not of full row
+    rank.
     """
     A = np.asarray(A)
     N = np.asarray(N)
@@ -408,7 +368,7 @@ def perturbation_bound(A, N):
     l = A.shape[0]
     s = np.linalg.svd(A, compute_uv=False)
     if _numerical_rank(s) < l or l > A.shape[1]:
-        raise RankDeficient("matrix is not of full row rank")
+        raise NumericalError("matrix is not of full row rank")
     eps = _perturbation_eps(s, N, "A")
     return eps, 2.0 * eps + eps ** 2
 
@@ -449,7 +409,7 @@ def general_perturbation_bound(A, N):
     rank = int(_numerical_rank(s))
     r_d = l - rank
     if rank == 0:
-        raise RankDeficient("zero matrix has no row space to track")
+        raise NumericalError("zero matrix has no row space to track")
     rows = _greedy_independent_rows(A, rank)
     A1 = A[rows, :]
     eps = _perturbation_eps(np.linalg.svd(A1, compute_uv=False), N, "A1")

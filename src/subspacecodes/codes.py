@@ -9,6 +9,7 @@ JSON on-disk format.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -16,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapExceeded, ConfigError, DimensionMismatch, DomainError, LengthMismatch,
-                     RetryLimitExceeded, SizeOverflow)
+from .errors import ConfigError, Infeasible
 from .finitefield import FiniteField, is_prime
 from .subspaces import (_BLOCK_BYTES, TOL_EQUAL, Subspace, SubspaceCode, _check_orthonormal,
                         _random_bases, complement, pairwise)
 
 DEFAULT_SEARCH_CAP = 10 ** 4
 # Most basis entries (M times n) cp_construct allocates: CP (4096, 1), 268 MB.
+# random_ensemble_code takes the same guard on its M m n entries.
 CP_MAX_ENTRIES = 4096 * 4095
 # Rejected draws in a row after which random_ensemble_code gives up.
 ENSEMBLE_MAX_RETRIES = 50
@@ -34,14 +35,14 @@ def min_distance_exhaustive(code: SubspaceCode, cap: int = DEFAULT_SEARCH_CAP):
 
     Visits all M(M-1)/2 unordered pairs through pairwise(), one block of
     rows at a time, so no M x M matrix is formed; on ties the first pair in
-    row-major order wins.  Raises CapExceeded if the code has more than
+    row-major order wins.  Raises Infeasible if the code has more than
     ``cap`` codewords.
     """
     M = len(code)
     if M < 2:
-        raise ValueError("minimum distance needs at least two codewords")
+        raise ConfigError("minimum distance needs at least two codewords")
     if M > cap:
-        raise CapExceeded(f"{M} codewords exceed the exhaustive search cap {cap}")
+        raise Infeasible(f"{M} codewords exceed the exhaustive search cap {cap}")
     best = math.inf
     pair = (0, 1)
     for lo, hi in code.blocks(code):
@@ -104,7 +105,7 @@ class CPCodeSpec:
 
     def __post_init__(self):
         if not 1 <= self.k < self.field.q:
-            raise ValueError(f"need 1 <= k < q, got k = {self.k}, q = {self.field.q}")
+            raise ConfigError(f"need 1 <= k < q, got k = {self.k}, q = {self.field.q}")
 
     @property
     def q(self) -> int:
@@ -133,7 +134,7 @@ def cp_construct(spec: CPCodeSpec) -> SubspaceCode:
     monomials d of f.  One (q, n) table of tr(c a^d) per monomial, indexed
     by the coefficient c, is broadcast-summed over the coefficient grid
     (first monomial slowest) to give every codeword's trace exponents.
-    SizeOverflow, before any field table is built, past CP_MAX_ENTRIES.
+    Infeasible, before any field table is built, past CP_MAX_ENTRIES.
     """
     field = spec.field
     q = field.q
@@ -141,8 +142,8 @@ def cp_construct(spec: CPCodeSpec) -> SubspaceCode:
     mons = cp_monomial_set(spec)
     size = q ** len(mons)
     if size * n > CP_MAX_ENTRIES:
-        raise SizeOverflow(f"CP ({q},{spec.k}) has {size} codewords of length {n}; "
-                           f"needs at most {CP_MAX_ENTRIES} basis entries")
+        raise Infeasible(f"CP ({q},{spec.k}) has {size} codewords of length {n}; "
+                         f"needs at most {CP_MAX_ENTRIES} basis entries")
     pts = np.arange(1, q, dtype=np.int64)
     coeffs = np.arange(q, dtype=np.int64)
     exponents = np.zeros((1, n), dtype=np.int64)
@@ -177,9 +178,9 @@ def cp_distance_bound(spec: CPCodeSpec) -> float:
 def cp_simplified_bound(q: int, rate: float) -> float:
     """Asymptotic form of the CP distance bound: 1 - q R^2 / (ln q)^2."""
     if not is_prime(q):
-        raise DomainError(f"simplified bound assumes prime q, got {q}")
+        raise ConfigError(f"simplified bound assumes prime q, got {q}")
     if rate <= 0:
-        raise DomainError("rate must be positive")
+        raise ConfigError("rate must be positive")
     return 1.0 - q * rate ** 2 / math.log(q) ** 2
 
 
@@ -191,9 +192,9 @@ def cp_max_k_for_delta(q: int, delta_target: float) -> int:
     single steps settle the float test, which is monotone in k.
     """
     if not is_prime(q):
-        raise DomainError(f"expected prime q, got {q}")
+        raise ConfigError(f"expected prime q, got {q}")
     if not 0.0 < delta_target <= 1.0:
-        raise DomainError("delta target must lie in (0, 1]")
+        raise ConfigError("delta target must lie in (0, 1]")
     n = q - 1
     sq = math.sqrt(q)
 
@@ -222,23 +223,26 @@ def binary_to_lines(codebook, length: int | None = None) -> SubspaceCode:
     one-bit words.
     """
     if isinstance(codebook, str):
-        raise ValueError(f"the codebook must be a sequence of words, not the string {codebook!r}")
+        raise ConfigError(f"the codebook must be a sequence of words, not the string {codebook!r}")
     words = []
     for w in codebook:
-        bits = [{"0": 0, "1": 1}.get(ch, ch) for ch in w] if isinstance(w, str) else list(w)
+        try:
+            bits = [{"0": 0, "1": 1}.get(ch, ch) for ch in w] if isinstance(w, str) else list(w)
+        except TypeError:  # a number, not a sequence of bits
+            raise ConfigError(f"non-binary word {w!r}") from None
         if any(isinstance(b, (bool, str)) or b not in (0, 1) for b in bits):
-            raise ValueError(f"non-binary word {w!r}")
+            raise ConfigError(f"non-binary word {w!r}")
         words.append(tuple(int(b) for b in bits))
     if not words:
-        raise ValueError("empty codebook")
+        raise ConfigError("empty codebook")
     if length is None:
         length = len(words[0])
     if length < 1:
-        raise ValueError(f"word length must be at least 1, got {length}")
+        raise ConfigError(f"word length must be at least 1, got {length}")
     canon = []
     for bits in words:
         if len(bits) != length:
-            raise LengthMismatch(f"word of length {len(bits)}, expected {length}")
+            raise ConfigError(f"word of length {len(bits)}, expected {length}")
         # exactly one of a word and its complement starts with 0
         canon.append(bits if bits[0] == 0 else tuple(1 - b for b in bits))
     lines = list(dict.fromkeys(canon))  # first occurrence order, repeats dropped
@@ -250,7 +254,7 @@ def line_delta_from_hamming(gamma: float) -> float:
     """Normalized line distance of +-1 images of binary words at normalized
     Hamming distance gamma: 1 - (1 - 2 gamma)^2."""
     if not 0.0 <= gamma <= 1.0:
-        raise DomainError("normalized Hamming distance must lie in [0, 1]")
+        raise ConfigError("normalized Hamming distance must lie in [0, 1]")
     return 1.0 - (1.0 - 2.0 * gamma) ** 2
 
 
@@ -259,8 +263,9 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
     """M independent uniform m-dimensional subspaces of an n-dimensional space.
 
     Candidates are drawn in turn, and one within the equality tolerance of a
-    codeword already accepted is rejected; RetryLimitExceeded after
-    ENSEMBLE_MAX_RETRIES rejections in a row.  The candidates are drawn in
+    codeword already accepted is rejected; Infeasible after
+    ENSEMBLE_MAX_RETRIES rejections in a row, and before any draw past
+    CP_MAX_ENTRIES basis entries.  The candidates are drawn in
     batches from rng, each batch orthonormalized by one stacked SVD and
     screened by one pairwise() table against the accepted codewords and one
     within itself, then accepted in order.  A batch holds no more candidates
@@ -270,9 +275,12 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
     at a time gives, and leaves rng where that leaves it.
     """
     if M < 2:
-        raise ValueError("an ensemble needs at least two codewords")
+        raise ConfigError("an ensemble needs at least two codewords")
     if not 0 < m <= n:
-        raise ValueError(f"need 0 < m <= n, got m = {m}, n = {n}")
+        raise ConfigError(f"need 0 < m <= n, got m = {m}, n = {n}")
+    if M * m * n > CP_MAX_ENTRIES:
+        raise Infeasible(f"an ensemble of {M} subspaces with m = {m}, n = {n} "
+                         f"needs at most {CP_MAX_ENTRIES} basis entries")
     buf = np.empty((M * m, n), dtype=complex if complex_field else float)
     # a read-only view of buf; the bases of the words accepted so far fill its first rows
     code = SubspaceCode._from_rows(buf.view(), np.full(M, m, dtype=np.intp))
@@ -280,7 +288,7 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
     accepted = rejected = 0
     while accepted < M:
         if rejected >= ENSEMBLE_MAX_RETRIES:
-            raise RetryLimitExceeded(
+            raise Infeasible(
                 f"could not draw {M} distinct subspaces with m = {m}, n = {n}")
         count = min(M - accepted, ENSEMBLE_MAX_RETRIES - rejected, most)
         bases = _random_bases(n, m, count, rng, complex_field)
@@ -311,7 +319,7 @@ def complex_to_real_double(code: SubspaceCode) -> SubspaceCode:
     minimum distance are preserved.
     """
     if not code.is_constant_dimension:
-        raise DimensionMismatch("doubling map expects a constant-dimension code")
+        raise ConfigError("doubling map expects a constant-dimension code")
     words = []
     for w in code:
         z = np.asarray(w.basis, dtype=complex)
@@ -329,15 +337,11 @@ def _as_integer(value, what: str) -> int:
     """``value`` as an int; ConfigError naming ``what`` unless it is an
     integral number.  JSON booleans and strings are refused, though int()
     would take true as 1 and "7" as 7."""
-    number = None
     if not isinstance(value, (bool, str)):
-        try:
-            number = int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if number is None or number != value:
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return number
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            if (number := int(value)) == value:
+                return number
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _json_float(x: float) -> str:
@@ -404,6 +408,8 @@ def _code_from_json(text: str) -> SubspaceCode:
     words = data["codewords"]
     if not isinstance(words, list):
         raise ValueError("'codewords' must be a list")
+    if not words:
+        raise ValueError("'codewords' is empty: a code has at least one codeword")
     if not all(isinstance(pairs, list) for pairs in words):
         raise ValueError(_PAIRS)
     # every codeword's row-major [re, im] pairs, one after another, as one array
@@ -447,5 +453,5 @@ def load_code(path) -> SubspaceCode:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _code_from_json(fh.read())
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an n past the int64 range
         raise ConfigError(f"code file {path}: {exc}") from exc

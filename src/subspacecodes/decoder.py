@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyCode
+from .errors import ConfigError
 from .subspaces import Subspace, SubspaceCode, _pair_distances, pairwise
 
 # distance gap below which two codewords count as tied
@@ -139,7 +139,7 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     pairwise(), which is slow right after a BLAS call on some hosts.
     """
     if len(code) == 0:
-        raise EmptyCode("cannot decode against an empty code")
+        raise ConfigError("cannot decode against an empty code")
     count = len(received)
     best = np.zeros(count, dtype=np.intp)
     second = np.zeros(count, dtype=np.intp)

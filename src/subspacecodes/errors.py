@@ -1,65 +1,24 @@
-"""Exception types shared across the package."""
+"""The package's three exception types, one for each nonzero exit code of
+the CLI that a caller can cause.
+
+Each is a ValueError, and the type alone decides the exit code:
+ConfigError exits 2, Infeasible 3 and NumericalError 4.  Any other
+exception that reaches the CLI is a bug in the program: it exits 1 with a
+traceback.
+"""
 
 
-class SubspaceCodesError(Exception):
-    """Base class for every error raised by this package."""
+class ConfigError(ValueError):
+    """Input the call does not accept: a malformed config or code file, an
+    argument outside its range or domain, or operands that do not fit
+    together (exit 2)."""
 
 
-class AmbientMismatch(SubspaceCodesError, ValueError):
-    """Operands live in ambient spaces of different dimension."""
+class Infeasible(ValueError):
+    """A well-formed request past a cap or a dimension limit: a size or
+    search cap, a dimension overflow or a retry limit (exit 3)."""
 
 
-class DimensionMismatch(SubspaceCodesError, ValueError):
-    """Operation requires subspaces (or codewords) of equal dimension."""
-
-
-class NontrivialIntersection(SubspaceCodesError, ValueError):
-    """Direct sum requested for subspaces that intersect nontrivially."""
-
-
-class DimensionOverflow(SubspaceCodesError, ValueError):
-    """Requested dimensions do not fit inside the ambient space."""
-
-
-class RankDeficient(SubspaceCodesError, ValueError):
-    """Matrix lacks the full row rank the operation requires."""
-
-
-class PreconditionViolated(SubspaceCodesError, ValueError):
-    """Numerical admissibility condition failed (e.g. ||A+||_2 ||N||_2 >= 1)."""
-
-
-class TrivialCharacter(SubspaceCodesError, ValueError):
-    """Character sum requested with the trivial character chi_0."""
-
-
-class DegreeConditionViolated(SubspaceCodesError, ValueError):
-    """Polynomial degree is zero or shares a factor with the field size."""
-
-
-class SizeOverflow(SubspaceCodesError, ValueError):
-    """Code construction would exceed the configured size cap."""
-
-
-class CapExceeded(SubspaceCodesError, ValueError):
-    """Exhaustive search over more codewords than the configured cap."""
-
-
-class LengthMismatch(SubspaceCodesError, ValueError):
-    """Binary words of inconsistent length."""
-
-
-class RetryLimitExceeded(SubspaceCodesError, RuntimeError):
-    """Random sampling kept producing duplicate codewords."""
-
-
-class EmptyCode(SubspaceCodesError, ValueError):
-    """Decoding requested against an empty codebook."""
-
-
-class DomainError(SubspaceCodesError, ValueError):
-    """Argument outside the mathematical domain of a bound formula."""
-
-
-class ConfigError(SubspaceCodesError, ValueError):
-    """Malformed experiment configuration."""
+class NumericalError(ValueError):
+    """A numerical precondition failed, such as a rank deficiency or
+    ||A+||_2 ||N||_2 >= 1 (exit 4)."""

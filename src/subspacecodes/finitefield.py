@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegreeConditionViolated, TrivialCharacter
+from .errors import ConfigError
 
 MAX_Q = 1 << 16
 
@@ -255,10 +255,10 @@ def weil_sum(field: FiniteField, coeffs, chi_index: int = 1) -> complex:
     while values and values[-1] == 0:
         values.pop()
     if j == 0:
-        raise TrivialCharacter("chi_0 sums to q trivially; use a nonzero index")
+        raise ConfigError("chi_0 sums to q trivially; use a nonzero index")
     d = len(values) - 1
     if d < 1 or d % field.p == 0:
-        raise DegreeConditionViolated(
+        raise ConfigError(
             f"need degree >= 1 and coprime to q = {q}, got degree {d}")
     elems = np.arange(q, dtype=np.int64)
     acc = np.full(q, values[-1], dtype=np.int64)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AmbientMismatch, DimensionMismatch, NontrivialIntersection
+from .errors import ConfigError
 
 # Orthonormality defect tolerated in a stored basis.
 TOL_ORTH = 1e-10
@@ -139,7 +139,7 @@ def _numerical_rank(s: np.ndarray):
 
 def _check_same_ambient(U: Subspace, V: Subspace) -> None:
     if U.ambient_dim != V.ambient_dim:
-        raise AmbientMismatch(
+        raise ConfigError(
             f"ambient dimensions differ: {U.ambient_dim} vs {V.ambient_dim}")
 
 
@@ -207,7 +207,7 @@ class SubspaceCode:
     def __init__(self, codewords):
         bases = [w.basis for w in codewords]
         if any(b.shape[1] != bases[0].shape[1] for b in bases):
-            raise AmbientMismatch("codewords live in different ambient spaces")
+            raise ConfigError("codewords live in different ambient spaces")
         self._set(np.concatenate(bases) if bases else np.zeros((0, 0)),
                   [b.shape[0] for b in bases])
 
@@ -250,7 +250,7 @@ class SubspaceCode:
         dims = self.dims[idx]
         m = int(dims[0]) if len(dims) else 0
         if np.any(dims != m):
-            raise DimensionMismatch("bases() stacks codewords of one dimension only")
+            raise ConfigError("bases() stacks codewords of one dimension only")
         return self.rows[self.starts[idx][:, np.newaxis] + np.arange(m)]
 
     @property
@@ -365,7 +365,7 @@ def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
     Roundoff can push a near-zero distance below 0; results are clamped at 0.
     """
     if A.rows.shape[1] != B.rows.shape[1]:
-        raise AmbientMismatch(
+        raise ConfigError(
             f"ambient dimensions differ: {A.rows.shape[1]} vs {B.rows.shape[1]}")
     b_adj = B.rows.conj().T
     uniform = A.common_dim > 0 and B.common_dim > 0
@@ -403,7 +403,7 @@ def principal_angles(U: Subspace, V: Subspace) -> np.ndarray:
     """
     _check_same_ambient(U, V)
     if U.dim != V.dim:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"principal angles need equal dimensions, got {U.dim} and {V.dim}")
     if U.dim == 0:
         return np.zeros(0)
@@ -413,11 +413,38 @@ def principal_angles(U: Subspace, V: Subspace) -> np.ndarray:
 
 def complement(U: Subspace) -> Subspace:
     """Orthogonal complement U-perp, satisfying P_{U-perp} = I - P_U: the
-    last n - m rows of U's full SVD."""
+    rows of the identity carried into U-perp by _into_complements."""
     m, n = U.basis.shape
+    return Subspace._view(
+        _into_complements(U.basis[np.newaxis], np.eye(n - m, dtype=U.basis.dtype)[np.newaxis])[0])
+
+
+def _into_complements(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """The rows of each (t, n - m) coefficient matrix carried isometrically
+    into the complement of the row space of its (m, n) basis in the stack Z:
+    [0 | coeff] Q^H, (B, t, n).
+
+    Q = H_0 ... H_{m-1} is the unitary of the QR factorization of Z^H, whose
+    last n - m columns span Z-perp; LAPACK returns it as m Householder
+    reflectors H_j = I - tau_j v_j v_j^H, v_j zero before entry j and 1 there
+    (numpy.linalg.qr, mode "raw", one call on the whole stack).  Applying
+    H_{m-1}^H, ..., H_0^H to the zero-padded rows in turn costs O(m n t) a
+    basis, and the (n - m, n) complement is never formed.
+    """
+    count, m, n = Z.shape
+    out = np.zeros((count, coeff.shape[1], n), dtype=np.result_type(Z, coeff))
+    out[:, :, m:] = coeff
     if m == 0:
-        return Subspace._view(np.eye(n, dtype=U.basis.dtype))
-    return Subspace._view(np.linalg.svd(U.basis, full_matrices=True)[2][m:])
+        return out
+    h, tau = np.linalg.qr(Z.conj().transpose(0, 2, 1), mode="raw")  # h[:, j, j + 1:] is v_j's tail
+    diagonal = np.arange(m)
+    h[:, diagonal, diagonal] = 1.0
+    h_adj, tau_adj = h.conj(), tau.conj()[:, :, np.newaxis, np.newaxis]
+    for j in range(m - 1, -1, -1):
+        # y H_j^H = y - conj(tau_j) (y v_j) v_j^H, on the entries from j on
+        tail = out[:, :, j:]
+        tail -= (tail @ h[:, j, j:, np.newaxis]) * tau_adj[:, j] * h_adj[:, j, np.newaxis, j:]
+    return out
 
 
 def direct_sum(U: Subspace, V: Subspace) -> Subspace:
@@ -426,7 +453,7 @@ def direct_sum(U: Subspace, V: Subspace) -> Subspace:
     _check_same_ambient(U, V)
     total = orthonormalize(np.vstack([U.basis, V.basis]))
     if total.dim != U.dim + V.dim:
-        raise NontrivialIntersection(
+        raise ConfigError(
             f"dim(U + V) = {total.dim} < {U.dim} + {V.dim}: intersection is nontrivial")
     return total
 

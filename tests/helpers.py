@@ -10,7 +10,7 @@ import numpy as np
 
 from subspacecodes import Subspace, SubspaceCode, distance
 from subspacecodes.decoder import TIE_TOL, Decoded
-from subspacecodes.errors import EmptyCode
+from subspacecodes.errors import ConfigError
 from subspacecodes.subspaces import TOL_EQUAL, _gaussian, _pair_distances, pairwise
 
 
@@ -34,7 +34,7 @@ def decode_block_double(code, received: SubspaceCode) -> Decoded:
     every codeword within TIE_TOL of the second are ranked by the residual
     kernel, the lower index first on a tie."""
     if len(code) == 0:
-        raise EmptyCode("cannot decode against an empty code")
+        raise ConfigError("cannot decode against an empty code")
     dists = pairwise(code, received).T.copy()
     rows = np.arange(len(received))
     best = np.argmin(dists, axis=1)

@@ -32,7 +32,7 @@ from subspacecodes import (
     shannon_lower,
     zyablov_delta,
 )
-from subspacecodes.errors import DomainError
+from subspacecodes.errors import ConfigError
 
 
 def _h(x: float) -> float:
@@ -156,24 +156,24 @@ def test_shannon_and_random_coding_relations():
 
 
 def test_domain_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"delta must lie in \(0, 1\]"):
         barg_lower(2, 0.0, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"delta must lie in \(0, 1\]"):
         barg_lower(2, 1.5, 1)  # lower bound needs delta <= 1
     barg_upper(2, 1.5, 1)      # upper bound allows delta up to 2
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"delta must lie in \(0, 2\]"):
         barg_upper(2, 2.5, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="dimension m must be at least 1"):
         barg_lower(0, 0.5, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"beta must be 1 \(real\) or 2 \(complex\)"):
         barg_lower(2, 0.5, 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"delta must lie in \(0, 1\]"):
         shannon_lower(0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"rate must lie in \[0, 1\]"):
         gv_binary_delta(-0.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"rate must lie in \(0, 1\]"):
         zyablov_delta(1.2)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"delta must lie in \(0, 1/2\]"):
         blokh_zyablov_rate(-0.5)
 
 
@@ -284,7 +284,7 @@ def test_concatenation_bound_values_and_edges():
     assert blokh_zyablov_rate(0.1) == pytest.approx(0.25240559405542273, abs=1e-8)
     assert blokh_zyablov_rate(0.3) == pytest.approx(0.01983930521807399, abs=1e-8)
     assert blokh_zyablov_rate(0.5) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"delta must lie in \(0, 1/2\]"):
         blokh_zyablov_rate(0.6)
     vals = [blokh_zyablov_rate(d / 20.0) for d in range(1, 10)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))

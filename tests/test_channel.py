@@ -37,7 +37,7 @@ from subspacecodes import (
 )
 from subspacecodes.channel import (_erase_stack, _error_stack, _into_complements,
                                    _rank_r_rows)
-from subspacecodes.errors import DimensionOverflow, PreconditionViolated, RankDeficient
+from subspacecodes.errors import Infeasible, NumericalError
 from subspacecodes.subspaces import _gaussian
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -76,7 +76,7 @@ def test_error_subspace_avoids_the_input():
     assert E.dim == 2
     assert np.linalg.norm(E.basis @ U.projection) < 1e-10
     assert random_error_subspace(U, 0, rng).dim == 0
-    with pytest.raises(DimensionOverflow):
+    with pytest.raises(Infeasible, match="cannot fit 6 error dimensions"):
         random_error_subspace(U, 6, rng)
 
 
@@ -184,10 +184,10 @@ def test_rotation_beyond_reach_is_refused():
         U = random_subspace(n, m, rng)
         reach = 2 * min(m, n - m)
         assert distance(U, rotate(U, reach, rng)) == pytest.approx(reach, abs=1e-12)
-        with pytest.raises(DimensionOverflow):
+        with pytest.raises(Infeasible, match="exceeds the largest distance"):
             rotate(U, reach * (1 + 1e-9), rng)
     # the whole space has no direction to turn towards
-    with pytest.raises(DimensionOverflow):
+    with pytest.raises(Infeasible, match="exceeds the largest distance"):
         rotate(Subspace.full(5), 0.1, rng)
     assert rotate(Subspace.full(5), 0.0, rng).dim == 5
     assert rotate(Subspace.zero(5), 0.3, rng).dim == 0
@@ -362,9 +362,9 @@ def test_each_stage_is_the_channel_use_with_its_spec(stage, dim, arg, complex_fi
 def test_each_stage_refuses_what_its_channel_use_refuses(stage, dim, arg, complex_field):
     U = random_subspace(7, dim, np.random.default_rng([dim, 2]), complex_field)
     rng, untouched = np.random.default_rng(6), np.random.default_rng(6)
-    with pytest.raises(DimensionOverflow) as refused:
+    with pytest.raises(Infeasible, match="cannot fit|exceeds the largest distance") as refused:
         stage(U, arg, rng)
-    with pytest.raises(DimensionOverflow) as channel_refused:
+    with pytest.raises(Infeasible) as channel_refused:
         apply_noisy_operator_channel(U, _stage_spec(stage, U, arg), rng)
     assert str(refused.value) == str(channel_refused.value)
     assert rng.bit_generator.state == untouched.bit_generator.state
@@ -796,7 +796,7 @@ def test_rq_rejects_rank_deficient_and_tall_input():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((1, 6))
     stacked = np.vstack([a, 2.0 * a, rng.standard_normal((1, 6))])
-    with pytest.raises(RankDeficient):
+    with pytest.raises(NumericalError, match="not of full row rank"):
         rq_factorize(stacked)
     with pytest.raises(ValueError):
         rq_factorize(rng.standard_normal((7, 4)))
@@ -828,7 +828,7 @@ def test_perturbation_bound_monte_carlo():
 
 def test_perturbation_bound_precondition():
     A = np.eye(2, 5)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(NumericalError, match=r"\|\|A\+\|\|_2 \|\|N\|\|_2 = .* >= 1"):
         perturbation_bound(A, 2.0 * np.eye(2, 5))
 
 

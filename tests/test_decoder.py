@@ -32,7 +32,7 @@ from subspacecodes import (
     rotate,
 )
 from subspacecodes import decoder, subspaces
-from subspacecodes.errors import EmptyCode
+from subspacecodes.errors import ConfigError
 from subspacecodes.subspaces import _pair_distances, pairwise
 
 
@@ -247,12 +247,12 @@ def test_block_decoder_columns_are_single_decodes(complex_field):
             assert runner == want.runner_up_distance
             assert (runner - best > decoder.TIE_TOL) == want.unique
             assert best == distance(decoder_code[index], V)
-    with pytest.raises(EmptyCode):
+    with pytest.raises(ConfigError, match="cannot decode against an empty code"):
         decode_block(SubspaceCode([]), SubspaceCode(received))
 
 
 def test_decode_empty_code_raises():
-    with pytest.raises(EmptyCode):
+    with pytest.raises(ConfigError, match="cannot decode against an empty code"):
         decode(SubspaceCode([]), Subspace(np.eye(1, 4)))
 
 

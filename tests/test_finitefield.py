@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from subspacecodes import FiniteField, is_prime, weil_sum
-from subspacecodes.errors import DegreeConditionViolated, TrivialCharacter
+from subspacecodes.errors import ConfigError
 
 
 # --- naive polynomial arithmetic oracle (coefficient lists, ascending) ----
@@ -276,11 +276,11 @@ def test_weil_sum_invariant_under_constant_shift():
 
 def test_weil_sum_rejects_bad_degree_or_character():
     F9 = FiniteField(3, 2)
-    with pytest.raises(DegreeConditionViolated):
+    with pytest.raises(ConfigError, match="degree"):
         weil_sum(F9, [0, 1, 0, 1])  # degree 3 = p
-    with pytest.raises(DegreeConditionViolated):
+    with pytest.raises(ConfigError, match="degree"):
         weil_sum(F9, [4])  # constant
-    with pytest.raises(TrivialCharacter):
+    with pytest.raises(ConfigError, match="chi_0 sums to q trivially"):
         weil_sum(F9, [0, 1, 1], 0)
     # zero top coefficients do not count towards the degree
     assert weil_sum(F9, [0, 1, 1, 0]) == weil_sum(F9, [0, 1, 1])

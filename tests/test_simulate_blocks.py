@@ -30,7 +30,7 @@ from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode,
                            save_code)
 from subspacecodes.cli import EXIT_INFEASIBLE, EXIT_OK
 from subspacecodes.codes import DEFAULT_SEARCH_CAP, cp_min_distance
-from subspacecodes.errors import DimensionOverflow
+from subspacecodes.errors import Infeasible
 
 README = {"code": {"type": "random-ensemble", "n": 12, "m": 3, "M": 20},
           "channel": {"k": 2, "t": 1, "delta": 0.05, "r_d": 1}, "trials": 1000, "seed": 7}
@@ -45,7 +45,7 @@ def _draw_width(code, spec) -> int:
     for U in code:
         try:
             sizes.append(channel_draw_size(U.dim, U.ambient_dim, spec, complex_field))
-        except DimensionOverflow:
+        except Infeasible:
             pass
     return max(sizes)
 
@@ -202,7 +202,7 @@ def test_first_overflowing_trial_names_the_error(tmp_path, capsys):
     # the dimension of the first trial that sent a larger one
     cfg = {"code": {"type": "file", "path": _mixed_code_file(tmp_path)},
            "channel": {"k": 3, "t": 7}, "trials": 40, "seed": 2}
-    with pytest.raises(DimensionOverflow) as raised:
+    with pytest.raises(Infeasible, match="cannot fit") as raised:
         _per_trial_simulate(cfg, tmp_path / "oracle.csv")
     cfg_path = tmp_path / "sim.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -32,7 +32,8 @@ from .codes import (CPCodeSpec, SubspaceCode, _as_integer, binary_to_lines, code
                     cp_construct, cp_max_k_for_delta, cp_min_distance, cp_simplified_bound,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code, DEFAULT_SEARCH_CAP)
-from .decoder import decode_block, guarantee_noisy, guarantee_noisy_slack, single_precision
+from .decoder import (decode_block, guarantee_noisy, guarantee_noisy_slack, screened,
+                      single_precision)
 from .errors import ConfigError, Infeasible, NumericalError
 from .finitefield import MAX_Q, FiniteField, is_prime
 from .subspaces import _groups, _residual_distances, pairwise
@@ -46,7 +47,7 @@ EXIT_NUMERICAL = 4
 _BLOCK_BYTES = 2 ** 19
 # trials per block at the least: each block's decode reads the whole code
 # once, and a single-precision screen of 64 trials takes the bytes that a
-# double-precision table of 32 took
+# double-precision table of 32 took; screened blocks may take more
 _MIN_TRIAL_BLOCK = 64
 # trials per generator in simulate: a constant of the v4 draw stream, which
 # changing would change every CSV
@@ -54,8 +55,8 @@ _TRIAL_CHUNK = 1024
 # CSV lines are formatted, joined and written this many at a time
 _WRITE_CHUNK = 1024
 # most points a bounds grid (delta_points, rate_points) may take: at the
-# cap, bounds writes 900000 rows in about 16 s on a 2-core Xeon and peaks
-# near 300 MB
+# cap, bounds writes 900000 rows in 10 to 16 s on a 2-core Xeon, in a
+# process that peaks at 46 MB, since the rows are streamed
 MAX_GRID_POINTS = 10 ** 5
 
 
@@ -96,15 +97,23 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _cell(value) -> str:
+    """A CSV field: a float by repr, a boolean as 1/0, anything else by str."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _line(row) -> str:
+    """A CSV body line of the fields of ``row``."""
+    return ",".join(map(_cell, row))
+
+
 def _fmt(rows) -> list[str]:
-    """CSV body lines: floats by repr, booleans as 1/0, anything else by str."""
-    def cell(value) -> str:
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-    return [",".join(map(cell, row)) for row in rows]
+    """CSV body lines of ``rows``."""
+    return list(map(_line, rows))
 
 
 def _write_csv(path: str | None, command: str, cfg: dict, seed, columns, lines,
@@ -132,10 +141,13 @@ def _require(cfg: dict, key: str):
 
 
 def _path(cfg: dict, key: str) -> str:
-    """cfg[key], required; ConfigError unless it is a string.  open() would
-    take an integer as a file descriptor."""
+    """cfg[key], required; ConfigError unless it is a string and not empty.
+    open() would take an integer as a file descriptor, and an empty path
+    would name no file."""
     if not isinstance(path := _require(cfg, key), str):
         raise ConfigError(f"config key '{key}' must be a path string, got {path!r}")
+    if not path:
+        raise ConfigError(f"config key '{key}' must not be empty")
     return path
 
 
@@ -307,24 +319,39 @@ def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
 
 def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
     """Trials that simulate runs through the channel and the decoder at once:
-    _BLOCK_BYTES over a per-trial weight, and at least _MIN_TRIAL_BLOCK.
+    _BLOCK_BYTES over a per-trial weight, and at least _MIN_TRIAL_BLOCK; a
+    block that decode_block screens grows further, to as many trials as the
+    screen's single-precision product holds in one pairwise() block.
 
     The weight, 16 n (n + l + 2 b) + 8 M bytes, with l the code's largest
     dimension, b = min(l, k) + t + r_d and M the code's size, is a budget
     rule that grows with n^2 and with M, not a count of the block's arrays:
     traced, a block's peak grows by about 10.5 KB a trial on the README
-    config, where the weight is 4.6 KB, and by about 32 KB on CP (31,2)
-    over k = 1, t = 1 with a double-precision decode table, where the
-    weight is 24.5 KB and pairwise()'s product (which pairwise() itself
-    splits into row blocks) sets the peak.  The floor
-    holds there: each block's decode reads the whole code once, and
-    decode_block's single-precision screen of 64 trials peaks, traced, at
-    1.70 MB, where the double-precision table of 32 peaked at 1.71 MB.  So
-    the block sizes are 114 and 64 on those two configs."""
+    config, where the weight is 4.6 KB.  The floor holds where the weight
+    leaves fewer trials: each block's decode reads the whole code once.
+
+    A block of b received rows a trial is screened (decoder.screened) when
+    the code's row entries times its received rows reach 2^20.  Every block
+    pays fixed NumPy and LAPACK call costs, about 0.5 ms on CP (31,2), which
+    a larger block shares out; so a screened block takes as many trials as
+    its single-precision product with every code row, 8 bytes an entry,
+    holds in one pairwise() block (SubspaceCode.one_block_rows), 2 MiB.
+    Past that the product splits: in process on CP (31,2) over k = 1,
+    t = 1, 160-trial blocks ran level with 136 and 256-trial blocks 1.25
+    times slower.  Unscreened blocks keep the weight's size, since larger
+    ones cost peak memory for little time.  The memory of a block's ranking
+    does not grow with its tie windows, which decode_block ranks in slices.
+    So the block sizes are 114 on the README config, 136 on CP (31,2) over
+    k = 1, t = 1 (a product of 961 x 272 entries), 272 on CP (31,2) over
+    t = 0, and 64 on CP (127,2), whose product at the floor already exceeds
+    one block."""
     n, l = code.ambient_dim, code.max_dim
     b = min(l, spec.base.k) + spec.base.t + spec.noise_dim
     per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
-    return max(_MIN_TRIAL_BLOCK, _BLOCK_BYTES // per_trial)
+    block = max(_MIN_TRIAL_BLOCK, _BLOCK_BYTES // per_trial)
+    if screened(code, block * b):
+        block = max(block, code.one_block_rows(np.complex64) // b)
+    return block
 
 
 def _draw_sizes(code: SubspaceCode, spec: NoisyChannelSpec, complex_field: bool) -> dict:
@@ -429,20 +456,27 @@ def cmd_bounds(args) -> int:
         "blokh_zyablov": ([0.5 * i / r_pts for i in range(1, r_pts)],
                           lambda d: (d, bounds_mod.blokh_zyablov_rate(d))),
     }
-    rows = []
-    for label in labels:
-        if label == "cp":  # one curve per q
-            for q in cp_qs:
-                if not is_prime(q):
-                    raise ConfigError(f"cp curve needs prime q, got {q}")
-                r_max = math.log(q) / math.sqrt(q)  # rate where the bound hits zero
-                rows += [[f"cp_q{q}", cp_simplified_bound(q, r), r]
-                         for r in (r_max * i / r_pts for i in range(1, r_pts + 1))]
-        else:
-            grid, point = curves[label]
-            rows += [[label, *point(x)] for x in grid]
+    # every input the rows read is checked here, so a refused config writes no file
+    if "cp" in labels:
+        for q in cp_qs:
+            if not is_prime(q):
+                raise ConfigError(f"cp curve needs prime q, got {q}")
+    if "barg_lower" in labels or "barg_upper" in labels:
+        bounds_mod._check_m_beta(m, beta)
+
+    def rows():
+        for label in labels:
+            if label == "cp":  # one curve per q
+                for q in cp_qs:
+                    r_max = math.log(q) / math.sqrt(q)  # rate where the bound hits zero
+                    yield from ([f"cp_q{q}", cp_simplified_bound(q, r), r]
+                                for r in (r_max * i / r_pts for i in range(1, r_pts + 1)))
+            else:
+                grid, point = curves[label]
+                yield from ([label, *point(x)] for x in grid)
+    # rows are made as they are written, so memory does not grow with the grid's rows
     _write_csv(cfg.get("out"), "bounds", cfg, cfg.get("seed", ""),
-               ["label", "delta", "rate"], _fmt(rows))
+               ["label", "delta", "rate"], map(_line, rows()))
     return EXIT_OK
 
 
@@ -537,6 +571,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out == "":  # every subcommand takes --out
+            raise ConfigError("option '--out' must not be empty")
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical precondition violated: {exc}", file=sys.stderr)

@@ -59,6 +59,13 @@ def single_precision(code: SubspaceCode) -> SubspaceCode:
     return SubspaceCode._from_rows(code.rows.astype(dtype), code.dims, code.common_dim)
 
 
+def screened(code: SubspaceCode, received_rows: int) -> bool:
+    """Whether decode_block, given ``code``'s single_precision() copy,
+    screens a block of ``received_rows`` received rows: when the double
+    table's product takes at least _SCREEN_MIN_PRODUCT multiply-adds."""
+    return code.rows.size * received_rows >= _SCREEN_MIN_PRODUCT
+
+
 def _rounding_bound(n: int, a: int, b: int, u: float) -> float:
     """A bound on |pairwise() - exact| for subspaces of dimensions at most a
     and b in ambient dimension n, computed from bases rounded to unit
@@ -137,6 +144,16 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     block's.  Two rows, not one: a lone near-tie does not send its block to
     double precision, and a one-row table would take NumPy's 4-d sum in
     pairwise(), which is slow right after a BLAS call on some hosts.
+
+    The nominees are ranked by _pair_distances, which gathers their bases
+    in slices of at most about 2 MiB (subspaces._BLOCK_BYTES, at 16 n (a +
+    b) bytes a pair), so a block's memory does not grow with its tie
+    windows.  Traced, a 64-trial block of CP (127,2) over k = 1, t = 0,
+    whose rows each tie with about 250 codewords at the runner-up, peaks at
+    19 MB beyond the code and its copy, about 2.3 times its double table
+    (the table and its transposed copy), where gathering every nominee at
+    once took 140 MB; CP (31,2) over t = 0 peaks at 7 MB in its 272-trial
+    block.
     """
     if len(code) == 0:
         raise ConfigError("cannot decode against an empty code")
@@ -144,8 +161,7 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     best = np.zeros(count, dtype=np.intp)
     second = np.zeros(count, dtype=np.intp)
     settled = np.zeros(count, dtype=bool)
-    if (code.rows.size * received.rows.shape[0] >= _SCREEN_MIN_PRODUCT
-            and (single is not None or count > _PROBE)):
+    if screened(code, received.rows.shape[0]) and (single is not None or count > _PROBE):
         if single is None:
             single = single_precision(code)
         eps = screen_tolerance(code.rows.shape[1], code.max_dim, received.max_dim)

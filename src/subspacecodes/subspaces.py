@@ -285,12 +285,24 @@ class SubspaceCode:
     def blocks(self, other: "SubspaceCode"):
         """Ranges (lo, hi) covering this code whose cross-Gram product with
         ``other`` takes at most about _BLOCK_BYTES each."""
-        # two floats per entry, as if complex: 16 bytes in double precision, 8 in single
-        row_bytes = 2 * np.result_type(self.rows.real, other.rows.real).itemsize
-        row_bytes *= max(1, other.rows.shape[0])
+        row_bytes = _entry_bytes(self.rows.dtype, other.rows.dtype) * max(1, other.rows.shape[0])
         step = max(1, _BLOCK_BYTES // (row_bytes * max(1, self.max_dim)))
         M = len(self)
         return [(lo, min(lo + step, M)) for lo in range(0, M, step)]
+
+    def one_block_rows(self, dtype) -> int:
+        """The most rows a code ``other`` may have for pairwise(self, other),
+        its product computed in ``dtype``, to take one block: blocks() then
+        gives the one range (0, len(self))."""
+        return _BLOCK_BYTES // (_entry_bytes(dtype) * max(1, self.max_dim) * max(1, len(self)))
+
+
+def _entry_bytes(*dtypes) -> int:
+    """Bytes that the block budget counts for an entry of a product of rows
+    of ``dtypes``: two floats, as if complex, in their common precision (16
+    bytes in double precision, 8 in single)."""
+    dtype = np.result_type(*dtypes)
+    return dtype.itemsize if dtype.kind == "c" else 2 * dtype.itemsize
 
 
 def _groups(keys: np.ndarray) -> list:
@@ -302,15 +314,34 @@ def _groups(keys: np.ndarray) -> list:
 def _pair_distances(A: "SubspaceCode", ia: np.ndarray, B: "SubspaceCode",
                     ib: np.ndarray) -> np.ndarray:
     """distance(A[ia[i]], B[ib[i]]) for every i, by the residual kernel: one
-    stacked call per pair of dimensions, so each distance is bit-identical
-    to distance() on the two codewords."""
+    stacked call per pair of dimensions and slice of pairs, so each distance
+    is bit-identical to distance() on the two codewords.  A slice's gathered
+    bases, 16 n (a + b) bytes a pair of dimensions a and b in double
+    precision, take at most about _BLOCK_BYTES, so the memory is bounded
+    however many pairs are asked for."""
     if A.common_dim >= 0 and B.common_dim >= 0:
-        return _residual_distances(A.bases(ia), B.bases(ib))
+        return _sliced_distances(A, ia, B, ib, A.common_dim + B.common_dim)
     out = np.empty(len(ia))
-    keys = A.dims[ia] * (B.rows.shape[1] + 1) + B.dims[ib]
-    for _, at in _groups(keys):
-        out[at] = _residual_distances(A.bases(ia[at]), B.bases(ib[at]))
+    n = B.rows.shape[1]
+    keys = A.dims[ia] * (n + 1) + B.dims[ib]
+    for key, at in _groups(keys):
+        out[at] = _sliced_distances(A, ia[at], B, ib[at], key // (n + 1) + key % (n + 1))
     return out
+
+
+def _sliced_distances(A: "SubspaceCode", ia: np.ndarray, B: "SubspaceCode",
+                      ib: np.ndarray, dims: int) -> np.ndarray:
+    """_pair_distances of pairs whose dimensions sum to ``dims`` and are the
+    same for every pair, in slices of at most about _BLOCK_BYTES of bases."""
+    pair_bytes = _entry_bytes(A.rows.dtype, B.rows.dtype) * max(1, A.rows.shape[1] * dims)
+    step = max(1, _BLOCK_BYTES // pair_bytes)
+    if len(ia) <= step:
+        return _residual_distances(A.bases(ia), B.bases(ib))
+    parts = []
+    for lo in range(0, len(ia), step):
+        at = slice(lo, lo + step)
+        parts.append(_residual_distances(A.bases(ia[at]), B.bases(ib[at])))
+    return np.concatenate(parts)
 
 
 def _row_segment_sums(x: np.ndarray, code: SubspaceCode) -> np.ndarray:

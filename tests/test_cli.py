@@ -14,12 +14,13 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subspacecodes import (CPCodeSpec, FiniteField, SubspaceCode, cli, cp_construct,
+from subspacecodes import (CPCodeSpec, FiniteField, SubspaceCode, bounds, cli, cp_construct,
                            cp_min_distance, distance, load_code, random_subspace, save_code)
 from subspacecodes.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK
 
@@ -595,6 +596,36 @@ def test_bounds_single_labels_repeat_their_default_rows(tmp_path, capsys):
     bad_q = _write_cfg(tmp_path, "q.json", {"labels": ["gv", "cp"], "cp_q": [7, 9]})
     assert cli.main(["bounds", "--config", bad_q]) == EXIT_CONFIG
     assert "cp curve needs prime q, got 9" in capsys.readouterr().err
+
+
+def test_bounds_writes_its_rows_as_it_makes_them(tmp_path, capsys):
+    # 20 curves of 2500 points are 50000 rows: about 16 MB traced when every
+    # row and line is built before the first write; streamed, about a chunk
+    grid = [0.02 + (1.0 - 0.02) * i / 2499 for i in range(2500)]
+    cfg = _write_cfg(tmp_path, "big.json", {"labels": ["shannon"] * 20, "delta_points": 2500})
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        assert cli.main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 21
+    body = [f"shannon,{d!r},{bounds.shannon_lower(d)!r}" for d in grid] * 20
+    assert out.read_text().splitlines()[2:] == ["label,delta,rate", *body]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad, message", [({"cp_q": [7, 9]}, "cp curve needs prime q, got 9"),
+                                          ({"m": 0}, "dimension m must be at least 1"),
+                                          ({"beta": 3}, "beta must be 1 (real) or 2")])
+def test_a_refused_bounds_config_leaves_no_file(bad, message, tmp_path, capsys):
+    # each refused input is read by a curve after the first, yet no line is written
+    cfg = _write_cfg(tmp_path, "bad.json", {"labels": ["gv", "cp", "barg_upper"], **bad})
+    out = tmp_path / "b.csv"
+    assert cli.main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure3_table(tmp_path, capsys):

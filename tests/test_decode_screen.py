@@ -229,9 +229,10 @@ def test_simulate_writes_the_bytes_of_the_double_decoder(t, trials, tmp_path, mo
     screened, double = tmp_path / "screened.csv", tmp_path / "double.csv"
     spy = _Spy(monkeypatch)
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(screened)]) == EXIT_OK
-    if t == 0:  # each block's two probe rows tie, so the whole block is decoded in double
-        assert spy.tables["single"] == [2] * 3  # the last block, of 8, is too small to screen
-        assert spy.tables["double"] == [64, 64, 64, 8]
+    if t == 0:  # the 200 trials are one block of the 272 that t = 0 takes; its
+        # two probe rows tie, so the whole block is decoded in double
+        assert spy.tables["single"] == [2]
+        assert spy.tables["double"] == [200]
     monkeypatch.setattr(cli, "decode_block",
                         lambda code, received, single: decode_block_double(code, received))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(double)]) == EXIT_OK

@@ -7,6 +7,7 @@ block; it is the oracle for ``decode_block`` under pairwise()'s row blocking.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,19 +15,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import decode_block_double
+from test_simulate_blocks import _repeated_lines_file
 from subspacecodes import (
+    CPCodeSpec,
+    FiniteField,
     NoisyChannelSpec,
     OperatorChannelSpec,
     Subspace,
     SubspaceCode,
     apply_noisy_operator_channel,
+    apply_noisy_operator_channel_block,
     apply_operator_channel,
+    channel_draw_size,
+    cp_construct,
     decode,
     decode_block,
     distance,
     guarantee_chordal,
     guarantee_noiseless,
     guarantee_noisy,
+    load_code,
     random_ensemble_code,
     random_subspace,
     rotate,
@@ -212,6 +221,71 @@ def test_decoder_in_row_blocks_matches_the_one_block_oracle_bit_for_bit(case, bl
     for got_column, want_column in zip(got, want):
         assert got_column.dtype == want_column.dtype
         assert got_column.tobytes() == want_column.tobytes()
+
+
+def _received_at_t0(code: SubspaceCode, trials: int, seed: int) -> SubspaceCode:
+    """The lines of ``trials`` random codewords of a line code through the
+    operator channel over k = 1, t = 0, stacked as simulate stacks a block:
+    each lies at distance 0 from its codeword and ties with every codeword
+    at the same distance from that one."""
+    rng = np.random.default_rng(seed)
+    spec = NoisyChannelSpec(OperatorChannelSpec(k=1))
+    n = code.ambient_dim
+    sent = code.bases(rng.integers(len(code), size=trials))
+    draws = rng.standard_normal((trials, channel_draw_size(1, n, spec, True)))
+    received = apply_noisy_operator_channel_block(sent, spec, draws)
+    return SubspaceCode._from_rows(received.reshape(-1, n), np.full(trials, 1), 1)
+
+
+@pytest.mark.parametrize("code", ["cp_3_2", "repeated_lines", "cp_31_2"])
+def test_nominees_ranked_in_slices_give_the_same_bits(code, tmp_path, monkeypatch):
+    # the residual kernel takes each pair alone, so slices of one pair, of
+    # seven and of the default budget rank the tie windows to the same bits
+    if code == "repeated_lines":
+        code = load_code(_repeated_lines_file(tmp_path))
+    else:
+        code = cp_construct(CPCodeSpec(FiniteField({"cp_3_2": 3, "cp_31_2": 31}[code]), 2))
+    received = _received_at_t0(code, 100, 3)
+    single = decoder.single_precision(code)
+    pair_bytes = 16 * code.ambient_dim * 2
+    slices = []
+    residual = subspaces._residual_distances
+    monkeypatch.setattr(subspaces, "_residual_distances",
+                        lambda zu, zv: slices.append(len(zu)) or residual(zu, zv))
+    want = decode_block_double(code, received)
+    for pairs in (1, 7, subspaces._BLOCK_BYTES // pair_bytes):
+        slices.clear()
+        with mock.patch.object(subspaces, "_BLOCK_BYTES", pairs * pair_bytes):
+            got = decode_block(code, received, single=single)
+        assert max(slices) <= pairs
+        if pairs < 200:  # 100 rows nominate at least 200 pairs, so a slice is full
+            assert max(slices) == pairs
+        for got_column, want_column in zip(got, want):
+            assert got_column.tobytes() == want_column.tobytes()
+
+
+def test_an_all_tie_cp_127_2_block_stays_within_its_memory_bound(monkeypatch):
+    # 64 trials (simulate's block for this code) over k = 1, t = 0: every
+    # line ties with about 250 codewords at the runner-up, and so the block
+    # ranks thousands of nominees.  Their bases, gathered at once, would take
+    # several times the double table's 8.3 MB; ranked in slices, the block
+    # peaks at about 2.3 tables (the table and its transposed copy)
+    code = cp_construct(CPCodeSpec(FiniteField(127), 2))
+    single = decoder.single_precision(code)
+    received = _received_at_t0(code, 64, 4)
+    nominees = []
+    ranked = decoder._pair_distances
+    monkeypatch.setattr(decoder, "_pair_distances",
+                        lambda A, ia, B, ib: nominees.append(len(ia)) or ranked(A, ia, B, ib))
+    table = 8 * len(code) * 64
+    tracemalloc.start()
+    try:
+        decode_block(code, received, single=single)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nominees[0] * 16 * code.ambient_dim * 2 > 4 * table
+    assert peak < 3 * table
 
 
 def test_decoders_leave_the_distances_of_a_code_unchanged():

@@ -154,6 +154,41 @@ def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert "config is not valid JSON" in capsys.readouterr().err
 
 
+# an empty "out" names no file: every subcommand refuses it, as a config key
+# and as the --out option, before it writes anything
+EMPTY_OUT = {
+    "construct": {"code": {"type": "cp", "q": 5, "k": 2}},
+    "simulate": {"code": {"type": "cp", "q": 5, "k": 2}, "channel": {"k": 1}, "trials": 2,
+                 "seed": 1},
+    "bounds": {"labels": ["gv"], "rate_points": 4},
+    "figure3": {"exponents": [3]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_OUT))
+def test_an_empty_out_key_exits_2(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    status, err = _run(command, {**EMPTY_OUT[command], "out": ""}, tmp_path, capsys)
+    assert status == EXIT_CONFIG
+    assert err == "config error: config key 'out' must not be empty\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_OUT) + ["distance"])
+def test_an_empty_out_option_exits_2(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if command == "distance":
+        code = _code_file(tmp_path, [[[1.0, 0.0], [0.0, 0.0]]])
+        argv = ["distance", code, code]
+    else:
+        argv = [command, "--config", _write_cfg(tmp_path, EMPTY_OUT[command])]
+    assert cli.main([*argv, "--out", ""]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: option '--out' must not be empty\n"
+    assert captured.out == ""
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 # ---------------------------------------------------------------------------
 # exit 3 and exit 1
 

@@ -28,6 +28,7 @@ from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode,
                            cli, cp_construct, decode, distance, guarantee_noisy,
                            guarantee_noisy_slack, min_distance_exhaustive, random_subspace,
                            save_code)
+from subspacecodes import decoder, subspaces
 from subspacecodes.cli import EXIT_INFEASIBLE, EXIT_OK
 from subspacecodes.codes import DEFAULT_SEARCH_CAP, cp_min_distance
 from subspacecodes.errors import Infeasible
@@ -194,6 +195,49 @@ def test_block_size_keeps_to_the_budget_and_the_floor():
     spec = cli._channel_from_config({"k": 1, "t": 1}, wide)
     assert cli._BLOCK_BYTES // (16 * 100 * (100 + 1 + 2 * 2) + 8 * 2) < cli._MIN_TRIAL_BLOCK
     assert cli._trial_block(wide, spec) == cli._MIN_TRIAL_BLOCK
+
+
+CP_31_2 = {"code": {"type": "cp", "q": 31, "k": 2}, "channel": {"k": 1, "t": 1}, "seed": 1}
+
+
+@pytest.mark.parametrize("cfg, block, rows", [
+    (README, 114, 4),
+    (CP_31_2, 136, 2),
+    ({**CP_31_2, "channel": {"k": 1, "t": 0}}, 272, 1),
+    ({**CP_31_2, "code": {"type": "cp", "q": 127, "k": 2}}, 64, 2),
+], ids=["readme", "cp_31_2_t1", "cp_31_2_t0", "cp_127_2_t1"])
+def test_screened_blocks_fill_one_pairwise_block(cfg, block, rows):
+    # the README config is not screened and keeps its budget; CP (31,2)'s
+    # blocks of ``rows`` received rows a trial are screened and grow until
+    # the single-precision product of the code's 961 rows and the block's
+    # received rows fills 2 MiB at 8 bytes an entry; CP (127,2)'s product
+    # at the floor of 64 trials already exceeds one block
+    assert _block_size(cfg) == block
+    code = cli.build_code_from_config(cfg["code"], cfg["seed"])
+    screened = decoder.screened(code, block * rows)
+    assert screened == (cfg is not README)
+    if screened and block > cli._MIN_TRIAL_BLOCK:  # one block; one more trial would take two
+        single = decoder.single_precision(code)
+        received = SubspaceCode._from_rows(
+            np.zeros((block * rows, code.ambient_dim), np.complex64), np.full(block, rows), rows)
+        assert single.blocks(received) == [(0, len(code))]
+        assert 8 * len(code) * (block + 1) * rows > subspaces._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("t, trials", [(1, 1100), (0, 1100)])
+def test_cp_31_2_at_its_screened_block_size_matches_the_per_trial_loop(t, trials, tmp_path,
+                                                                       capsys):
+    # 1100 trials cut the first chunk of 1024 inside a block (after 7 blocks of
+    # 136 or 3 of 272) and leave a second chunk of 76 trials
+    path = tmp_path / "cp_31_2.code.json"
+    save_code(cp_construct(CPCodeSpec(FiniteField(31), 2)), path)
+    cfg = {"code": {"type": "file", "path": str(path)}, "channel": {"k": 1, "t": t},
+           "trials": trials, "seed": 12}
+    block = _block_size(cfg)
+    assert block == {1: 136, 0: 272}[t]
+    assert cli._TRIAL_CHUNK % block and trials % block
+    _assert_same_csv(tmp_path, cfg)
+    capsys.readouterr()
 
 
 def test_first_overflowing_trial_names_the_error(tmp_path, capsys):

@@ -308,13 +308,14 @@ def rq_factorize(A):
 
     R is l x l upper triangular with real positive diagonal and Q has
     orthonormal rows; computed as the column/row-reversed QR factorization
-    of the flipped matrix.
+    of the flipped matrix.  ConfigError when A has a NaN or infinite entry.
     """
     A = np.asarray(A)
     if not np.issubdtype(A.dtype, np.inexact):
         A = A.astype(float)
     if A.ndim != 2:
         raise ValueError("need a 2-d matrix")
+    _check_finite(A=A)
     l, n = A.shape
     if l > n:
         raise NumericalError(f"{l} rows cannot be independent in {n} columns")
@@ -331,6 +332,14 @@ def rq_factorize(A):
     R = R * phase.conj()[np.newaxis, :]
     Q = Q * phase[:, np.newaxis]
     return R, Q
+
+
+def _check_finite(**operands) -> None:
+    """ConfigError naming the first operand with a NaN or infinite entry,
+    which would otherwise reach a factorization."""
+    for name, M in operands.items():
+        if not np.all(np.isfinite(M)):
+            raise ConfigError(f"{name} has non-finite entries")
 
 
 def _perturbation_eps(s: np.ndarray, N: np.ndarray, name: str) -> float:
@@ -358,13 +367,14 @@ def perturbation_bound(A, N):
 
         eps = ((1 + sqrt 2) kappa(A) / (1 - ||A+||_2 ||N||_2) * ||N||_F / ||A||_2)^2.
 
-    NumericalError when ||A+||_2 ||N||_2 >= 1 or when A is not of full row
-    rank.
+    ConfigError when A or N has a NaN or infinite entry; NumericalError
+    when ||A+||_2 ||N||_2 >= 1 or when A is not of full row rank.
     """
     A = np.asarray(A)
     N = np.asarray(N)
     if A.shape != N.shape:
         raise ValueError("A and N must share a shape")
+    _check_finite(A=A, N=N)
     l = A.shape[0]
     s = np.linalg.svd(A, compute_uv=False)
     if _numerical_rank(s) < l or l > A.shape[1]:
@@ -398,12 +408,14 @@ def general_perturbation_bound(A, N):
 
         (r_d, delta, (sqrt(r_d) + sqrt(delta))^2)
 
-    where delta = 2 eps + eps^2.
+    where delta = 2 eps + eps^2.  ConfigError when A or N has a NaN or
+    infinite entry.
     """
     A = np.asarray(A)
     N = np.asarray(N)
     if A.shape != N.shape:
         raise ValueError("A and N must share a shape")
+    _check_finite(A=A, N=N)
     l = A.shape[0]
     s = np.linalg.svd(A, compute_uv=False)
     rank = int(_numerical_rank(s))

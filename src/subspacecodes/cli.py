@@ -29,7 +29,7 @@ from . import bounds as bounds_mod
 from .channel import (NoisyChannelSpec, OperatorChannelSpec,
                       apply_noisy_operator_channel_block, channel_draw_size)
 from .codes import (CPCodeSpec, SubspaceCode, _as_integer, binary_to_lines, code_parameters,
-                    cp_construct, cp_max_k_for_delta, cp_min_distance, cp_simplified_bound,
+                    cp_construct, cp_max_k_for_delta, cp_min_distance, cp_simplified_curve,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code, DEFAULT_SEARCH_CAP)
 from .decoder import (decode_block, guarantee_noisy, guarantee_noisy_slack, screened,
@@ -457,19 +457,16 @@ def cmd_bounds(args) -> int:
                           lambda d: (d, bounds_mod.blokh_zyablov_rate(d))),
     }
     # every input the rows read is checked here, so a refused config writes no file
-    if "cp" in labels:
-        for q in cp_qs:
-            if not is_prime(q):
-                raise ConfigError(f"cp curve needs prime q, got {q}")
+    cp_curves = [cp_simplified_curve(q) for q in cp_qs] if "cp" in labels else []
     if "barg_lower" in labels or "barg_upper" in labels:
         bounds_mod._check_m_beta(m, beta)
 
     def rows():
         for label in labels:
             if label == "cp":  # one curve per q
-                for q in cp_qs:
+                for q, bound in zip(cp_qs, cp_curves):
                     r_max = math.log(q) / math.sqrt(q)  # rate where the bound hits zero
-                    yield from ([f"cp_q{q}", cp_simplified_bound(q, r), r]
+                    yield from ([f"cp_q{q}", bound(r), r]
                                 for r in (r_max * i / r_pts for i in range(1, r_pts + 1)))
             else:
                 grid, point = curves[label]

@@ -177,11 +177,21 @@ def cp_distance_bound(spec: CPCodeSpec) -> float:
 
 def cp_simplified_bound(q: int, rate: float) -> float:
     """Asymptotic form of the CP distance bound: 1 - q R^2 / (ln q)^2."""
+    return cp_simplified_curve(q)(rate)
+
+
+def cp_simplified_curve(q: int):
+    """cp_simplified_bound at q as a function of the rate, for a curve of
+    many rates: q is tested for primality once, here."""
     if not is_prime(q):
-        raise ConfigError(f"simplified bound assumes prime q, got {q}")
-    if rate <= 0:
-        raise ConfigError("rate must be positive")
-    return 1.0 - q * rate ** 2 / math.log(q) ** 2
+        raise ConfigError(f"cp curve needs prime q, got {q}")
+    log_q_squared = math.log(q) ** 2
+
+    def bound(rate: float) -> float:
+        if rate <= 0:
+            raise ConfigError("rate must be positive")
+        return 1.0 - q * rate ** 2 / log_q_squared
+    return bound
 
 
 def cp_max_k_for_delta(q: int, delta_target: float) -> int:

@@ -96,35 +96,36 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     nominates each received subspace's candidates, and the residual kernel
     ranks them.
 
-    The nominees are a row's two nearest codewords in the double-precision
-    pairwise() table (transposed, one row per received subspace; argmin takes
-    the lowest index on exact ties, and masking the first with inf leaves the
-    second, ties included) and, where the third nearest lies within TIE_TOL
-    of the second, every codeword within TIE_TOL of the second.  Their
-    distances are taken again with the residual kernel, which keeps full
-    relative accuracy and gives each pair the same bits whatever else is
-    nominated, and ranked by them, the lower index first on a tie: the first
-    two are the decoded codeword and the runner-up.  The table's rounding
-    depends on its other columns and on pairwise()'s row blocks, but it is
-    far below TIE_TOL, so it never changes the result.  A one- or
-    two-codeword code takes the same path: its masked entries are inf, and a
-    candidate nominated twice changes no result.
+    The table is pairwise() of the code and ``received``, transposed to one
+    row per received subspace, and each row nominates its two nearest
+    codewords and every codeword within a slack of its second nearest
+    (_nominees).  The nominees' distances are taken again with the residual
+    kernel, which keeps full relative accuracy and gives each pair the same
+    bits whatever else is nominated, and ranked by them, the lower index
+    first on a tie: the first two are the decoded codeword and the
+    runner-up.  A codeword nominated twice changes no result, and a
+    one-codeword code nominates its one codeword.
 
-    The double table is formed only where a single-precision screen cannot
-    settle the nominees.  The screen is pairwise() on ``single``, the code's
-    single_precision() copy, and on a
-    single-precision copy of ``received``; each of its entries lies within
-    eps = screen_tolerance(n, a, b) of the double table's, a and b the
-    largest codeword and received dimensions.  A row is settled when its
-    third-nearest entry x3 exceeds its second-nearest x2 by more than
-    TIE_TOL + 2 eps; it then nominates just its screen's best and second.
-    Proof that these are the double table's nominees: every other codeword w
-    has double entry d_w >= x_w - eps >= x3 - eps > x2 + TIE_TOL + eps, which
-    is at least TIE_TOL beyond the double entries of both the best and the
-    second (each at most x2 + eps).  So the double table's two nearest are
-    the same two codewords, and no third lies within TIE_TOL of its second:
-    the nominees, and hence every bit of the result, are the same.  Rows not
-    settled are nominated from a double table of those rows only.
+    The table is either the double-precision one, with slack TIE_TOL, or a
+    single-precision screen, with slack TIE_TOL + 2 eps.  The screen is
+    pairwise() on ``single``, the code's single_precision() copy, and on a
+    single-precision copy of ``received``; each of its entries x_w lies
+    within eps = screen_tolerance(n, a, b) of the double table's d_w, a and
+    b the largest codeword and received dimensions.  Either way every bit of
+    the result is that of the double table's nominees W, the codewords with
+    d_w <= d2 + TIE_TOL, d2 a row's second-smallest entry:
+    - The screen nominates all of W.  Two codewords have x_w <= x2, so
+      d2 <= x2 + eps, and each w in W has x_w <= d_w + eps <= x2 + TIE_TOL
+      + 2 eps.
+    - A nominee outside W changes nothing.  Its d_w exceeds d2 + TIE_TOL,
+      and the residual distance r of each pair lies within delta of its
+      double entry, delta (the double table's own rounding) far below
+      TIE_TOL / 2: r_w > d2 + TIE_TOL - delta, while the two nearest
+      codewords of the double table have r <= d2 + delta.  So w is neither
+      the nearest nor the runner-up.
+    The second point also makes the result independent of the double
+    table's rounding, which depends on its other columns and on pairwise()'s
+    row blocks.
 
     The screen runs only when the double table's product takes at least
     _SCREEN_MIN_PRODUCT (2^20) multiply-adds, the code's row entries times
@@ -137,54 +138,43 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     more than the double table they could save (decode() of one plane
     against CP (127,2) took 11.9 ms with them and 6.4 ms without).
 
-    The block's first two received subspaces are screened alone first.
-    When neither settles, the whole block goes to the double table
-    unscreened, so a block of exact ties (a CP code's spectrum at t = 0 ties
-    at the runner-up in every row) pays for a two-row screen, not the
-    block's.  Two rows, not one: a lone near-tie does not send its block to
-    double precision, and a one-row table would take NumPy's 4-d sum in
-    pairwise(), which is slow right after a BLAS call on some hosts.
+    The block's first two received subspaces are screened alone first, and
+    a row is settled when it nominates just its two nearest.  When one of
+    them settles, the rest of the block is screened too, and the screen
+    nominates every row; when neither settles, the whole block goes to the
+    double table unscreened, so a block of exact ties (a CP code's spectrum
+    at t = 0 ties at the runner-up in every row) pays for a two-row screen,
+    not the block's.  Two rows, not one: a lone near-tie does not send its
+    block to double precision, and a one-row table would take NumPy's 4-d
+    sum in pairwise(), which is slow right after a BLAS call on some hosts.
 
     The nominees are ranked by _pair_distances, which gathers their bases
     in slices of at most about 2 MiB (subspaces._BLOCK_BYTES, at 16 n (a +
-    b) bytes a pair), so a block's memory does not grow with its tie
-    windows.  Traced, a 64-trial block of CP (127,2) over k = 1, t = 0,
-    whose rows each tie with about 250 codewords at the runner-up, peaks at
-    19 MB beyond the code and its copy, about 2.3 times its double table
-    (the table and its transposed copy), where gathering every nominee at
-    once took 140 MB; CP (31,2) over t = 0 peaks at 7 MB in its 272-trial
-    block.
+    b) bytes a pair), and each table is freed before the ranking, so a
+    block's memory does not grow with its tie windows.  Traced, a 64-trial
+    block of CP (127,2) over k = 1, t = 0, whose rows each tie with about
+    250 codewords at the runner-up, peaks at 19 MB beyond the code and its
+    copy, about 2.2 times its double table (the table and its transposed
+    copy); CP (31,2) over t = 0 peaks at 6.5 MB in its 272-trial block.
     """
     if len(code) == 0:
         raise ConfigError("cannot decode against an empty code")
     count = len(received)
-    best = np.zeros(count, dtype=np.intp)
-    second = np.zeros(count, dtype=np.intp)
-    settled = np.zeros(count, dtype=bool)
+    at = None
     if screened(code, received.rows.shape[0]) and (single is not None or count > _PROBE):
         if single is None:
             single = single_precision(code)
-        eps = screen_tolerance(code.rows.shape[1], code.max_dim, received.max_dim)
+        slack = TIE_TOL + 2 * screen_tolerance(code.rows.shape[1], code.max_dim, received.max_dim)
         screen = single_precision(received)
         probe = min(_PROBE, count)
-        for lo, hi in ((0, probe), (probe, count)):
-            if lo < hi and (lo == 0 or settled[:lo].any()):
-                dists = pairwise(single, screen.part(lo, hi)).T.copy()
-                best[lo:hi], second[lo:hi], edge = _two_nearest(dists)
-                settled[lo:hi] = dists.min(axis=1) > edge + (TIE_TOL + 2 * eps)
-    rows = np.arange(count)
-    window_at = window_words = np.zeros(0, dtype=np.intp)
-    if not settled.all():
-        redo = np.flatnonzero(~settled)
-        dists = pairwise(code, received if len(redo) == count else _take(received, redo)).T.copy()
-        best[redo], second[redo], edge = _two_nearest(dists)
-        edge += TIE_TOL
-        tied = np.flatnonzero(dists.min(axis=1) <= edge)
-        # the rest of each tied row's window; its best and second are masked
-        window_at, window_words = np.nonzero(dists[tied] <= edge[tied, np.newaxis])
-        window_at = redo[tied[window_at]]
-    at = np.concatenate([rows, rows, window_at])
-    words = np.concatenate([best, second, window_words])
+        at, words = _nominees(pairwise(single, screen.part(0, probe)).T.copy(), slack)
+        if np.bincount(at).min() > 2:  # neither probe row settled
+            at = None
+        elif probe < count:
+            more = _nominees(pairwise(single, screen.part(probe, count)).T.copy(), slack)
+            at, words = np.concatenate([at, probe + more[0]]), np.concatenate([words, more[1]])
+    if at is None:
+        at, words = _nominees(pairwise(code, received).T.copy(), TIE_TOL)
     d = _pair_distances(code, words, received, at)
     # per row: the least distance, the lowest index at it, and the least of the rest
     nearest = np.full(count, math.inf)
@@ -198,25 +188,20 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     return Decoded(index, nearest, runner_up)
 
 
-def _two_nearest(dists: np.ndarray):
-    """The nearest and second-nearest column of each row of the table
-    ``dists`` and the second's entry, as float64.  Both entries are masked
-    with inf in place, so that dists.min(axis=1) is then the third nearest."""
-    rows = np.arange(len(dists))
-    best = np.argmin(dists, axis=1)
-    dists[rows, best] = math.inf
-    second = np.argmin(dists, axis=1)
-    edge = dists[rows, second].astype(float)
-    dists[rows, second] = math.inf
-    return best, second, edge
-
-
-def _take(code: SubspaceCode, idx: np.ndarray) -> SubspaceCode:
-    """Codewords ``idx`` (not empty) of ``code`` as a code of their own."""
-    dims = code.dims[idx]
-    ends = np.cumsum(dims)
-    rows = np.arange(ends[-1]) + np.repeat(code.starts[idx] - (ends - dims), dims)
-    return SubspaceCode._from_rows(code.rows[rows], dims)
+def _nominees(table: np.ndarray, slack: float):
+    """The (row, column) pairs of ``table`` that decode_block ranks: each
+    row's nearest and second-nearest column and, where the third nearest
+    lies within ``slack`` of the second, every column within ``slack`` of
+    the second (in float64).  The table is overwritten."""
+    rows = np.arange(len(table))
+    best = np.argmin(table, axis=1)
+    table[rows, best] = math.inf
+    second = np.argmin(table, axis=1)
+    edge = table[rows, second].astype(float) + slack
+    table[rows, second] = math.inf
+    tied = np.flatnonzero(table.min(axis=1) <= edge)
+    at, words = np.divmod(np.flatnonzero(table[tied] <= edge[tied, np.newaxis]), table.shape[1])
+    return np.concatenate([rows, rows, tied[at]]), np.concatenate([best, second, words])
 
 
 def _check_counts(rho, t) -> None:

@@ -31,7 +31,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for n < 2^64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MILLER_RABIN_BASES:  # primes, so also the trial divisors
         if n == p:
             return True
         if n % p == 0:

@@ -37,7 +37,7 @@ from subspacecodes import (
 )
 from subspacecodes.channel import (_erase_stack, _error_stack, _into_complements,
                                    _rank_r_rows)
-from subspacecodes.errors import Infeasible, NumericalError
+from subspacecodes.errors import ConfigError, Infeasible, NumericalError
 from subspacecodes.subspaces import _gaussian
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -800,6 +800,27 @@ def test_rq_rejects_rank_deficient_and_tall_input():
         rq_factorize(stacked)
     with pytest.raises(ValueError):
         rq_factorize(rng.standard_normal((7, 4)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_rq_refuses_a_non_finite_matrix(value):
+    A = np.eye(2, 4)
+    A[1, 3] = value
+    with pytest.raises(ConfigError, match="^A has non-finite entries"):
+        rq_factorize(A)
+
+
+@pytest.mark.parametrize("bound", [perturbation_bound, general_perturbation_bound])
+@pytest.mark.parametrize("operand, value", [
+    ("N", math.nan),  # the 2-norm's SVD did not converge
+    ("A", math.inf),  # read as a rank deficiency
+    ("N", math.inf),  # returned a NaN bound
+])
+def test_perturbation_bounds_refuse_non_finite_operands(bound, operand, value):
+    matrices = {"A": np.eye(2, 5), "N": np.full((2, 5), 1e-3)}
+    matrices[operand][1, 3] = value
+    with pytest.raises(ConfigError, match=f"^{operand} has non-finite entries"):
+        bound(matrices["A"], matrices["N"])
 
 
 def test_perturbation_bound_hand_case():

@@ -2,10 +2,11 @@
 
 decode_block nominates each received subspace's candidates from a pairwise()
 table formed in single precision, and falls back to the double-precision
-table where the screen cannot settle a row.  These tests hold the screen's
-error to its bound, hold every decode bit for bit to ``decode_block_double``
-(tests/helpers.py), the decoder with no screen, and check that the
-benchmark's CP (31,2) config is settled by the screen alone.
+table for a block whose first two rows the screen cannot settle.  These
+tests hold the screen's error to its bound, hold every decode bit for bit
+to ``decode_block_double`` (tests/helpers.py), the decoder with no screen,
+and check that the benchmark's CP (31,2) config is settled by the screen
+alone.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def _orthogonal_to_e0(rng) -> Subspace:
 
 @pytest.mark.parametrize("ties, path", [
     ((), {"single": [2, 6], "double": []}),        # every row settled by the screen
-    ((3, 6), {"single": [2, 6], "double": [2]}),   # two later rows sent to double
-    ((0,), {"single": [2, 6], "double": [1]}),     # one probe row tied: the rest screened
+    ((3, 6), {"single": [2, 6], "double": []}),    # two later rows tied: their windows screened
+    ((0,), {"single": [2, 6], "double": []}),      # one probe row tied: the rest screened
     ((0, 1), {"single": [2], "double": [8]}),      # both probe rows tied: the whole block
 ])
 def test_each_screen_path_decodes_bit_for_bit_as_the_double_decoder(ties, path, monkeypatch):
@@ -166,6 +167,63 @@ def test_screened_decoder_matches_the_double_decoder_bit_for_bit(case):
         got = decode_block(code, received)
     want = decode_block_double(code, received)
     for got_column, want_column in zip(got, want):
+        assert got_column.dtype == want_column.dtype
+        assert got_column.tobytes() == want_column.tobytes()
+
+
+@st.composite
+def near_tie_cases(draw):
+    """Lines of R^n or C^n whose distances to a random line <r> lie more
+    than TIE_TOL but less than 2 eps apart.  The code: lines at angles
+    theta = 1e-3 (1 + k / 50) from <r> (k distinct, 0 to 25), at distances
+    2 sin^2 theta from 2e-6 to 4.5e-6 and at least 8e-8 apart, less than a
+    single-precision distance's rounding near 0, so the screen may order
+    them otherwise; perhaps <r> itself; and random lines orthogonal to r;
+    in a random order.  The block: two random lines orthogonal to r, which
+    settle the screen's probe, then r at random phases."""
+    n = draw(st.integers(3, 8))
+    complex_field = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = random_subspace(n, 1, rng, complex_field).basis
+
+    def orthogonal() -> np.ndarray:
+        v = random_subspace(n, 1, rng, complex_field).basis
+        v = v - (v @ r.conj().T) * r
+        return v / np.linalg.norm(v)
+
+    angles = [1e-3 * (1 + k / 50) for k in
+              draw(st.lists(st.integers(0, 25), min_size=3, max_size=8, unique=True))]
+    words = [np.cos(theta) * r + np.sin(theta) * orthogonal() for theta in angles]
+    words += [r] * draw(st.integers(0, 1))
+    words += [orthogonal() for _ in range(draw(st.integers(3, 6)))]
+    code = SubspaceCode([Subspace(words[i]) for i in rng.permutation(len(words))])
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, draw(st.integers(1, 6))))
+    ties = [r * (phase if complex_field else np.sign(phase.real)) for phase in phases]
+    return code, SubspaceCode([Subspace(b) for b in [orthogonal(), orthogonal(), *ties]])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=near_tie_cases())
+def test_near_ties_are_ranked_from_the_screen_bit_for_bit(case):
+    # each row at r has its third nearest beyond its second by more than
+    # TIE_TOL but by less than 2 eps, inside the screen's window: the rows
+    # are ranked from the single-precision table, with no double table, and
+    # decode as the double decoder does.  Their gaps are at most 2.5e-6 and
+    # the screen's are off by about 1e-6 at most, so each ranks at least its
+    # three nearest.
+    code, received = case
+    eps = screen_tolerance(code.rows.shape[1], 1, 1)
+    table = np.sort(pairwise(code, received), axis=0)
+    gaps = table[2, 2:] - table[1, 2:]
+    assert np.all((TIE_TOL < gaps) & (gaps < 2 * eps))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder, "_SCREEN_MIN_PRODUCT", 0)
+        spy = _Spy(patch)
+        got = decode_block(code, received)
+    assert spy.tables == {"single": [2, len(received) - 2], "double": []}
+    nominees, = spy.nominees
+    assert nominees >= 2 * 2 + 3 * (len(received) - 2)
+    for got_column, want_column in zip(got, decode_block_double(code, received)):
         assert got_column.dtype == want_column.dtype
         assert got_column.tobytes() == want_column.tobytes()
 
@@ -242,12 +300,14 @@ def test_simulate_writes_the_bytes_of_the_double_decoder(t, trials, tmp_path, mo
 
 def test_cp_decode_config_is_settled_by_the_screen_alone(tmp_path, monkeypatch, capsys):
     # 64 trials of CP (31,2) over k = 1, t = 1 are one block.  The screen
-    # covers every row, and only a row whose third-nearest distance lies
-    # within TIE_TOL + 4 eps of its second may go on to double precision:
-    # here one row, whose gap of 1.8e-5 is inside 2 eps = 2.6e-5.  Every row
-    # ranks exactly its two nominees.  A broken screen, or one that sends
-    # every row to double precision, keeps the bytes but loses the speed;
-    # this catches it.
+    # covers every row and no double-precision table is formed.  Every row
+    # ranks its two nearest codewords, and a row whose third-nearest screen
+    # entry lies within TIE_TOL + 2 eps of its second ranks its window too.
+    # Only a row whose third lies within TIE_TOL + 4 eps of its second in
+    # the double table can: here one row, whose gap of 1.8e-5 is inside
+    # 2 eps = 2.6e-5 by far more than the screen's error of about 1e-6, so
+    # it ranks three.  A broken screen, or one that sends rows to double
+    # precision, keeps the bytes but loses the speed; this catches it.
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"code": {"type": "file", "path": _cp_31_2_file(tmp_path)},
                                "channel": {"k": 1, "t": 1}, "trials": 64, "seed": 1}))
@@ -263,8 +323,8 @@ def test_cp_decode_config_is_settled_by_the_screen_alone(tmp_path, monkeypatch, 
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
     (code, received), = blocks
     table = np.sort(pairwise(code, received), axis=0)
-    near = np.count_nonzero(table[2] - table[1] <= TIE_TOL + 4 * screen_tolerance(30, 1, 2))
-    assert spy.tables["single"] == [2, 62]
-    assert sum(spy.tables["double"]) <= near <= 1
-    assert spy.nominees == [2 * 64]
+    near = np.count_nonzero(table[2:] - table[1] <= TIE_TOL + 4 * screen_tolerance(30, 1, 2))
+    assert near == 1
+    assert spy.tables == {"single": [2, 62], "double": []}
+    assert spy.nominees == [2 * 64 + near]
     capsys.readouterr()

@@ -4,9 +4,11 @@ The three guarantee predicates are checked against what the channel and the
 decoder actually do: on small random ensembles and CP codes, every operator
 channel draw stays within d(U, V) <= rho + t, and every draw whose
 impairments satisfy ``guarantee_noiseless`` or ``guarantee_noisy`` decodes
-to the transmitted codeword.  The predicates are also related to each other
-on their own: the chordal condition implies the plain one, and the noisy
-condition with no rotation and no noise is the plain one exactly.
+to the transmitted codeword, and so does every matrix-channel draw whose
+perturbation bound satisfies ``guarantee_noisy``.  The predicates are also
+related to each other on their own: the chordal condition implies the plain
+one, and the noisy condition with no rotation and no noise is the plain one
+exactly.
 """
 
 from __future__ import annotations
@@ -15,25 +17,30 @@ import functools
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subspacecodes import (
     CPCodeSpec,
     FiniteField,
+    MatrixChannelSpec,
     NoisyChannelSpec,
     OperatorChannelSpec,
+    apply_matrix_channel,
     apply_noisy_operator_channel,
     apply_operator_channel,
     cp_construct,
     decode,
     distance,
+    general_perturbation_bound,
     guarantee_chordal,
     guarantee_noiseless,
     guarantee_noisy,
     min_distance_exhaustive,
+    orthonormalize,
     random_ensemble_code,
 )
+from subspacecodes.errors import NumericalError
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 # (p, m, k): CP line codes over GF(p^m) with enough distance to decode
@@ -124,6 +131,31 @@ def test_noisy_guarantee_gives_a_correct_decode(code, data, seed, share):
     V = apply_noisy_operator_channel(U, spec, np.random.default_rng(seed))
     assert V.dim == base_dim + r_d
     assert decode(code, V).codeword_index == tx
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(cp=st.booleans(), data=st.data(), seed=SEEDS, sigma=st.floats(0.01, 0.1))
+def test_matrix_channel_noise_inside_its_perturbation_bound_decodes_correctly(
+        cp, data, seed, sigma):
+    # the noise chain: a codeword's basis X goes through Y = H X + N (l = m,
+    # no interference), general_perturbation_bound(A, Y - A) bounds the
+    # drift of the row space from A = H X, and guarantee_noisy with that
+    # rotation budget and noise dimension promises the decode of <Y>.
+    # Trials it does not cover, and trials whose bound's precondition
+    # ||A+||_2 ||N||_2 < 1 fails, are discarded, so every example is a
+    # covered trial.
+    code, d_min = _cp(13, 1, 2) if cp else _ensemble(8, 2, 12, True, 12)
+    tx = data.draw(st.integers(0, len(code) - 1))
+    X = code[tx].basis
+    m = len(X)
+    spec = MatrixChannelSpec(l=m, m=m, noise_sigma=sigma)
+    Y, A = apply_matrix_channel(X, spec, np.random.default_rng(seed))
+    try:
+        r_d, delta, _ = general_perturbation_bound(A, Y - A)
+    except NumericalError:
+        assume(False)
+    assume(guarantee_noisy(d_min, 0, 0, delta, r_d))
+    assert decode(code, orthonormalize(Y)).codeword_index == tx
 
 
 COUNTS = st.integers(0, 20)

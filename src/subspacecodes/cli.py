@@ -32,8 +32,8 @@ from .codes import (CPCodeSpec, SubspaceCode, _as_integer, binary_to_lines, code
                     cp_construct, cp_max_k_for_delta, cp_min_distance, cp_simplified_curve,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code, DEFAULT_SEARCH_CAP)
-from .decoder import (decode_block, guarantee_noisy, guarantee_noisy_slack, screened,
-                      single_precision)
+from .decoder import (decode_block, guarantee_noisy, guarantee_noisy_slack, screen_block,
+                      screened, single_precision)
 from .errors import ConfigError, Infeasible, NumericalError
 from .finitefield import MAX_Q, FiniteField, is_prime
 from .subspaces import _groups, _residual_distances, pairwise
@@ -321,7 +321,7 @@ def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
     """Trials that simulate runs through the channel and the decoder at once:
     _BLOCK_BYTES over a per-trial weight, and at least _MIN_TRIAL_BLOCK; a
     block that decode_block screens grows further, to as many trials as the
-    screen's single-precision product holds in one pairwise() block.
+    screen's float32 product holds in one pairwise() block.
 
     The weight, 16 n (n + l + 2 b) + 8 M bytes, with l the code's largest
     dimension, b = min(l, k) + t + r_d and M the code's size, is a budget
@@ -334,23 +334,25 @@ def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
     the code's row entries times its received rows reach 2^20.  Every block
     pays fixed NumPy and LAPACK call costs, about 0.5 ms on CP (31,2), which
     a larger block shares out; so a screened block takes as many trials as
-    its single-precision product with every code row, 8 bytes an entry,
-    holds in one pairwise() block (SubspaceCode.one_block_rows), 2 MiB.
-    Past that the product splits: in process on CP (31,2) over k = 1,
-    t = 1, 160-trial blocks ran level with 136 and 256-trial blocks 1.25
-    times slower.  Unscreened blocks keep the weight's size, since larger
-    ones cost peak memory for little time.  The memory of a block's ranking
-    does not grow with its tie windows, which decode_block ranks in slices.
+    its screen's real float32 product with every code row, 4 bytes an entry
+    and two screen rows per received row of a complex code, holds in one
+    pairwise() block (decoder.screen_block), 2 MiB.  Past that the product
+    splits: in process on CP (31,2) over k = 1, t = 1, 160-trial blocks ran
+    level with 136 and 256-trial blocks 1.25 times slower.  Unscreened
+    blocks keep the weight's size, since larger ones cost peak memory for
+    little time.  The memory of a block's ranking does not grow with its tie
+    windows, which decode_block ranks in slices.
     So the block sizes are 114 on the README config, 136 on CP (31,2) over
-    k = 1, t = 1 (a product of 961 x 272 entries), 272 on CP (31,2) over
+    k = 1, t = 1 (a product of 544 x 961 entries), 272 on CP (31,2) over
     t = 0, and 64 on CP (127,2), whose product at the floor already exceeds
-    one block."""
+    one block; a real code's screen, not embedded, holds twice the trials
+    of a complex code of the same shape."""
     n, l = code.ambient_dim, code.max_dim
     b = min(l, spec.base.k) + spec.base.t + spec.noise_dim
     per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
     block = max(_MIN_TRIAL_BLOCK, _BLOCK_BYTES // per_trial)
     if screened(code, block * b):
-        block = max(block, code.one_block_rows(np.complex64) // b)
+        block = max(block, screen_block(code, b))
     return block
 
 

@@ -52,11 +52,18 @@ def decode(code, received: Subspace) -> DecodeResult:
 
 
 def single_precision(code: SubspaceCode) -> SubspaceCode:
-    """``code`` with its rows rounded to complex64, or to float32 for real
-    rows: the copy that decode_block screens with.  Make it once and pass it
-    to every decode_block call on the same code."""
-    dtype = np.complex64 if np.iscomplexobj(code.rows) else np.float32
-    return SubspaceCode._from_rows(code.rows.astype(dtype), code.dims, code.common_dim)
+    """``code`` in float32, the copy that decode_block screens with: a real
+    code's rows rounded, and each row z of a complex code written as the real
+    row [Re z, Im z] of twice its length (see _screen_operands).  Make it once
+    and pass it to every decode_block call on the same code."""
+    rows = code.rows
+    if np.iscomplexobj(rows):
+        n = rows.shape[1]
+        real = np.empty((len(rows), 2 * n), np.float32)
+        real[:, :n], real[:, n:] = rows.real, rows.imag
+        rows = real
+    return SubspaceCode._from_rows(rows.astype(np.float32, copy=False), code.dims,
+                                   code.common_dim)
 
 
 def screened(code: SubspaceCode, received_rows: int) -> bool:
@@ -66,28 +73,85 @@ def screened(code: SubspaceCode, received_rows: int) -> bool:
     return code.rows.size * received_rows >= _SCREEN_MIN_PRODUCT
 
 
+def screen_block(code: SubspaceCode, dim: int) -> int:
+    """The most received subspaces of dimension ``dim``, in ``code``'s
+    field, whose screen against ``code`` takes one pairwise() block: each
+    received row is two rows of the screen when the code is complex."""
+    return code.one_block((2 if np.iscomplexobj(code.rows) else 1) * dim, np.float32)
+
+
+def _screen_operands(code: SubspaceCode, single: SubspaceCode, received: SubspaceCode):
+    """The real float32 operands of decode_block's screen: the received
+    subspaces and the code, from ``single``, its single_precision() copy.
+
+    When both sides are real, the received rows are rounded as they are.
+    Otherwise both sides are embedded in R^2n: a code row z as [Re z, Im z]
+    (single_precision() writes a complex code so, and a real one is padded
+    with zeros here), and each received row v as the two rows [Re v, Im v]
+    and [Im v, -Re v], so that a received subspace of dimension b owns 2 b
+    consecutive rows, orthonormal as v's are."""
+    v = received.rows
+    if not (np.iscomplexobj(code.rows) or np.iscomplexobj(v)):
+        return SubspaceCode._from_rows(v.astype(np.float32), received.dims,
+                                       received.common_dim), single
+    n = v.shape[1]
+    if not np.iscomplexobj(code.rows):
+        rows = np.zeros((len(single.rows), 2 * n), np.float32)
+        rows[:, :n] = single.rows
+        single = SubspaceCode._from_rows(rows, single.dims, single.common_dim)
+    rows = np.empty((len(v), 2, 2 * n), np.float32)
+    rows[:, 0, :n], rows[:, 0, n:] = v.real, v.imag
+    rows[:, 1, :n] = rows[:, 0, n:]
+    np.negative(rows[:, 0, :n], out=rows[:, 1, n:])
+    common = 2 * received.common_dim if received.common_dim > 0 else received.common_dim
+    return SubspaceCode._from_rows(rows.reshape(-1, 2 * n), 2 * received.dims, common), single
+
+
+def _gamma(k: int, u: float) -> float:
+    """gamma_k = k u / (1 - k u), the bound on the relative error of k
+    roundings at unit roundoff u; infinite when k u >= 1."""
+    return k * u / (1 - k * u) if k * u < 1 else math.inf
+
+
 def _rounding_bound(n: int, a: int, b: int, u: float) -> float:
-    """A bound on |pairwise() - exact| for subspaces of dimensions at most a
-    and b in ambient dimension n, computed from bases rounded to unit
-    roundoff u and then in that precision.  Each entry of C = Z_U Z_V^H is
-    off by at most e = (n + 4) u / (1 - (n + 4) u) (the rows have unit norm);
-    with ||C||_F^2 <= m = min(a, b), the sum of its a b squared moduli is off
-    by 2 e sqrt(a b m) + a b e^2 from the entries' errors, and by
-    (2 a b + 1) u (m + 1) from rounding the squares and their sum.  The
-    distance a + b - 2 ||C||_F^2 doubles that and rounds once more."""
-    m = min(a, b)
-    e = (n + 4) * u / (1 - (n + 4) * u)
-    overlap = 2 * e * math.sqrt(a * b * m) + a * b * e * e + (2 * a * b + 1) * u * (m + 1)
-    return 2 * overlap + 2 * u * (a + b)
+    """A bound on |x - (d + o)| for every entry x of a pairwise() table
+    computed in unit roundoff u, codewords of dimension at most a against
+    subspaces V of dimension at most b in ambient dimension n: d is the
+    exact distance between the stored bases, and o is dim V in
+    decode_block's embedded screen and 0 otherwise.  It covers both of
+    decode_block's tables: the screen (u = 2^-24) and the double table
+    (u = 2^-53), whose complex entries' real and imaginary parts are real
+    dot products of length 2n too.
+
+    Each real entry c of the cross-Gram product (of C = Z_U Z_V^H, or its
+    real and imaginary part) is a dot product of length at most 2n of two
+    unit rows, rounded to precision u.  Each of its terms takes at most
+    2n + 2 relative roundings: one for each factor, one for the product and
+    at most 2n - 1 in the sum, in whatever order BLAS adds.  So c is off by
+    at most e = gamma_{2n+2} (Cauchy-Schwarz).  A pair has at most K = 2 a b
+    such entries, and their squares sum to ||C||_F^2 <= m = min(a, b).  The
+    computed entries' squares then sum to within E = 2 e sqrt(K m) + K e^2
+    of that, and to at most m + E; rounding the squares and their sum, each
+    term at most K times, adds gamma_K (m + E).  The entry, the dimensions
+    (at most a + 2 b) less twice the sum, doubles that, and adding the
+    dimensions rounds once, by at most u (a + 2 b + 2 (m + E)), a bound on
+    the sum's magnitude.  That rounding is counted twice: in the screen, the
+    second covers, many times over, the rounding of decode_block's window
+    edge, x2 + slack, in double."""
+    m, K = min(a, b), 2 * a * b
+    e = _gamma(2 * n + 2, u)
+    entries = 2 * e * math.sqrt(K * m) + K * e * e
+    overlap = entries + _gamma(K, u) * (m + entries)
+    return 2 * overlap + 2 * u * (a + 2 * b + 2 * (m + entries))
 
 
 def screen_tolerance(n: int, a: int, b: int) -> float:
-    """epsilon(n, a, b): a bound on how far a single-precision pairwise()
-    table lies from the double-precision one, for codewords of dimension at
-    most a and received subspaces of dimension at most b in ambient dimension
-    n.  It is the bound for single precision (u = 2^-24) plus the same bound
-    for double (u = 2^-53), each table being that close to exact arithmetic
-    on the stored bases."""
+    """epsilon(n, a, b): a bound on how far an entry of decode_block's
+    screen, less its row's offset, lies from the double-precision pairwise()
+    table's, for codewords of dimension at most a and received subspaces of
+    dimension at most b in ambient dimension n: _rounding_bound() in single
+    precision (u = 2^-24) plus the same in double (u = 2^-53), each table
+    being that close to exact arithmetic on the stored bases."""
     return _rounding_bound(n, a, b, 2.0 ** -24) + _rounding_bound(n, a, b, 2.0 ** -53)
 
 
@@ -96,27 +160,35 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     nominates each received subspace's candidates, and the residual kernel
     ranks them.
 
-    The table is pairwise() of the code and ``received``, transposed to one
-    row per received subspace, and each row nominates its two nearest
-    codewords and every codeword within a slack of its second nearest
-    (_nominees).  The nominees' distances are taken again with the residual
-    kernel, which keeps full relative accuracy and gives each pair the same
-    bits whatever else is nominated, and ranked by them, the lower index
-    first on a tie: the first two are the decoded codeword and the
-    runner-up.  A codeword nominated twice changes no result, and a
+    The table holds one row per received subspace, and each row nominates
+    its two nearest codewords and every codeword within a slack of its
+    second nearest (_nominees).  The nominees' distances are taken again
+    with the residual kernel, which keeps full relative accuracy and gives
+    each pair the same bits whatever else is nominated, and ranked by them,
+    the lower index first on a tie: the first two are the decoded codeword
+    and the runner-up.  A codeword nominated twice changes no result, and a
     one-codeword code nominates its one codeword.
 
-    The table is either the double-precision one, with slack TIE_TOL, or a
-    single-precision screen, with slack TIE_TOL + 2 eps.  The screen is
-    pairwise() on ``single``, the code's single_precision() copy, and on a
-    single-precision copy of ``received``; each of its entries x_w lies
-    within eps = screen_tolerance(n, a, b) of the double table's d_w, a and
-    b the largest codeword and received dimensions.  Either way every bit of
-    the result is that of the double table's nominees W, the codewords with
-    d_w <= d2 + TIE_TOL, d2 a row's second-smallest entry:
+    The table is either the double-precision one, pairwise() of the code
+    and ``received`` transposed, with slack TIE_TOL, or a single-precision
+    screen, with slack TIE_TOL + 2 eps.  The screen is pairwise() on real
+    float32 operands (_screen_operands), the received subspaces as A and
+    ``single``, the code's single_precision() copy, as B.  When the code or
+    the block is complex, both are embedded in R^2n: a code row z as
+    [Re z, Im z], and a received row v as the rows [Re v, Im v] and
+    [Im v, -Re v], whose dot products with it are Re <z, v> and -Im <z, v>.
+    So a pair's real cross-Gram entries square to the same sum as its
+    complex ones, and since the embedded V has 2 dim V orthonormal rows,
+    each entry of V's row reads d + dim V; with real operands it reads d.
+    Write o for that offset, which is the same across a row and so moves no
+    nomination.  Each screen entry x_w lies within eps = screen_tolerance(n,
+    a, b) of the double table's d_w + o, a and b the largest codeword and
+    received dimensions.  Either way every bit of the result is that of the
+    double table's nominees W, the codewords with d_w <= d2 + TIE_TOL, d2 a
+    row's second-smallest entry:
     - The screen nominates all of W.  Two codewords have x_w <= x2, so
-      d2 <= x2 + eps, and each w in W has x_w <= d_w + eps <= x2 + TIE_TOL
-      + 2 eps.
+      d2 + o <= x2 + eps, and each w in W has x_w <= d_w + o + eps <= x2 +
+      TIE_TOL + 2 eps.
     - A nominee outside W changes nothing.  Its d_w exceeds d2 + TIE_TOL,
       and the residual distance r of each pair lies within delta of its
       double entry, delta (the double table's own rounding) far below
@@ -144,14 +216,13 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     nominates every row; when neither settles, the whole block goes to the
     double table unscreened, so a block of exact ties (a CP code's spectrum
     at t = 0 ties at the runner-up in every row) pays for a two-row screen,
-    not the block's.  Two rows, not one: a lone near-tie does not send its
-    block to double precision, and a one-row table would take NumPy's 4-d
-    sum in pairwise(), which is slow right after a BLAS call on some hosts.
+    not the block's.  Two rows, not one, so that a lone near-tie does not
+    send its block to double precision.
 
     The nominees are ranked by _pair_distances, which gathers their bases
     in slices of at most about 2 MiB (subspaces._BLOCK_BYTES, at 16 n (a +
-    b) bytes a pair), and each table is freed before the ranking, so a
-    block's memory does not grow with its tie windows.  Traced, a 64-trial
+    b) bytes a complex pair), and each table is freed before the ranking,
+    so a block's memory does not grow with its tie windows.  Traced, a 64-trial
     block of CP (127,2) over k = 1, t = 0, whose rows each tie with about
     250 codewords at the runner-up, peaks at 19 MB beyond the code and its
     copy, about 2.2 times its double table (the table and its transposed
@@ -159,19 +230,22 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     """
     if len(code) == 0:
         raise ConfigError("cannot decode against an empty code")
+    if code.rows.shape[1] != received.rows.shape[1]:
+        raise ConfigError(
+            f"ambient dimensions differ: {code.rows.shape[1]} vs {received.rows.shape[1]}")
     count = len(received)
     at = None
     if screened(code, received.rows.shape[0]) and (single is not None or count > _PROBE):
         if single is None:
             single = single_precision(code)
         slack = TIE_TOL + 2 * screen_tolerance(code.rows.shape[1], code.max_dim, received.max_dim)
-        screen = single_precision(received)
+        screen, single = _screen_operands(code, single, received)
         probe = min(_PROBE, count)
-        at, words = _nominees(pairwise(single, screen.part(0, probe)).T.copy(), slack)
+        at, words = _nominees(pairwise(screen.part(0, probe), single), slack)
         if np.bincount(at).min() > 2:  # neither probe row settled
             at = None
         elif probe < count:
-            more = _nominees(pairwise(single, screen.part(probe, count)).T.copy(), slack)
+            more = _nominees(pairwise(screen.part(probe, count), single), slack)
             at, words = np.concatenate([at, probe + more[0]]), np.concatenate([words, more[1]])
     if at is None:
         at, words = _nominees(pairwise(code, received).T.copy(), TIE_TOL)

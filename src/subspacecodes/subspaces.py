@@ -261,7 +261,7 @@ class SubspaceCode:
 
     @property
     def max_dim(self) -> int:
-        return self.common_dim if self.common_dim >= 0 else int(self.dims.max())
+        return self.common_dim if self.common_dim >= 0 else int(self.dims.max(initial=0))
 
     @property
     def is_constant_dimension(self) -> bool:
@@ -277,32 +277,33 @@ class SubspaceCode:
         """Codewords lo..hi-1, sharing this code's rows."""
         if lo == 0 and hi == len(self):
             return self
-        first = self.starts[lo]
-        stop = self.starts[hi - 1] + self.dims[hi - 1]
+        first, stop = 0, 0
+        if lo < hi:
+            first, stop = self.starts[lo], self.starts[hi - 1] + self.dims[hi - 1]
         # the whole code's common_dim, so pairwise() takes one path whatever the blocks
         return SubspaceCode._from_rows(self.rows[first:stop], self.dims[lo:hi], self.common_dim)
 
     def blocks(self, other: "SubspaceCode"):
         """Ranges (lo, hi) covering this code whose cross-Gram product with
-        ``other`` takes at most about _BLOCK_BYTES each."""
+        ``other`` takes at most about _BLOCK_BYTES each; one empty range for
+        a code of no codewords."""
         row_bytes = _entry_bytes(self.rows.dtype, other.rows.dtype) * max(1, other.rows.shape[0])
         step = max(1, _BLOCK_BYTES // (row_bytes * max(1, self.max_dim)))
         M = len(self)
-        return [(lo, min(lo + step, M)) for lo in range(0, M, step)]
+        return [(lo, min(lo + step, M)) for lo in range(0, max(M, 1), step)]
 
-    def one_block_rows(self, dtype) -> int:
-        """The most rows a code ``other`` may have for pairwise(self, other),
-        its product computed in ``dtype``, to take one block: blocks() then
-        gives the one range (0, len(self))."""
-        return _BLOCK_BYTES // (_entry_bytes(dtype) * max(1, self.max_dim) * max(1, len(self)))
+    def one_block(self, dim: int, dtype) -> int:
+        """The most codewords of dimension at most ``dim`` that a code A may
+        have for pairwise(A, self), its product computed in ``dtype``, to
+        take one block: A.blocks(self) then gives the one range (0, len(A))."""
+        return _BLOCK_BYTES // (_entry_bytes(dtype) * max(1, self.rows.shape[0]) * max(1, dim))
 
 
 def _entry_bytes(*dtypes) -> int:
     """Bytes that the block budget counts for an entry of a product of rows
-    of ``dtypes``: two floats, as if complex, in their common precision (16
-    bytes in double precision, 8 in single)."""
-    dtype = np.result_type(*dtypes)
-    return dtype.itemsize if dtype.kind == "c" else 2 * dtype.itemsize
+    of ``dtypes``, in their common type: 16 for complex128, 8 for float64
+    and complex64, 4 for float32."""
+    return np.result_type(*dtypes).itemsize
 
 
 def _groups(keys: np.ndarray) -> list:
@@ -316,9 +317,10 @@ def _pair_distances(A: "SubspaceCode", ia: np.ndarray, B: "SubspaceCode",
     """distance(A[ia[i]], B[ib[i]]) for every i, by the residual kernel: one
     stacked call per pair of dimensions and slice of pairs, so each distance
     is bit-identical to distance() on the two codewords.  A slice's gathered
-    bases, 16 n (a + b) bytes a pair of dimensions a and b in double
-    precision, take at most about _BLOCK_BYTES, so the memory is bounded
-    however many pairs are asked for."""
+    bases, 16 n (a + b) bytes a complex pair of dimensions a and b in
+    double precision and 8 n (a + b) a real one, take at most about
+    _BLOCK_BYTES, so the memory is bounded however many pairs are asked
+    for."""
     if A.common_dim >= 0 and B.common_dim >= 0:
         return _sliced_distances(A, ia, B, ib, A.common_dim + B.common_dim)
     out = np.empty(len(ia))
@@ -392,7 +394,7 @@ def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
     ``sum(axis=(1, 3))`` that earlier releases took, so every distance is
     bit-identical to theirs.
     The table is computed in the precision of the rows: float64 for double
-    codes, float32 when both codes are single precision (decode_block's screen).
+    codes, float32 when both codes are float32 (decode_block's screen).
     Roundoff can push a near-zero distance below 0; results are clamped at 0.
     """
     if A.rows.shape[1] != B.rows.shape[1]:

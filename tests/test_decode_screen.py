@@ -26,33 +26,42 @@ from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode, cli,
 from subspacecodes import decoder
 from subspacecodes.cli import EXIT_OK
 from subspacecodes.decoder import TIE_TOL, screen_tolerance, single_precision
+from subspacecodes.errors import ConfigError
 from subspacecodes.subspaces import pairwise
 
 
 def _screen_error(A: SubspaceCode, B: SubspaceCode):
-    """The largest |single-precision table - double table| and its bound."""
-    single = pairwise(single_precision(A), single_precision(B))
-    assert single.dtype == np.float32
-    error = np.max(np.abs(single.astype(float) - pairwise(A, B)), initial=0.0)
+    """The largest |screen entry - dim V - double entry| (less 0 instead of
+    dim V when both codes are real) and its bound: the screen's table holds
+    one row per codeword V of B, from real float32 operands, embedded in
+    R^2n when either code is complex."""
+    embedded = np.iscomplexobj(A.rows) or np.iscomplexobj(B.rows)
+    screen, single = decoder._screen_operands(A, single_precision(A), B)
+    assert screen.rows.shape[1] == single.rows.shape[1] == (1 + embedded) * A.rows.shape[1]
+    table = pairwise(screen, single)
+    assert table.dtype == np.float32
+    offset = B.dims[:, np.newaxis] if embedded else 0
+    error = np.max(np.abs(table.astype(float) - offset - pairwise(A, B).T), initial=0.0)
     return error, screen_tolerance(A.rows.shape[1], A.max_dim, B.max_dim)
 
 
 @st.composite
-def screen_cases(draw):
-    """Two codes of subspaces of R^n or C^n, n <= 64, of mixed dimensions
-    (0 and n included) or of one dimension each, B holding some of A's
-    codewords so that distances of 0 occur too."""
+def screen_cases(draw, fields=st.tuples(st.booleans(), st.booleans())):
+    """Two codes of subspaces of n <= 64 dimensions, each over R or C as
+    ``fields`` draws (A's field, B's), of mixed dimensions (0 and n
+    included) or of one dimension each, B holding some of A's codewords so
+    that distances of 0 occur too."""
     n = draw(st.integers(1, 64))
-    complex_field = draw(st.booleans())
+    a_complex, b_complex = draw(fields)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dims = st.integers(0, n)
 
-    def code(size: int, same: bool) -> list:
+    def code(size: int, same: bool, complex_field: bool) -> list:
         ms = [draw(dims)] * size if same else draw(st.lists(dims, min_size=size, max_size=size))
         return [random_subspace(n, m, rng, complex_field) for m in ms]
 
-    A = code(draw(st.integers(1, 12)), draw(st.booleans()))
-    B = code(draw(st.integers(1, 6)), draw(st.booleans()))
+    A = code(draw(st.integers(1, 12)), draw(st.booleans()), a_complex)
+    B = code(draw(st.integers(1, 6)), draw(st.booleans()), b_complex)
     return SubspaceCode(A), SubspaceCode(B + A[:draw(st.integers(0, 2))])
 
 
@@ -72,24 +81,32 @@ def test_screen_tolerance_holds_on_cp_1021_1():
                             + [code[7], code[1000]])
     error, eps = _screen_error(code, received)
     assert 0 < error <= eps
+    # and real received subspaces against the complex code
+    real = SubspaceCode([random_subspace(1020, m, rng, False) for m in (0, 1, 2, 3)])
+    error, eps = _screen_error(code, real)
+    assert 0 < error <= eps
 
 
 def test_screen_tolerance_matches_its_formula():
-    # u = 2^-24, e = (n + 4) u / (1 - (n + 4) u), m = min(a, b); the bound on
-    # the overlap, doubled, plus 2 u (a + b), and the same in double precision
+    # at each of u = 2^-24 (the screen) and 2^-53 (the double table): real
+    # dot products of length 2n off by e = (2n + 2) u / (1 - (2n + 2) u),
+    # K = 2ab of them a pair, m = min(a, b); E = 2 e sqrt(K m) + K e^2, plus
+    # K u / (1 - K u) (m + E) for the squares' sum, doubled, plus
+    # 2 u (a + 2b + 2 (m + E))
     n, a, b = 30, 1, 2
     total = 0.0
     for u in (2.0 ** -24, 2.0 ** -53):
-        e = (n + 4) * u / (1 - (n + 4) * u)
-        overlap = 2 * e * np.sqrt(2.0) + 2 * e * e + 5 * u * 2
-        total += 2 * overlap + 2 * u * 3
+        e = 62 * u / (1 - 62 * u)
+        entries = 2 * e * 2 + 4 * e * e
+        total += 2 * (entries + 4 * u / (1 - 4 * u) * (1 + entries)) + 2 * u * (7 + 2 * entries)
     assert screen_tolerance(n, a, b) == pytest.approx(total, rel=1e-12)
-    assert 1.2e-5 < screen_tolerance(30, 1, 2) < 1.4e-5
+    assert 3.0e-5 < screen_tolerance(30, 1, 2) < 3.2e-5
 
 
 class _Spy:
-    """Counts decode_block's pairwise() tables by precision, and the
-    nominees that it ranks with the residual kernel."""
+    """Counts the received subspaces of decode_block's pairwise() tables by
+    precision (A in the screen, B in the double table), and the nominees
+    that it ranks with the residual kernel."""
 
     def __init__(self, monkeypatch):
         self.tables = {"single": [], "double": []}
@@ -97,8 +114,10 @@ class _Spy:
         pairwise_, pair_distances = decoder.pairwise, decoder._pair_distances
 
         def table(A, B):
-            kind = "single" if A.rows.dtype in (np.complex64, np.float32) else "double"
-            self.tables[kind].append(len(B))
+            if A.rows.dtype == np.float32:
+                self.tables["single"].append(len(A))
+            else:
+                self.tables["double"].append(len(B))
             return pairwise_(A, B)
 
         def ranked(A, ia, B, ib):
@@ -171,6 +190,23 @@ def test_screened_decoder_matches_the_double_decoder_bit_for_bit(case):
         assert got_column.tobytes() == want_column.tobytes()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=screen_cases(fields=st.sampled_from([(False, True), (True, False)])))
+def test_mixed_fields_are_screened_and_decode_bit_for_bit(case):
+    # a real code against complex received subspaces, or the reverse: both
+    # sides of the screen are embedded, and every row that the probe
+    # settles is nominated from it
+    code, received = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder, "_SCREEN_MIN_PRODUCT", 0)
+        spy = _Spy(patch)
+        got = decode_block(code, received, single=single_precision(code))
+    assert spy.tables["single"][0] == min(2, len(received))
+    for got_column, want_column in zip(got, decode_block_double(code, received)):
+        assert got_column.dtype == want_column.dtype
+        assert got_column.tobytes() == want_column.tobytes()
+
+
 @st.composite
 def near_tie_cases(draw):
     """Lines of R^n or C^n whose distances to a random line <r> lie more
@@ -234,12 +270,23 @@ def test_decode_block_uses_a_given_single_precision_copy(monkeypatch):
     code = _triple_line_code(rng)
     received = SubspaceCode([random_subspace(5, m, rng) for m in (1, 2, 0, 1, 5)])
     single = single_precision(code)
-    assert single.rows.dtype == np.complex64
+    assert single.rows.dtype == np.float32
+    assert single.rows.tobytes() == np.hstack([code.rows.real, code.rows.imag]).astype(
+        np.float32).tobytes()
     assert single.dims.tolist() == code.dims.tolist()
     got = decode_block(code, received, single=single)
     want = decode_block_double(code, received)
     for got_column, want_column in zip(got, want):
         assert got_column.tobytes() == want_column.tobytes()
+
+
+def test_a_screened_block_names_the_ambient_dimensions_it_was_given(monkeypatch):
+    # the screen's operands are twice as wide, but the message gives the inputs'
+    monkeypatch.setattr(decoder, "_SCREEN_MIN_PRODUCT", 0)
+    code = cp_construct(CPCodeSpec(FiniteField(7), 2))
+    received = SubspaceCode([random_subspace(5, 1, np.random.default_rng(25)) for _ in range(3)])
+    with pytest.raises(ConfigError, match="ambient dimensions differ: 6 vs 5"):
+        decode_block(code, received, single=single_precision(code))
 
 
 def test_decode_does_not_cast_a_large_code(monkeypatch):
@@ -252,10 +299,12 @@ def test_decode_does_not_cast_a_large_code(monkeypatch):
     assert code.rows.size * 2 >= decoder._SCREEN_MIN_PRODUCT
     single = single_precision(code)
     want = [decode_block(code, SubspaceCode([U]), single=single) for U in received]
-    casts = []
-    cast = decoder.single_precision
+    casts = []  # the code's copy, then the block's screen operands
+    cast, operands = decoder.single_precision, decoder._screen_operands
     monkeypatch.setattr(decoder, "single_precision",
                         lambda c: casts.append(len(c)) or cast(c))
+    monkeypatch.setattr(decoder, "_screen_operands",
+                        lambda c, s, r: casts.append(len(r)) or operands(c, s, r))
     for U, expected in zip(received, want):
         got = decoder.decode(code, U)
         assert (got.codeword_index, got.distance_to_received, got.runner_up_distance) == (
@@ -305,7 +354,7 @@ def test_cp_decode_config_is_settled_by_the_screen_alone(tmp_path, monkeypatch, 
     # entry lies within TIE_TOL + 2 eps of its second ranks its window too.
     # Only a row whose third lies within TIE_TOL + 4 eps of its second in
     # the double table can: here one row, whose gap of 1.8e-5 is inside
-    # 2 eps = 2.6e-5 by far more than the screen's error of about 1e-6, so
+    # 2 eps = 6.1e-5 by far more than the screen's error of about 1e-6, so
     # it ranks three.  A broken screen, or one that sends rows to double
     # precision, keeps the bytes but loses the speed; this catches it.
     cfg = tmp_path / "sim.json"

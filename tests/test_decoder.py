@@ -210,7 +210,8 @@ def decode_cases(draw):
 def test_decoder_in_row_blocks_matches_the_one_block_oracle_bit_for_bit(case, block):
     code, received, _ = case
     # pairwise() in blocks of one codeword, of seven, or of the default budget
-    per_codeword = 16 * max(1, received.rows.shape[0]) * max(1, code.max_dim)
+    entry = subspaces._entry_bytes(code.rows.dtype, received.rows.dtype)
+    per_codeword = entry * max(1, received.rows.shape[0]) * max(1, code.max_dim)
     budget = {"one": 1, "seven": 7 * per_codeword, "default": subspaces._BLOCK_BYTES}[block]
     with mock.patch.object(subspaces, "_BLOCK_BYTES", budget):
         blocks = code.blocks(received)

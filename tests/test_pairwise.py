@@ -199,7 +199,27 @@ def test_pairwise_sums_each_pair_in_the_reshape_sum_order(complex_field):
         for size in (1, 3):
             B = SubspaceCode([random_subspace(n, b, rng, complex_field) for _ in range(size)])
             # two codewords of A per block, so three blocks form
-            block_bytes = 2 * 16 * B.rows.shape[0] * a
+            block_bytes = 2 * subspaces._entry_bytes(A.rows.dtype) * B.rows.shape[0] * a
             with mock.patch.object(subspaces, "_BLOCK_BYTES", block_bytes):
                 assert len(A.blocks(B)) == 3
                 assert np.array_equal(pairwise(A, B), _reshape_sum_pairwise(A, B))
+
+
+def test_an_empty_part_holds_no_codewords_and_no_rows():
+    code = cp_construct(CPCodeSpec(FiniteField(7), 2))
+    for lo in (0, 3, len(code)):
+        empty = code.part(lo, lo)
+        assert len(empty) == 0
+        assert empty.rows.shape == (0, code.ambient_dim)
+    table = pairwise(code, code.part(0, 0))
+    assert table.shape == (len(code), 0)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_pairwise_of_a_code_of_no_codewords_is_an_empty_table(complex_field):
+    rng = np.random.default_rng(32)
+    code = SubspaceCode([random_subspace(5, m, rng, complex_field) for m in (1, 2, 2, 0)])
+    for empty in (code.part(2, 2), SubspaceCode._from_rows(np.zeros((0, 5)), [])):
+        table = pairwise(empty, code)
+        assert table.shape == (0, len(code))
+        assert table.dtype == float

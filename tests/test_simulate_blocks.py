@@ -209,19 +209,23 @@ CP_31_2 = {"code": {"type": "cp", "q": 31, "k": 2}, "channel": {"k": 1, "t": 1},
 def test_screened_blocks_fill_one_pairwise_block(cfg, block, rows):
     # the README config is not screened and keeps its budget; CP (31,2)'s
     # blocks of ``rows`` received rows a trial are screened and grow until
-    # the single-precision product of the code's 961 rows and the block's
-    # received rows fills 2 MiB at 8 bytes an entry; CP (127,2)'s product
-    # at the floor of 64 trials already exceeds one block
+    # the screen's float32 product of the block's embedded received rows,
+    # two per received row, and the code's 961 rows fills 2 MiB at 4 bytes
+    # an entry; CP (127,2)'s product at the floor of 64 trials already
+    # exceeds one block
     assert _block_size(cfg) == block
     code = cli.build_code_from_config(cfg["code"], cfg["seed"])
     screened = decoder.screened(code, block * rows)
     assert screened == (cfg is not README)
     if screened and block > cli._MIN_TRIAL_BLOCK:  # one block; one more trial would take two
-        single = decoder.single_precision(code)
         received = SubspaceCode._from_rows(
-            np.zeros((block * rows, code.ambient_dim), np.complex64), np.full(block, rows), rows)
-        assert single.blocks(received) == [(0, len(code))]
-        assert 8 * len(code) * (block + 1) * rows > subspaces._BLOCK_BYTES
+            np.zeros((block * rows, code.ambient_dim), complex), np.full(block, rows), rows)
+        screen, single = decoder._screen_operands(
+            code, decoder.single_precision(code), received)
+        assert screen.rows.dtype == single.rows.dtype == np.float32
+        assert screen.rows.shape == (2 * block * rows, 2 * code.ambient_dim)
+        assert screen.blocks(single) == [(0, block)]
+        assert 4 * len(code) * (block + 1) * 2 * rows > subspaces._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("t, trials", [(1, 1100), (0, 1100)])

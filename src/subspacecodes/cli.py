@@ -32,8 +32,8 @@ from .codes import (CPCodeSpec, SubspaceCode, _as_integer, binary_to_lines, code
                     cp_construct, cp_max_k_for_delta, cp_min_distance, cp_simplified_curve,
                     load_code, min_distance_exhaustive, random_ensemble_code,
                     save_code, DEFAULT_SEARCH_CAP)
-from .decoder import (decode_block, guarantee_noisy, guarantee_noisy_slack, screen_block,
-                      screened, single_precision)
+from .decoder import (decode_block, guarantee_noisy, guarantee_noisy_slack, screened,
+                      single_precision)
 from .errors import ConfigError, Infeasible, NumericalError
 from .finitefield import MAX_Q, FiniteField, is_prime
 from .subspaces import _groups, _residual_distances, pairwise
@@ -44,7 +44,7 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 # bytes the stacked arrays of one block of simulate trials may take
-_BLOCK_BYTES = 2 ** 19
+_TRIAL_BLOCK_BYTES = 2 ** 19
 # trials per block at the least: each block's decode reads the whole code
 # once, and a single-precision screen of 64 trials takes the bytes that a
 # double-precision table of 32 took; screened blocks may take more
@@ -319,9 +319,10 @@ def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
 
 def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
     """Trials that simulate runs through the channel and the decoder at once:
-    _BLOCK_BYTES over a per-trial weight, and at least _MIN_TRIAL_BLOCK; a
-    block that decode_block screens grows further, to as many trials as the
-    screen's float32 product holds in one pairwise() block.
+    _TRIAL_BLOCK_BYTES over a per-trial weight, and at least _MIN_TRIAL_BLOCK;
+    a block that decode_block screens takes as many trials as keep their
+    received bases, 16 n b bytes a trial, within _TRIAL_BLOCK_BYTES, up to
+    one chunk of _TRIAL_CHUNK.
 
     The weight, 16 n (n + l + 2 b) + 8 M bytes, with l the code's largest
     dimension, b = min(l, k) + t + r_d and M the code's size, is a budget
@@ -332,27 +333,20 @@ def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
 
     A block of b received rows a trial is screened (decoder.screened) when
     the code's row entries times its received rows reach 2^20.  Every block
-    pays fixed NumPy and LAPACK call costs, about 0.5 ms on CP (31,2), which
-    a larger block shares out; so a screened block takes as many trials as
-    its screen's real float32 product with every code row, 4 bytes an entry
-    and two screen rows per received row of a complex code, holds in one
-    pairwise() block (decoder.screen_block), 2 MiB.  Past that the product
-    splits: in process on CP (31,2) over k = 1, t = 1, 160-trial blocks ran
-    level with 136 and 256-trial blocks 1.25 times slower.  Unscreened
-    blocks keep the weight's size, since larger ones cost peak memory for
-    little time.  The memory of a block's ranking does not grow with its tie
-    windows, which decode_block ranks in slices.
-    So the block sizes are 114 on the README config, 136 on CP (31,2) over
-    k = 1, t = 1 (a product of 544 x 961 entries), 272 on CP (31,2) over
-    t = 0, and 64 on CP (127,2), whose product at the floor already exceeds
-    one block; a real code's screen, not embedded, holds twice the trials
-    of a complex code of the same shape."""
+    pays about 1 ms of fixed cost on CP (31,2), in the channel's stacked QR
+    calls, the screen's probe and the ranking, which a larger block shares
+    out; and decode_block forms and nominates its tables one pairwise()
+    block at a time, so they do not grow with the block.  Unscreened blocks
+    keep the weight's size, since larger ones cost peak memory for little
+    time.  So the block sizes are 114 on the README config, 546 on CP (31,2)
+    over k = 1, t = 1, a chunk of 1024 over t = 0, and 130 on CP (127,2)
+    over t = 1."""
     n, l = code.ambient_dim, code.max_dim
     b = min(l, spec.base.k) + spec.base.t + spec.noise_dim
     per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
-    block = max(_MIN_TRIAL_BLOCK, _BLOCK_BYTES // per_trial)
+    block = max(_MIN_TRIAL_BLOCK, _TRIAL_BLOCK_BYTES // per_trial)
     if screened(code, block * b):
-        block = max(block, screen_block(code, b))
+        block = max(block, min(_TRIAL_CHUNK, _TRIAL_BLOCK_BYTES // (16 * n * b)))
     return block
 
 
@@ -410,7 +404,11 @@ def cmd_simulate(args) -> int:
                     received.reshape(-1, n), np.full(len(members), dim), dim), single=single)
                 at = lo + members
                 rx[at], d_rx[at], runner_up[at] = decoded
-                d_tx_rx[at] = _residual_distances(sent, received)
+                # a trial decoded to its sent codeword has d_tx_rx already: decode_block's
+                # residual kernel took that pair alone, with these operands in this order
+                d_tx_rx[at] = decoded.distance
+                wrong = np.flatnonzero(decoded.index != txs[members])
+                d_tx_rx[at[wrong]] = _residual_distances(sent[wrong], received[wrong])
 
     rate = int(np.count_nonzero(rx == tx)) / trials
     rows = _simulate_rows(code, spec, d_min, sizes, tx, rx, d_tx_rx, d_rx, runner_up)

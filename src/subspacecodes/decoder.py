@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .subspaces import Subspace, SubspaceCode, _pair_distances, pairwise
+from .subspaces import _BLOCK_BYTES, Subspace, SubspaceCode, _pair_distances, pairwise
 
 # distance gap below which two codewords count as tied
 TIE_TOL = 1e-9
@@ -71,13 +71,6 @@ def screened(code: SubspaceCode, received_rows: int) -> bool:
     screens a block of ``received_rows`` received rows: when the double
     table's product takes at least _SCREEN_MIN_PRODUCT multiply-adds."""
     return code.rows.size * received_rows >= _SCREEN_MIN_PRODUCT
-
-
-def screen_block(code: SubspaceCode, dim: int) -> int:
-    """The most received subspaces of dimension ``dim``, in ``code``'s
-    field, whose screen against ``code`` takes one pairwise() block: each
-    received row is two rows of the screen when the code is complex."""
-    return code.one_block((2 if np.iscomplexobj(code.rows) else 1) * dim, np.float32)
 
 
 def _screen_operands(code: SubspaceCode, single: SubspaceCode, received: SubspaceCode):
@@ -199,6 +192,12 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     table's rounding, which depends on its other columns and on pairwise()'s
     row blocks.
 
+    Each table is formed and nominated a part of ``received`` at a time, so
+    none outgrows one pairwise() block: the screen in pairwise()'s own row
+    blocks (SubspaceCode.blocks), the double table in slices whose float64
+    table takes at most subspaces._BLOCK_BYTES, code-major, since a
+    received-major table would make pairwise() conj-copy the whole code.
+
     The screen runs only when the double table's product takes at least
     _SCREEN_MIN_PRODUCT (2^20) multiply-adds, the code's row entries times
     the received rows: below that its extra calls cost more than the
@@ -221,12 +220,13 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
 
     The nominees are ranked by _pair_distances, which gathers their bases
     in slices of at most about 2 MiB (subspaces._BLOCK_BYTES, at 16 n (a +
-    b) bytes a complex pair), and each table is freed before the ranking,
-    so a block's memory does not grow with its tie windows.  Traced, a 64-trial
-    block of CP (127,2) over k = 1, t = 0, whose rows each tie with about
-    250 codewords at the runner-up, peaks at 19 MB beyond the code and its
-    copy, about 2.2 times its double table (the table and its transposed
-    copy); CP (31,2) over t = 0 peaks at 6.5 MB in its 272-trial block.
+    b) bytes a complex pair), so a block's memory grows neither with its
+    tie windows nor with its tables.  Traced, beyond the code and its copy,
+    simulate's 1024-trial block of CP (31,2) over k = 1, t = 0, whose rows
+    tie at the runner-up, peaks at 7.5 MB and its 546-trial block over t = 1
+    at 3.2 MB; CP (127,2)'s 260-trial block over t = 0, whose rows each tie
+    with about 250 codewords, peaks at 7.8 MB, and its 130-trial block over
+    t = 1 at 3.2 MB.
     """
     if len(code) == 0:
         raise ConfigError("cannot decode against an empty code")
@@ -234,21 +234,25 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
         raise ConfigError(
             f"ambient dimensions differ: {code.rows.shape[1]} vs {received.rows.shape[1]}")
     count = len(received)
-    at = None
+    found = None  # each table's nominees
     if screened(code, received.rows.shape[0]) and (single is not None or count > _PROBE):
         if single is None:
             single = single_precision(code)
         slack = TIE_TOL + 2 * screen_tolerance(code.rows.shape[1], code.max_dim, received.max_dim)
         screen, single = _screen_operands(code, single, received)
         probe = min(_PROBE, count)
-        at, words = _nominees(pairwise(screen.part(0, probe), single), slack)
-        if np.bincount(at).min() > 2:  # neither probe row settled
-            at = None
-        elif probe < count:
-            more = _nominees(pairwise(screen.part(probe, count), single), slack)
-            at, words = np.concatenate([at, probe + more[0]]), np.concatenate([words, more[1]])
-    if at is None:
-        at, words = _nominees(pairwise(code, received).T.copy(), TIE_TOL)
+        found = [_nominees(pairwise(screen.part(0, probe), single), slack)]
+        if np.bincount(found[0][0]).min() > 2:  # neither probe row settled
+            found = None
+        else:
+            rest = screen.part(probe, count)
+            found += [_nominees(pairwise(rest.part(lo, hi), single), slack, probe + lo)
+                      for lo, hi in rest.blocks(single)]
+    if found is None:
+        step = max(1, _BLOCK_BYTES // (8 * len(code)))
+        found = [_nominees(pairwise(code, received.part(lo, min(lo + step, count))).T.copy(),
+                           TIE_TOL, lo) for lo in range(0, max(count, 1), step)]
+    at, words = map(np.concatenate, zip(*found))
     d = _pair_distances(code, words, received, at)
     # per row: the least distance, the lowest index at it, and the least of the rest
     nearest = np.full(count, math.inf)
@@ -262,11 +266,12 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     return Decoded(index, nearest, runner_up)
 
 
-def _nominees(table: np.ndarray, slack: float):
-    """The (row, column) pairs of ``table`` that decode_block ranks: each
-    row's nearest and second-nearest column and, where the third nearest
-    lies within ``slack`` of the second, every column within ``slack`` of
-    the second (in float64).  The table is overwritten."""
+def _nominees(table: np.ndarray, slack: float, first: int = 0):
+    """The (row, column) pairs of ``table`` that decode_block ranks, its rows
+    counted from ``first``: each row's nearest and second-nearest column
+    and, where the third nearest lies within ``slack`` of the second, every
+    column within ``slack`` of the second (in float64).  The table is
+    overwritten."""
     rows = np.arange(len(table))
     best = np.argmin(table, axis=1)
     table[rows, best] = math.inf
@@ -275,7 +280,7 @@ def _nominees(table: np.ndarray, slack: float):
     table[rows, second] = math.inf
     tied = np.flatnonzero(table.min(axis=1) <= edge)
     at, words = np.divmod(np.flatnonzero(table[tied] <= edge[tied, np.newaxis]), table.shape[1])
-    return np.concatenate([rows, rows, tied[at]]), np.concatenate([best, second, words])
+    return first + np.concatenate([rows, rows, tied[at]]), np.concatenate([best, second, words])
 
 
 def _check_counts(rho, t) -> None:

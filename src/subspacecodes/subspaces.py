@@ -183,10 +183,12 @@ def _residual_distances(zu: np.ndarray, zv: np.ndarray) -> np.ndarray:
     """
     if zu.shape[1] > zv.shape[1]:
         zu, zv = zv, zu
-    residual = zu - (zu @ zv.conj().transpose(0, 2, 1)) @ zv
+    # in place, so that a slice's temporaries are two arrays fewer
+    residual = (zu @ zv.conj().transpose(0, 2, 1)) @ zv
+    np.subtract(zu, residual, out=residual)
     # |r|^2 summed as the squares of the residual's float view, re and im alike
     parts = residual.view(residual.real.dtype)
-    return 2.0 * np.square(parts).sum(axis=(1, 2)) + (zv.shape[1] - zu.shape[1])
+    return 2.0 * np.square(parts, out=parts).sum(axis=(1, 2)) + (zv.shape[1] - zu.shape[1])
 
 
 class SubspaceCode:
@@ -291,12 +293,6 @@ class SubspaceCode:
         step = max(1, _BLOCK_BYTES // (row_bytes * max(1, self.max_dim)))
         M = len(self)
         return [(lo, min(lo + step, M)) for lo in range(0, max(M, 1), step)]
-
-    def one_block(self, dim: int, dtype) -> int:
-        """The most codewords of dimension at most ``dim`` that a code A may
-        have for pairwise(A, self), its product computed in ``dtype``, to
-        take one block: A.blocks(self) then gives the one range (0, len(A))."""
-        return _BLOCK_BYTES // (_entry_bytes(dtype) * max(1, self.rows.shape[0]) * max(1, dim))
 
 
 def _entry_bytes(*dtypes) -> int:

@@ -23,7 +23,7 @@ from helpers import decode_block_double
 from test_decoder import decode_cases
 from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode, cli, cp_construct,
                            decode_block, random_subspace, save_code)
-from subspacecodes import decoder
+from subspacecodes import decoder, subspaces
 from subspacecodes.cli import EXIT_OK
 from subspacecodes.decoder import TIE_TOL, screen_tolerance, single_precision
 from subspacecodes.errors import ConfigError
@@ -336,7 +336,7 @@ def test_simulate_writes_the_bytes_of_the_double_decoder(t, trials, tmp_path, mo
     screened, double = tmp_path / "screened.csv", tmp_path / "double.csv"
     spy = _Spy(monkeypatch)
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(screened)]) == EXIT_OK
-    if t == 0:  # the 200 trials are one block of the 272 that t = 0 takes; its
+    if t == 0:  # the 200 trials are one block of the 1024 that t = 0 takes; its
         # two probe rows tie, so the whole block is decoded in double
         assert spy.tables["single"] == [2]
         assert spy.tables["double"] == [200]
@@ -344,6 +344,49 @@ def test_simulate_writes_the_bytes_of_the_double_decoder(t, trials, tmp_path, mo
                         lambda code, received, single: decode_block_double(code, received))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(double)]) == EXIT_OK
     assert screened.read_bytes() == double.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("t", [1, 0])
+def test_a_chunk_long_block_forms_no_table_beyond_one_pairwise_block(t, tmp_path, monkeypatch,
+                                                                     capsys):
+    # a 1024-trial block of CP (31,2) over k = 1: at t = 1 the screen, one
+    # pairwise() block of received subspaces a table; at t = 0 the probe
+    # ties, and the double table comes in slices of at most _BLOCK_BYTES
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"code": {"type": "file", "path": _cp_31_2_file(tmp_path)},
+                               "channel": {"k": 1, "t": t}, "trials": 1024, "seed": 32}))
+    blocks = []
+    decode = cli.decode_block
+    monkeypatch.setattr(cli, "_trial_block", lambda code, spec: 1024)
+    monkeypatch.setattr(cli, "decode_block", lambda code, received, single: blocks.append(
+        (code, received, single)) or decode(code, received, single=single))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    (code, received, single), = blocks
+    tables = {"single": [], "double": []}
+    pairwise_ = decoder.pairwise
+
+    def table(A, B):
+        out = pairwise_(A, B)
+        if A.rows.dtype == np.float32:
+            assert A.blocks(B) == [(0, len(A))]
+            tables["single"].append(len(A))
+        else:
+            assert out.nbytes <= subspaces._BLOCK_BYTES
+            tables["double"].append(len(B))
+        return out
+
+    monkeypatch.setattr(decoder, "pairwise", table)
+    got = decode_block(code, received, single=single)
+    if t == 1:
+        assert tables["double"] == [] and len(tables["single"]) > 2
+        assert sum(tables["single"]) == 1024
+    else:
+        assert tables["single"] == [2] and len(tables["double"]) > 1
+        assert sum(tables["double"]) == 1024
+    for got_column, want_column in zip(got, decode_block_double(code, received)):
+        assert got_column.dtype == want_column.dtype
+        assert got_column.tobytes() == want_column.tobytes()
     capsys.readouterr()
 
 

@@ -28,7 +28,7 @@ from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode,
                            cli, cp_construct, decode, distance, guarantee_noisy,
                            guarantee_noisy_slack, min_distance_exhaustive, random_subspace,
                            save_code)
-from subspacecodes import decoder, subspaces
+from subspacecodes import decoder
 from subspacecodes.cli import EXIT_INFEASIBLE, EXIT_OK
 from subspacecodes.codes import DEFAULT_SEARCH_CAP, cp_min_distance
 from subspacecodes.errors import Infeasible
@@ -188,12 +188,12 @@ def test_trial_counts_around_the_block_size(extra, tmp_path, capsys):
 def test_block_size_keeps_to_the_budget_and_the_floor():
     # n = 12, l = 3, b = min(3, 2) + 1 + 1 and M = 20: the channel's arrays and
     # a column of the decode table per trial
-    assert _block_size(README) == cli._BLOCK_BYTES // (16 * 12 * (12 + 3 + 2 * 4) + 8 * 20)
+    assert _block_size(README) == cli._TRIAL_BLOCK_BYTES // (16 * 12 * (12 + 3 + 2 * 4) + 8 * 20)
     # in a wide ambient space the budget holds a few trials; the floor keeps more
     rng = np.random.default_rng(3)
     wide = SubspaceCode([random_subspace(100, 1, rng) for _ in range(2)])
     spec = cli._channel_from_config({"k": 1, "t": 1}, wide)
-    assert cli._BLOCK_BYTES // (16 * 100 * (100 + 1 + 2 * 2) + 8 * 2) < cli._MIN_TRIAL_BLOCK
+    assert cli._TRIAL_BLOCK_BYTES // (16 * 100 * (100 + 1 + 2 * 2) + 8 * 2) < cli._MIN_TRIAL_BLOCK
     assert cli._trial_block(wide, spec) == cli._MIN_TRIAL_BLOCK
 
 
@@ -202,44 +202,39 @@ CP_31_2 = {"code": {"type": "cp", "q": 31, "k": 2}, "channel": {"k": 1, "t": 1},
 
 @pytest.mark.parametrize("cfg, block, rows", [
     (README, 114, 4),
-    (CP_31_2, 136, 2),
-    ({**CP_31_2, "channel": {"k": 1, "t": 0}}, 272, 1),
-    ({**CP_31_2, "code": {"type": "cp", "q": 127, "k": 2}}, 64, 2),
+    (CP_31_2, 546, 2),
+    ({**CP_31_2, "channel": {"k": 1, "t": 0}}, 1024, 1),
+    ({**CP_31_2, "code": {"type": "cp", "q": 127, "k": 2}}, 130, 2),
 ], ids=["readme", "cp_31_2_t1", "cp_31_2_t0", "cp_127_2_t1"])
 def test_screened_blocks_fill_one_pairwise_block(cfg, block, rows):
-    # the README config is not screened and keeps its budget; CP (31,2)'s
-    # blocks of ``rows`` received rows a trial are screened and grow until
-    # the screen's float32 product of the block's embedded received rows,
-    # two per received row, and the code's 961 rows fills 2 MiB at 4 bytes
-    # an entry; CP (127,2)'s product at the floor of 64 trials already
-    # exceeds one block
+    # the README config is not screened and keeps its budget; a screened
+    # block of ``rows`` received rows a trial takes as many trials as keep
+    # their received bases, 16 n rows bytes a trial, within the trial budget,
+    # up to one chunk (CP (31,2) over t = 0), since decode_block screens it
+    # one pairwise() block at a time
     assert _block_size(cfg) == block
     code = cli.build_code_from_config(cfg["code"], cfg["seed"])
     screened = decoder.screened(code, block * rows)
     assert screened == (cfg is not README)
-    if screened and block > cli._MIN_TRIAL_BLOCK:  # one block; one more trial would take two
-        received = SubspaceCode._from_rows(
-            np.zeros((block * rows, code.ambient_dim), complex), np.full(block, rows), rows)
-        screen, single = decoder._screen_operands(
-            code, decoder.single_precision(code), received)
-        assert screen.rows.dtype == single.rows.dtype == np.float32
-        assert screen.rows.shape == (2 * block * rows, 2 * code.ambient_dim)
-        assert screen.blocks(single) == [(0, block)]
-        assert 4 * len(code) * (block + 1) * 2 * rows > subspaces._BLOCK_BYTES
+    if screened:
+        per_trial = 16 * code.ambient_dim * rows
+        assert block * per_trial <= cli._TRIAL_BLOCK_BYTES
+        assert block == cli._TRIAL_CHUNK or (block + 1) * per_trial > cli._TRIAL_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("t, trials", [(1, 1100), (0, 1100)])
 def test_cp_31_2_at_its_screened_block_size_matches_the_per_trial_loop(t, trials, tmp_path,
                                                                        capsys):
-    # 1100 trials cut the first chunk of 1024 inside a block (after 7 blocks of
-    # 136 or 3 of 272) and leave a second chunk of 76 trials
+    # 1100 trials leave a second chunk of 76 trials, inside a block; at t = 1
+    # the first chunk of 1024 is cut too, after one block of 546, and at
+    # t = 0 a block is the whole chunk
     path = tmp_path / "cp_31_2.code.json"
     save_code(cp_construct(CPCodeSpec(FiniteField(31), 2)), path)
     cfg = {"code": {"type": "file", "path": str(path)}, "channel": {"k": 1, "t": t},
            "trials": trials, "seed": 12}
     block = _block_size(cfg)
-    assert block == {1: 136, 0: 272}[t]
-    assert cli._TRIAL_CHUNK % block and trials % block
+    assert block == {1: 546, 0: 1024}[t]
+    assert trials % block and (cli._TRIAL_CHUNK % block or block == cli._TRIAL_CHUNK)
     _assert_same_csv(tmp_path, cfg)
     capsys.readouterr()
 
@@ -293,6 +288,29 @@ def test_block_size_does_not_change_the_bytes(block, cfg, tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "_trial_block", lambda code, spec: block)
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
     assert blocked.read_bytes() == default.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cfg", ["cp_7_2", "mixed"])
+def test_only_misdecoded_trials_take_the_residual_kernel_again(cfg, tmp_path, monkeypatch,
+                                                               capsys):
+    # a trial decoded to its sent codeword writes decode_block's distance to
+    # it as d_tx_rx; the others, here at least a tenth, take the residual
+    # kernel on their sent and received bases, and the CSV is the oracle's
+    cfg = {"cp_7_2": {"code": {"type": "cp", "q": 7, "k": 2},
+                      "channel": {"k": 1, "t": 1, "delta": 0.8}, "trials": 300, "seed": 2},
+           "mixed": {"code": {"type": "file", "path": _mixed_code_file(tmp_path)},
+                     "channel": {"k": 2, "t": 2, "delta": 0.2, "r_d": 1},
+                     "trials": 300, "seed": 4}}[cfg]
+    pairs = []
+    residual = cli._residual_distances
+    monkeypatch.setattr(cli, "_residual_distances",
+                        lambda zu, zv: pairs.append(len(zu)) or residual(zu, zv))
+    _assert_same_csv(tmp_path, cfg)
+    rows = [line.split(",") for line in (tmp_path / "blocked.csv").read_text().splitlines()[3:-1]]
+    wrong = sum(row[7] == "0" for row in rows)
+    assert wrong >= len(rows) // 10
+    assert sum(pairs) == wrong
     capsys.readouterr()
 
 

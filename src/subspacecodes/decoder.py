@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .subspaces import _BLOCK_BYTES, Subspace, SubspaceCode, _pair_distances, pairwise
+from .subspaces import Subspace, SubspaceCode, _pair_distances, pairwise
 
 # distance gap below which two codewords count as tied
 TIE_TOL = 1e-9
@@ -52,17 +52,11 @@ def decode(code, received: Subspace) -> DecodeResult:
 
 
 def single_precision(code: SubspaceCode) -> SubspaceCode:
-    """``code`` in float32, the copy that decode_block screens with: a real
-    code's rows rounded, and each row z of a complex code written as the real
-    row [Re z, Im z] of twice its length (see _screen_operands).  Make it once
-    and pass it to every decode_block call on the same code."""
-    rows = code.rows
-    if np.iscomplexobj(rows):
-        n = rows.shape[1]
-        real = np.empty((len(rows), 2 * n), np.float32)
-        real[:, :n], real[:, n:] = rows.real, rows.imag
-        rows = real
-    return SubspaceCode._from_rows(rows.astype(np.float32, copy=False), code.dims,
+    """``code`` in float32, the copy that decode_block screens with: the
+    rows' float view rounded, so a row z of a complex code is the real row
+    of its (Re, Im) pairs, of twice its length (see _screen_operands).
+    Make it once and pass it to every decode_block call on the same code."""
+    return SubspaceCode._from_rows(code.rows.view(float).astype(np.float32), code.dims,
                                    code.common_dim)
 
 
@@ -73,31 +67,22 @@ def screened(code: SubspaceCode, received_rows: int) -> bool:
     return code.rows.size * received_rows >= _SCREEN_MIN_PRODUCT
 
 
-def _screen_operands(code: SubspaceCode, single: SubspaceCode, received: SubspaceCode):
-    """The real float32 operands of decode_block's screen: the received
-    subspaces and the code, from ``single``, its single_precision() copy.
-
-    When both sides are real, the received rows are rounded as they are.
-    Otherwise both sides are embedded in R^2n: a code row z as [Re z, Im z]
-    (single_precision() writes a complex code so, and a real one is padded
-    with zeros here), and each received row v as the two rows [Re v, Im v]
-    and [Im v, -Re v], so that a received subspace of dimension b owns 2 b
-    consecutive rows, orthonormal as v's are."""
+def _screen_operands(code: SubspaceCode, received: SubspaceCode) -> SubspaceCode:
+    """The received subspaces as the real float32 rows that decode_block's
+    screen takes against ``code``'s single_precision() copy: rounded as they
+    are when both sides are real, and otherwise each row v as two rows, so
+    that a received subspace of dimension b owns 2 b consecutive rows: the
+    (Re, Im) pairs of v and of i v against a complex code, orthonormal as
+    v's rows are, and Re v and Im v against a real one."""
     v = received.rows
-    if not (np.iscomplexobj(code.rows) or np.iscomplexobj(v)):
-        return SubspaceCode._from_rows(v.astype(np.float32), received.dims,
-                                       received.common_dim), single
-    n = v.shape[1]
-    if not np.iscomplexobj(code.rows):
-        rows = np.zeros((len(single.rows), 2 * n), np.float32)
-        rows[:, :n] = single.rows
-        single = SubspaceCode._from_rows(rows, single.dims, single.common_dim)
-    rows = np.empty((len(v), 2, 2 * n), np.float32)
-    rows[:, 0, :n], rows[:, 0, n:] = v.real, v.imag
-    rows[:, 1, :n] = rows[:, 0, n:]
-    np.negative(rows[:, 0, :n], out=rows[:, 1, n:])
-    common = 2 * received.common_dim if received.common_dim > 0 else received.common_dim
-    return SubspaceCode._from_rows(rows.reshape(-1, 2 * n), 2 * received.dims, common), single
+    per_row = 1 + (np.iscomplexobj(code.rows) or np.iscomplexobj(v))
+    if np.iscomplexobj(code.rows):
+        v = np.stack([v, 1j * v], axis=1).view(float)
+    elif per_row == 2:
+        v = np.stack([v.real, v.imag], axis=1)
+    common = per_row * received.common_dim if received.common_dim >= 0 else -1
+    return SubspaceCode._from_rows(v.astype(np.float32).reshape(-1, v.shape[-1]),
+                                   per_row * received.dims, common)
 
 
 def _gamma(k: int, u: float) -> float:
@@ -118,19 +103,19 @@ def _rounding_bound(n: int, a: int, b: int, u: float) -> float:
 
     Each real entry c of the cross-Gram product (of C = Z_U Z_V^H, or its
     real and imaginary part) is a dot product of length at most 2n of two
-    unit rows, rounded to precision u.  Each of its terms takes at most
-    2n + 2 relative roundings: one for each factor, one for the product and
-    at most 2n - 1 in the sum, in whatever order BLAS adds.  So c is off by
-    at most e = gamma_{2n+2} (Cauchy-Schwarz).  A pair has at most K = 2 a b
-    such entries, and their squares sum to ||C||_F^2 <= m = min(a, b).  The
-    computed entries' squares then sum to within E = 2 e sqrt(K m) + K e^2
-    of that, and to at most m + E; rounding the squares and their sum, each
-    term at most K times, adds gamma_K (m + E).  The entry, the dimensions
-    (at most a + 2 b) less twice the sum, doubles that, and adding the
-    dimensions rounds once, by at most u (a + 2 b + 2 (m + E)), a bound on
-    the sum's magnitude.  That rounding is counted twice: in the screen, the
-    second covers, many times over, the rounding of decode_block's window
-    edge, x2 + slack, in double."""
+    rows of norm at most 1, rounded to precision u.  Each of its terms takes
+    at most 2n + 2 relative roundings: one for each factor, one for the
+    product and at most 2n - 1 in the sum, in whatever order BLAS adds.  So
+    c is off by at most e = gamma_{2n+2} (Cauchy-Schwarz).  A pair has at
+    most K = 2 a b such entries, and their squares sum to ||C||_F^2 <= m =
+    min(a, b).  The computed entries' squares then sum to within E = 2 e
+    sqrt(K m) + K e^2 of that, and to at most m + E; rounding the squares
+    and their sum, each term at most K times, adds gamma_K (m + E).  The
+    entry, the dimensions (at most a + 2 b) less twice the sum, doubles
+    that, and adding the dimensions rounds once, by at most u (a + 2 b + 2
+    (m + E)), a bound on the sum's magnitude.  That rounding is counted
+    twice: in the screen, the second covers, many times over, the rounding
+    of decode_block's window edge, x2 + slack, in double."""
     m, K = min(a, b), 2 * a * b
     e = _gamma(2 * n + 2, u)
     entries = 2 * e * math.sqrt(K * m) + K * e * e
@@ -162,18 +147,21 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     and the runner-up.  A codeword nominated twice changes no result, and a
     one-codeword code nominates its one codeword.
 
-    The table is either the double-precision one, pairwise() of the code
-    and ``received`` transposed, with slack TIE_TOL, or a single-precision
-    screen, with slack TIE_TOL + 2 eps.  The screen is pairwise() on real
-    float32 operands (_screen_operands), the received subspaces as A and
-    ``single``, the code's single_precision() copy, as B.  When the code or
-    the block is complex, both are embedded in R^2n: a code row z as
-    [Re z, Im z], and a received row v as the rows [Re v, Im v] and
-    [Im v, -Re v], whose dot products with it are Re <z, v> and -Im <z, v>.
-    So a pair's real cross-Gram entries square to the same sum as its
-    complex ones, and since the embedded V has 2 dim V orthonormal rows,
-    each entry of V's row reads d + dim V; with real operands it reads d.
-    Write o for that offset, which is the same across a row and so moves no
+    The table is pairwise() of the received subspaces (A) and the code (B),
+    formed and nominated one pairwise() block of A at a time (_nominate), so
+    none outgrows one block; pairwise() conjugates the block, its side of
+    fewer rows, and never copies the code.  It is either the
+    double-precision one, with slack TIE_TOL, or a single-precision screen,
+    with slack TIE_TOL + 2 eps, on real float32 operands: the received rows
+    (_screen_operands) against ``single``, the code's single_precision()
+    copy.  When either side is complex, each received row v becomes two.
+    Against a complex code, whose row z is read as its (Re, Im) pairs, they
+    are the pairs of v and of i v, whose dot products with z are Re <z, v>
+    and Im <z, v>; against a real one, Re v and Im v, giving Re <z, v> and
+    -Im <z, v>.  So a pair's real cross-Gram entries square to the same sum
+    as its complex ones, and since the embedded V has 2 dim V rows, each
+    entry of V's row reads d + dim V; with real operands it reads d.  Write
+    o for that offset, which is the same across a row and so moves no
     nomination.  Each screen entry x_w lies within eps = screen_tolerance(n,
     a, b) of the double table's d_w + o, a and b the largest codeword and
     received dimensions.  Either way every bit of the result is that of the
@@ -189,20 +177,13 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
       codewords of the double table have r <= d2 + delta.  So w is neither
       the nearest nor the runner-up.
     The second point also makes the result independent of the double
-    table's rounding, which depends on its other columns and on pairwise()'s
-    row blocks.
-
-    Each table is formed and nominated a part of ``received`` at a time, so
-    none outgrows one pairwise() block: the screen in pairwise()'s own row
-    blocks (SubspaceCode.blocks), the double table in slices whose float64
-    table takes at most subspaces._BLOCK_BYTES, code-major, since a
-    received-major table would make pairwise() conj-copy the whole code.
+    table's rounding, which depends on how its pairwise() blocks are cut.
 
     The screen runs only when the double table's product takes at least
     _SCREEN_MIN_PRODUCT (2^20) multiply-adds, the code's row entries times
     the received rows: below that its extra calls cost more than the
-    product saves (on simulate blocks, 1.7 times the double table's time on
-    the README config, at 720 x 456, and about even at 2880 x 412).  When
+    product saves (on simulate blocks, 1.2 times the double table's time on
+    the README config, at 720 x 456; 0.85 times at 2880 x 412).  When
     ``single`` is not given, the copy is made here for a block of more than
     _PROBE received subspaces; a smaller block, such as decode()'s one,
     goes to the double table unscreened: the cast and the screen then cost
@@ -223,9 +204,9 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     b) bytes a complex pair), so a block's memory grows neither with its
     tie windows nor with its tables.  Traced, beyond the code and its copy,
     simulate's 1024-trial block of CP (31,2) over k = 1, t = 0, whose rows
-    tie at the runner-up, peaks at 7.5 MB and its 546-trial block over t = 1
+    tie at the runner-up, peaks at 6.2 MB and its 546-trial block over t = 1
     at 3.2 MB; CP (127,2)'s 260-trial block over t = 0, whose rows each tie
-    with about 250 codewords, peaks at 7.8 MB, and its 130-trial block over
+    with about 250 codewords, peaks at 6.3 MB, and its 130-trial block over
     t = 1 at 3.2 MB.
     """
     if len(code) == 0:
@@ -239,19 +220,15 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
         if single is None:
             single = single_precision(code)
         slack = TIE_TOL + 2 * screen_tolerance(code.rows.shape[1], code.max_dim, received.max_dim)
-        screen, single = _screen_operands(code, single, received)
+        screen = _screen_operands(code, received)
         probe = min(_PROBE, count)
-        found = [_nominees(pairwise(screen.part(0, probe), single), slack)]
+        found = [_nominate(screen.part(0, probe), single, slack)]
         if np.bincount(found[0][0]).min() > 2:  # neither probe row settled
             found = None
         else:
-            rest = screen.part(probe, count)
-            found += [_nominees(pairwise(rest.part(lo, hi), single), slack, probe + lo)
-                      for lo, hi in rest.blocks(single)]
+            found.append(_nominate(screen.part(probe, count), single, slack, probe))
     if found is None:
-        step = max(1, _BLOCK_BYTES // (8 * len(code)))
-        found = [_nominees(pairwise(code, received.part(lo, min(lo + step, count))).T.copy(),
-                           TIE_TOL, lo) for lo in range(0, max(count, 1), step)]
+        found = [_nominate(received, code, TIE_TOL)]
     at, words = map(np.concatenate, zip(*found))
     d = _pair_distances(code, words, received, at)
     # per row: the least distance, the lowest index at it, and the least of the rest
@@ -264,6 +241,15 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     rest = words != index[at]
     np.minimum.at(runner_up, at[rest], d[rest])
     return Decoded(index, nearest, runner_up)
+
+
+def _nominate(received: SubspaceCode, code: SubspaceCode, slack: float, first: int = 0):
+    """_nominees of pairwise(received, code), each pairwise() block of
+    ``received`` formed and nominated in turn, its rows counted from
+    ``first``."""
+    found = [_nominees(pairwise(received.part(lo, hi), code), slack, first + lo)
+             for lo, hi in received.blocks(code)]
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _nominees(table: np.ndarray, slack: float, first: int = 0):

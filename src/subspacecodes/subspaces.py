@@ -392,16 +392,20 @@ def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
     The table is computed in the precision of the rows: float64 for double
     codes, float32 when both codes are float32 (decode_block's screen).
     Roundoff can push a near-zero distance below 0; results are clamped at 0.
+    The side with fewer rows is the one conjugated: conj(Z_A) Z_B^T is
+    conj(Z_A Z_B^H) entry for entry, bit for bit, since negating a factor
+    negates each product and sum exactly, and |.|^2 does not see the sign.
     """
     if A.rows.shape[1] != B.rows.shape[1]:
         raise ConfigError(
             f"ambient dimensions differ: {A.rows.shape[1]} vs {B.rows.shape[1]}")
-    b_adj = B.rows.conj().T
+    conj_a = A.rows.shape[0] < B.rows.shape[0]
+    b_side = B.rows.T if conj_a else B.rows.conj().T
     uniform = A.common_dim > 0 and B.common_dim > 0
     parts = []
     for lo, hi in A.blocks(B):
         block = A.part(lo, hi)
-        cross = block.rows @ b_adj
+        cross = (block.rows.conj() if conj_a else block.rows) @ b_side
         # |c|^2: the product's float view squared in place, then re^2 + im^2
         floats = cross.view(cross.real.dtype)
         overlap = np.square(floats, out=floats)

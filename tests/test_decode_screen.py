@@ -23,7 +23,7 @@ from helpers import decode_block_double
 from test_decoder import decode_cases
 from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode, cli, cp_construct,
                            decode_block, random_subspace, save_code)
-from subspacecodes import decoder, subspaces
+from subspacecodes import decoder
 from subspacecodes.cli import EXIT_OK
 from subspacecodes.decoder import TIE_TOL, screen_tolerance, single_precision
 from subspacecodes.errors import ConfigError
@@ -33,11 +33,14 @@ from subspacecodes.subspaces import pairwise
 def _screen_error(A: SubspaceCode, B: SubspaceCode):
     """The largest |screen entry - dim V - double entry| (less 0 instead of
     dim V when both codes are real) and its bound: the screen's table holds
-    one row per codeword V of B, from real float32 operands, embedded in
-    R^2n when either code is complex."""
+    one row per codeword V of B, from real float32 operands, B's rows
+    embedded two a row when either code is complex, and A's read as (Re, Im)
+    pairs when A is."""
     embedded = np.iscomplexobj(A.rows) or np.iscomplexobj(B.rows)
-    screen, single = decoder._screen_operands(A, single_precision(A), B)
-    assert screen.rows.shape[1] == single.rows.shape[1] == (1 + embedded) * A.rows.shape[1]
+    screen, single = decoder._screen_operands(A, B), single_precision(A)
+    width = (1 + np.iscomplexobj(A.rows)) * A.rows.shape[1]
+    assert screen.rows.shape == ((1 + embedded) * B.rows.shape[0], width)
+    assert single.rows.shape == (A.rows.shape[0], width)
     table = pairwise(screen, single)
     assert table.dtype == np.float32
     offset = B.dims[:, np.newaxis] if embedded else 0
@@ -104,9 +107,9 @@ def test_screen_tolerance_matches_its_formula():
 
 
 class _Spy:
-    """Counts the received subspaces of decode_block's pairwise() tables by
-    precision (A in the screen, B in the double table), and the nominees
-    that it ranks with the residual kernel."""
+    """Counts the received subspaces (A) of decode_block's pairwise() tables
+    by precision, checking that each table is one pairwise() block, and the
+    nominees that it ranks with the residual kernel."""
 
     def __init__(self, monkeypatch):
         self.tables = {"single": [], "double": []}
@@ -114,10 +117,8 @@ class _Spy:
         pairwise_, pair_distances = decoder.pairwise, decoder._pair_distances
 
         def table(A, B):
-            if A.rows.dtype == np.float32:
-                self.tables["single"].append(len(A))
-            else:
-                self.tables["double"].append(len(B))
+            assert A.blocks(B) == [(0, len(A))]
+            self.tables["single" if A.rows.dtype == np.float32 else "double"].append(len(A))
             return pairwise_(A, B)
 
         def ranked(A, ia, B, ib):
@@ -193,8 +194,8 @@ def test_screened_decoder_matches_the_double_decoder_bit_for_bit(case):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=screen_cases(fields=st.sampled_from([(False, True), (True, False)])))
 def test_mixed_fields_are_screened_and_decode_bit_for_bit(case):
-    # a real code against complex received subspaces, or the reverse: both
-    # sides of the screen are embedded, and every row that the probe
+    # a real code against complex received subspaces, or the reverse: the
+    # received rows are embedded two a row, and every row that the probe
     # settles is nominated from it
     code, received = case
     with pytest.MonkeyPatch.context() as patch:
@@ -271,8 +272,8 @@ def test_decode_block_uses_a_given_single_precision_copy(monkeypatch):
     received = SubspaceCode([random_subspace(5, m, rng) for m in (1, 2, 0, 1, 5)])
     single = single_precision(code)
     assert single.rows.dtype == np.float32
-    assert single.rows.tobytes() == np.hstack([code.rows.real, code.rows.imag]).astype(
-        np.float32).tobytes()
+    pairs = np.stack([code.rows.real, code.rows.imag], axis=2).reshape(len(code.rows), -1)
+    assert single.rows.tobytes() == pairs.astype(np.float32).tobytes()
     assert single.dims.tolist() == code.dims.tolist()
     got = decode_block(code, received, single=single)
     want = decode_block_double(code, received)
@@ -304,7 +305,7 @@ def test_decode_does_not_cast_a_large_code(monkeypatch):
     monkeypatch.setattr(decoder, "single_precision",
                         lambda c: casts.append(len(c)) or cast(c))
     monkeypatch.setattr(decoder, "_screen_operands",
-                        lambda c, s, r: casts.append(len(r)) or operands(c, s, r))
+                        lambda c, r: casts.append(len(r)) or operands(c, r))
     for U, expected in zip(received, want):
         got = decoder.decode(code, U)
         assert (got.codeword_index, got.distance_to_received, got.runner_up_distance) == (
@@ -337,9 +338,10 @@ def test_simulate_writes_the_bytes_of_the_double_decoder(t, trials, tmp_path, mo
     spy = _Spy(monkeypatch)
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(screened)]) == EXIT_OK
     if t == 0:  # the 200 trials are one block of the 1024 that t = 0 takes; its
-        # two probe rows tie, so the whole block is decoded in double
+        # two probe rows tie, so the whole block is decoded in double, in
+        # pairwise() blocks of 136 received lines
         assert spy.tables["single"] == [2]
-        assert spy.tables["double"] == [200]
+        assert spy.tables["double"] == [136, 64]
     monkeypatch.setattr(cli, "decode_block",
                         lambda code, received, single: decode_block_double(code, received))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(double)]) == EXIT_OK
@@ -350,9 +352,9 @@ def test_simulate_writes_the_bytes_of_the_double_decoder(t, trials, tmp_path, mo
 @pytest.mark.parametrize("t", [1, 0])
 def test_a_chunk_long_block_forms_no_table_beyond_one_pairwise_block(t, tmp_path, monkeypatch,
                                                                      capsys):
-    # a 1024-trial block of CP (31,2) over k = 1: at t = 1 the screen, one
-    # pairwise() block of received subspaces a table; at t = 0 the probe
-    # ties, and the double table comes in slices of at most _BLOCK_BYTES
+    # a 1024-trial block of CP (31,2) over k = 1, each table one pairwise()
+    # block of received subspaces (_Spy checks): at t = 1 the screen's; at
+    # t = 0 the probe ties, and the double table's
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"code": {"type": "file", "path": _cp_31_2_file(tmp_path)},
                                "channel": {"k": 1, "t": t}, "trials": 1024, "seed": 32}))
@@ -363,20 +365,7 @@ def test_a_chunk_long_block_forms_no_table_beyond_one_pairwise_block(t, tmp_path
         (code, received, single)) or decode(code, received, single=single))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
     (code, received, single), = blocks
-    tables = {"single": [], "double": []}
-    pairwise_ = decoder.pairwise
-
-    def table(A, B):
-        out = pairwise_(A, B)
-        if A.rows.dtype == np.float32:
-            assert A.blocks(B) == [(0, len(A))]
-            tables["single"].append(len(A))
-        else:
-            assert out.nbytes <= subspaces._BLOCK_BYTES
-            tables["double"].append(len(B))
-        return out
-
-    monkeypatch.setattr(decoder, "pairwise", table)
+    tables = _Spy(monkeypatch).tables
     got = decode_block(code, received, single=single)
     if t == 1:
         assert tables["double"] == [] and len(tables["single"]) > 2

@@ -176,33 +176,53 @@ def test_codewords_are_read_only_views_of_the_rows():
                 word.basis[...] = 0.0
 
 
-def _reshape_sum_pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
-    """The engine's constant-dimension branch with the per-pair sum written as
-    one 4-d reshape-and-sum, block for block as ``pairwise`` runs it."""
+def _reference_pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
+    """The engine block for block as ``pairwise`` runs it, with the product
+    always A B^H, whichever side has fewer rows: the per-pair sum of two
+    codes that each share one dimension as one 4-d reshape-and-sum, any
+    other by the engine's own segment sums."""
     a, b = A.common_dim, B.common_dim
     parts = []
     for lo, hi in A.blocks(B):
-        cross = A.part(lo, hi).rows @ B.rows.conj().T
+        block = A.part(lo, hi)
+        cross = block.rows @ B.rows.conj().T
         overlap = np.square(cross.real) + np.square(cross.imag)
-        overlap = overlap.reshape(hi - lo, a, len(B), b).sum(axis=(1, 3))
-        parts.append(np.maximum(-2.0 * overlap + (a + b), 0.0))
+        if a > 0 and b > 0:
+            overlap = overlap.reshape(hi - lo, a, len(B), b).sum(axis=(1, 3))
+            dims = a + b
+        else:
+            segments = subspaces._row_segment_sums
+            overlap = segments(segments(overlap, block).T, B).T
+            dims = block.dims[:, None] + B.dims
+        parts.append(np.maximum(-2.0 * overlap + dims, 0.0))
     return np.concatenate(parts)
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_pairwise_sums_each_pair_in_the_reshape_sum_order(complex_field):
-    # the same table bit for bit, so every d_min, decode and distance table is unchanged
+    # the same table bit for bit, so every d_min, decode and distance table
+    # is unchanged, whichever side pairwise() conjugates: A of fewer rows
+    # than B (5a < size b), as many, or more, and B over either field
     n = 17
     rng = np.random.default_rng(31)
     for a, b in itertools.product(range(1, 17), repeat=2):
         A = SubspaceCode([random_subspace(n, a, rng, complex_field) for _ in range(5)])
-        for size in (1, 3):
-            B = SubspaceCode([random_subspace(n, b, rng, complex_field) for _ in range(size)])
+        for size, b_complex in itertools.product((1, 3), (False, True)):
+            B = SubspaceCode([random_subspace(n, b, rng, b_complex) for _ in range(size)])
             # two codewords of A per block, so three blocks form
-            block_bytes = 2 * subspaces._entry_bytes(A.rows.dtype) * B.rows.shape[0] * a
+            entry = subspaces._entry_bytes(A.rows.dtype, B.rows.dtype)
+            block_bytes = 2 * entry * B.rows.shape[0] * a
             with mock.patch.object(subspaces, "_BLOCK_BYTES", block_bytes):
                 assert len(A.blocks(B)) == 3
-                assert np.array_equal(pairwise(A, B), _reshape_sum_pairwise(A, B))
+                assert np.array_equal(pairwise(A, B), _reference_pairwise(A, B))
+    # codes of mixed dimensions, 0 and n included: A of more rows (23 against
+    # 1), of fewer (3 against 25) and of as many (5)
+    for dims_a, dims_b in ([0, 3, 17, 1, 2], [1]), ([1, 0, 2], [17, 3, 5]), ([2, 3], [4, 1]):
+        A = SubspaceCode([random_subspace(n, m, rng, complex_field) for m in dims_a])
+        for b_complex, block_bytes in itertools.product((False, True), (1, subspaces._BLOCK_BYTES)):
+            B = SubspaceCode([random_subspace(n, m, rng, b_complex) for m in dims_b])
+            with mock.patch.object(subspaces, "_BLOCK_BYTES", block_bytes):
+                assert np.array_equal(pairwise(A, B), _reference_pairwise(A, B))
 
 
 def test_an_empty_part_holds_no_codewords_and_no_rows():

@@ -9,12 +9,11 @@ rate/distance bound calculators, plus a CLI (`subspace-codes`) wrapping them.
 from .bounds import (barg_lower, barg_upper, binary_entropy, blokh_zyablov_rate,
                      gv_binary_delta, random_coding_rate, shannon_lower,
                      zyablov_delta)
-from .channel import (MatrixChannelSpec, NoisyChannelSpec, OperatorChannelSpec,
-                      apply_matrix_channel, apply_noisy_operator_channel,
-                      apply_noisy_operator_channel_block, apply_operator_channel,
-                      channel_draw_size, erase, general_perturbation_bound,
-                      perturbation_bound, random_error_subspace, rotate,
-                      rq_factorize)
+from .channel import (ChannelSpec, MatrixChannelSpec, apply_matrix_channel,
+                      apply_noisy_operator_channel, apply_noisy_operator_channel_block,
+                      apply_operator_channel, channel_draw_size, erase,
+                      general_perturbation_bound, perturbation_bound,
+                      random_error_subspace, rotate, rq_factorize)
 from .codes import (CodeParameters, CPCodeSpec, SubspaceCode, binary_to_lines,
                     code_parameters, complex_to_real_double, cp_construct,
                     cp_distance_bound, cp_max_k_for_delta, cp_min_distance, cp_monomial_set,

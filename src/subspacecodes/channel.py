@@ -32,41 +32,36 @@ from .subspaces import TOL_RANK, Subspace, _gaussian, _into_complements, _numeri
 
 
 @dataclass(frozen=True)
-class OperatorChannelSpec:
-    """Erasure/error parameters: keep a k-dimensional part, add t error dimensions."""
+class ChannelSpec:
+    """One channel use: keep k dimensions, add t error dimensions, turn by the
+    distance budget ``rotation`` and attach noise_dim = r_d noise dimensions."""
     k: int
     t: int = 0
+    rotation: float = 0.0
+    noise_dim: int = 0
 
     def __post_init__(self):
         if self.k < 0 or self.t < 0:
             raise ConfigError("channel parameters must be nonnegative")
-
-
-@dataclass(frozen=True)
-class NoisyChannelSpec:
-    """Operator channel followed by a bounded rotation and r_d noise dimensions."""
-    base: OperatorChannelSpec
-    rotation: float = 0.0   # distance budget for the rotation step
-    noise_dim: int = 0      # r_d, dimensions of the attached noise subspace
-
-    def __post_init__(self):
         # written so that a NaN budget fails the test too
-        if not self.rotation >= 0:
-            raise ConfigError("rotation budget must be a nonnegative number")
+        if not 0 <= self.rotation < math.inf:
+            raise ConfigError(f"rotation budget must be a nonnegative number and finite, "
+                              f"got {self.rotation!r}")
         if self.noise_dim < 0:
             raise ConfigError("noise dimension must be nonnegative")
 
 
-def _draw_shapes(dim: int, n: int, spec: NoisyChannelSpec) -> tuple:
+def _draw_shapes(dim: int, n: int, spec: ChannelSpec) -> tuple:
     """Shapes of the erase (k, dim), error (t, n - dim), rotate (b, n) and
     noise (noise_dim, n - b) coefficients of one noisy channel use on a
     dim-dimensional subspace of an n-dimensional space, b = min(dim, k) + t,
     in stream order; None for a stage that draws nothing: erase when
     dim <= k, rotate when the budget or b is 0, and error or noise when it
     adds no dimension.  Infeasible when the error or the noise cannot
-    fit next to its subspace, or when the budget exceeds the largest distance
-    2 min(b, n - b) from a b-dimensional subspace."""
-    k, t, noise = spec.base.k, spec.base.t, spec.noise_dim
+    fit next to its subspace, or when b > 0 and the budget exceeds the
+    largest distance 2 min(b, n - b) from a b-dimensional subspace: a
+    zero-dimensional output takes any finite budget and comes back unturned."""
+    k, t, noise = spec.k, spec.t, spec.noise_dim
 
     def no_room(extra: int, fixed: int) -> Infeasible:
         return Infeasible(f"cannot fit {extra} error dimensions next to a {fixed}-dimensional "
@@ -86,7 +81,7 @@ def _draw_shapes(dim: int, n: int, spec: NoisyChannelSpec) -> tuple:
             (b, n) if turns else None, (noise, n - b) if noise else None)
 
 
-def channel_draw_size(dim: int, n: int, spec: NoisyChannelSpec,
+def channel_draw_size(dim: int, n: int, spec: ChannelSpec,
                       complex_field: bool) -> int:
     """How many standard normals one noisy channel use on a dim-dimensional
     subspace of an n-dimensional space draws: the entries of its four
@@ -146,23 +141,24 @@ def _rotate_stack(Z: np.ndarray, budget: float, g: np.ndarray) -> np.ndarray:
 def erase(U: Subspace, k: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random k-dimensional subspace of U; U's span when dim(U) <= k.
     The channel use that keeps k dimensions and adds none."""
-    return apply_noisy_operator_channel(U, NoisyChannelSpec(OperatorChannelSpec(k)), rng)
+    return apply_noisy_operator_channel(U, ChannelSpec(k), rng)
 
 
 def random_error_subspace(U: Subspace, t: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random t-dimensional subspace of U-perp, so E intersects U
     trivially.  The channel use that keeps no dimension of U and adds t."""
-    return apply_noisy_operator_channel(U, NoisyChannelSpec(OperatorChannelSpec(0, t)), rng)
+    return apply_noisy_operator_channel(U, ChannelSpec(0, t), rng)
 
 
-def apply_operator_channel(U: Subspace, spec: OperatorChannelSpec,
+def apply_operator_channel(U: Subspace, spec: ChannelSpec,
                            rng: np.random.Generator):
-    """One channel use: V = erase(U, k) (+) E with E drawn inside U-perp.
+    """One use of the paper's plain operator channel, ChannelSpec(k, t):
+    V = erase(U, k) (+) E with E drawn inside U-perp.
 
     Returns (V, rho, t) where rho = max(0, dim U - k) is the number of
     dimensions actually erased; d(U, V) <= rho + t holds for every draw.
     """
-    V = apply_noisy_operator_channel(U, NoisyChannelSpec(spec), rng)
+    V = apply_noisy_operator_channel(U, spec, rng)
     return V, max(0, U.dim - spec.k), spec.t
 
 
@@ -175,14 +171,14 @@ def rotate(U: Subspace, budget: float, rng: np.random.Generator) -> Subspace:
     Z_i -> cos(theta) Z_i + sin(theta) W_i, so the cross-Gram matrix of the
     two bases is diag(cos theta, ..., cos theta, 1, ..., 1) and
     d(U, V) = 2 r sin^2(theta), which sin^2(theta) = budget / 2r makes equal
-    to the budget.  budget = 0 returns U's span; Infeasible when
-    budget > 2r.  The channel use that keeps all of U and turns it.
+    to the budget.  budget = 0 returns U's span; Infeasible when budget > 2r
+    and dim U > 0: a zero-dimensional U takes any finite budget and comes
+    back unturned.  The channel use that keeps all of U and turns it.
     """
-    spec = NoisyChannelSpec(OperatorChannelSpec(U.dim), rotation=budget)
-    return apply_noisy_operator_channel(U, spec, rng)
+    return apply_noisy_operator_channel(U, ChannelSpec(U.dim, rotation=budget), rng)
 
 
-def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
+def apply_noisy_operator_channel(U: Subspace, spec: ChannelSpec,
                                  rng: np.random.Generator) -> Subspace:
     """Noisy channel use: rotate(erase(U, k) (+) E, budget) (+) F.
 
@@ -197,7 +193,7 @@ def apply_noisy_operator_channel(U: Subspace, spec: NoisyChannelSpec,
     return Subspace._view(apply_noisy_operator_channel_block(U.basis[np.newaxis], spec, draws)[0])
 
 
-def apply_noisy_operator_channel_block(bases: np.ndarray, spec: NoisyChannelSpec,
+def apply_noisy_operator_channel_block(bases: np.ndarray, spec: ChannelSpec,
                                        draws: np.ndarray) -> np.ndarray:
     """One noisy channel use per basis of the (B, m, n) stack ``bases``; the
     (B, b + noise_dim, n) stack of received bases, b = min(m, k) + t.

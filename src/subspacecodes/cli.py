@@ -26,8 +26,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .channel import (NoisyChannelSpec, OperatorChannelSpec,
-                      apply_noisy_operator_channel_block, channel_draw_size)
+from .channel import ChannelSpec, apply_noisy_operator_channel_block, channel_draw_size
 from .codes import (CPCodeSpec, SubspaceCode, _as_integer, binary_to_lines, code_parameters,
                     cp_construct, cp_max_k_for_delta, cp_min_distance, cp_simplified_curve,
                     load_code, min_distance_exhaustive, random_ensemble_code,
@@ -45,9 +44,8 @@ EXIT_NUMERICAL = 4
 
 # bytes the stacked arrays of one block of simulate trials may take
 _TRIAL_BLOCK_BYTES = 2 ** 19
-# trials per block at the least: each block's decode reads the whole code
-# once, and a single-precision screen of 64 trials takes the bytes that a
-# double-precision table of 32 took; screened blocks may take more
+# trials per block at the least, and the least block for which _trial_block
+# asks decode_block's screened(); see _trial_block
 _MIN_TRIAL_BLOCK = 64
 # trials per generator in simulate: a constant of the v4 draw stream, which
 # changing would change every CSV
@@ -287,8 +285,7 @@ def _channel_from_config(cfg: dict, code: SubspaceCode):
         k = max(0, code[0].dim - rho)
     else:
         raise ConfigError("channel config needs 'k' or 'rho'")
-    return NoisyChannelSpec(base=OperatorChannelSpec(k=k, t=t),
-                            rotation=delta, noise_dim=r_d)
+    return ChannelSpec(k, t, rotation=delta, noise_dim=r_d)
 
 
 _SIMULATE_COLUMNS = ["trial", "rho", "t", "delta_rot", "r_d", "tx_index", "rx_index",
@@ -301,8 +298,7 @@ def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
     dimension alone, so they are formatted once for each of ``dims``."""
     head, flag, slack = {}, {}, {}
     for m in dims:
-        rho = max(0, m - spec.base.k)
-        impairments = (rho, spec.base.t, spec.rotation, spec.noise_dim)
+        impairments = (max(0, m - spec.k), spec.t, spec.rotation, spec.noise_dim)
         head[m] = ",{},{},{!r},{},".format(*impairments)
         flag[m] = ",1," if guarantee_noisy(d_min, *impairments) else ",0,"
         slack[m] = repr(guarantee_noisy_slack(d_min, *impairments))
@@ -317,7 +313,7 @@ def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
                        map(slack.__getitem__, sent_dims))
 
 
-def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
+def _trial_block(code: SubspaceCode, spec: ChannelSpec) -> int:
     """Trials that simulate runs through the channel and the decoder at once:
     _TRIAL_BLOCK_BYTES over a per-trial weight, and at least _MIN_TRIAL_BLOCK;
     a block that decode_block screens takes as many trials as keep their
@@ -329,7 +325,9 @@ def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
     rule that grows with n^2 and with M, not a count of the block's arrays:
     traced, a block's peak grows by about 10.5 KB a trial on the README
     config, where the weight is 4.6 KB.  The floor holds where the weight
-    leaves fewer trials: each block's decode reads the whole code once.
+    leaves fewer trials, and screened() is asked of the floored block: CP
+    (31,2) over k = 1, t = 0 weighs 23528 bytes, 22 trials, too few received
+    rows to screen, while 64 are screened.
 
     A block of b received rows a trial is screened (decoder.screened) when
     the code's row entries times its received rows reach 2^20.  Every block
@@ -342,7 +340,7 @@ def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
     over k = 1, t = 1, a chunk of 1024 over t = 0, and 130 on CP (127,2)
     over t = 1."""
     n, l = code.ambient_dim, code.max_dim
-    b = min(l, spec.base.k) + spec.base.t + spec.noise_dim
+    b = min(l, spec.k) + spec.t + spec.noise_dim
     per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
     block = max(_MIN_TRIAL_BLOCK, _TRIAL_BLOCK_BYTES // per_trial)
     if screened(code, block * b):
@@ -350,7 +348,7 @@ def _trial_block(code: SubspaceCode, spec: NoisyChannelSpec) -> int:
     return block
 
 
-def _draw_sizes(code: SubspaceCode, spec: NoisyChannelSpec, complex_field: bool) -> dict:
+def _draw_sizes(code: SubspaceCode, spec: ChannelSpec, complex_field: bool) -> dict:
     """The channel's draw size for each of the code's dimensions that fits it."""
     sizes = {}
     for m in set(code.dims.tolist()):

@@ -306,12 +306,16 @@ def guarantee_noisy_slack(d_min: float, rho: int, t: int,
     """d_min minus the left side of guarantee_noisy's condition.  A float
     difference is 0 only between equal operands and carries the sign of
     their order, so the slack is positive exactly when guarantee_noisy holds.
+    The slack is -inf when the left side overflows the float range.
     """
     _check_counts(rho, t)
     # written so that a NaN rotation budget fails the test too
     if not rotation >= 0 or noise_dim < 0:
         raise ValueError("rotation budget and noise dimension must be nonnegative")
     s = rho + t
-    crowd = (math.sqrt(s + rotation) + math.sqrt(rotation)
-             + 2.0 * math.sqrt(noise_dim)) ** 2
+    try:
+        crowd = (math.sqrt(s + rotation) + math.sqrt(rotation)
+                 + 2.0 * math.sqrt(noise_dim)) ** 2
+    except OverflowError:
+        return -math.inf
     return d_min - (s + crowd)

@@ -469,7 +469,9 @@ def _into_complements(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     out[:, :, m:] = coeff
     if m == 0:
         return out
-    h, tau = np.linalg.qr(Z.conj().transpose(0, 2, 1), mode="raw")  # h[:, j, j + 1:] is v_j's tail
+    # h[:, j, j + 1:] is v_j's tail; conj(Z) in C order gives h contiguous
+    # rows, so the products below take the same bits whatever Z's layout
+    h, tau = np.linalg.qr(np.conjugate(Z, order="C").transpose(0, 2, 1), mode="raw")
     diagonal = np.arange(m)
     h[:, diagonal, diagonal] = 1.0
     h_adj, tau_adj = h.conj(), tau.conj()[:, :, np.newaxis, np.newaxis]

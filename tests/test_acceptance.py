@@ -25,9 +25,8 @@ import pytest
 from helpers import random_unitary
 from subspacecodes import (
     CPCodeSpec,
+    ChannelSpec,
     FiniteField,
-    NoisyChannelSpec,
-    OperatorChannelSpec,
     Subspace,
     SubspaceCode,
     apply_noisy_operator_channel,
@@ -142,7 +141,7 @@ def test_03_character_sum_bound_exhaustive(capfd):
 
 
 def _noiseless_config_run(code, d_min, k, t, trials, seed):
-    spec = OperatorChannelSpec(k=k, t=t)
+    spec = ChannelSpec(k=k, t=t)
     m = code[0].dim
     assert guarantee_noiseless(d_min, max(m - k, 0), t)
     for trial in range(trials):
@@ -195,8 +194,7 @@ def test_05_guaranteed_noisy_decoding(capfd):
             rho = 3 - k
             rng = np.random.default_rng([55, trial])
             tx = int(rng.integers(4))
-            spec = NoisyChannelSpec(OperatorChannelSpec(k, t), rotation=delta,
-                                    noise_dim=r_d)
+            spec = ChannelSpec(k, t, rotation=delta, noise_dim=r_d)
             V = apply_noisy_operator_channel(code[tx], spec, rng)
             cap = (math.sqrt(rho + t + delta) + math.sqrt(r_d)) ** 2
             assert distance(code[tx], V) <= cap + 1e-9, trial

@@ -19,9 +19,8 @@ from helpers import decode_block_double
 from test_simulate_blocks import _repeated_lines_file
 from subspacecodes import (
     CPCodeSpec,
+    ChannelSpec,
     FiniteField,
-    NoisyChannelSpec,
-    OperatorChannelSpec,
     Subspace,
     SubspaceCode,
     apply_noisy_operator_channel,
@@ -230,7 +229,7 @@ def _received_at_t0(code: SubspaceCode, trials: int, seed: int) -> SubspaceCode:
     each lies at distance 0 from its codeword and ties with every codeword
     at the same distance from that one."""
     rng = np.random.default_rng(seed)
-    spec = NoisyChannelSpec(OperatorChannelSpec(k=1))
+    spec = ChannelSpec(k=1)
     n = code.ambient_dim
     sent = code.bases(rng.integers(len(code), size=trials))
     draws = rng.standard_normal((trials, channel_draw_size(1, n, spec, True)))
@@ -397,7 +396,7 @@ def test_guaranteed_plain_channel_decoding_always_succeeds():
         rho = 3 - k
         if not guarantee_noiseless(6.0, rho, t):
             continue
-        V, rho_out, _ = apply_operator_channel(code[tx], OperatorChannelSpec(k, t), rng)
+        V, rho_out, _ = apply_operator_channel(code[tx], ChannelSpec(k, t), rng)
         assert rho_out == rho
         out = decode(code, V)
         assert out.codeword_index == tx
@@ -409,7 +408,7 @@ def test_guaranteed_noisy_decoding_always_succeeds():
     cases = [(2, 0, 0.05, 0), (3, 1, 0.10, 0), (3, 0, 0.04, 1)]
     for k, t, delta, r_d in cases:
         assert guarantee_noisy(6.0, 3 - k, t, delta, r_d)
-        spec = NoisyChannelSpec(OperatorChannelSpec(k, t), rotation=delta, noise_dim=r_d)
+        spec = ChannelSpec(k, t, rotation=delta, noise_dim=r_d)
         for _ in range(60):
             tx = int(rng.integers(4))
             V = apply_noisy_operator_channel(code[tx], spec, rng)

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspacecodes import (CPCodeSpec, FiniteField, NoisyChannelSpec, OperatorChannelSpec,
-                           binary_to_lines, cli, cp_construct, min_distance_exhaustive,
-                           random_ensemble_code, save_code)
+from subspacecodes import (CPCodeSpec, ChannelSpec, FiniteField, binary_to_lines, cli,
+                           cp_construct, min_distance_exhaustive, random_ensemble_code,
+                           save_code)
 from subspacecodes import errors
 from subspacecodes.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK
 
@@ -90,6 +90,32 @@ def test_input_boundaries_exit_2(command, payload, message, tmp_path, capsys):
     assert err.startswith("config error:") and message in err
 
 
+ENSEMBLE = {"type": "random-ensemble", "n": 6, "m": 2, "M": 5}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_an_infinite_rotation_budget_exits_2_whatever_k(k, tmp_path, capsys):
+    # json writes Infinity, which the reader takes; at k = t = 0 nothing turns,
+    # and the budget was written to every row as delta_rot inf and slack -inf
+    channel = {"k": k, "t": 0, "delta": math.inf}
+    status, err = _run("simulate", {"code": ENSEMBLE, "channel": channel, "trials": 3,
+                                    "seed": 1}, tmp_path, capsys)
+    assert status == EXIT_CONFIG
+    assert err.startswith("config error: rotation budget must be a nonnegative number")
+
+
+def test_a_huge_rotation_budget_where_nothing_turns_exits_0(tmp_path, capsys):
+    # the guarantee's square overflows: its slack is -inf, not an OverflowError
+    out = tmp_path / "sim.csv"
+    channel = {"k": 0, "t": 0, "delta": 1e308}
+    status, err = _run("simulate", {"code": ENSEMBLE, "channel": channel, "trials": 3,
+                                    "seed": 1, "out": str(out)}, tmp_path, capsys)
+    assert status == EXIT_OK and err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines() if line[:1].isdigit()]
+    assert len(rows) == 3
+    assert all(row[3] == "1e+308" and row[9] == "0" and row[12] == "-inf" for row in rows)
+
+
 def test_library_raises_config_error_at_the_same_boundaries():
     with pytest.raises(errors.ConfigError, match="need 1 <= k < q"):
         CPCodeSpec(FiniteField(5), 5)
@@ -100,9 +126,9 @@ def test_library_raises_config_error_at_the_same_boundaries():
     with pytest.raises(errors.ConfigError, match="need 0 < m <= n"):
         random_ensemble_code(4, 0, 3, None)
     with pytest.raises(errors.ConfigError, match="channel parameters must be nonnegative"):
-        OperatorChannelSpec(k=-1)
+        ChannelSpec(k=-1)
     with pytest.raises(errors.ConfigError, match="rotation budget"):
-        NoisyChannelSpec(OperatorChannelSpec(1), rotation=math.nan)
+        ChannelSpec(1, rotation=math.nan)
     with pytest.raises(errors.ConfigError, match="at least two codewords"):
         min_distance_exhaustive(binary_to_lines(["01", "10"]))
 

@@ -22,10 +22,9 @@ from hypothesis import strategies as st
 
 from subspacecodes import (
     CPCodeSpec,
+    ChannelSpec,
     FiniteField,
     MatrixChannelSpec,
-    NoisyChannelSpec,
-    OperatorChannelSpec,
     apply_matrix_channel,
     apply_noisy_operator_channel,
     apply_operator_channel,
@@ -36,6 +35,7 @@ from subspacecodes import (
     guarantee_chordal,
     guarantee_noiseless,
     guarantee_noisy,
+    guarantee_noisy_slack,
     min_distance_exhaustive,
     orthonormalize,
     random_ensemble_code,
@@ -90,7 +90,7 @@ def test_operator_channel_stays_within_rho_plus_t(code, data, seed):
     U = code[data.draw(st.integers(0, len(code) - 1))]
     k = data.draw(st.integers(0, U.dim + 1))
     t = data.draw(st.integers(0, U.ambient_dim - U.dim))
-    V, rho, t_out = apply_operator_channel(U, OperatorChannelSpec(k, t), rng)
+    V, rho, t_out = apply_operator_channel(U, ChannelSpec(k, t), rng)
     assert (rho, t_out) == (max(0, U.dim - k), t)
     assert V.dim == min(k, U.dim) + t
     assert distance(U, V) <= rho + t + 1e-9
@@ -106,7 +106,7 @@ def test_noiseless_guarantee_gives_a_correct_unique_decode(code, data, seed):
     covered = [(k, t) for k in range(m + 1) for t in range(n - m + 1)
                if guarantee_noiseless(d_min, m - k, t)]
     k, t = data.draw(st.sampled_from(covered))
-    V, _, _ = apply_operator_channel(U, OperatorChannelSpec(k, t), np.random.default_rng(seed))
+    V, _, _ = apply_operator_channel(U, ChannelSpec(k, t), np.random.default_rng(seed))
     out = decode(code, V)
     assert out.codeword_index == tx
     assert out.unique
@@ -127,7 +127,7 @@ def test_noisy_guarantee_gives_a_correct_decode(code, data, seed, share):
     reach = 2 * min(base_dim, n - base_dim)  # rotate refuses budgets past 2r
     delta = share * min(reach, _largest_rotation(d_min, m - k, t, r_d))
     assert guarantee_noisy(d_min, m - k, t, delta, r_d)
-    spec = NoisyChannelSpec(OperatorChannelSpec(k, t), rotation=delta, noise_dim=r_d)
+    spec = ChannelSpec(k, t, rotation=delta, noise_dim=r_d)
     V = apply_noisy_operator_channel(U, spec, np.random.default_rng(seed))
     assert V.dim == base_dim + r_d
     assert decode(code, V).codeword_index == tx
@@ -173,3 +173,9 @@ def test_guarantee_predicates_nest(d_min, rho, t):
         assert plain
     assert guarantee_noisy(d_min, rho, t, 0.0, 0) == plain
     assert guarantee_noisy(d_min, rho, t, 0, 0) == plain
+
+
+def test_a_noisy_guarantee_past_the_float_range_fails_with_slack_minus_inf():
+    # the square of the left side overflows; it raised OverflowError
+    assert guarantee_noisy(2.0, 0, 0, 1e308, 0) is False
+    assert guarantee_noisy_slack(2.0, 0, 0, 1e308, 0) == -math.inf

@@ -78,7 +78,7 @@ def _per_trial_simulate(cfg: dict, path) -> None:
         V = Subspace(apply_noisy_operator_channel_block(U.basis[np.newaxis], spec,
                                                         normals[np.newaxis, :size])[0])
         result = decode(code, V)
-        impairments = (max(0, U.dim - spec.base.k), spec.base.t, spec.rotation, spec.noise_dim)
+        impairments = (max(0, U.dim - spec.k), spec.t, spec.rotation, spec.noise_dim)
         flag = guarantee_noisy(d_min, *impairments)
         correct = result.codeword_index == tx
         successes += int(correct)
@@ -185,7 +185,10 @@ def test_trial_counts_around_the_block_size(extra, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_block_size_keeps_to_the_budget_and_the_floor():
+CP_31_2 = {"code": {"type": "cp", "q": 31, "k": 2}, "channel": {"k": 1, "t": 1}, "seed": 1}
+
+
+def test_block_size_keeps_to_the_budget_and_the_floor(monkeypatch):
     # n = 12, l = 3, b = min(3, 2) + 1 + 1 and M = 20: the channel's arrays and
     # a column of the decode table per trial
     assert _block_size(README) == cli._TRIAL_BLOCK_BYTES // (16 * 12 * (12 + 3 + 2 * 4) + 8 * 20)
@@ -195,9 +198,14 @@ def test_block_size_keeps_to_the_budget_and_the_floor():
     spec = cli._channel_from_config({"k": 1, "t": 1}, wide)
     assert cli._TRIAL_BLOCK_BYTES // (16 * 100 * (100 + 1 + 2 * 2) + 8 * 2) < cli._MIN_TRIAL_BLOCK
     assert cli._trial_block(wide, spec) == cli._MIN_TRIAL_BLOCK
-
-
-CP_31_2 = {"code": {"type": "cp", "q": 31, "k": 2}, "channel": {"k": 1, "t": 1}, "seed": 1}
+    # the floor is also the block for which screened() is asked: with a floor
+    # of 1, CP (31,2) over k = 1, t = 0 keeps the weight's 2^19 // 23528 = 22
+    # trials, whose received rows are too few to screen, not a chunk of 1024
+    cp_127_2 = {**CP_31_2, "code": {"type": "cp", "q": 127, "k": 2}}
+    monkeypatch.setattr(cli, "_MIN_TRIAL_BLOCK", 1)
+    assert _block_size({**CP_31_2, "channel": {"k": 1, "t": 0}}) == 22
+    # the README config and the two t = 1 cases keep their blocks
+    assert [_block_size(cfg) for cfg in (README, CP_31_2, cp_127_2)] == [114, 546, 130]
 
 
 @pytest.mark.parametrize("cfg, block, rows", [

@@ -206,8 +206,12 @@ def apply_noisy_operator_channel_block(bases: np.ndarray, spec: ChannelSpec,
     lies in U and the error in U-perp, and the noise in the complement of
     the rotated sum, so each output basis is its parts stacked.  Every stage
     runs once on the whole stack, and each use's output does not depend on
-    the rest of the stack.
+    the rest of the stack.  The stages run on a C-ordered copy of ``bases``
+    (none is made when it is C-ordered already), since their products round
+    otherwise on other layouts: the output's bits do not depend on the
+    layout.
     """
+    bases = np.ascontiguousarray(bases)
     count, m, n = bases.shape
     shapes = _draw_shapes(m, n, spec)
     complex_field = np.iscomplexobj(bases)

@@ -21,11 +21,14 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 
 from . import bounds as bounds_mod
+from . import subspaces
 from .channel import ChannelSpec, apply_noisy_operator_channel_block, channel_draw_size
 from .codes import (CPCodeSpec, SubspaceCode, _as_integer, binary_to_lines, code_parameters,
                     cp_construct, cp_max_k_for_delta, cp_min_distance, cp_simplified_curve,
@@ -313,12 +316,19 @@ def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
                        map(slack.__getitem__, sent_dims))
 
 
-def _trial_block(code: SubspaceCode, spec: ChannelSpec) -> int:
-    """Trials that simulate runs through the channel and the decoder at once:
-    _TRIAL_BLOCK_BYTES over a per-trial weight, and at least _MIN_TRIAL_BLOCK;
-    a block that decode_block screens takes as many trials as keep their
-    received bases, 16 n b bytes a trial, within _TRIAL_BLOCK_BYTES, up to
-    one chunk of _TRIAL_CHUNK.
+def _received_rows(code: SubspaceCode, spec: ChannelSpec) -> int:
+    """b = min(l, k) + t + r_d, l the code's largest dimension: the rows of
+    the largest received basis."""
+    return min(code.max_dim, spec.k) + spec.t + spec.noise_dim
+
+
+def _trial_block(code: SubspaceCode, spec: ChannelSpec, workers: int = 1) -> int:
+    """Trials that simulate runs through the channel and the decoder at once,
+    on each of ``workers`` workers, which share _TRIAL_BLOCK_BYTES: the
+    share over a per-trial weight, and at least _MIN_TRIAL_BLOCK; a block
+    that decode_block screens takes as many trials as keep their received
+    bases, 16 n b bytes a trial, within the share, up to one chunk of
+    _TRIAL_CHUNK.
 
     The weight, 16 n (n + l + 2 b) + 8 M bytes, with l the code's largest
     dimension, b = min(l, k) + t + r_d and M the code's size, is a budget
@@ -336,15 +346,16 @@ def _trial_block(code: SubspaceCode, spec: ChannelSpec) -> int:
     out; and decode_block forms and nominates its tables one pairwise()
     block at a time, so they do not grow with the block.  Unscreened blocks
     keep the weight's size, since larger ones cost peak memory for little
-    time.  So the block sizes are 114 on the README config, 546 on CP (31,2)
-    over k = 1, t = 1, a chunk of 1024 over t = 0, and 130 on CP (127,2)
-    over t = 1."""
-    n, l = code.ambient_dim, code.max_dim
-    b = min(l, spec.k) + spec.t + spec.noise_dim
+    time.  So the block sizes on one worker are 114 on the README config,
+    546 on CP (31,2) over k = 1, t = 1, a chunk of 1024 over t = 0, and 130
+    on CP (127,2) over t = 1; on two, 273, 546 and 65 on the three screened
+    ones.  The block size changes no output bytes (see cmd_simulate)."""
+    n, l, b = code.ambient_dim, code.max_dim, _received_rows(code, spec)
     per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
-    block = max(_MIN_TRIAL_BLOCK, _TRIAL_BLOCK_BYTES // per_trial)
+    budget = _TRIAL_BLOCK_BYTES // workers
+    block = max(_MIN_TRIAL_BLOCK, budget // per_trial)
     if screened(code, block * b):
-        block = max(block, min(_TRIAL_CHUNK, _TRIAL_BLOCK_BYTES // (16 * n * b)))
+        block = max(block, min(_TRIAL_CHUNK, budget // (16 * n * b)))
     return block
 
 
@@ -355,6 +366,72 @@ def _draw_sizes(code: SubspaceCode, spec: ChannelSpec, complex_field: bool) -> d
         with contextlib.suppress(Infeasible):
             sizes[m] = channel_draw_size(m, code.ambient_dim, spec, complex_field)
     return sizes
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(code: SubspaceCode, spec: ChannelSpec, chunks: int) -> int:
+    """The workers that simulate runs its ``chunks`` on: min(usable cores,
+    chunks) where the blocks that each of them cuts from its share of the
+    budget are screened (decoder.screened), whose time goes mostly to BLAS
+    products, which release the GIL; else 1.  An unscreened block's many
+    small NumPy calls hold the GIL, and its blocks shrink with the shared
+    budget: on two cores, two workers took 1.6 times one's time on the
+    README config at 10000 trials (0.39 s against 0.25 s), and 0.75 times
+    on CP (31,2) over k = 1, t = 1 (0.18 s against 0.24)."""
+    workers = min(_usable_cores(), chunks)
+    if workers > 1 and screened(code, _trial_block(code, spec, workers)
+                                * _received_rows(code, spec)):
+        return workers
+    return 1
+
+
+def _run_chunks(count: int, workers: int, run) -> None:
+    """run(c) for every chunk c < count on ``workers`` workers: this thread
+    and workers - 1 pool threads, which take the chunks in order from one
+    counter.  Once a chunk raises no more are handed out, and when every
+    worker has stopped the exception of the lowest chunk that raised is
+    raised here; every lower chunk was handed out before it and has run to
+    its end, so that is the exception the chunks would raise one by one.
+    An interrupt, such as a KeyboardInterrupt, is raised as it comes."""
+    if workers == 1:
+        for chunk in range(count):
+            run(chunk)
+        return
+    lock = threading.Lock()
+    chunks = iter(range(count))
+    failed = {}
+
+    def work():
+        while True:
+            with lock:
+                chunk = None if failed else next(chunks, None)
+            if chunk is None:
+                return
+            try:
+                run(chunk)
+            except BaseException as exc:
+                with lock:
+                    failed[chunk] = exc
+                if not isinstance(exc, Exception):
+                    raise
+
+    # imported here, as it loads logging: a serial run pays neither its time nor its memory
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+    for helper in helpers:
+        helper.result()
+    if failed:
+        raise failed[min(failed)]
 
 
 def cmd_simulate(args) -> int:
@@ -380,10 +457,22 @@ def cmd_simulate(args) -> int:
     # trial, block by block, of which a trial takes the first sizes[m].  Draws
     # made in pieces are the draw made at once, and no trial's results depend
     # on the others in its block, so the block size changes no output
-    # (decode_block settles ties to within roundoff by the residual kernel)
-    block = _trial_block(code, spec)
+    # (decode_block settles ties to within roundoff by the residual kernel).
+    # The chunks run on min(usable cores, chunks) workers where their blocks
+    # are screened (_workers), each chunk writing its own slices of the
+    # result arrays, so the bytes are the same at any worker count.  The
+    # workers share one memory budget: each cuts its blocks from
+    # _TRIAL_BLOCK_BYTES / workers and its pairwise() blocks and nominee
+    # slices from subspaces._BLOCK_BYTES / workers, so that the tables of
+    # all the workers together take what one worker's did
+    chunks = -(-trials // _TRIAL_CHUNK)
+    workers = _workers(code, spec, chunks)
+    block = _trial_block(code, spec, workers)
+    budget = subspaces._BLOCK_BYTES // workers
     single = single_precision(code)  # decode_block's screen, cast once per run
-    for chunk, start in enumerate(range(0, trials, _TRIAL_CHUNK)):
+
+    def run_chunk(chunk):
+        start = chunk * _TRIAL_CHUNK
         rng = np.random.default_rng([seed, 1, chunk])
         stop = min(start + _TRIAL_CHUNK, trials)
         tx[start:stop] = rng.integers(len(code), size=stop - start)
@@ -399,7 +488,8 @@ def cmd_simulate(args) -> int:
                     sent, spec, draws[members, :sizes[m]])
                 dim = received.shape[1]
                 decoded = decode_block(code, SubspaceCode._from_rows(
-                    received.reshape(-1, n), np.full(len(members), dim), dim), single=single)
+                    received.reshape(-1, n), np.full(len(members), dim), dim),
+                    single=single, budget=budget)
                 at = lo + members
                 rx[at], d_rx[at], runner_up[at] = decoded
                 # a trial decoded to its sent codeword has d_tx_rx already: decode_block's
@@ -407,6 +497,8 @@ def cmd_simulate(args) -> int:
                 d_tx_rx[at] = decoded.distance
                 wrong = np.flatnonzero(decoded.index != txs[members])
                 d_tx_rx[at[wrong]] = _residual_distances(sent[wrong], received[wrong])
+
+    _run_chunks(chunks, workers, run_chunk)
 
     rate = int(np.count_nonzero(rx == tx)) / trials
     rows = _simulate_rows(code, spec, d_min, sizes, tx, rx, d_tx_rx, d_rx, runner_up)

@@ -133,7 +133,8 @@ def screen_tolerance(n: int, a: int, b: int) -> float:
     return _rounding_bound(n, a, b, 2.0 ** -24) + _rounding_bound(n, a, b, 2.0 ** -53)
 
 
-def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = None) -> Decoded:
+def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = None,
+                 budget: int | None = None) -> Decoded:
     """decode() for every subspace of ``received``: a table of distances
     nominates each received subspace's candidates, and the residual kernel
     ranks them.
@@ -200,9 +201,11 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     send its block to double precision.
 
     The nominees are ranked by _pair_distances, which gathers their bases
-    in slices of at most about 2 MiB (subspaces._BLOCK_BYTES, at 16 n (a +
-    b) bytes a complex pair), so a block's memory grows neither with its
-    tie windows nor with its tables.  Traced, beyond the code and its copy,
+    in slices of at most about ``budget`` bytes (at 16 n (a + b) bytes a
+    complex pair), so a block's memory grows neither with its tie windows
+    nor with its tables.  The same ``budget`` cuts the pairwise() blocks;
+    it is subspaces._BLOCK_BYTES, 2 MiB, when None, and simulate's workers
+    each take a share of that.  Traced, beyond the code and its copy,
     simulate's 1024-trial block of CP (31,2) over k = 1, t = 0, whose rows
     tie at the runner-up, peaks at 6.2 MB and its 546-trial block over t = 1
     at 3.2 MB; CP (127,2)'s 260-trial block over t = 0, whose rows each tie
@@ -222,15 +225,15 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
         slack = TIE_TOL + 2 * screen_tolerance(code.rows.shape[1], code.max_dim, received.max_dim)
         screen = _screen_operands(code, received)
         probe = min(_PROBE, count)
-        found = [_nominate(screen.part(0, probe), single, slack)]
+        found = [_nominate(screen.part(0, probe), single, slack, budget)]
         if np.bincount(found[0][0]).min() > 2:  # neither probe row settled
             found = None
         else:
-            found.append(_nominate(screen.part(probe, count), single, slack, probe))
+            found.append(_nominate(screen.part(probe, count), single, slack, budget, probe))
     if found is None:
-        found = [_nominate(received, code, TIE_TOL)]
+        found = [_nominate(received, code, TIE_TOL, budget)]
     at, words = map(np.concatenate, zip(*found))
-    d = _pair_distances(code, words, received, at)
+    d = _pair_distances(code, words, received, at, budget)
     # per row: the least distance, the lowest index at it, and the least of the rest
     nearest = np.full(count, math.inf)
     np.minimum.at(nearest, at, d)
@@ -243,12 +246,13 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     return Decoded(index, nearest, runner_up)
 
 
-def _nominate(received: SubspaceCode, code: SubspaceCode, slack: float, first: int = 0):
+def _nominate(received: SubspaceCode, code: SubspaceCode, slack: float,
+              budget: int | None, first: int = 0):
     """_nominees of pairwise(received, code), each pairwise() block of
-    ``received`` formed and nominated in turn, its rows counted from
-    ``first``."""
-    found = [_nominees(pairwise(received.part(lo, hi), code), slack, first + lo)
-             for lo, hi in received.blocks(code)]
+    ``received``, cut from ``budget`` bytes, formed and nominated in turn,
+    its rows counted from ``first``."""
+    found = [_nominees(pairwise(received.part(lo, hi), code, budget), slack, first + lo)
+             for lo, hi in received.blocks(code, budget)]
     return tuple(map(np.concatenate, zip(*found)))
 
 

@@ -285,14 +285,19 @@ class SubspaceCode:
         # the whole code's common_dim, so pairwise() takes one path whatever the blocks
         return SubspaceCode._from_rows(self.rows[first:stop], self.dims[lo:hi], self.common_dim)
 
-    def blocks(self, other: "SubspaceCode"):
+    def blocks(self, other: "SubspaceCode", budget: int | None = None):
         """Ranges (lo, hi) covering this code whose cross-Gram product with
-        ``other`` takes at most about _BLOCK_BYTES each; one empty range for
-        a code of no codewords."""
+        ``other`` takes at most about ``budget`` bytes each (_BLOCK_BYTES
+        when None); one empty range for a code of no codewords."""
         row_bytes = _entry_bytes(self.rows.dtype, other.rows.dtype) * max(1, other.rows.shape[0])
-        step = max(1, _BLOCK_BYTES // (row_bytes * max(1, self.max_dim)))
+        step = max(1, _budget(budget) // (row_bytes * max(1, self.max_dim)))
         M = len(self)
         return [(lo, min(lo + step, M)) for lo in range(0, max(M, 1), step)]
+
+
+def _budget(budget: int | None) -> int:
+    """``budget``, or _BLOCK_BYTES when it is None, read at the call."""
+    return _BLOCK_BYTES if budget is None else budget
 
 
 def _entry_bytes(*dtypes) -> int:
@@ -309,30 +314,31 @@ def _groups(keys: np.ndarray) -> list:
 
 
 def _pair_distances(A: "SubspaceCode", ia: np.ndarray, B: "SubspaceCode",
-                    ib: np.ndarray) -> np.ndarray:
+                    ib: np.ndarray, budget: int | None = None) -> np.ndarray:
     """distance(A[ia[i]], B[ib[i]]) for every i, by the residual kernel: one
     stacked call per pair of dimensions and slice of pairs, so each distance
     is bit-identical to distance() on the two codewords.  A slice's gathered
     bases, 16 n (a + b) bytes a complex pair of dimensions a and b in
     double precision and 8 n (a + b) a real one, take at most about
-    _BLOCK_BYTES, so the memory is bounded however many pairs are asked
-    for."""
+    ``budget`` bytes (_BLOCK_BYTES when None), so the memory is bounded
+    however many pairs are asked for."""
     if A.common_dim >= 0 and B.common_dim >= 0:
-        return _sliced_distances(A, ia, B, ib, A.common_dim + B.common_dim)
+        return _sliced_distances(A, ia, B, ib, A.common_dim + B.common_dim, budget)
     out = np.empty(len(ia))
     n = B.rows.shape[1]
     keys = A.dims[ia] * (n + 1) + B.dims[ib]
     for key, at in _groups(keys):
-        out[at] = _sliced_distances(A, ia[at], B, ib[at], key // (n + 1) + key % (n + 1))
+        out[at] = _sliced_distances(A, ia[at], B, ib[at], key // (n + 1) + key % (n + 1),
+                                    budget)
     return out
 
 
 def _sliced_distances(A: "SubspaceCode", ia: np.ndarray, B: "SubspaceCode",
-                      ib: np.ndarray, dims: int) -> np.ndarray:
+                      ib: np.ndarray, dims: int, budget: int | None) -> np.ndarray:
     """_pair_distances of pairs whose dimensions sum to ``dims`` and are the
-    same for every pair, in slices of at most about _BLOCK_BYTES of bases."""
+    same for every pair, in slices of at most about ``budget`` bytes of bases."""
     pair_bytes = _entry_bytes(A.rows.dtype, B.rows.dtype) * max(1, A.rows.shape[1] * dims)
-    step = max(1, _BLOCK_BYTES // pair_bytes)
+    step = max(1, _budget(budget) // pair_bytes)
     if len(ia) <= step:
         return _residual_distances(A.bases(ia), B.bases(ib))
     parts = []
@@ -379,11 +385,12 @@ def _sum_in_order(parts: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
+def pairwise(A: SubspaceCode, B: SubspaceCode, budget: int | None = None) -> np.ndarray:
     """Distance from every codeword of A to every codeword of B, (len A, len B).
 
     Uses d(U, V) = dim U + dim V - 2 ||Z_U Z_V^H||_F^2: one matrix product
-    per block of A (see SubspaceCode.blocks), then |.|^2 summed over the rows
+    per block of A (see SubspaceCode.blocks, which cuts them from ``budget``
+    bytes), then |.|^2 summed over the rows
     of each pair.  Valid for any mix of dimensions, 0 and n included.
     When both codes have one common dimension, each pair's sum runs over B's
     rows first and then over A's, in NumPy's order for the 4-d
@@ -403,7 +410,7 @@ def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
     b_side = B.rows.T if conj_a else B.rows.conj().T
     uniform = A.common_dim > 0 and B.common_dim > 0
     parts = []
-    for lo, hi in A.blocks(B):
+    for lo, hi in A.blocks(B, budget):
         block = A.part(lo, hi)
         cross = (block.rows.conj() if conj_a else block.rows) @ b_side
         # |c|^2: the product's float view squared in place, then re^2 + im^2

@@ -583,6 +583,28 @@ def test_reflector_map_takes_the_same_bits_whatever_the_basis_layout():
                 assert np.array_equal(_into_complements(layout, coeff), want)
 
 
+# a stack of bases in C order, in Fortran order, and with each basis in Fortran order
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+           "per-basis F": lambda Z: Z.transpose(0, 2, 1).copy().transpose(0, 2, 1)}
+
+
+def test_channel_block_takes_the_same_bits_whatever_the_basis_layout():
+    # every stage, the erase stage's coeff @ Z included, once rounded
+    # otherwise when the sent bases came in Fortran order
+    rng = np.random.default_rng(29)
+    for n, m, k, t, delta, r_d in ((5, 3, 1, 1, 0.0, 0), (6, 4, 2, 1, 0.2, 1), (8, 3, 2, 2, 0.5, 2),
+                                   (9, 5, 3, 2, 0.0, 1), (12, 6, 4, 3, 0.4, 2),
+                                   (7, 7, 3, 0, 0.0, 0), (10, 4, 2, 3, 0.0, 0)):
+        spec = ChannelSpec(k=k, t=t, rotation=delta, noise_dim=r_d)
+        for complex_field in (False, True):
+            Z = np.stack([random_subspace(n, m, rng, complex_field).basis for _ in range(4)])
+            draws = rng.standard_normal((4, channel_draw_size(m, n, spec, complex_field)))
+            want = apply_noisy_operator_channel_block(Z, spec, draws)
+            for layout in LAYOUTS.values():
+                assert np.array_equal(apply_noisy_operator_channel_block(layout(Z), spec, draws),
+                                      want)
+
+
 @st.composite
 def error_stack_cases(draw):
     """(n, m, t, count, complex flag, seed) with 0 <= m < n and 1 <= t <= n - m."""
@@ -611,8 +633,9 @@ def test_error_rows_are_orthonormal_and_avoid_the_sent_subspace(case):
 
 @st.composite
 def channel_block_cases(draw):
-    """(spec, n, dims, complex flag, seed): a channel spec and a block of
-    transmitted dimensions, mixed, that it can serve in ambient dimension n."""
+    """(spec, n, dims, complex flag, layout, seed): a channel spec and a block
+    of transmitted dimensions, mixed, that it can serve in ambient dimension
+    n, and the layout (LAYOUTS) of the stacked sent bases."""
     n = draw(st.integers(2, 9))
     k = draw(st.integers(0, n))
     t = draw(st.integers(0, n - 1))
@@ -629,15 +652,25 @@ def channel_block_cases(draw):
     delta = reach * draw(st.floats(0.0, 1.0, exclude_min=True)) if rotating else 0.0
     spec = ChannelSpec(k=k, t=t, rotation=delta, noise_dim=r_d)
     dims = draw(st.lists(st.sampled_from(fits), min_size=1, max_size=10))
-    return spec, n, dims, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+    return (spec, n, dims, draw(st.booleans()), draw(st.sampled_from(sorted(LAYOUTS))),
+            draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @PROPERTY
 @given(case=channel_block_cases())
 # the noise stage on a Fortran-ordered stack, which once rounded otherwise
-@example(case=(ChannelSpec(k=1, t=2, noise_dim=1), 4, [0, 1], False, 0))
+@example(case=(ChannelSpec(k=1, t=2, noise_dim=1), 4, [0, 1], False, "C", 0))
+# sent bases in other layouts, through the erase stage, the rotation and the noise
+@example(case=(ChannelSpec(k=1, t=1), 5, [3, 3, 2], True, "F", 1))
+@example(case=(ChannelSpec(k=2, t=1, rotation=0.3, noise_dim=1), 6, [3, 2, 3], False,
+               "per-basis F", 2))
+# edge dimensions: the whole space sent, nothing sent, all erased, the output filling the space
+@example(case=(ChannelSpec(k=2, t=0), 4, [4, 4], True, "F", 3))
+@example(case=(ChannelSpec(k=0, t=3), 3, [0, 0], True, "per-basis F", 4))
+@example(case=(ChannelSpec(k=0, t=1, noise_dim=1), 3, [2, 1], False, "F", 5))
+@example(case=(ChannelSpec(k=1, t=0, noise_dim=1), 2, [1, 2], True, "F", 6))
 def test_channel_block_is_the_per_trial_channel_bitwise(case):
-    spec, n, dims, complex_field, seed = case
+    spec, n, dims, complex_field, layout, seed = case
     sent = [random_subspace(n, m, np.random.default_rng([seed, i]), complex_field)
             for i, m in enumerate(dims)]
     for m in dict.fromkeys(dims):  # one stack per transmitted dimension
@@ -648,7 +681,7 @@ def test_channel_block_is_the_per_trial_channel_bitwise(case):
         size = channel_draw_size(m, n, spec, complex_field)
         draws = np.stack([rng.standard_normal(size) for rng in rngs])
         received = apply_noisy_operator_channel_block(
-            np.stack([sent[i].basis for i in members]), spec, draws)
+            LAYOUTS[layout](np.stack([sent[i].basis for i in members])), spec, draws)
         assert received.shape == (len(members), min(m, spec.k) + spec.t
                                   + spec.noise_dim, n)
         for i, V, rng, twin, oracle in zip(members, received, rngs, twins, oracles):

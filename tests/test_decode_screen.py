@@ -116,14 +116,14 @@ class _Spy:
         self.nominees = []
         pairwise_, pair_distances = decoder.pairwise, decoder._pair_distances
 
-        def table(A, B):
-            assert A.blocks(B) == [(0, len(A))]
+        def table(A, B, budget=None):
+            assert A.blocks(B, budget) == [(0, len(A))]
             self.tables["single" if A.rows.dtype == np.float32 else "double"].append(len(A))
-            return pairwise_(A, B)
+            return pairwise_(A, B, budget)
 
-        def ranked(A, ia, B, ib):
+        def ranked(A, ia, B, ib, budget=None):
             self.nominees.append(len(ia))
-            return pair_distances(A, ia, B, ib)
+            return pair_distances(A, ia, B, ib, budget)
 
         monkeypatch.setattr(decoder, "pairwise", table)
         monkeypatch.setattr(decoder, "_pair_distances", ranked)
@@ -343,7 +343,7 @@ def test_simulate_writes_the_bytes_of_the_double_decoder(t, trials, tmp_path, mo
         assert spy.tables["single"] == [2]
         assert spy.tables["double"] == [136, 64]
     monkeypatch.setattr(cli, "decode_block",
-                        lambda code, received, single: decode_block_double(code, received))
+                        lambda code, received, single, budget: decode_block_double(code, received))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(double)]) == EXIT_OK
     assert screened.read_bytes() == double.read_bytes()
     capsys.readouterr()
@@ -360,9 +360,9 @@ def test_a_chunk_long_block_forms_no_table_beyond_one_pairwise_block(t, tmp_path
                                "channel": {"k": 1, "t": t}, "trials": 1024, "seed": 32}))
     blocks = []
     decode = cli.decode_block
-    monkeypatch.setattr(cli, "_trial_block", lambda code, spec: 1024)
-    monkeypatch.setattr(cli, "decode_block", lambda code, received, single: blocks.append(
-        (code, received, single)) or decode(code, received, single=single))
+    monkeypatch.setattr(cli, "_trial_block", lambda code, spec, workers=1: 1024)
+    monkeypatch.setattr(cli, "decode_block", lambda code, received, single, budget: blocks.append(
+        (code, received, single)) or decode(code, received, single=single, budget=budget))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
     (code, received, single), = blocks
     tables = _Spy(monkeypatch).tables
@@ -395,9 +395,9 @@ def test_cp_decode_config_is_settled_by_the_screen_alone(tmp_path, monkeypatch, 
     blocks = []
     decode = cli.decode_block
 
-    def recorded(code, received, single):
+    def recorded(code, received, single, budget):
         blocks.append((code, received))
-        return decode(code, received, single=single)
+        return decode(code, received, single=single, budget=budget)
 
     monkeypatch.setattr(cli, "decode_block", recorded)
     spy = _Spy(monkeypatch)

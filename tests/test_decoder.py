@@ -276,7 +276,8 @@ def test_an_all_tie_cp_127_2_block_stays_within_its_memory_bound(monkeypatch):
     nominees = []
     ranked = decoder._pair_distances
     monkeypatch.setattr(decoder, "_pair_distances",
-                        lambda A, ia, B, ib: nominees.append(len(ia)) or ranked(A, ia, B, ib))
+                        lambda A, ia, B, ib, budget=None: nominees.append(len(ia))
+                        or ranked(A, ia, B, ib, budget))
     table = 8 * len(code) * 64
     tracemalloc.start()
     try:

@@ -17,8 +17,14 @@ keeps.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,7 +299,7 @@ def test_block_size_does_not_change_the_bytes(block, cfg, tmp_path, monkeypatch,
     cfg_path.write_text(json.dumps(cfg))
     default, blocked = tmp_path / "default.csv", tmp_path / "blocked.csv"
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(default)]) == EXIT_OK
-    monkeypatch.setattr(cli, "_trial_block", lambda code, spec: block)
+    monkeypatch.setattr(cli, "_trial_block", lambda code, spec, workers=1: block)
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
     assert blocked.read_bytes() == default.read_bytes()
     capsys.readouterr()
@@ -348,7 +354,7 @@ def test_codewords_tied_to_within_roundoff_give_one_csv_at_every_block_size(
     _assert_same_csv(tmp_path, cfg)
     default = (tmp_path / "blocked.csv").read_bytes()
     for block in (1, 2, 7):
-        monkeypatch.setattr(cli, "_trial_block", lambda code, spec: block)
+        monkeypatch.setattr(cli, "_trial_block", lambda code, spec, workers=1: block)
         out = tmp_path / f"block_{block}.csv"
         assert cli.main(["simulate", "--config", str(tmp_path / "sim.json"),
                          "--out", str(out)]) == EXIT_OK
@@ -381,3 +387,222 @@ def test_a_tiny_rotation_keeps_its_relative_accuracy(tmp_path, capsys):
     for row in rows:
         assert math.isclose(float(row[8]), 1e-12, rel_tol=1e-6)
     capsys.readouterr()
+
+
+class _CountingPool(concurrent.futures.ThreadPoolExecutor):
+    """A ThreadPoolExecutor that keeps a record of itself in ``pools``."""
+
+    pools: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pools.append(self)
+
+
+def _simulate_at(cores: int, cfg_path, out, monkeypatch, pooled: bool = True) -> int:
+    """cli.main's exit code for simulate on ``cfg_path`` with ``cores``
+    usable cores, checking that a ``pooled`` run started one pool of
+    min(cores, chunks) - 1 threads, and any other none."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
+    _CountingPool.pools = []
+    argv = ["simulate", "--config", str(cfg_path)] + ([] if out is None else ["--out", str(out)])
+    code = cli.main(argv)
+    chunks = -(-json.loads(cfg_path.read_text())["trials"] // cli._TRIAL_CHUNK)
+    helpers = min(cores, chunks) - 1 if pooled else 0
+    assert [len(pool._threads) for pool in _CountingPool.pools] == ([helpers] if helpers else [])
+    return code
+
+
+def _large_mixed_code_file(tmp_path) -> str:
+    """400 random subspaces of C^12 of dimensions 1, 2, 3 and 0 in turn: a
+    mixed-dimension code large enough that simulate's blocks are screened."""
+    rng = np.random.default_rng(5)
+    path = tmp_path / "large_mixed.code.json"
+    save_code(SubspaceCode([random_subspace(12, m, rng) for m in (1, 2, 3, 0) * 100]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["readme", "cp_31_2_t0", "cp_31_2_t1", "mixed"])
+def test_the_worker_count_does_not_change_the_bytes(name, tmp_path, monkeypatch, capsys):
+    # 2100 trials: chunks of 1024, 1024 and 52, on 1, 2 and 3 cores.  The
+    # README config's blocks are not screened, and it runs on one worker
+    # whatever the cores; the others' are, and they run on min(cores, 3)
+    # workers.  The mixed-dimension code misdecodes about a quarter of its
+    # trials
+    cp_file = tmp_path / "cp_31_2.code.json"
+    if name.startswith("cp"):
+        save_code(cp_construct(CPCodeSpec(FiniteField(31), 2)), cp_file)
+    cfg = {"readme": {**README, "seed": 13},
+           "cp_31_2_t0": {"code": {"type": "file", "path": str(cp_file)},
+                          "channel": {"k": 1, "t": 0}, "seed": 14},
+           "cp_31_2_t1": {"code": {"type": "file", "path": str(cp_file)},
+                          "channel": {"k": 1, "t": 1}, "seed": 15},
+           "mixed": {"code": {"type": "file", "path": _large_mixed_code_file(tmp_path)},
+                     "channel": {"k": 2, "t": 2, "delta": 0.2, "r_d": 1}, "seed": 16}}[name]
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({**cfg, "trials": 2100}))
+    outs = []
+    for cores in (1, 2, 3):
+        outs.append(tmp_path / f"cores_{cores}.csv")
+        assert _simulate_at(cores, cfg_path, outs[-1], monkeypatch,
+                            pooled=name != "readme") == EXIT_OK
+    data = outs[0].read_bytes()
+    assert all(out.read_bytes() == data for out in outs[1:])
+    _check_columns(data)
+    rows = [line.split(",") for line in data.decode().splitlines()[3:-1]]
+    assert len(rows) == 2100
+    if name == "mixed":
+        assert sum(row[7] == "0" for row in rows) > len(rows) // 10
+        assert {row[1] for row in rows} == {"0", "1"}  # rho: dimensions 0 to 2 lose none
+    capsys.readouterr()
+
+
+def test_the_first_overflowing_trial_past_the_first_chunk_names_the_error(tmp_path, monkeypatch,
+                                                                          capsys):
+    # 700 lines and a 3- and a 4-dimensional codeword in ambient 6: t = 4
+    # error dimensions fit next to a line only, and the code is large enough
+    # that its runs are pooled.  At seed 1375 the first trial that sends a
+    # larger codeword is trial 1456, in chunk 1, and chunk 2's first sends
+    # the other one, at trial 2061, a few trials into its chunk: its worker
+    # fails first, and the error must still be chunk 1's
+    rng = np.random.default_rng(31)
+    words = [random_subspace(6, m, rng) for m in [1] * 700 + [3, 4]]
+    path = tmp_path / "overflow.code.json"
+    save_code(SubspaceCode(words), path)
+    cfg = {"code": {"type": "file", "path": str(path)}, "channel": {"k": 1, "t": 4},
+           "trials": 3000, "seed": 1375}
+    firsts = []
+    for chunk in range(3):
+        tx = np.random.default_rng([1375, 1, chunk]).integers(len(words), size=cli._TRIAL_CHUNK)
+        over = np.flatnonzero(tx >= 700)
+        firsts.append((chunk * cli._TRIAL_CHUNK + over[0], words[tx[over[0]]].dim)
+                      if len(over) else None)
+    assert firsts == [None, (1456, 4), (2061, 3)]
+    with pytest.raises(Infeasible, match="cannot fit") as raised:
+        _per_trial_simulate(cfg, tmp_path / "oracle.csv")
+    assert "4-dimensional" in str(raised.value)
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    for cores in (1, 2, 3):
+        assert _simulate_at(cores, cfg_path, None, monkeypatch) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == f"infeasible request: {raised.value}\n"
+
+
+@pytest.mark.parametrize("cores, trials, name", [(2, 1000, "cp_31_2"), (1, 2100, "cp_31_2"),
+                                                (2, 2100, "ensemble_80")])
+def test_a_run_of_one_worker_starts_no_thread(cores, trials, name, tmp_path, monkeypatch,
+                                              capsys):
+    # one chunk of CP (31,2), whose blocks are screened, runs in this thread
+    # whatever the cores; on one core, so do several chunks.  An ensemble of
+    # 80 words on the README channel screens one worker's blocks of 682
+    # trials but would not screen two workers' of 64, so its chunks run here
+    # on two cores too
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    if name == "cp_31_2":
+        path = tmp_path / "cp_31_2.code.json"
+        save_code(cp_construct(CPCodeSpec(FiniteField(31), 2)), path)
+        cfg = {"code": {"type": "file", "path": str(path)}, "channel": {"k": 1, "t": 1}}
+    else:
+        cfg = {"code": {"type": "random-ensemble", "n": 12, "m": 3, "M": 80},
+               "channel": README["channel"]}
+        code = cli.build_code_from_config(cfg["code"], 3)
+        spec = cli._channel_from_config(cfg["channel"], code)
+        rows = cli._received_rows(code, spec)
+        assert [(cli._trial_block(code, spec, w), decoder.screened(
+            code, cli._trial_block(code, spec, w) * rows)) for w in (1, 2)] == [(682, True),
+                                                                                  (64, False)]
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({**cfg, "trials": trials, "seed": 3}))
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "sim.csv")]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_a_failed_chunk_stops_the_handing_out_and_the_lowest_failure_is_raised():
+    # chunk 1 fails while chunk 0 runs; chunk 0 then fails too, and no later
+    # chunk is started
+    started, one_failed = [], threading.Event()
+
+    def run(chunk):
+        started.append(chunk)
+        if chunk == 1:
+            one_failed.set()
+            raise ValueError("chunk 1")
+        if chunk == 0:
+            assert one_failed.wait(timeout=60)
+            raise ValueError("chunk 0")
+
+    with pytest.raises(ValueError, match="chunk 0"):
+        cli._run_chunks(6, 2, run)
+    assert sorted(started) == [0, 1]
+
+
+def test_every_chunk_runs_once_on_more_workers_than_cores():
+    # eight workers, thread switches as often as the interpreter allows: a
+    # chunk handed out twice, or lost, breaks the count
+    started = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cli._run_chunks(400, 8, lambda chunk: started.append(chunk) or np.ones(64).sum())
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(started) == list(range(400))
+
+
+def test_an_interrupt_in_a_chunk_is_raised_as_it_comes():
+    # chunk 1 is interrupted while chunk 0 runs, and chunk 0 then fails: the
+    # interrupt, not the lower chunk's error, comes out
+    one_started = threading.Event()
+
+    def run(chunk):
+        if chunk == 1:
+            one_started.set()
+            raise KeyboardInterrupt
+        if chunk == 0:
+            assert one_started.wait(timeout=60)
+            raise ValueError("chunk 0")
+
+    with pytest.raises(KeyboardInterrupt):
+        cli._run_chunks(6, 2, run)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two usable CPUs")
+def test_a_process_pinned_to_one_cpu_writes_the_bytes_of_an_unpinned_one(tmp_path):
+    # the worker count comes from the affinity mask: pinned to one CPU, the
+    # CLI runs its three chunks in one thread; unpinned, on a pool
+    cpu = min(os.sched_getaffinity(0))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")]))}
+
+    def pin():
+        os.sched_setaffinity(0, {cpu})
+
+    def run(argv, pinned):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                              timeout=300, preexec_fn=pin if pinned else None)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    probe = ["-c", "from subspacecodes import cli; print(cli._usable_cores())"]
+    assert run(probe, True).strip() == "1"
+    assert int(run(probe, False)) >= 2
+    path = tmp_path / "cp_31_2.code.json"
+    save_code(cp_construct(CPCodeSpec(FiniteField(31), 2)), path)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"code": {"type": "file", "path": str(path)},
+                               "channel": {"k": 1, "t": 1}, "trials": 3000, "seed": 17}))
+    outs = {}
+    for pinned in (True, False):
+        outs[pinned] = tmp_path / f"pinned_{pinned}.csv"
+        run(["-m", "subspacecodes.cli", "simulate", "--config", str(cfg),
+             "--out", str(outs[pinned])], pinned)
+    assert outs[True].read_bytes() == outs[False].read_bytes()

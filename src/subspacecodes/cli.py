@@ -53,6 +53,8 @@ _MIN_TRIAL_BLOCK = 64
 # trials per generator in simulate: a constant of the v4 draw stream, which
 # changing would change every CSV
 _TRIAL_CHUNK = 1024
+# glibc's mallopt parameter for the most malloc arenas (malloc.h)
+_M_ARENA_MAX = -8
 # CSV lines are formatted, joined and written this many at a time
 _WRITE_CHUNK = 1024
 # most points a bounds grid (delta_points, rate_points) may take: at the
@@ -377,59 +379,77 @@ def _usable_cores() -> int:
 
 
 def _workers(code: SubspaceCode, spec: ChannelSpec, chunks: int) -> int:
-    """The workers that simulate runs its ``chunks`` on: min(usable cores,
-    chunks) where the blocks that each of them cuts from its share of the
-    budget are screened (decoder.screened), whose time goes mostly to BLAS
-    products, which release the GIL; else 1.  An unscreened block's many
-    small NumPy calls hold the GIL, and its blocks shrink with the shared
-    budget: on two cores, two workers took 1.6 times one's time on the
-    README config at 10000 trials (0.39 s against 0.25 s), and 0.75 times
-    on CP (31,2) over k = 1, t = 1 (0.18 s against 0.24)."""
-    workers = min(_usable_cores(), chunks)
-    if workers > 1 and screened(code, _trial_block(code, spec, workers)
-                                * _received_rows(code, spec)):
-        return workers
+    """The workers that simulate runs its ``chunks`` on: the most, up to
+    min(usable cores, chunks), whose blocks, cut from their share of the
+    budget, are screened (decoder.screened) and keep their received bases
+    within that share; else 1.  A screened block's time goes mostly to BLAS
+    products, which release the GIL.  An unscreened block's many small
+    NumPy calls hold the GIL, and its blocks shrink with the shared budget:
+    on two cores, two workers took 1.6 times one's time on the README config
+    at 10000 trials (0.39 s against 0.25 s), and 0.75 times on CP (31,2)
+    over k = 1, t = 1 (0.18 s against 0.24).  Where the floor of
+    _MIN_TRIAL_BLOCK trials lifts a block past its share, the workers
+    together would hold more than one worker does, so CP (31,2) over k = 1,
+    t = 1 runs on at most 8.  Only two workers' time has been measured."""
+    n, b = code.ambient_dim, _received_rows(code, spec)
+    for workers in range(min(_usable_cores(), chunks), 1, -1):
+        block = _trial_block(code, spec, workers)
+        if screened(code, block * b) and 16 * n * b * block <= _TRIAL_BLOCK_BYTES // workers:
+            return workers
     return 1
+
+
+def _one_malloc_arena() -> None:
+    """Has glibc's malloc serve the threads started from now on from the
+    arena that the process has (mallopt's M_ARENA_MAX of 1), for the rest of
+    the process.  Otherwise each pool thread takes an arena of its own,
+    whose freed memory, 2.3 to 2.7 MB on CP (31,2), the rest of the process
+    cannot reuse.  Without glibc this does nothing."""
+    try:
+        import ctypes
+
+        ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)
+    except (ImportError, OSError, AttributeError, TypeError):
+        pass
 
 
 def _run_chunks(count: int, workers: int, run) -> None:
     """run(c) for every chunk c < count on ``workers`` workers: this thread
-    and workers - 1 pool threads, which take the chunks in order from one
-    counter.  Once a chunk raises no more are handed out, and when every
-    worker has stopped the exception of the lowest chunk that raised is
-    raised here; every lower chunk was handed out before it and has run to
-    its end, so that is the exception the chunks would raise one by one.
-    An interrupt, such as a KeyboardInterrupt, is raised as it comes."""
-    if workers == 1:
-        for chunk in range(count):
-            run(chunk)
-        return
+    and, past one, a pool of workers - 1 threads, all taking the chunks in
+    order from one counter.  Once a chunk raises, or a worker is
+    interrupted, no more are handed out, and when every worker has stopped
+    the interrupt is raised here, or else the exception of the lowest chunk
+    that raised; every lower chunk was handed out before it and has run to
+    its end, so that is the exception the chunks would raise one by one."""
     lock = threading.Lock()
     chunks = iter(range(count))
-    failed = {}
+    failed = {}  # chunk: its exception, and -1: an interrupt
+
+    def take():
+        with lock:
+            return None if failed else next(chunks, None)
 
     def work():
-        while True:
-            with lock:
-                chunk = None if failed else next(chunks, None)
-            if chunk is None:
-                return
-            try:
+        try:
+            while (chunk := take()) is not None:
                 run(chunk)
-            except BaseException as exc:
-                with lock:
-                    failed[chunk] = exc
-                if not isinstance(exc, Exception):
-                    raise
+        except BaseException as exc:
+            failed[chunk if isinstance(exc, Exception) else -1] = exc
 
-    # imported here, as it loads logging: a serial run pays neither its time nor its memory
-    from concurrent.futures import ThreadPoolExecutor
+    with contextlib.ExitStack() as stack:
+        try:
+            if workers > 1:
+                # imported here, as it loads logging: a serial run pays neither its
+                # time nor its memory
+                from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
-        work()
-    for helper in helpers:
-        helper.result()
+                _one_malloc_arena()
+                pool = stack.enter_context(ThreadPoolExecutor(workers - 1))
+                for _ in range(workers - 1):
+                    pool.submit(work)
+            work()
+        except BaseException as exc:  # an interrupt while the pool starts
+            failed[-1] = exc
     if failed:
         raise failed[min(failed)]
 
@@ -458,13 +478,13 @@ def cmd_simulate(args) -> int:
     # made in pieces are the draw made at once, and no trial's results depend
     # on the others in its block, so the block size changes no output
     # (decode_block settles ties to within roundoff by the residual kernel).
-    # The chunks run on min(usable cores, chunks) workers where their blocks
-    # are screened (_workers), each chunk writing its own slices of the
-    # result arrays, so the bytes are the same at any worker count.  The
-    # workers share one memory budget: each cuts its blocks from
-    # _TRIAL_BLOCK_BYTES / workers and its pairwise() blocks and nominee
-    # slices from subspaces._BLOCK_BYTES / workers, so that the tables of
-    # all the workers together take what one worker's did
+    # The chunks run on up to min(usable cores, chunks) workers (_workers),
+    # each chunk writing its own slices of the result arrays, so the bytes
+    # are the same at any worker count.  The workers share one memory
+    # budget: each cuts its blocks from _TRIAL_BLOCK_BYTES / workers and its
+    # pairwise() blocks and nominee slices from subspaces._BLOCK_BYTES /
+    # workers, so that the tables of all the workers together take what one
+    # worker's did
     chunks = -(-trials // _TRIAL_CHUNK)
     workers = _workers(code, spec, chunks)
     block = _trial_block(code, spec, workers)

@@ -251,7 +251,7 @@ def _nominate(received: SubspaceCode, code: SubspaceCode, slack: float,
     """_nominees of pairwise(received, code), each pairwise() block of
     ``received``, cut from ``budget`` bytes, formed and nominated in turn,
     its rows counted from ``first``."""
-    found = [_nominees(pairwise(received.part(lo, hi), code, budget), slack, first + lo)
+    found = [_nominees(pairwise(received.part(lo, hi), code), slack, first + lo)
              for lo, hi in received.blocks(code, budget)]
     return tuple(map(np.concatenate, zip(*found)))
 

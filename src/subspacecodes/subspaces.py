@@ -385,12 +385,11 @@ def _sum_in_order(parts: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def pairwise(A: SubspaceCode, B: SubspaceCode, budget: int | None = None) -> np.ndarray:
+def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
     """Distance from every codeword of A to every codeword of B, (len A, len B).
 
     Uses d(U, V) = dim U + dim V - 2 ||Z_U Z_V^H||_F^2: one matrix product
-    per block of A (see SubspaceCode.blocks, which cuts them from ``budget``
-    bytes), then |.|^2 summed over the rows
+    per block of A (see SubspaceCode.blocks), then |.|^2 summed over the rows
     of each pair.  Valid for any mix of dimensions, 0 and n included.
     When both codes have one common dimension, each pair's sum runs over B's
     rows first and then over A's, in NumPy's order for the 4-d
@@ -410,7 +409,7 @@ def pairwise(A: SubspaceCode, B: SubspaceCode, budget: int | None = None) -> np.
     b_side = B.rows.T if conj_a else B.rows.conj().T
     uniform = A.common_dim > 0 and B.common_dim > 0
     parts = []
-    for lo, hi in A.blocks(B, budget):
+    for lo, hi in A.blocks(B):
         block = A.part(lo, hi)
         cross = (block.rows.conj() if conj_a else block.rows) @ b_side
         # |c|^2: the product's float view squared in place, then re^2 + im^2

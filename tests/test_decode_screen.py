@@ -116,10 +116,10 @@ class _Spy:
         self.nominees = []
         pairwise_, pair_distances = decoder.pairwise, decoder._pair_distances
 
-        def table(A, B, budget=None):
-            assert A.blocks(B, budget) == [(0, len(A))]
+        def table(A, B):
+            assert A.blocks(B) == [(0, len(A))]
             self.tables["single" if A.rows.dtype == np.float32 else "double"].append(len(A))
-            return pairwise_(A, B, budget)
+            return pairwise_(A, B)
 
         def ranked(A, ia, B, ib, budget=None):
             self.nominees.append(len(ia))

@@ -24,6 +24,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +572,55 @@ def test_an_interrupt_in_a_chunk_is_raised_as_it_comes():
 
     with pytest.raises(KeyboardInterrupt):
         cli._run_chunks(6, 2, run)
+
+
+def test_an_interrupt_while_the_pool_starts_stops_the_handing_out(monkeypatch):
+    # three workers, and the second helper's start is interrupted: the first
+    # helper ends the chunk it holds, takes no other, and the interrupt is
+    # raised once it has stopped
+    interrupted, started = threading.Event(), []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            if self._threads:
+                interrupted.set()
+                raise KeyboardInterrupt
+            return super().submit(fn, *args, **kwargs)
+
+    def run(chunk):
+        started.append(chunk)
+        assert interrupted.wait(timeout=60)
+        time.sleep(0.1)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    with pytest.raises(KeyboardInterrupt):
+        cli._run_chunks(6, 3, run)
+    assert started == [0]
+
+
+def test_a_pool_keeps_to_one_malloc_arena_and_a_serial_run_leaves_it_be(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_one_malloc_arena", lambda: calls.append("arena"))
+    cli._run_chunks(3, 1, lambda chunk: None)
+    assert calls == []
+    cli._run_chunks(3, 2, lambda chunk: None)
+    assert calls == ["arena"]
+
+
+@pytest.mark.parametrize("t, most", [(0, 17), (1, 8)])
+def test_the_workers_together_keep_to_one_workers_budget(t, most, monkeypatch):
+    # CP (31,2) in C^30 over k = 1: b = 1 + t received rows, 480 b bytes a
+    # trial.  Over t = 1, a ninth worker's share holds 60 trials, which the
+    # floor of 64 would lift past it; over t = 0 an eighteenth's holds 60
+    code = cp_construct(CPCodeSpec(FiniteField(31), 2))
+    spec = cli._channel_from_config({"k": 1, "t": t}, code)
+    per_trial = 16 * code.ambient_dim * (1 + t)
+    for cores in (1, 2, 3, most, most + 1, 64):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        workers = cli._workers(code, spec, 100)
+        assert workers == min(cores, most)
+        assert workers * cli._trial_block(code, spec, workers) * per_trial <= cli._TRIAL_BLOCK_BYTES
+        assert cli._workers(code, spec, 2) == min(cores, 2)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,

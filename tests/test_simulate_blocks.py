@@ -575,20 +575,22 @@ def test_an_interrupt_in_a_chunk_is_raised_as_it_comes():
 
 
 def test_an_interrupt_while_the_pool_starts_stops_the_handing_out(monkeypatch):
-    # three workers, and the second helper's start is interrupted: the first
-    # helper ends the chunk it holds, takes no other, and the interrupt is
-    # raised once it has stopped
-    interrupted, started = threading.Event(), []
+    # three workers, and the second helper's start is interrupted once the
+    # first helper holds chunk 0: that helper ends its chunk, takes no other,
+    # and the interrupt is raised once it has stopped
+    holding, interrupted, started = threading.Event(), threading.Event(), []
 
     class Pool(concurrent.futures.ThreadPoolExecutor):
         def submit(self, fn, *args, **kwargs):
             if self._threads:
+                assert holding.wait(timeout=60)
                 interrupted.set()
                 raise KeyboardInterrupt
             return super().submit(fn, *args, **kwargs)
 
     def run(chunk):
         started.append(chunk)
+        holding.set()
         assert interrupted.wait(timeout=60)
         time.sleep(0.1)
 

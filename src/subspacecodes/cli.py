@@ -45,10 +45,8 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-# bytes the stacked arrays of one block of simulate trials may take
-_TRIAL_BLOCK_BYTES = 2 ** 19
-# trials per block at the least, and the least block for which _trial_block
-# asks decode_block's screened(); see _trial_block
+# trials per block at the least, and the least block for which _plan asks
+# decode_block's screened(); see _plan
 _MIN_TRIAL_BLOCK = 64
 # trials per generator in simulate: a constant of the v4 draw stream, which
 # changing would change every CSV
@@ -318,49 +316,6 @@ def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
                        map(slack.__getitem__, sent_dims))
 
 
-def _received_rows(code: SubspaceCode, spec: ChannelSpec) -> int:
-    """b = min(l, k) + t + r_d, l the code's largest dimension: the rows of
-    the largest received basis."""
-    return min(code.max_dim, spec.k) + spec.t + spec.noise_dim
-
-
-def _trial_block(code: SubspaceCode, spec: ChannelSpec, workers: int = 1) -> int:
-    """Trials that simulate runs through the channel and the decoder at once,
-    on each of ``workers`` workers, which share _TRIAL_BLOCK_BYTES: the
-    share over a per-trial weight, and at least _MIN_TRIAL_BLOCK; a block
-    that decode_block screens takes as many trials as keep their received
-    bases, 16 n b bytes a trial, within the share, up to one chunk of
-    _TRIAL_CHUNK.
-
-    The weight, 16 n (n + l + 2 b) + 8 M bytes, with l the code's largest
-    dimension, b = min(l, k) + t + r_d and M the code's size, is a budget
-    rule that grows with n^2 and with M, not a count of the block's arrays:
-    traced, a block's peak grows by about 10.5 KB a trial on the README
-    config, where the weight is 4.6 KB.  The floor holds where the weight
-    leaves fewer trials, and screened() is asked of the floored block: CP
-    (31,2) over k = 1, t = 0 weighs 23528 bytes, 22 trials, too few received
-    rows to screen, while 64 are screened.
-
-    A block of b received rows a trial is screened (decoder.screened) when
-    the code's row entries times its received rows reach 2^20.  Every block
-    pays about 1 ms of fixed cost on CP (31,2), in the channel's stacked QR
-    calls, the screen's probe and the ranking, which a larger block shares
-    out; and decode_block forms and nominates its tables one pairwise()
-    block at a time, so they do not grow with the block.  Unscreened blocks
-    keep the weight's size, since larger ones cost peak memory for little
-    time.  So the block sizes on one worker are 114 on the README config,
-    546 on CP (31,2) over k = 1, t = 1, a chunk of 1024 over t = 0, and 130
-    on CP (127,2) over t = 1; on two, 273, 546 and 65 on the three screened
-    ones.  The block size changes no output bytes (see cmd_simulate)."""
-    n, l, b = code.ambient_dim, code.max_dim, _received_rows(code, spec)
-    per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
-    budget = _TRIAL_BLOCK_BYTES // workers
-    block = max(_MIN_TRIAL_BLOCK, budget // per_trial)
-    if screened(code, block * b):
-        block = max(block, min(_TRIAL_CHUNK, budget // (16 * n * b)))
-    return block
-
-
 def _draw_sizes(code: SubspaceCode, spec: ChannelSpec, complex_field: bool) -> dict:
     """The channel's draw size for each of the code's dimensions that fits it."""
     sizes = {}
@@ -378,25 +333,56 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(code: SubspaceCode, spec: ChannelSpec, chunks: int) -> int:
-    """The workers that simulate runs its ``chunks`` on: the most, up to
-    min(usable cores, chunks), whose blocks, cut from their share of the
-    budget, are screened (decoder.screened) and keep their received bases
-    within that share; else 1.  A screened block's time goes mostly to BLAS
-    products, which release the GIL.  An unscreened block's many small
-    NumPy calls hold the GIL, and its blocks shrink with the shared budget:
-    on two cores, two workers took 1.6 times one's time on the README config
-    at 10000 trials (0.39 s against 0.25 s), and 0.75 times on CP (31,2)
-    over k = 1, t = 1 (0.18 s against 0.24).  Where the floor of
-    _MIN_TRIAL_BLOCK trials lifts a block past its share, the workers
-    together would hold more than one worker does, so CP (31,2) over k = 1,
-    t = 1 runs on at most 8.  Only two workers' time has been measured."""
-    n, b = code.ambient_dim, _received_rows(code, spec)
-    for workers in range(min(_usable_cores(), chunks), 1, -1):
-        block = _trial_block(code, spec, workers)
-        if screened(code, block * b) and 16 * n * b * block <= _TRIAL_BLOCK_BYTES // workers:
-            return workers
-    return 1
+def _plan(code: SubspaceCode, spec: ChannelSpec, chunks: int) -> tuple[int, int, int]:
+    """(workers, block, budget) for simulate's ``chunks``: the workers that
+    run them, the trials that each runs through the channel and the decoder
+    at once, and the bytes of pairwise() blocks and nominee slices that each
+    worker's decode_block takes.  The workers share the one memory budget,
+    subspaces._BLOCK_BYTES (2 MiB): each takes budget = _BLOCK_BYTES /
+    workers, and cuts its trial blocks from a quarter of that, which on one
+    worker is the 512 KiB that the README's block-size sweep picked.
+
+    A block is that quarter over a per-trial weight, 16 n (n + l + 2 b) +
+    8 M bytes (l the code's largest dimension, b = min(l, k) + t + r_d the
+    rows of its largest received basis, M its size), and at least
+    _MIN_TRIAL_BLOCK.  The weight is a budget rule that grows with n^2 and
+    with M, not a count of the block's arrays: traced, a block's peak grows
+    by about 10.5 KB a trial on the README config, where the weight is
+    4.6 KB.  screened() is asked of the floored block: CP (31,2) over k = 1,
+    t = 0 weighs 23528 bytes, 22 trials, too few received rows to screen,
+    while 64 are screened.  A screened block (decoder.screened) takes as
+    many trials as keep their received bases, 16 n b bytes a trial, within
+    the quarter, up to one chunk of _TRIAL_CHUNK: every block pays about
+    1 ms of fixed cost on CP (31,2), in the channel's stacked QR calls, the
+    screen's probe and the ranking, which a larger block shares out, while
+    decode_block forms its tables one pairwise() block at a time.
+    Unscreened blocks keep the weight's size, since larger ones cost peak
+    memory for little time.  So the blocks on one worker are 114 trials on
+    the README config, 546 on CP (31,2) over k = 1, t = 1, a chunk of 1024
+    over t = 0, and 130 on CP (127,2) over t = 1; on two, 273, 546 and 65
+    on the three screened ones.
+
+    The workers are the most, up to min(usable cores, chunks), whose blocks
+    are screened and keep their received bases within the quarter; else 1.
+    A screened block's time goes mostly to BLAS products, which release the
+    GIL.  An unscreened block's many small NumPy calls hold it: on two
+    cores, two workers took 1.6 times one's time on the README config at
+    10000 trials (0.39 s against 0.25 s), and 0.75 times on CP (31,2) over
+    k = 1, t = 1 (0.18 s against 0.24).  Where the floor lifts a block past
+    its quarter, the workers together would hold more than one worker does,
+    so CP (31,2) over k = 1, t = 1 runs on at most 8.  Only two workers'
+    time has been measured."""
+    n, l = code.ambient_dim, code.max_dim
+    b = min(l, spec.k) + spec.t + spec.noise_dim
+    per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
+    for workers in range(min(_usable_cores(), chunks), 0, -1):
+        budget = subspaces._BLOCK_BYTES // workers
+        quarter = budget // 4  # the trial blocks' part
+        block = max(_MIN_TRIAL_BLOCK, quarter // per_trial)
+        if screen := screened(code, block * b):
+            block = max(block, min(_TRIAL_CHUNK, quarter // (16 * n * b)))
+        if workers == 1 or (screen and 16 * n * b * block <= quarter):
+            return workers, block, budget
 
 
 def _one_malloc_arena() -> None:
@@ -478,17 +464,13 @@ def cmd_simulate(args) -> int:
     # made in pieces are the draw made at once, and no trial's results depend
     # on the others in its block, so the block size changes no output
     # (decode_block settles ties to within roundoff by the residual kernel).
-    # The chunks run on up to min(usable cores, chunks) workers (_workers),
-    # each chunk writing its own slices of the result arrays, so the bytes
-    # are the same at any worker count.  The workers share one memory
-    # budget: each cuts its blocks from _TRIAL_BLOCK_BYTES / workers and its
-    # pairwise() blocks and nominee slices from subspaces._BLOCK_BYTES /
-    # workers, so that the tables of all the workers together take what one
-    # worker's did
+    # The chunks run on up to min(usable cores, chunks) workers, each chunk
+    # writing its own slices of the result arrays, so the bytes are the same
+    # at any worker count.  _plan cuts the workers' blocks and budgets from
+    # one memory budget, so that all the workers together take what one
+    # worker does
     chunks = -(-trials // _TRIAL_CHUNK)
-    workers = _workers(code, spec, chunks)
-    block = _trial_block(code, spec, workers)
-    budget = subspaces._BLOCK_BYTES // workers
+    workers, block, budget = _plan(code, spec, chunks)
     single = single_precision(code)  # decode_block's screen, cast once per run
 
     def run_chunk(chunk):

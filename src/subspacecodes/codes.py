@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, Infeasible
 from .finitefield import FiniteField, is_prime
-from .subspaces import (_BLOCK_BYTES, TOL_EQUAL, Subspace, SubspaceCode, _check_orthonormal,
+from .subspaces import (TOL_EQUAL, Subspace, SubspaceCode, _budget, _check_orthonormal,
                         _random_bases, complement, pairwise)
 
 DEFAULT_SEARCH_CAP = 10 ** 4
@@ -281,8 +281,9 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
     within itself, then accepted in order.  A batch holds no more candidates
     than the draw would examine anyway: the slots still open, the retries
     left, and as many as keep a table row against all M codewords within
-    _BLOCK_BYTES.  So a seed gives the code that drawing one random_subspace
-    at a time gives, and leaves rng where that leaves it.
+    subspaces._BLOCK_BYTES, read at the call.  So a seed gives the code that
+    drawing one random_subspace at a time gives, and leaves rng where that
+    leaves it.
     """
     if M < 2:
         raise ConfigError("an ensemble needs at least two codewords")
@@ -294,7 +295,7 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
     buf = np.empty((M * m, n), dtype=complex if complex_field else float)
     # a read-only view of buf; the bases of the words accepted so far fill its first rows
     code = SubspaceCode._from_rows(buf.view(), np.full(M, m, dtype=np.intp))
-    most = max(1, _BLOCK_BYTES // (8 * M))
+    most = max(1, _budget(None) // (8 * M))
     accepted = rejected = 0
     while accepted < M:
         if rejected >= ENSEMBLE_MAX_RETRIES:

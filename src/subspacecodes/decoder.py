@@ -204,13 +204,14 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     in slices of at most about ``budget`` bytes (at 16 n (a + b) bytes a
     complex pair), so a block's memory grows neither with its tie windows
     nor with its tables.  The same ``budget`` cuts the pairwise() blocks;
-    it is subspaces._BLOCK_BYTES, 2 MiB, when None, and simulate's workers
-    each take a share of that.  Traced, beyond the code and its copy,
-    simulate's 1024-trial block of CP (31,2) over k = 1, t = 0, whose rows
-    tie at the runner-up, peaks at 6.2 MB and its 546-trial block over t = 1
-    at 3.2 MB; CP (127,2)'s 260-trial block over t = 0, whose rows each tie
-    with about 250 codewords, peaks at 6.3 MB, and its 130-trial block over
-    t = 1 at 3.2 MB.
+    it is subspaces._BLOCK_BYTES, 2 MiB, when None.  simulate's workers
+    share that one budget: cli._plan gives each _BLOCK_BYTES / workers, and
+    cuts its trial blocks from a quarter of it.  Traced, beyond the code and
+    its copy, simulate's 1024-trial block of CP (31,2) over k = 1, t = 0,
+    whose rows tie at the runner-up, peaks at 6.2 MB and its 546-trial block
+    over t = 1 at 3.2 MB; CP (127,2)'s 260-trial block over t = 0, whose
+    rows each tie with about 250 codewords, peaks at 6.3 MB, and its
+    130-trial block over t = 1 at 3.2 MB.
     """
     if len(code) == 0:
         raise ConfigError("cannot decode against an empty code")

@@ -42,7 +42,7 @@ from subspacecodes import (
     random_subspace,
     save_code,
 )
-from subspacecodes import codes
+from subspacecodes import codes, subspaces
 from subspacecodes.errors import ConfigError, Infeasible
 from subspacecodes.subspaces import TOL_EQUAL, _gaussian, orthonormalize, pairwise
 
@@ -476,7 +476,7 @@ def test_random_ensemble_small_batches_give_the_same_bytes(per_batch, n, m, M, c
         return draw(n, m, count, rng, complex_field)
 
     # a table row against all M codewords is 8 M bytes
-    with mock.patch.object(codes, "_BLOCK_BYTES", 8 * M * per_batch), \
+    with mock.patch.object(subspaces, "_BLOCK_BYTES", 8 * M * per_batch), \
             mock.patch.object(codes, "_random_bases", recorded):
         got = _drawn(random_ensemble_code, n, m, M, 8, complex_field)
     assert got == want

@@ -23,7 +23,7 @@ from helpers import decode_block_double
 from test_decoder import decode_cases
 from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode, cli, cp_construct,
                            decode_block, random_subspace, save_code)
-from subspacecodes import decoder
+from subspacecodes import decoder, subspaces
 from subspacecodes.cli import EXIT_OK
 from subspacecodes.decoder import TIE_TOL, screen_tolerance, single_precision
 from subspacecodes.errors import ConfigError
@@ -360,7 +360,8 @@ def test_a_chunk_long_block_forms_no_table_beyond_one_pairwise_block(t, tmp_path
                                "channel": {"k": 1, "t": t}, "trials": 1024, "seed": 32}))
     blocks = []
     decode = cli.decode_block
-    monkeypatch.setattr(cli, "_trial_block", lambda code, spec, workers=1: 1024)
+    monkeypatch.setattr(cli, "_plan",
+                        lambda code, spec, chunks: (1, 1024, subspaces._BLOCK_BYTES))
     monkeypatch.setattr(cli, "decode_block", lambda code, received, single, budget: blocks.append(
         (code, received, single)) or decode(code, received, single=single, budget=budget))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == EXIT_OK

@@ -1,9 +1,11 @@
 """The blocked `simulate` loop against a loop that runs one trial at a time.
 
 `simulate` runs its trials in blocks, sized from the code and the channel
-(`cli._trial_block`): the channel's linear algebra runs once per block and
-codeword dimension on stacked arrays, and one pairwise() table picks the
-block's decodes.  Chunk c of `cli._TRIAL_CHUNK` trials draws from
+by `cli._plan`: the workers share the one 2 MiB memory budget,
+`subspaces._BLOCK_BYTES`, and each cuts its trial blocks from a quarter of
+its share.  The channel's linear algebra runs once per block and codeword
+dimension on stacked arrays, and one pairwise() table picks the block's
+decodes.  Chunk c of `cli._TRIAL_CHUNK` trials draws from
 `default_rng([seed, 1, c])`: first its codeword indices in one call, then
 one row of S normals per trial, S the largest channel draw size over the
 code's dimensions that fit, of which each trial's channel use takes the
@@ -12,7 +14,8 @@ kernel, pair by pair, so the CSV must be byte-identical to the one the
 per-chunk loop below writes, whatever the block size.  That loop draws each
 chunk's indices and normals at once and then runs one channel call, one
 decode and one distance() call per trial, with the columns of v2, which v4
-keeps.
+keeps.  The sizing that `cli._plan` replaced is kept here as its oracle,
+`_reference_plan`.
 """
 
 from __future__ import annotations
@@ -29,13 +32,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subspacecodes import (CPCodeSpec, FiniteField, Subspace, SubspaceCode,
+from subspacecodes import (ChannelSpec, CPCodeSpec, FiniteField, Subspace, SubspaceCode,
                            apply_noisy_operator_channel_block, channel_draw_size,
                            cli, cp_construct, decode, distance, guarantee_noisy,
                            guarantee_noisy_slack, min_distance_exhaustive, random_subspace,
                            save_code)
-from subspacecodes import decoder
+from subspacecodes import decoder, subspaces
 from subspacecodes.cli import EXIT_INFEASIBLE, EXIT_OK
 from subspacecodes.codes import DEFAULT_SEARCH_CAP, cp_min_distance
 from subspacecodes.errors import Infeasible
@@ -175,9 +180,58 @@ def test_real_binary_code_matches_the_per_trial_loop(tmp_path, capsys):
 
 
 def _block_size(cfg: dict) -> int:
-    """The trials per block that simulate computes for ``cfg``."""
+    """The trials per block that simulate computes for ``cfg`` on one worker."""
     code = cli.build_code_from_config(cfg["code"], cfg["seed"])
-    return cli._trial_block(code, cli._channel_from_config(cfg["channel"], code))
+    return cli._plan(code, cli._channel_from_config(cfg["channel"], code), 1)[1]
+
+
+def _blocks_of(monkeypatch, block: int) -> None:
+    """Has simulate run one worker, in blocks of ``block`` trials, on the
+    whole memory budget."""
+    budget = subspaces._BLOCK_BYTES
+    monkeypatch.setattr(cli, "_plan", lambda code, spec, chunks: (1, block, budget))
+
+
+# Oracle: simulate's sizing before cli._plan, in three helpers, with the
+# trial blocks cut from a budget of their own, 2^19 bytes shared by the
+# workers, and the tables from subspaces._BLOCK_BYTES / workers
+_TRIAL_BLOCK_BYTES = 2 ** 19
+
+
+def _received_rows(code: SubspaceCode, spec) -> int:
+    """b = min(l, k) + t + r_d, l the code's largest dimension: the rows of
+    the largest received basis."""
+    return min(code.max_dim, spec.k) + spec.t + spec.noise_dim
+
+
+def _trial_block(code: SubspaceCode, spec, workers: int = 1) -> int:
+    """Trials that simulate runs at once on each of ``workers`` workers,
+    which share _TRIAL_BLOCK_BYTES."""
+    n, l, b = code.ambient_dim, code.max_dim, _received_rows(code, spec)
+    per_trial = 16 * n * (n + l + 2 * b) + 8 * len(code)
+    budget = _TRIAL_BLOCK_BYTES // workers
+    block = max(cli._MIN_TRIAL_BLOCK, budget // per_trial)
+    if decoder.screened(code, block * b):
+        block = max(block, min(cli._TRIAL_CHUNK, budget // (16 * n * b)))
+    return block
+
+
+def _workers(code: SubspaceCode, spec, chunks: int) -> int:
+    """The most workers, up to min(usable cores, chunks), whose blocks are
+    screened and keep their received bases within their share; else 1."""
+    n, b = code.ambient_dim, _received_rows(code, spec)
+    for workers in range(min(cli._usable_cores(), chunks), 1, -1):
+        block = _trial_block(code, spec, workers)
+        if (decoder.screened(code, block * b)
+                and 16 * n * b * block <= _TRIAL_BLOCK_BYTES // workers):
+            return workers
+    return 1
+
+
+def _reference_plan(code: SubspaceCode, spec, chunks: int) -> tuple[int, int, int]:
+    """(workers, block, budget) as simulate took them from the three helpers."""
+    workers = _workers(code, spec, chunks)
+    return workers, _trial_block(code, spec, workers), subspaces._BLOCK_BYTES // workers
 
 
 @pytest.mark.parametrize("extra", [None, -1, 0, 1, "2B+3", "C+1"])
@@ -198,13 +252,15 @@ CP_31_2 = {"code": {"type": "cp", "q": 31, "k": 2}, "channel": {"k": 1, "t": 1},
 def test_block_size_keeps_to_the_budget_and_the_floor(monkeypatch):
     # n = 12, l = 3, b = min(3, 2) + 1 + 1 and M = 20: the channel's arrays and
     # a column of the decode table per trial
-    assert _block_size(README) == cli._TRIAL_BLOCK_BYTES // (16 * 12 * (12 + 3 + 2 * 4) + 8 * 20)
+    assert _block_size(README) == subspaces._BLOCK_BYTES // 4 // (16 * 12 * (12 + 3 + 2 * 4)
+                                                                 + 8 * 20)
     # in a wide ambient space the budget holds a few trials; the floor keeps more
     rng = np.random.default_rng(3)
     wide = SubspaceCode([random_subspace(100, 1, rng) for _ in range(2)])
     spec = cli._channel_from_config({"k": 1, "t": 1}, wide)
-    assert cli._TRIAL_BLOCK_BYTES // (16 * 100 * (100 + 1 + 2 * 2) + 8 * 2) < cli._MIN_TRIAL_BLOCK
-    assert cli._trial_block(wide, spec) == cli._MIN_TRIAL_BLOCK
+    assert (subspaces._BLOCK_BYTES // 4 // (16 * 100 * (100 + 1 + 2 * 2) + 8 * 2)
+            < cli._MIN_TRIAL_BLOCK)
+    assert cli._plan(wide, spec, 1)[1] == cli._MIN_TRIAL_BLOCK
     # the floor is also the block for which screened() is asked: with a floor
     # of 1, CP (31,2) over k = 1, t = 0 keeps the weight's 2^19 // 23528 = 22
     # trials, whose received rows are too few to screen, not a chunk of 1024
@@ -224,17 +280,18 @@ def test_block_size_keeps_to_the_budget_and_the_floor(monkeypatch):
 def test_screened_blocks_fill_one_pairwise_block(cfg, block, rows):
     # the README config is not screened and keeps its budget; a screened
     # block of ``rows`` received rows a trial takes as many trials as keep
-    # their received bases, 16 n rows bytes a trial, within the trial budget,
-    # up to one chunk (CP (31,2) over t = 0), since decode_block screens it
-    # one pairwise() block at a time
+    # their received bases, 16 n rows bytes a trial, within the quarter of
+    # the budget that goes to trial blocks, up to one chunk (CP (31,2) over
+    # t = 0), since decode_block screens it one pairwise() block at a time
     assert _block_size(cfg) == block
     code = cli.build_code_from_config(cfg["code"], cfg["seed"])
     screened = decoder.screened(code, block * rows)
     assert screened == (cfg is not README)
     if screened:
         per_trial = 16 * code.ambient_dim * rows
-        assert block * per_trial <= cli._TRIAL_BLOCK_BYTES
-        assert block == cli._TRIAL_CHUNK or (block + 1) * per_trial > cli._TRIAL_BLOCK_BYTES
+        share = subspaces._BLOCK_BYTES // 4
+        assert block * per_trial <= share
+        assert block == cli._TRIAL_CHUNK or (block + 1) * per_trial > share
 
 
 @pytest.mark.parametrize("t, trials", [(1, 1100), (0, 1100)])
@@ -300,7 +357,7 @@ def test_block_size_does_not_change_the_bytes(block, cfg, tmp_path, monkeypatch,
     cfg_path.write_text(json.dumps(cfg))
     default, blocked = tmp_path / "default.csv", tmp_path / "blocked.csv"
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(default)]) == EXIT_OK
-    monkeypatch.setattr(cli, "_trial_block", lambda code, spec, workers=1: block)
+    _blocks_of(monkeypatch, block)
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
     assert blocked.read_bytes() == default.read_bytes()
     capsys.readouterr()
@@ -355,7 +412,7 @@ def test_codewords_tied_to_within_roundoff_give_one_csv_at_every_block_size(
     _assert_same_csv(tmp_path, cfg)
     default = (tmp_path / "blocked.csv").read_bytes()
     for block in (1, 2, 7):
-        monkeypatch.setattr(cli, "_trial_block", lambda code, spec, workers=1: block)
+        _blocks_of(monkeypatch, block)
         out = tmp_path / f"block_{block}.csv"
         assert cli.main(["simulate", "--config", str(tmp_path / "sim.json"),
                          "--out", str(out)]) == EXIT_OK
@@ -499,7 +556,8 @@ def test_a_run_of_one_worker_starts_no_thread(cores, trials, name, tmp_path, mon
     # whatever the cores; on one core, so do several chunks.  An ensemble of
     # 80 words on the README channel screens one worker's blocks of 682
     # trials but would not screen two workers' of 64, so its chunks run here
-    # on two cores too
+    # on two cores too: a second worker's share is one worker's plan on half
+    # the budget
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
@@ -514,10 +572,15 @@ def test_a_run_of_one_worker_starts_no_thread(cores, trials, name, tmp_path, mon
                "channel": README["channel"]}
         code = cli.build_code_from_config(cfg["code"], 3)
         spec = cli._channel_from_config(cfg["channel"], code)
-        rows = cli._received_rows(code, spec)
-        assert [(cli._trial_block(code, spec, w), decoder.screened(
-            code, cli._trial_block(code, spec, w) * rows)) for w in (1, 2)] == [(682, True),
-                                                                                  (64, False)]
+        rows = _received_rows(code, spec)
+        blocks = []
+        for workers in (1, 2):
+            with monkeypatch.context() as patched:
+                patched.setattr(subspaces, "_BLOCK_BYTES", subspaces._BLOCK_BYTES // workers)
+                block = cli._plan(code, spec, 1)[1]
+            blocks.append((block, decoder.screened(code, block * rows)))
+        assert blocks == [(682, True), (64, False)]
+        assert cli._plan(code, spec, 3) == (1, 682, subspaces._BLOCK_BYTES)
     cfg_path = tmp_path / "sim.json"
     cfg_path.write_text(json.dumps({**cfg, "trials": trials, "seed": 3}))
     assert cli.main(["simulate", "--config", str(cfg_path),
@@ -619,10 +682,31 @@ def test_the_workers_together_keep_to_one_workers_budget(t, most, monkeypatch):
     per_trial = 16 * code.ambient_dim * (1 + t)
     for cores in (1, 2, 3, most, most + 1, 64):
         monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-        workers = cli._workers(code, spec, 100)
+        workers, block, budget = cli._plan(code, spec, 100)
         assert workers == min(cores, most)
-        assert workers * cli._trial_block(code, spec, workers) * per_trial <= cli._TRIAL_BLOCK_BYTES
-        assert cli._workers(code, spec, 2) == min(cores, 2)
+        assert budget == subspaces._BLOCK_BYTES // workers
+        assert workers * block * per_trial <= subspaces._BLOCK_BYTES // 4
+        assert cli._plan(code, spec, 2)[0] == min(cores, 2)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 500), l=st.integers(1, 4), M=st.integers(2, 16129),
+       shorter=st.integers(0, 16128), short_dim=st.integers(0, 3), k=st.integers(0, 3),
+       t=st.integers(0, 2), r_d=st.integers(0, 1),
+       cores=st.sampled_from([1, 2, 3, 8, 9, 17, 18, 64]) | st.integers(1, 64),
+       chunks=st.sampled_from([1, 2, 5, 100]) | st.integers(1, 200))
+def test_the_plan_is_the_reference_plan(n, l, M, shorter, short_dim, k, t, r_d, cores, chunks):
+    # the plan reads of a code only its ambient and largest dimensions, its
+    # size and its row count, so the rows are one zero broadcast to their
+    # shape: M codewords of dimension l, of which up to M - 1 are shorter
+    l = min(l, n)
+    dims = np.full(M, l)
+    dims[1:1 + min(shorter, M - 1)] = min(short_dim, l - 1)
+    code = SubspaceCode._from_rows(np.broadcast_to(np.zeros(1), (int(dims.sum()), n)), dims)
+    spec = ChannelSpec(k, t, noise_dim=r_d)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(cli, "_usable_cores", lambda: cores)
+        assert cli._plan(code, spec, chunks) == _reference_plan(code, spec, chunks)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,

@@ -7,11 +7,15 @@ complement.  The noisy extension additionally rotates the result by a
 bounded amount and attaches an extra noise subspace.  A channel use first
 draws all of its Gaussian coefficients with one standard_normal call, whose
 size follows from dim U alone, and then runs its linear algebra on a stack
-of bases, so a block of uses (apply_noisy_operator_channel_block) costs one
-stacked QR per stage, which orthonormalizes its rows as Gram-Schmidt does
-(and, for an error or noise part, one more of the bases it avoids), and one
-use is the block of one.  The Gram-Schmidt basis of a Gaussian draw is
-Haar-distributed (Mezzadri 2007), so no singular values are needed.  The
+of bases, so a block of uses (apply_noisy_operator_channel_block) runs
+each stage once on the whole stack, and one use is the block of one.  Each
+stage orthonormalizes by Gram-Schmidt, one row at a time for the whole
+stack, and, since Gram-Schmidt commutes with an isometry, the kept, error
+and noise parts orthonormalize their small coefficient matrices before
+carrying them: only the rotation works on rows of full length n, and the
+only LAPACK call left is one QR of the bases that an error or noise part
+avoids.  The Gram-Schmidt basis of a Gaussian draw is Haar-distributed
+(Mezzadri 2007), so no singular values are needed.  The
 stand-alone stages are channel uses with specs that leave the other stages
 idle: erase(U, k) keeps k dimensions and adds none, random_error_subspace(U,
 t) keeps none and adds t, and rotate(U, budget) keeps all of U and turns it.
@@ -91,47 +95,79 @@ def channel_draw_size(dim: int, n: int, spec: ChannelSpec,
     return 2 * entries if complex_field else entries
 
 
-def _rank_r_rows(raw: np.ndarray, r: int, what: str) -> np.ndarray:
+def _rank_r_rows(raw: np.ndarray, r: int, what: str,
+                 after: np.ndarray | None = None) -> np.ndarray:
     """The Gram-Schmidt orthonormalization of the first r rows of each matrix
     of a (B, d, n) stack whose matrices all have numerical rank r, those r
-    rows independent: one stacked QR of raw^H for the whole stack.
+    rows independent, continued from the orthonormal rows of the (B, s, n)
+    stack ``after`` when one is given: GS([after; raw]) less its first s rows,
+    which is GS of raw projected onto after-perp.  Classical Gram-Schmidt
+    runs twice, which keeps the rows orthogonal to roundoff (Giraud et al.
+    2005), one row at a time for the whole stack.
 
-    raw^H = Q R, so raw = R^H Q^H with R^H lower triangular.  LAPACK leaves
-    the phases of R's diagonal to its own sign convention; dividing them out
-    of Q gives the factor whose triangle has a positive diagonal, which is
-    Gram-Schmidt's, so a unitary applied to the columns of raw carries the
-    rows returned along with it.  Column j of raw^H adds a dimension exactly
-    when |R_jj| > TOL_RANK max |R_jj|.
+    Row j's residual, after both passes against the rows before it, has the
+    norm |R_jj| of the triangle of raw = R Q (raw projected onto after-perp),
+    and row j adds a dimension exactly when |R_jj| > TOL_RANK max |R_jj|.  A
+    row j < r is measured against the largest residual so far before it is
+    divided by its own, since failing there fails against the largest of
+    all; the rows from r on are only measured.  Gram-Schmidt commutes with a
+    unitary applied to the columns of raw, and with an isometry applied to
+    its rows: GS(c Z) = GS(c) Z for a Z with orthonormal rows.
     """
     if r == 0:
         return raw[:, :0]
-    q, tri = np.linalg.qr(raw.conj().transpose(0, 2, 1))
-    diagonal = np.diagonal(tri, axis1=1, axis2=2)[:, np.newaxis]
-    size = np.abs(diagonal)
-    independent = size > TOL_RANK * size.max(axis=-1, keepdims=True)
+    count, d, n = raw.shape
+    if after is None:
+        rows, s = np.empty((count, r, n), dtype=raw.dtype), 0
+    else:
+        s = after.shape[1]
+        rows = np.empty((count, s + r, n), dtype=np.result_type(raw, after))
+        rows[:, :s] = after
+    out = rows[:, s:]
+    size = np.empty((count, d))
+    top = np.zeros(count)
+    for j in range(d):
+        v = raw[:, j]
+        done = rows[:, :s + min(j, r)]
+        for _ in range(2 if s + j else 0):
+            # v - sum_i (e_i^H v) e_i
+            c = (done @ v.conj()[:, :, np.newaxis]).conj()
+            v = v - (c.transpose(0, 2, 1) @ done)[:, 0]
+        size[:, j] = np.sqrt(np.einsum("ij,ij->i", v.conj(), v).real)
+        np.maximum(top, size[:, j], out=top)
+        if j < r:
+            if not np.all(size[:, j] > TOL_RANK * top):
+                raise RuntimeError(f"rank-deficient {what} draw")
+            np.divide(v, size[:, j, np.newaxis], out=out[:, j])
     # Gaussian draws have rank r almost surely, in their first r rows
-    if np.any(independent != (np.arange(raw.shape[1]) < r)):
+    if np.any((size > TOL_RANK * top[:, np.newaxis]) != (np.arange(d) < r)):
         raise RuntimeError(f"rank-deficient {what} draw")
-    return (q[:, :, :r] * (diagonal[..., :r] / size[..., :r])).conj().transpose(0, 2, 1)
+    return out
 
 
 def _erase_stack(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Kept parts: the row spaces of coeff @ Z, (B, k, n)."""
-    return _rank_r_rows(coeff @ Z, coeff.shape[1], "coefficient")
+    """Kept parts: the row spaces of coeff @ Z, (B, k, n), with the basis
+    GS(coeff) Z = GS(coeff @ Z), since Z's rows are orthonormal."""
+    return _rank_r_rows(coeff, coeff.shape[1], "coefficient") @ Z
 
 
 def _error_stack(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Error parts inside each Z-perp: the row spaces of coeff carried into
-    Z-perp by _into_complements.  A Gaussian coeff is unitarily invariant, so
-    any isometry onto Z-perp gives a uniformly random error subspace."""
-    return _rank_r_rows(_into_complements(Z, coeff), coeff.shape[1], "coefficient")
+    Z-perp by _into_complements, an isometry, so GS(coeff) carried is the
+    Gram-Schmidt basis of the carried rows.  A Gaussian coeff is unitarily
+    invariant, so any isometry onto Z-perp gives a uniformly random error
+    subspace."""
+    return _into_complements(Z, _rank_r_rows(coeff, coeff.shape[1], "coefficient"))
 
 
 def _rotate_stack(Z: np.ndarray, budget: float, g: np.ndarray) -> np.ndarray:
-    """Each basis of Z turned by ``budget`` towards g projected onto Z-perp."""
+    """Each basis of Z turned by ``budget`` towards g projected onto Z-perp,
+    the projection made by Gram-Schmidt on g after Z's rows, so that the
+    directions stay orthogonal to Z to roundoff however ill-conditioned the
+    projected rows are."""
     b, n = Z.shape[1:]
     r = min(b, n - b)
-    W = _rank_r_rows(g - (g @ Z.conj().transpose(0, 2, 1)) @ Z, r, "rotation")
+    W = _rank_r_rows(g, r, "rotation", Z)
     sin2 = budget / (2 * r)
     out = Z.copy()
     out[:, :r] = np.sqrt(1.0 - sin2) * Z[:, :r] + np.sqrt(sin2) * W

@@ -308,12 +308,13 @@ def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
     for lo in range(0, len(tx), _WRITE_CHUNK):
         at = slice(lo, lo + _WRITE_CHUNK)
         sent_dims = code.dims[tx[at]].tolist()
-        yield from map("{}{}{},{},{},{!r}{}{!r},{!r},{}".format,
-                       range(lo, lo + len(sent_dims)), map(head.__getitem__, sent_dims),
-                       tx[at].tolist(), rx[at].tolist(), (rx[at] == tx[at]).astype(int).tolist(),
-                       d_tx_rx[at].tolist(), map(flag.__getitem__, sent_dims),
-                       runner_up[at].tolist(), (runner_up[at] - d_rx[at]).tolist(),
-                       map(slack.__getitem__, sent_dims))
+        yield from (f"{trial}{head[m]}{sent},{got},{hit},{d!r}{flag[m]}{runner!r},{margin!r},"
+                    f"{slack[m]}"
+                    for trial, m, sent, got, hit, d, runner, margin in zip(
+                        range(lo, lo + len(sent_dims)), sent_dims, tx[at].tolist(),
+                        rx[at].tolist(), (rx[at] == tx[at]).astype(int).tolist(),
+                        d_tx_rx[at].tolist(), runner_up[at].tolist(),
+                        (runner_up[at] - d_rx[at]).tolist()))
 
 
 def _draw_sizes(code: SubspaceCode, spec: ChannelSpec, complex_field: bool) -> dict:
@@ -352,9 +353,10 @@ def _plan(code: SubspaceCode, spec: ChannelSpec, chunks: int) -> tuple[int, int,
     t = 0 weighs 23528 bytes, 22 trials, too few received rows to screen,
     while 64 are screened.  A screened block (decoder.screened) takes as
     many trials as keep their received bases, 16 n b bytes a trial, within
-    the quarter, up to one chunk of _TRIAL_CHUNK: every block pays about
-    1 ms of fixed cost on CP (31,2), in the channel's stacked QR calls, the
-    screen's probe and the ranking, which a larger block shares out, while
+    the quarter, up to one chunk of _TRIAL_CHUNK: every block pays a fixed
+    cost, about 1 ms on CP (31,2) while the channel ran stacked QRs, in the
+    channel's Gram-Schmidt passes and reflector QR, the screen's probe and
+    the ranking, which a larger block shares out, while
     decode_block forms its tables one pairwise() block at a time.
     Unscreened blocks keep the weight's size, since larger ones cost peak
     memory for little time.  So the blocks on one worker are 114 trials on
@@ -506,7 +508,7 @@ def cmd_simulate(args) -> int:
     rows = _simulate_rows(code, spec, d_min, sizes, tx, rx, d_tx_rx, d_rx, runner_up)
     summary = ",".join(["summary", "", "", "", "", "", "", repr(rate), "", "", "", "", ""])
     _write_csv(cfg.get("out"), "simulate", cfg, seed, _SIMULATE_COLUMNS,
-               itertools.chain(rows, [summary]), version=4)
+               itertools.chain(rows, [summary]), version=5)
     if cfg.get("out"):
         print(f"{trials} trials, success rate {rate!r}, wrote {cfg['out']}")
     return EXIT_OK

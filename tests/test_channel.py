@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import same_subspace
+from helpers import _per_trial_noisy_channel, _qr_rows, same_subspace
 from subspacecodes import (
     ChannelSpec,
     MatrixChannelSpec,
@@ -378,65 +378,11 @@ def test_each_stage_refuses_what_its_channel_use_refuses(stage, dim, arg, comple
     assert rng.bit_generator.state == untouched.bit_generator.state
 
 
-def _qr_rows(raw, r):
-    """The first r rows of raw orthonormalized as Gram-Schmidt does, by one
-    2-d QR of raw^H with the phases of R's diagonal divided out of Q."""
-    q, tri = np.linalg.qr(raw.conj().T)
-    diagonal = np.diagonal(tri)[:r]
-    return (q[:, :r] * (diagonal / np.abs(diagonal))).conj().T
-
-
 def _svd_rows(raw, r):
     """The channel's orthonormalization before v4: the first r right singular
     vectors of raw, a basis of the same row space as _qr_rows's when raw has
     rank r."""
     return np.linalg.svd(raw, full_matrices=False)[2][:r]
-
-
-def _per_trial_noisy_channel(U, spec, rng, orth=_qr_rows):
-    """Oracle: the noisy channel one stage at a time on 2-d bases, with its own
-    orthonormalization ``orth`` per stage (a 2-d QR by default, the stacked
-    QR's bits matrix by matrix), as it ran before the stages worked on stacks;
-    the error and noise coefficients are carried into the complement by the
-    reflector map on a stack of one (its distribution is checked against the
-    SVD complement below).  Its coefficients come from one standard_normal
-    call, taken in stage order, a complex entry as a (re, im) pair of normals."""
-    n, cf = U.ambient_dim, U.is_complex
-    k, t, r_d = spec.k, spec.t, spec.noise_dim
-    b = min(U.dim, k) + t
-    rotating = spec.rotation > 0 and b > 0
-    entries = ((k * U.dim if U.dim > k else 0) + t * (n - U.dim)
-               + (b * n if rotating else 0) + r_d * (n - b))
-    normals = rng.standard_normal(2 * entries if cf else entries)
-    coeffs = normals.view(complex) if cf else normals
-    used = 0
-
-    def gauss(rows, cols):
-        nonlocal used
-        used += rows * cols
-        return coeffs[used - rows * cols:used].reshape(rows, cols)
-
-    def within(S, d):
-        return orth(gauss(d, S.dim) @ S.basis, d)
-
-    def error(S, t):
-        if t == 0:
-            return np.zeros((0, n), dtype=S.basis.dtype)
-        carried = _into_complements(S.basis[np.newaxis], gauss(t, n - S.dim)[np.newaxis])
-        return orth(carried[0], t)
-
-    kept = within(U, k) if U.dim > k else U.basis
-    Z = np.concatenate([kept, error(U, t)])
-    if rotating:
-        g = gauss(*Z.shape)
-        r = min(b, n - b)
-        W = orth(g - (g @ Z.conj().T) @ Z, r)
-        sin2 = spec.rotation / (2 * r)
-        Z = Z.copy()
-        Z[:r] = np.sqrt(1.0 - sin2) * Z[:r] + np.sqrt(sin2) * W
-    out = np.concatenate([Z, error(Subspace(Z), r_d)])
-    assert used == entries
-    return out
 
 
 def _gram_schmidt(raw):
@@ -470,6 +416,92 @@ def test_rank_r_rows_refuses_a_rank_deficient_matrix_in_the_stack(defect, comple
         raw[3, 1] = 0.0
     with pytest.raises(RuntimeError, match="rank-deficient test draw"):
         _rank_r_rows(raw, 3, "test")
+
+
+def test_rank_r_rows_takes_the_rows_from_r_on_as_dependent():
+    # the rotation orthonormalizes b draws after the b rows it turns, which
+    # leaves them rank r = n - b < b when 2b > n: rows r to b - 1 fail the
+    # rank test on purpose, and an independent one is refused
+    for complex_field in (False, True):
+        raw = _gaussian(np.random.default_rng(8), (4, 3, 7), complex_field)
+        raw[:, 2] = 0.5 * raw[:, 0] - 2.0 * raw[:, 1]
+        got = _rank_r_rows(raw, 2, "test")
+        want = np.stack([_qr_rows(matrix, 2) for matrix in raw])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        raw[1, 2] += 1e-3
+        with pytest.raises(RuntimeError, match="rank-deficient test draw"):
+            _rank_r_rows(raw, 2, "test")
+
+
+@pytest.mark.parametrize("count, k, m, n", [(114, 2, 3, 12), (546, 1, 2, 31), (3, 3, 5, 9),
+                                            (1, 1, 4, 6)])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_kept_part_is_gram_schmidt_of_the_combined_rows(count, k, m, n, complex_field):
+    # GS(c) Z = GS(c Z) for Z with orthonormal rows
+    rng = np.random.default_rng([count, k, m, n])
+    Z = np.stack([random_subspace(n, m, rng, complex_field).basis for _ in range(count)])
+    coeff = _gaussian(rng, (count, k, m), complex_field)
+    got = _erase_stack(Z, coeff)
+    assert got.shape == (count, k, n) and got.dtype == Z.dtype
+    want = np.stack([_qr_rows(c @ basis, k) for c, basis in zip(coeff, Z)])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("count, t, m, n", [(114, 1, 3, 12), (114, 1, 4, 12), (546, 1, 2, 31),
+                                            (3, 3, 2, 9), (2, 4, 0, 5)])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_error_part_is_gram_schmidt_of_the_carried_rows(count, t, m, n, complex_field):
+    # _into_complements is an isometry onto Z-perp, so it carries GS(c) to
+    # the Gram-Schmidt basis of the carried rows
+    rng = np.random.default_rng([count, t, m, n, 1])
+    Z = np.stack([random_subspace(n, m, rng, complex_field).basis for _ in range(count)])
+    coeff = _gaussian(rng, (count, t, n - m), complex_field)
+    got = _error_stack(Z, coeff)
+    assert got.shape == (count, t, n) and got.dtype == Z.dtype
+    want = np.stack([_qr_rows(rows, t) for rows in _into_complements(Z, coeff)])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("count, b, n", [(114, 3, 12), (20, 8, 12), (5, 4, 7), (3, 1, 2)])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_rotation_directions_are_gram_schmidt_of_the_projected_draw(count, b, n, complex_field):
+    # GS([Z; g]) less Z's rows is GS of g projected onto Z-perp
+    rng = np.random.default_rng([count, b, n, 2])
+    Z = np.stack([random_subspace(n, b, rng, complex_field).basis for _ in range(count)])
+    g = _gaussian(rng, (count, b, n), complex_field)
+    r = min(b, n - b)
+    got = _rank_r_rows(g, r, "test", Z)
+    assert got.shape == (count, r, n) and got.dtype == Z.dtype
+    want = np.stack([_qr_rows(rows - (rows @ basis.conj().T) @ basis, r)
+                     for rows, basis in zip(g, Z)])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got @ Z.conj().transpose(0, 2, 1))) <= 1e-14
+
+
+def test_received_bases_are_orthonormal_across_the_channel_sweep():
+    # the kept and error parts are carried after their coefficients are
+    # orthonormalized; b > n - b turns rows that fail the rank test on purpose
+    rng = np.random.default_rng(31)
+    cases = 0
+    for n in range(2, 13):
+        for m in range(1, n + 1):
+            for k, t, r_d in ((1, 0, 0), (m - 1, 1, 0), (m, 0, 1), (2, 1, 1), (m + 1, n - m, 0)):
+                b = min(m, k) + t
+                if k < 0 or m + t > n or b + r_d > n or b == 0:
+                    continue
+                for rotation in (0.0, 0.7 * 2 * min(b, n - b)):
+                    spec = ChannelSpec(k=k, t=t, rotation=rotation, noise_dim=r_d)
+                    for complex_field in (False, True):
+                        Z = np.stack([random_subspace(n, m, rng, complex_field).basis
+                                      for _ in range(5)])
+                        draws = rng.standard_normal(
+                            (5, channel_draw_size(m, n, spec, complex_field)))
+                        V = apply_noisy_operator_channel_block(Z, spec, draws)
+                        assert V.shape == (5, b + r_d, n)
+                        gram = V @ V.conj().transpose(0, 2, 1)
+                        assert np.max(np.abs(gram - np.eye(b + r_d))) <= 1e-13
+                        cases += 1 if rotation and 2 * b > n else 0
+    assert cases >= 50
 
 
 @st.composite

@@ -181,7 +181,7 @@ def test_simulate_writes_expected_columns(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg]) == EXIT_OK
     capsys.readouterr()
     header, columns, rows = _parse_csv(out.read_text())
-    assert header[0] == "# subspace-codes simulate v4"
+    assert header[0] == "# subspace-codes simulate v5"
     assert "seed=11" in header[1]
     assert columns == ["trial", "rho", "t", "delta_rot", "r_d", "tx_index",
                        "rx_index", "correct", "d_tx_rx", "guarantee_flag",

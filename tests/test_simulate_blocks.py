@@ -13,7 +13,7 @@ first ones it needs.  Every distance written comes from the residual
 kernel, pair by pair, so the CSV must be byte-identical to the one the
 per-chunk loop below writes, whatever the block size.  That loop draws each
 chunk's indices and normals at once and then runs one channel call, one
-decode and one distance() call per trial, with the columns of v2, which v4
+decode and one distance() call per trial, with the columns of v2, which v5
 keeps.  The sizing that `cli._plan` replaced is kept here as its oracle,
 `_reference_plan`.
 """
@@ -35,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import _qr_rows, _staged_channel
 from subspacecodes import (ChannelSpec, CPCodeSpec, FiniteField, Subspace, SubspaceCode,
                            apply_noisy_operator_channel_block, channel_draw_size,
                            cli, cp_construct, decode, distance, guarantee_noisy,
@@ -100,7 +101,7 @@ def _per_trial_simulate(cfg: dict, path) -> None:
                      guarantee_noisy_slack(d_min, *impairments)])
     rate = successes / trials
     rows.append(["summary", "", "", "", "", "", "", float(rate), "", "", "", "", ""])
-    cli._write_csv(str(path), "simulate", cfg, seed, COLUMNS, cli._fmt(rows), version=4)
+    cli._write_csv(str(path), "simulate", cfg, seed, COLUMNS, cli._fmt(rows), version=5)
 
 
 def _assert_same_csv(tmp_path, cfg: dict) -> None:
@@ -110,7 +111,7 @@ def _assert_same_csv(tmp_path, cfg: dict) -> None:
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == EXIT_OK
     _per_trial_simulate(cfg, oracle)
     data = blocked.read_bytes()
-    assert data.startswith(b"# subspace-codes simulate v4\n")
+    assert data.startswith(b"# subspace-codes simulate v5\n")
     assert data == oracle.read_bytes()
     _check_columns(data)
 
@@ -176,6 +177,51 @@ def test_real_binary_code_matches_the_per_trial_loop(tmp_path, capsys):
                                          "words": ["0000", "0110", "1011", "1101", "1110"]},
                                 "channel": {"k": 1, "t": 1, "delta": 0.3, "r_d": 1},
                                 "trials": 300, "seed": 5})
+    capsys.readouterr()
+
+
+def _v4_channel_decisions(cfg: dict) -> tuple[list, list]:
+    """Oracle: the codeword sent and the one decoded in each trial of
+    ``cfg``, drawn as simulate draws them but sent through the v4 channel,
+    which orthonormalized every part by a QR after carrying it."""
+    seed, trials = int(cfg["seed"]), int(cfg["trials"])
+    code = cli.build_code_from_config(cfg["code"], seed)
+    spec = cli._channel_from_config(cfg["channel"], code)
+    width = _draw_width(code, spec)
+    sent, decoded = [], []
+    for lo in range(0, trials, cli._TRIAL_CHUNK):
+        rng = np.random.default_rng([seed, 1, lo // cli._TRIAL_CHUNK])
+        count = min(cli._TRIAL_CHUNK, trials - lo)
+        tx = rng.integers(len(code), size=count)
+        normals = rng.standard_normal((count, width))
+        for index, row in zip(tx.tolist(), normals):
+            U = code[index]
+            size = channel_draw_size(U.dim, U.ambient_dim, spec, U.is_complex)
+            V = Subspace(_staged_channel(U, spec, row[:size], _qr_rows))
+            sent.append(index)
+            decoded.append(decode(code, V).codeword_index)
+    return sent, decoded
+
+
+@pytest.mark.parametrize("name", ["readme", "cp_31_2_t1"])
+def test_the_v4_channel_makes_every_decision_that_simulate_makes(name, tmp_path, capsys):
+    # v5 orthonormalizes the kept, error and noise coefficients before it
+    # carries them, and the rotation's draw after the rows it turns, which
+    # moves only the last bits of each received basis
+    if name == "readme":
+        cfg = README
+    else:
+        path = tmp_path / "cp_31_2.code.json"
+        save_code(cp_construct(CPCodeSpec(FiniteField(31), 2)), path)
+        cfg = {"code": {"type": "file", "path": str(path)}, "channel": {"k": 1, "t": 1},
+               "trials": 1000, "seed": 3}
+    cfg_path, out = tmp_path / "sim.json", tmp_path / "sim.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:-1]]
+    sent, decoded = _v4_channel_decisions(cfg)
+    assert [int(row[COLUMNS.index("tx_index")]) for row in rows] == sent
+    assert [int(row[COLUMNS.index("rx_index")]) for row in rows] == decoded
     capsys.readouterr()
 
 

@@ -35,19 +35,15 @@ def barg_upper(m: int, delta: float, beta: int) -> float:
 
 def shannon_lower(delta: float) -> float:
     """Line-packing (m = 1) rate floor -(1/2) ln(delta), delta = sin^2(theta)."""
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError("delta must lie in (0, 1]")
-    return -0.5 * math.log(delta)
+    return barg_lower(1, delta, 1)
 
 
 def random_coding_rate(m: int, delta: float, beta: int, eps: float) -> float:
-    """Rate -(1/4) beta m ln(delta) - eps achieved by a uniform random ensemble."""
-    _check_m_beta(m, beta)
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError("delta must lie in (0, 1]")
+    """Rate -(1/4) beta m ln(delta) - eps of a uniform random ensemble: barg_lower / 2 - eps."""
+    rate = 0.5 * barg_lower(m, delta, beta)
     if eps < 0:
         raise ConfigError("eps must be nonnegative")
-    return -0.25 * beta * m * math.log(delta) - eps
+    return rate - eps
 
 
 def _check_m_beta(m: int, beta: int) -> None:
@@ -80,10 +76,24 @@ def _one_minus_entropy(g: float) -> float:
     return (2.0 * u * math.atanh(u) + math.log1p(-u * u)) / (2.0 * math.log(2.0))
 
 
+def _bisect(below, steps: int) -> tuple[float, float]:
+    """The bracket (lo, hi) of [0, 1/2] after ``steps`` halvings, each keeping
+    the half with ``below`` true at its lower end and false at its upper."""
+    lo, hi = 0.0, 0.5
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def gv_binary_delta(rate: float) -> float:
     """Gilbert-Varshamov distance h^{-1}(1 - rate) on [0, 1/2], by bisection.
 
-    rate = 0 gives 1/2, rate = 1 gives 0; otherwise the bracket shrinks to 1e-12.
+    rate = 0 gives 1/2, rate = 1 gives 0; otherwise 39 exact halvings leave a
+    bracket 2^-40 wide, the first width below 1e-12, and give its midpoint.
     """
     if not 0.0 <= rate <= 1.0:
         raise ConfigError("rate must lie in [0, 1]")
@@ -91,13 +101,7 @@ def gv_binary_delta(rate: float) -> float:
         return 0.0
     if rate == 0.0:
         return 0.5
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _one_minus_entropy(mid) > rate:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda g: _one_minus_entropy(g) > rate, 39)
     return 0.5 * (lo + hi)
 
 
@@ -121,13 +125,7 @@ def zyablov_delta(rate: float) -> float:
         raise ConfigError("rate must lie in (0, 1]")
     if rate == 1.0:
         return 0.0
-    lo, hi = 0.0, 0.5
-    for _ in range(64):
-        g = 0.5 * (lo + hi)
-        if _one_minus_entropy(g) ** 2 > rate * (1.0 + math.log2(1.0 - g)):
-            lo = g
-        else:
-            hi = g
+    lo, _ = _bisect(lambda g: _one_minus_entropy(g) ** 2 > rate * (1.0 + math.log2(1.0 - g)), 64)
     return max(lo * (1.0 - rate / _one_minus_entropy(lo)), 0.0)
 
 

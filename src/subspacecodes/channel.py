@@ -396,6 +396,18 @@ def _perturbation_eps(s: np.ndarray, N: np.ndarray, name: str) -> float:
             * norm_n_f / norm_a) ** 2
 
 
+def _checked_operands(A, N):
+    """(A, N, s, rank): A and N as arrays, checked to share a shape and to be
+    finite, with A's singular values s and numerical rank."""
+    A = np.asarray(A)
+    N = np.asarray(N)
+    if A.shape != N.shape:
+        raise ValueError("A and N must share a shape")
+    _check_finite(A=A, N=N)
+    s = np.linalg.svd(A, compute_uv=False)
+    return A, N, s, int(_numerical_rank(s))
+
+
 def perturbation_bound(A, N):
     """Row-space drift bound for a full-row-rank A under perturbation N.
 
@@ -406,14 +418,8 @@ def perturbation_bound(A, N):
     ConfigError when A or N has a NaN or infinite entry; NumericalError
     when ||A+||_2 ||N||_2 >= 1 or when A is not of full row rank.
     """
-    A = np.asarray(A)
-    N = np.asarray(N)
-    if A.shape != N.shape:
-        raise ValueError("A and N must share a shape")
-    _check_finite(A=A, N=N)
-    l = A.shape[0]
-    s = np.linalg.svd(A, compute_uv=False)
-    if _numerical_rank(s) < l or l > A.shape[1]:
+    A, N, s, rank = _checked_operands(A, N)
+    if rank < A.shape[0]:
         raise NumericalError("matrix is not of full row rank")
     eps = _perturbation_eps(s, N, "A")
     return eps, 2.0 * eps + eps ** 2
@@ -447,20 +453,12 @@ def general_perturbation_bound(A, N):
     where delta = 2 eps + eps^2.  ConfigError when A or N has a NaN or
     infinite entry.
     """
-    A = np.asarray(A)
-    N = np.asarray(N)
-    if A.shape != N.shape:
-        raise ValueError("A and N must share a shape")
-    _check_finite(A=A, N=N)
-    l = A.shape[0]
-    s = np.linalg.svd(A, compute_uv=False)
-    rank = int(_numerical_rank(s))
-    r_d = l - rank
+    A, N, s, rank = _checked_operands(A, N)
+    r_d = A.shape[0] - rank
     if rank == 0:
         raise NumericalError("zero matrix has no row space to track")
-    rows = _greedy_independent_rows(A, rank)
-    A1 = A[rows, :]
-    eps = _perturbation_eps(np.linalg.svd(A1, compute_uv=False), N, "A1")
+    if r_d:
+        s = np.linalg.svd(A[_greedy_independent_rows(A, rank), :], compute_uv=False)
+    eps = _perturbation_eps(s, N, "A1")
     delta = 2.0 * eps + eps ** 2
-    total = (np.sqrt(r_d) + np.sqrt(delta)) ** 2
-    return r_d, delta, float(total)
+    return r_d, delta, float((np.sqrt(r_d) + np.sqrt(delta)) ** 2)

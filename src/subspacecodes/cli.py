@@ -317,15 +317,6 @@ def _simulate_rows(code, spec, d_min, dims, tx, rx, d_tx_rx, d_rx, runner_up):
                         (runner_up[at] - d_rx[at]).tolist()))
 
 
-def _draw_sizes(code: SubspaceCode, spec: ChannelSpec, complex_field: bool) -> dict:
-    """The channel's draw size for each of the code's dimensions that fits it."""
-    sizes = {}
-    for m in set(code.dims.tolist()):
-        with contextlib.suppress(Infeasible):
-            sizes[m] = channel_draw_size(m, code.ambient_dim, spec, complex_field)
-    return sizes
-
-
 def _usable_cores() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else the machine's count."""
@@ -455,8 +446,11 @@ def cmd_simulate(args) -> int:
     d_min = _min_distance(cfg, code)
 
     n, complex_field = code.ambient_dim, np.iscomplexobj(code.rows)
-    sizes = _draw_sizes(code, spec, complex_field)
-    width = max(sizes.values(), default=0)
+    # every dimension's draw size, the smallest first, so that a code with a codeword
+    # the channel cannot fit is refused before any draw, whatever the seed and trials
+    sizes = {m: channel_draw_size(m, n, spec, complex_field)
+             for m in sorted(set(code.dims.tolist()))}
+    width = max(sizes.values())
     tx = np.empty(trials, dtype=np.intp)
     rx = np.empty(trials, dtype=np.intp)
     d_tx_rx, d_rx, runner_up = np.empty(trials), np.empty(trials), np.empty(trials)
@@ -483,10 +477,7 @@ def cmd_simulate(args) -> int:
         for lo in range(start, stop, block):
             txs = tx[lo:min(lo + block, stop)]
             draws = rng.standard_normal((len(txs), width))
-            # in trial order, so an Infeasible names the first trial that cannot fit
             for m, members in _groups(code.dims[txs]):
-                if m not in sizes:
-                    channel_draw_size(m, n, spec, complex_field)  # raises Infeasible
                 sent = code.bases(txs[members])
                 received = apply_noisy_operator_channel_block(
                     sent, spec, draws[members, :sizes[m]])

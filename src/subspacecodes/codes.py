@@ -171,8 +171,12 @@ def cp_min_distance(code: SubspaceCode) -> float:
 def cp_distance_bound(spec: CPCodeSpec) -> float:
     """Provable lower bound on the normalized minimum distance:
     1 - ((k-1) sqrt(q) + 1)^2 / n^2."""
-    n = spec.n
-    return 1.0 - ((spec.k - 1) * math.sqrt(spec.q) + 1.0) ** 2 / n ** 2
+    return _cp_bound(spec.q, spec.k)
+
+
+def _cp_bound(q: int, k: int) -> float:
+    """cp_distance_bound of CP (q, k), n = q - 1, for any q."""
+    return 1.0 - ((k - 1) * math.sqrt(q) + 1.0) ** 2 / (q - 1) ** 2
 
 
 def cp_simplified_bound(q: int, rate: float) -> float:
@@ -205,16 +209,11 @@ def cp_max_k_for_delta(q: int, delta_target: float) -> int:
         raise ConfigError(f"expected prime q, got {q}")
     if not 0.0 < delta_target <= 1.0:
         raise ConfigError("delta target must lie in (0, 1]")
-    n = q - 1
-    sq = math.sqrt(q)
-
-    def meets(k: int) -> bool:
-        return 1.0 - ((k - 1) * sq + 1.0) ** 2 / n ** 2 >= delta_target
-
+    n, sq = q - 1, math.sqrt(q)
     k = min(max(math.floor(1.0 + (n * math.sqrt(1.0 - delta_target) - 1.0) / sq), 0), q - 1)
-    while k > 0 and not meets(k):
+    while k > 0 and _cp_bound(q, k) < delta_target:
         k -= 1
-    while k < q - 1 and meets(k + 1):
+    while k < q - 1 and _cp_bound(q, k + 1) >= delta_target:
         k += 1
     return k
 
@@ -304,8 +303,7 @@ def random_ensemble_code(n: int, m: int, M: int, rng: np.random.Generator,
         count = min(M - accepted, ENSEMBLE_MAX_RETRIES - rejected, most)
         bases = _random_bases(n, m, count, rng, complex_field)
         batch = SubspaceCode._from_rows(bases.reshape(-1, n), np.full(count, m, dtype=np.intp))
-        far = (np.all(pairwise(batch, code.part(0, accepted)) > TOL_EQUAL, axis=1) if accepted
-               else np.ones(count, dtype=bool))
+        far = np.all(pairwise(batch, code.part(0, accepted)) > TOL_EQUAL, axis=1)
         near = pairwise(batch, batch) <= TOL_EQUAL
         keep = np.zeros(count, dtype=bool)
         for j in range(count):

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .subspaces import Subspace, SubspaceCode, _pair_distances, pairwise
+from .subspaces import Subspace, SubspaceCode, _check_same_ambient, _pair_distances, pairwise
 
 # distance gap below which two codewords count as tied
 TIE_TOL = 1e-9
@@ -215,9 +215,7 @@ def decode_block(code, received: SubspaceCode, *, single: SubspaceCode | None = 
     """
     if len(code) == 0:
         raise ConfigError("cannot decode against an empty code")
-    if code.rows.shape[1] != received.rows.shape[1]:
-        raise ConfigError(
-            f"ambient dimensions differ: {code.rows.shape[1]} vs {received.rows.shape[1]}")
+    _check_same_ambient(code.rows, received.rows)
     count = len(received)
     found = None  # each table's nominees
     if screened(code, received.rows.shape[0]) and (single is not None or count > _PROBE):

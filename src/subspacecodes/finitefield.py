@@ -1,5 +1,4 @@
-"""Array arithmetic in GF(p^m), the absolute trace, and exhaustive
-additive character sums.
+"""Array arithmetic in GF(p^m) and the absolute trace.
 
 Elements are identified with the integer encoding sum_i c_i p^i of their
 coefficient vector (c_0, ..., c_{m-1}) in the polynomial basis modulo a monic
@@ -18,8 +17,6 @@ The additive character chi_j(a) = exp(2 pi i tr(j a) / p) is then
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ConfigError
 
 MAX_Q = 1 << 16
 
@@ -197,8 +194,6 @@ class FiniteField:
         return self._digit_table
 
     def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.m == 1:
-            return (a + b) % self.p
         digits = (self.digit_table[a] + self.digit_table[b]) % self.p
         return digits @ self._p_pows
 
@@ -236,35 +231,3 @@ class FiniteField:
             return f"FiniteField({self.p})"
         return f"FiniteField({self.p}, {self.m})"
 
-
-def weil_sum(field: FiniteField, coeffs, chi_index: int = 1) -> complex:
-    """Exhaustive additive character sum  sum_{a in F_q} chi_j(f(a)).
-
-    ``coeffs`` are the integer encodings of f's coefficients from low to
-    high degree, and chi_j(x) = exp(2 pi i tr(j x) / p) for j = ``chi_index``;
-    each must lie in [0, q).  Requires a nontrivial character and a degree
-    d >= 1 coprime to q; under those conditions the magnitude obeys the Weil
-    bound (d - 1) sqrt(q).
-    """
-    q = field.q
-    values = [int(c) for c in coeffs]
-    j = int(chi_index)
-    for v in values + [j]:
-        if not 0 <= v < q:
-            raise ValueError(f"element encoding {v} outside [0, {q})")
-    while values and values[-1] == 0:
-        values.pop()
-    if j == 0:
-        raise ConfigError("chi_0 sums to q trivially; use a nonzero index")
-    d = len(values) - 1
-    if d < 1 or d % field.p == 0:
-        raise ConfigError(
-            f"need degree >= 1 and coprime to q = {q}, got degree {d}")
-    elems = np.arange(q, dtype=np.int64)
-    acc = np.full(q, values[-1], dtype=np.int64)
-    for c in reversed(values[:-1]):
-        acc = field.mul_vec(acc, elems)
-        if c:
-            acc = field.add_vec(acc, np.full(q, c, dtype=np.int64))
-    vals = field.character_roots[field.trace_table[field.mul_vec(np.full(q, j), acc)]]
-    return complex(vals.sum())

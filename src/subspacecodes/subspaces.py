@@ -137,10 +137,10 @@ def _numerical_rank(s: np.ndarray):
     return np.count_nonzero(s > TOL_RANK * s[..., :1], axis=-1)
 
 
-def _check_same_ambient(U: Subspace, V: Subspace) -> None:
-    if U.ambient_dim != V.ambient_dim:
-        raise ConfigError(
-            f"ambient dimensions differ: {U.ambient_dim} vs {V.ambient_dim}")
+def _check_same_ambient(a: np.ndarray, b: np.ndarray) -> None:
+    """ConfigError unless the row arrays ``a`` and ``b`` share an ambient dimension."""
+    if a.shape[1] != b.shape[1]:
+        raise ConfigError(f"ambient dimensions differ: {a.shape[1]} vs {b.shape[1]}")
 
 
 def orthonormalize(raw) -> Subspace:
@@ -165,7 +165,7 @@ def distance(U: Subspace, V: Subspace) -> float:
     and equal to 2 * chordal_distance(U, V)**2.  It is the residual kernel
     _residual_distances on a stack of one.
     """
-    _check_same_ambient(U, V)
+    _check_same_ambient(U.basis, V.basis)
     return float(_residual_distances(U.basis[np.newaxis], V.basis[np.newaxis])[0])
 
 
@@ -362,16 +362,16 @@ def _tile_sums(x: np.ndarray) -> np.ndarray:
     """x.sum(axis=(1, 3)) of a C-contiguous (M, a, N, b) array, bit for bit,
     in fewer passes.
 
-    NumPy sums each run of b entries first (one after another below its
-    8-term pairwise-summation cutoff, by its own pairwise sum from 8 up) and
-    then adds the a run sums in order; so does this, over whole slices.  At
-    N = 1 each a x b tile is one contiguous run, which NumPy sums in one
-    pass, so that case is left to NumPy.
+    Below its 8-term pairwise-summation cutoff, NumPy sums each run of b
+    entries one after another and then adds the a run sums in order; so
+    does this, over whole slices.  From b = 8 up NumPy's own sum measured as
+    fast, and at N = 1 each a x b tile is one contiguous run, which NumPy
+    sums in one pass: both are left to NumPy.
     """
-    if x.shape[2] == 1:
+    a, N, b = x.shape[1:]
+    if N == 1 or b >= 8:
         return x.sum(axis=(1, 3))
-    a, b = x.shape[1], x.shape[3]
-    runs = _sum_in_order([x[..., j] for j in range(b)]) if b < 8 else x.sum(axis=3)
+    runs = _sum_in_order([x[..., j] for j in range(b)])
     return _sum_in_order([runs[:, i] for i in range(a)])
 
 
@@ -402,9 +402,7 @@ def pairwise(A: SubspaceCode, B: SubspaceCode) -> np.ndarray:
     conj(Z_A Z_B^H) entry for entry, bit for bit, since negating a factor
     negates each product and sum exactly, and |.|^2 does not see the sign.
     """
-    if A.rows.shape[1] != B.rows.shape[1]:
-        raise ConfigError(
-            f"ambient dimensions differ: {A.rows.shape[1]} vs {B.rows.shape[1]}")
+    _check_same_ambient(A.rows, B.rows)
     conj_a = A.rows.shape[0] < B.rows.shape[0]
     b_side = B.rows.T if conj_a else B.rows.conj().T
     uniform = A.common_dim > 0 and B.common_dim > 0
@@ -440,7 +438,7 @@ def principal_angles(U: Subspace, V: Subspace) -> np.ndarray:
     The cosines are the singular values of Z T^H, clamped to [0, 1] before
     arccos so roundoff cannot push them outside the domain.
     """
-    _check_same_ambient(U, V)
+    _check_same_ambient(U.basis, V.basis)
     if U.dim != V.dim:
         raise ConfigError(
             f"principal angles need equal dimensions, got {U.dim} and {V.dim}")
@@ -491,7 +489,7 @@ def _into_complements(Z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 def direct_sum(U: Subspace, V: Subspace) -> Subspace:
     """Sum of two subspaces required to intersect trivially: the row space
     of their stacked bases."""
-    _check_same_ambient(U, V)
+    _check_same_ambient(U.basis, V.basis)
     total = orthonormalize(np.vstack([U.basis, V.basis]))
     if total.dim != U.dim + V.dim:
         raise ConfigError(

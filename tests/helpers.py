@@ -1,6 +1,7 @@
 """Helpers shared by the tests: a Haar-random unitary, subspace equality
-up to tolerance, the noisy channel one stage at a time and a decoder with
-no single-precision screen, which the package itself does not need."""
+up to tolerance, the noisy channel one stage at a time, a decoder with no
+single-precision screen and the exhaustive additive character sum, which
+the package itself does not need."""
 
 from __future__ import annotations
 
@@ -136,3 +137,36 @@ def decode_block_double(code, received: SubspaceCode) -> Decoded:
     rest = words != index[at]
     np.minimum.at(runner_up, at[rest], d[rest])
     return Decoded(index, nearest, runner_up)
+
+
+def weil_sum(field, coeffs, chi_index: int = 1) -> complex:
+    """Oracle: the exhaustive additive character sum sum_{a in F_q} chi_j(f(a)).
+
+    ``coeffs`` are the integer encodings of f's coefficients from low to
+    high degree, and chi_j(x) = exp(2 pi i tr(j x) / p) for j = ``chi_index``;
+    each must lie in [0, q).  Requires a nontrivial character and a degree
+    d >= 1 coprime to q; under those conditions the magnitude obeys the Weil
+    bound (d - 1) sqrt(q).
+    """
+    q = field.q
+    values = [int(c) for c in coeffs]
+    j = int(chi_index)
+    for v in values + [j]:
+        if not 0 <= v < q:
+            raise ValueError(f"element encoding {v} outside [0, {q})")
+    while values and values[-1] == 0:
+        values.pop()
+    if j == 0:
+        raise ConfigError("chi_0 sums to q trivially; use a nonzero index")
+    d = len(values) - 1
+    if d < 1 or d % field.p == 0:
+        raise ConfigError(
+            f"need degree >= 1 and coprime to q = {q}, got degree {d}")
+    elems = np.arange(q, dtype=np.int64)
+    acc = np.full(q, values[-1], dtype=np.int64)
+    for c in reversed(values[:-1]):
+        acc = field.mul_vec(acc, elems)
+        if c:
+            acc = field.add_vec(acc, np.full(q, c, dtype=np.int64))
+    vals = field.character_roots[field.trace_table[field.mul_vec(np.full(q, j), acc)]]
+    return complex(vals.sum())

@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_unitary
+from helpers import random_unitary, weil_sum
 from subspacecodes import (
     CPCodeSpec,
     ChannelSpec,
@@ -52,7 +52,6 @@ from subspacecodes import (
     random_ensemble_code,
     random_subspace,
     rq_factorize,
-    weil_sum,
     zyablov_delta,
 )
 from subspacecodes.codes import CP_MAX_ENTRIES

@@ -32,6 +32,7 @@ from subspacecodes import (
     shannon_lower,
     zyablov_delta,
 )
+from subspacecodes.bounds import _one_minus_entropy
 from subspacecodes.errors import ConfigError
 
 
@@ -325,3 +326,63 @@ def test_cli_import_loads_no_scipy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the former routes, kept as oracles: each bound now has one formula or one
+# bisection in the library, and must give these bits
+
+
+def _gv_loop(rate: float) -> float:
+    """gv_binary_delta as a loop that halves [0, 1/2] until it is 1e-12 wide."""
+    if rate == 1.0:
+        return 0.0
+    if rate == 0.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if _one_minus_entropy(mid) > rate:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _zyablov_loop(rate: float) -> float:
+    """zyablov_delta as its own 64-step bisection of the stationarity condition."""
+    if rate == 1.0:
+        return 0.0
+    lo, hi = 0.0, 0.5
+    for _ in range(64):
+        g = 0.5 * (lo + hi)
+        if _one_minus_entropy(g) ** 2 > rate * (1.0 + math.log2(1.0 - g)):
+            lo = g
+        else:
+            hi = g
+    return max(lo * (1.0 - rate / _one_minus_entropy(lo)), 0.0)
+
+
+# the bounds subcommand's rate and delta grids at a few sizes, and the edges
+CLI_RATES = [i / points for points in (50, 1000, 4096) for i in range(1, points)]
+EDGE_RATES = [1.0, 1.0 - 2.0 ** -53, 0.5, 2.0 ** -40, 1e-16, 5e-17, 1e-300, 5e-324]
+CLI_DELTAS = [0.02 + (1.0 - 0.02) * i / (points - 1)
+              for points in (50, 1000) for i in range(points)]
+EDGE_DELTAS = [1.0, 1.0 - 2.0 ** -53, 0.5, 2.0 ** -40, 1e-300, 5e-324]
+
+
+def test_gv_and_zyablov_match_their_former_loops_bit_for_bit():
+    for rate in CLI_RATES + EDGE_RATES:
+        assert gv_binary_delta(rate) == _gv_loop(rate), rate
+        assert zyablov_delta(rate) == _zyablov_loop(rate), rate
+    assert gv_binary_delta(0.0) == _gv_loop(0.0) == 0.5
+
+
+def test_shannon_and_random_coding_match_their_former_formulas_bit_for_bit():
+    for delta in CLI_DELTAS + EDGE_DELTAS:
+        assert shannon_lower(delta) == -0.5 * math.log(delta), delta
+        for m in (1, 2, 3, 7):
+            for beta in (1, 2):
+                for eps in (0.0, 0.01, 0.5):
+                    assert (random_coding_rate(m, delta, beta, eps)
+                            == -0.25 * beta * m * math.log(delta) - eps), (m, delta, beta, eps)

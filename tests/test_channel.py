@@ -162,6 +162,9 @@ def rotation_cases(draw):
 
 @PROPERTY
 @given(case=rotation_cases())
+# b > n - b: only n - b of the rows turn, here as far as they can
+@example(case=(7, 5, True, 11, 4.0))
+@example(case=(9, 8, False, 12, 0.75))
 def test_rotation_lands_on_the_budget(case):
     n, m, complex_field, seed, budget = case
     rng = np.random.default_rng(seed)
@@ -276,6 +279,9 @@ def noisy_channel_cases(draw):
 
 @PROPERTY
 @given(case=noisy_channel_cases())
+# b + r_d = n: the noise fills what the rotated part leaves
+@example(case=(6, 3, 2, 1, 3, 3.0, True, 5))
+@example(case=(5, 4, 3, 1, 1, 1.0, False, 6))
 def test_noisy_channel_output_and_draw_order(case):
     n, m, k, t, r_d, delta, complex_field, seed = case
     U = random_subspace(n, m, np.random.default_rng([seed, 1]), complex_field)
@@ -648,6 +654,9 @@ def error_stack_cases(draw):
 
 @PROPERTY
 @given(case=error_stack_cases())
+# m = n - t: the error rows span all of the complement
+@example(case=(6, 4, 2, 3, True, 13))
+@example(case=(5, 0, 5, 2, False, 14))
 def test_error_rows_are_orthonormal_and_avoid_the_sent_subspace(case):
     n, m, t, count, complex_field, seed = case
     rng = np.random.default_rng(seed)

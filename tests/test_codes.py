@@ -42,7 +42,7 @@ from subspacecodes import (
     random_subspace,
     save_code,
 )
-from subspacecodes import codes, subspaces
+from subspacecodes import cli, codes, subspaces
 from subspacecodes.errors import ConfigError, Infeasible
 from subspacecodes.subspaces import TOL_EQUAL, _gaussian, orthonormalize, pairwise
 
@@ -300,6 +300,37 @@ def test_cp_max_k_matches_the_scan():
     for q in primes:
         for delta in (1e-9, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0):
             assert cp_max_k_for_delta(q, delta) == _cp_max_k_scan(q, delta)
+
+
+def _cp_max_k_with_its_own_test(q, delta_target):
+    """cp_max_k_for_delta as it was when its inner test repeated the bound's
+    formula: the oracle of the one shared formula."""
+    n = q - 1
+    sq = math.sqrt(q)
+
+    def meets(k):
+        return 1.0 - ((k - 1) * sq + 1.0) ** 2 / n ** 2 >= delta_target
+
+    k = min(max(math.floor(1.0 + (n * math.sqrt(1.0 - delta_target) - 1.0) / sq), 0), q - 1)
+    while k > 0 and not meets(k):
+        k -= 1
+    while k < q - 1 and meets(k + 1):
+        k += 1
+    return k
+
+
+def test_cp_bound_and_max_k_match_the_former_formulas_bit_for_bit():
+    primes = [q for q in range(2, 600) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    for q in primes:
+        field = FiniteField(q)
+        for k in sorted({*range(1, min(q, 12)), q // 2, q - 1} - {0}):
+            assert (cp_distance_bound(CPCodeSpec(field, k))
+                    == 1.0 - ((k - 1) * math.sqrt(q) + 1.0) ** 2 / (q - 1) ** 2), (q, k)
+    # figure3's primes, the largest below 2^(e - 1), at its default target and others
+    for e in range(3, 66):
+        p = cli._largest_prime_below(2 ** (e - 1))
+        for delta in (1e-9, 0.25, 0.5, 0.9, 1.0 - 2.0 ** -53, 1.0):
+            assert cp_max_k_for_delta(p, delta) == _cp_max_k_with_its_own_test(p, delta), (p, delta)
 
 
 def test_cp_field_cap_refuses_before_building_tables():

@@ -3,7 +3,8 @@
 ConfigError exits 2, Infeasible 3 and NumericalError 4; cli.main catches
 nothing else, so any other exception is a bug and exits 1 with a traceback.
 These tests check each input boundary that must exit 2, the bounds grid cap
-that exits 3, a bug that exits 1, and a property: whatever small JSON value
+that exits 3, a bug that exits 1, the library's own refusals with their
+messages and their order, and a property: whatever small JSON value
 replaces one key of a working config, cli.main returns 0, 2, 3 or 4.
 """
 
@@ -15,13 +16,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspacecodes import (CPCodeSpec, ChannelSpec, FiniteField, binary_to_lines, cli,
-                           cp_construct, min_distance_exhaustive, random_ensemble_code,
-                           save_code)
+from subspacecodes import (CPCodeSpec, ChannelSpec, FiniteField, Subspace, SubspaceCode,
+                           binary_entropy, binary_to_lines, cli, complex_to_real_double,
+                           cp_construct, general_perturbation_bound, min_distance_exhaustive,
+                           perturbation_bound, principal_angles, random_coding_rate,
+                           random_ensemble_code, random_subspace, save_code)
 from subspacecodes import errors
 from subspacecodes.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK
 
@@ -252,6 +256,127 @@ def test_a_bug_exits_1_with_a_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr and "ValueError: bug" in proc.stderr
     assert "config error" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# refusals that the cases above do not reach, each with its message
+
+
+def _mixed_code_file(tmp_path) -> str:
+    rng = np.random.default_rng(3)
+    path = tmp_path / "mixed.code.json"
+    save_code(SubspaceCode([random_subspace(4, m, rng) for m in (1, 2, 1)]), path)
+    return str(path)
+
+
+def test_a_config_holding_a_json_list_exits_2(tmp_path, capsys):
+    for command in ("construct", "simulate", "bounds", "figure3"):
+        assert cli.main([command, "--config", _write_cfg(tmp_path, [1, 2])]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
+@pytest.mark.parametrize("q", [1, 0, -5])
+def test_a_field_order_below_2_exits_2(q, tmp_path, capsys):
+    status, err = _run("construct", {"code": {"type": "cp", "q": q, "k": 1}}, tmp_path, capsys)
+    assert status == EXIT_CONFIG
+    assert err == f"config error: field order {q} is not a prime power\n"
+
+
+def test_rho_on_a_mixed_dimension_code_exits_2(tmp_path, capsys):
+    code = {"type": "file", "path": _mixed_code_file(tmp_path)}
+    status, err = _run("simulate", {"code": code, "channel": {"rho": 1}, "trials": 2, "seed": 1},
+                       tmp_path, capsys)
+    assert status == EXIT_CONFIG
+    assert err == "config error: 'rho' needs a constant-dimension code; use 'k'\n"
+
+
+def test_a_code_file_with_beta_3_exits_2(tmp_path, capsys):
+    path = tmp_path / "beta3.json"
+    path.write_text(json.dumps({"beta": 3, "codewords": [[[1.0, 0.0], [0.0, 0.0]]], "n": 2}))
+    assert cli.main(["distance", str(path), str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: code file {path}: beta must be 1 or 2, got 3\n")
+    status, err = _run("construct", {"code": {"type": "file", "path": str(path)}}, tmp_path, capsys)
+    assert status == EXIT_CONFIG
+    assert err == f"config error: code file {path}: beta must be 1 or 2, got 3\n"
+
+
+def test_noise_that_cannot_fit_beside_the_rotated_part_exits_3(tmp_path, capsys):
+    # b = min(2, k) + t = 3 rows in ambient 4 leave room for one noise dimension
+    out = tmp_path / "sim.csv"
+    code = {"type": "random-ensemble", "n": 4, "m": 2, "M": 3}
+    status, err = _run("simulate", {"code": code, "channel": {"k": 2, "t": 1, "r_d": 2},
+                                    "trials": 5, "seed": 1, "out": str(out)}, tmp_path, capsys)
+    assert status == EXIT_INFEASIBLE
+    assert err == ("infeasible request: cannot fit 2 error dimensions next to a 3-dimensional "
+                   "subspace in ambient dimension 4\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", [perturbation_bound, general_perturbation_bound])
+def test_the_row_space_bounds_refuse_in_one_order(bound):
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    # the shapes first, then the entries, then the rank
+    with pytest.raises(ValueError, match="^A and N must share a shape$"):
+        bound(A, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="^A and N must share a shape$"):
+        bound(np.full((2, 3), math.nan), np.zeros((3, 3)))
+    with pytest.raises(errors.ConfigError, match="^N has non-finite entries$"):
+        bound(np.zeros((2, 3)), np.full((2, 3), math.inf))
+    zero = ("matrix is not of full row rank" if bound is perturbation_bound
+            else "zero matrix has no row space to track")
+    with pytest.raises(errors.NumericalError, match=f"^{zero}$"):
+        bound(np.zeros((2, 3)), np.zeros((2, 3)))
+    name = "A" if bound is perturbation_bound else "A1"
+    with pytest.raises(errors.NumericalError, match=rf"^\|\|{name}\+\|\|_2 \|\|N\|\|_2 = 2 >= 1$"):
+        bound(A, 2.0 * A)
+
+
+def test_the_plain_row_space_bound_refuses_a_rank_deficient_matrix():
+    for A in (np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]), np.eye(4, 3)):
+        with pytest.raises(errors.NumericalError, match="^matrix is not of full row rank$"):
+            perturbation_bound(A, 1e-3 * np.ones(A.shape))
+    # the general bound takes it, splitting off the dependent row
+    r_d, _, _ = general_perturbation_bound(np.eye(4, 3), 1e-3 * np.ones((4, 3)))
+    assert r_d == 1
+
+
+def test_library_refusals_keep_their_messages(tmp_path):
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="^extension degree must be at least 1$"):
+        FiniteField(2, 0)
+    U, V = random_subspace(5, 1, rng), random_subspace(5, 2, rng)
+    with pytest.raises(errors.ConfigError,
+                       match="^principal angles need equal dimensions, got 1 and 2$"):
+        principal_angles(U, V)
+    with pytest.raises(errors.ConfigError, match="^ambient dimensions differ: 5 vs 4$"):
+        principal_angles(U, random_subspace(4, 2, rng))
+    with pytest.raises(ValueError, match="^need 0 <= m <= n, got m=4, n=3$"):
+        random_subspace(3, 4, rng)
+    with pytest.raises(ValueError, match="^3 orthonormal rows cannot fit in ambient dimension 2$"):
+        Subspace(np.eye(3, 2))
+    with pytest.raises(ValueError, match="^refusing to serialize an empty code$"):
+        save_code(SubspaceCode([]), tmp_path / "empty.json")
+    assert not (tmp_path / "empty.json").exists()
+    with pytest.raises(errors.ConfigError,
+                       match="^doubling map expects a constant-dimension code$"):
+        complex_to_real_double(SubspaceCode([U, V]))
+    with pytest.raises(errors.ConfigError, match=r"^entropy argument must lie in \[0, 1\]$"):
+        binary_entropy(1.5)
+
+
+def test_random_coding_rate_refuses_in_one_order():
+    with pytest.raises(errors.ConfigError, match=r"^delta must lie in \(0, 1\]$"):
+        random_coding_rate(1, 0.0, 2, 0.1)
+    with pytest.raises(errors.ConfigError, match="^eps must be nonnegative$"):
+        random_coding_rate(1, 0.5, 2, -0.1)
+    # m and beta first, then delta, then eps
+    with pytest.raises(errors.ConfigError, match=r"^delta must lie in \(0, 1\]$"):
+        random_coding_rate(1, 0.0, 2, -0.1)
+    with pytest.raises(errors.ConfigError, match="^dimension m must be at least 1$"):
+        random_coding_rate(0, 0.0, 2, -0.1)
+    with pytest.raises(errors.ConfigError, match=r"^beta must be 1 \(real\) or 2 \(complex\)$"):
+        random_coding_rate(1, 0.0, 3, -0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from subspacecodes import FiniteField, is_prime, weil_sum
+from helpers import weil_sum
+from subspacecodes import FiniteField, is_prime
 from subspacecodes.errors import ConfigError
 
 

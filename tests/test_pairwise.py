@@ -102,6 +102,10 @@ def test_pairwise_and_distance_match_projection_oracle(a, b, share, block_bytes)
 
 @PROPERTY
 @given(spec=subspace_lists(max_size=12), block_bytes=BLOCK_BYTES)
+# codewords of dimension 8 and more, past the strategy's n, beside a zero one;
+# and a code of one dimension 9, whose tiles are summed with runs of 8 and more
+@example(spec=(10, 3, [9, 0, 8, 2, 10], True), block_bytes=512)
+@example(spec=(11, 4, [9, 9, 9], False), block_bytes=2 ** 21)
 def test_min_distance_matches_scalar_oracle_on_mixed_codes(spec, block_bytes):
     words = _build(*spec)
     if len(words) < 2:

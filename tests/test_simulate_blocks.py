@@ -357,18 +357,34 @@ def test_cp_31_2_at_its_screened_block_size_matches_the_per_trial_loop(t, trials
     capsys.readouterr()
 
 
-def test_first_overflowing_trial_names_the_error(tmp_path, capsys):
+@pytest.mark.parametrize("seed, trials", [(0, 3), (2, 40), (4, 40), (6, 2100)])
+def test_an_unfittable_codeword_is_refused_before_any_draw(seed, trials, tmp_path,
+                                                            monkeypatch, capsys):
     # dims 1, 2, 3, 2, 1, 3, 2, 0 in ambient 8: seven error dimensions fit
-    # next to the codewords of dimension 0 and 1 only, and the message names
-    # the dimension of the first trial that sent a larger one
-    cfg = {"code": {"type": "file", "path": _mixed_code_file(tmp_path)},
-           "channel": {"k": 3, "t": 7}, "trials": 40, "seed": 2}
-    with pytest.raises(Infeasible, match="cannot fit") as raised:
-        _per_trial_simulate(cfg, tmp_path / "oracle.csv")
+    # next to the codewords of dimension 0 and 1 only.  Seed 0's first three
+    # trials send only those, seed 2's first larger one is 3-dimensional and
+    # seed 4's 2-dimensional; every run is refused, with the smallest
+    # dimension that does not fit, before it draws anything
+    dims = [1, 2, 3, 2, 1, 3, 2, 0]
+    sent = [[dims[i] for i in np.random.default_rng([s, 1, 0]).integers(8, size=t)]
+            for s, t in ((0, 3), (2, 40), (4, 40))]
+    assert max(sent[0]) == 1 and [m for m in sent[1] if m > 1][0] == 3
+    assert [m for m in sent[2] if m > 1][0] == 2
+    out = tmp_path / "sim.csv"
     cfg_path = tmp_path / "sim.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps({"code": {"type": "file", "path": _mixed_code_file(tmp_path)},
+                                    "channel": {"k": 3, "t": 7}, "trials": trials,
+                                    "seed": seed, "out": str(out)}))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("simulate drew before it refused the code")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == EXIT_INFEASIBLE
-    assert capsys.readouterr().err == f"infeasible request: {raised.value}\n"
+    assert capsys.readouterr().err == (
+        "infeasible request: cannot fit 7 error dimensions next to a 2-dimensional subspace "
+        "in ambient dimension 8\n")
+    assert not out.exists()
 
 
 def test_unreachable_rotation_keeps_its_message(tmp_path, capsys):
@@ -562,20 +578,20 @@ def test_the_worker_count_does_not_change_the_bytes(name, tmp_path, monkeypatch,
     capsys.readouterr()
 
 
-def test_the_first_overflowing_trial_past_the_first_chunk_names_the_error(tmp_path, monkeypatch,
-                                                                          capsys):
+@pytest.mark.parametrize("trials", [1000, 3000])
+def test_an_unfittable_codeword_is_refused_alike_on_any_number_of_cores(trials, tmp_path,
+                                                                       monkeypatch, capsys):
     # 700 lines and a 3- and a 4-dimensional codeword in ambient 6: t = 4
     # error dimensions fit next to a line only, and the code is large enough
-    # that its runs are pooled.  At seed 1375 the first trial that sends a
-    # larger codeword is trial 1456, in chunk 1, and chunk 2's first sends
-    # the other one, at trial 2061, a few trials into its chunk: its worker
-    # fails first, and the error must still be chunk 1's
+    # that its runs would be pooled.  At seed 1375 no trial of chunk 0 sends
+    # a larger codeword, chunk 1's first sends the 4-dimensional one and
+    # chunk 2's the 3-dimensional one; at 1000 trials and at 3000, on 1, 2
+    # and 3 cores, the run is refused for the 3-dimensional one, the smallest
+    # that does not fit, before any chunk runs, and writes no CSV
     rng = np.random.default_rng(31)
     words = [random_subspace(6, m, rng) for m in [1] * 700 + [3, 4]]
     path = tmp_path / "overflow.code.json"
     save_code(SubspaceCode(words), path)
-    cfg = {"code": {"type": "file", "path": str(path)}, "channel": {"k": 1, "t": 4},
-           "trials": 3000, "seed": 1375}
     firsts = []
     for chunk in range(3):
         tx = np.random.default_rng([1375, 1, chunk]).integers(len(words), size=cli._TRIAL_CHUNK)
@@ -583,15 +599,18 @@ def test_the_first_overflowing_trial_past_the_first_chunk_names_the_error(tmp_pa
         firsts.append((chunk * cli._TRIAL_CHUNK + over[0], words[tx[over[0]]].dim)
                       if len(over) else None)
     assert firsts == [None, (1456, 4), (2061, 3)]
-    with pytest.raises(Infeasible, match="cannot fit") as raised:
-        _per_trial_simulate(cfg, tmp_path / "oracle.csv")
-    assert "4-dimensional" in str(raised.value)
+    with pytest.raises(Infeasible, match="3-dimensional") as raised:
+        channel_draw_size(3, 6, ChannelSpec(1, 4), True)
+    out = tmp_path / "sim.csv"
     cfg_path = tmp_path / "sim.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps({"code": {"type": "file", "path": str(path)},
+                                    "channel": {"k": 1, "t": 4}, "trials": trials,
+                                    "seed": 1375}))
     capsys.readouterr()
     for cores in (1, 2, 3):
-        assert _simulate_at(cores, cfg_path, None, monkeypatch) == EXIT_INFEASIBLE
+        assert _simulate_at(cores, cfg_path, out, monkeypatch, pooled=False) == EXIT_INFEASIBLE
         assert capsys.readouterr().err == f"infeasible request: {raised.value}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("cores, trials, name", [(2, 1000, "cp_31_2"), (1, 2100, "cp_31_2"),
